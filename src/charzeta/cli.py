@@ -5,7 +5,7 @@ versioned JSON document by default ("schema": "charzeta/1"); --format csv
 flattens the records, --format text prints human-readable lines.  Exit
 codes: 0 all checks pass, 1 mathematical mismatch, 2 usage error.
 Identical invocations produce bit-identical output (MC commands take a
-seed).  CHARZETA_THREADS caps the verification worker count.
+seed).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import sys
 
 from .finfield import FieldError, is_prime, make_field
-from .fibercount import count_fiberwise, count_formula, degenerate_fibers
+from .fibercount import MAX_FIBERWISE_Q, count_fiberwise, count_formula, degenerate_fibers
 from .globalzeta import (RECOVERY_COUNTS, RECOVERY_PRIMES, counts_for_space,
                          euler_factor, global_expression, verify_global)
 from .localzeta import RecoveryError, local_zeta_closed_form, recover_factors
@@ -40,21 +40,24 @@ def _surfaces(arg: str):
 
 
 def _parse_primes(spec: str):
-    """Parse 'a..b' (inclusive, primality-filtered) or a single prime."""
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError:
-            raise UsageError(f"bad prime range {spec!r}") from None
-        return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+    """Parse 'a..b' (inclusive, primality-filtered) or a single prime.
+
+    The list must be nonempty and end within the fiberwise budget: above it
+    verify would compare the closed formula with itself.
+    """
+    lo, sep, hi = spec.partition("..")
     try:
-        p = int(spec)
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
-        raise UsageError(f"bad prime {spec!r}") from None
-    if not is_prime(p):
-        raise UsageError(f"{p} is not prime")
-    return [p]
+        raise UsageError(f"bad prime range {spec!r}") from None
+    if not sep and not is_prime(lo):
+        raise UsageError(f"{lo} is not prime")
+    if hi > MAX_FIBERWISE_Q:
+        raise UsageError(f"primes above {MAX_FIBERWISE_Q} have no fiberwise counts to verify")
+    primes = [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+    if not primes:
+        raise UsageError(f"no primes in range {spec!r}")
+    return primes
 
 
 def _flatten(obj, row, prefix=""):
@@ -126,6 +129,8 @@ def cmd_count(args) -> tuple[dict, int]:
 
 
 def cmd_zeta(args) -> tuple[dict, int]:
+    if not is_prime(args.p):
+        raise UsageError(f"{args.p} is not prime")
     records = []
     ok = True
     for sid in _surfaces(args.surface):
@@ -178,6 +183,8 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_special(args) -> tuple[dict, int]:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
     records = verify_table1(tol=args.tol)
     ok = all(r["pass"] for r in records)
     doc = {"schema": SCHEMA, "command": "special", "tol": args.tol,

@@ -1,15 +1,22 @@
-"""Fast point counting through the conic-bundle structure.
+"""Point counting through the conic-bundle structure.
 
-Every fiber of the projection to P^1 is a plane conic whose six
-coefficients are polynomials in the base point.  In odd characteristic
-the whole base is classified at once with vectorised arithmetic (the
-fibers of our three surfaces have no xu or yu cross terms, which the
-model validates on construction); the handful of degenerate fibers are
-then re-examined with the exact scalar classifier.  In characteristic 2
-quadratic-form classification is unreliable, so fiber counts fall back to
-enumeration of the fiber plane, aggregated through a joint distribution
-table of ((x+y)^2, xy); this caps characteristic-2 fiberwise counting at
-q <= 512.
+The fiber of each surface over (z : 1) is the plane conic
+a(z)(x^2 + y^2) + b(z)xy + c(z)u^2; the model is checked to have equal x^2
+and y^2 coefficients and no xu or yu terms.  It is a smooth conic with
+q + 1 points unless z is a root of c(b^2 - 4a^2), or of bc in
+characteristic 2.  Off those roots the line u = 0 of the fiber has a fixed
+number of points as well, because two identities hold for every model,
+checked when it is first used: b^2 - 4a^2 is a constant k times a square,
+so the line carries 1 + chi(k) points in odd characteristic; and
+a/b = h + h^2 with h = 1/(z + 1) over F_2(z), so a/b has absolute trace 0
+and the line carries 2 points in characteristic 2.
+
+The totals over P^1(F_q) therefore need only the F_q-roots of one integer
+polynomial of small degree (finfield.field_roots) and an exact
+classification of the fibers over them and over (1 : 0).  Odd
+characteristic fibers are classified as ternary quadratic forms; in
+characteristic 2 the count follows from the absolute trace of a/b.  The
+size caps below are budgets, not limits of the method.
 
 The closed-form count path transcribes the per-surface case analysis
 (characteristic and quadratic-residue branches, including the parity
@@ -20,11 +27,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import zip_longest
 
-import numpy as np
-
-from .finfield import Field, FieldError, classify_conic_encs, is_prime, make_field
-from .varieties import CountRecord, SurfaceModel, _as_model
+from .finfield import (Field, FieldError, classify_conic_encs, field_roots, is_prime,
+                       make_field)
+from .varieties import CountRecord, _as_model
 
 MAX_FIBERWISE_Q = 10**6
 MAX_FIBERWISE_Q_CHAR2 = 512
@@ -37,7 +45,7 @@ class FiberReport:
     base: tuple[int, int]      # canonical (z : w), encodings
     count: int
     degenerate: bool
-    rank: int | None = None    # None in characteristic 2 (counted by enumeration)
+    rank: int | None = None    # None in characteristic 2
     split: bool | None = None
 
     def to_json(self):
@@ -73,11 +81,17 @@ def _canonical_base(field: Field, z: int, w: int) -> tuple[int, int]:
     return (1, field.mul(w, field.inv(z)))
 
 
-def _char2_fiber_is_smooth(coeffs) -> bool:
-    # with only an xy cross term the partials are (b*y, b*x, 0); the form
-    # is smooth iff b != 0 and the apex (0:0:1) is off the conic (c != 0)
-    a, _, c, b, _, _ = coeffs
-    return b != 0 and c != 0
+def _line_count(field: Field, a: int, b: int) -> int:
+    """Zeros of a(x^2 + y^2) + bxy on the line u = 0, a copy of P^1(F_q)."""
+    if a == 0:
+        return field.q + 1 if b == 0 else 2
+    if field.p != 2:
+        disc = field.sub(field.mul(b, b), field.mul(field.int_(4), field.mul(a, a)))
+        return 1 + field.quadratic_character(disc)
+    if b == 0:
+        return 1  # a(x + y)^2
+    # x = (b/a)t turns x^2 + (b/a)x + 1 into t^2 + t + (a/b)^2
+    return 2 if field.trace(field.mul(a, field.inv(b))) == 0 else 0
 
 
 def classify_fiber(model, basepoint, field: Field) -> FiberReport:
@@ -88,170 +102,112 @@ def classify_fiber(model, basepoint, field: Field) -> FiberReport:
     if field.p != 2:
         cls = classify_conic_encs(field, coeffs)
         return FiberReport(base, cls.point_count, cls.rank < 3, cls.rank, cls.split)
-    if field.q > MAX_FIBERWISE_Q_CHAR2:
-        raise FieldError(
-            f"fiber counting in characteristic 2 limited to q <= {MAX_FIBERWISE_Q_CHAR2}")
     a, a2, c, b, e, f = coeffs
     if a != a2 or e or f:
         raise AssertionError("fiber form outside the supported shape")
-    hist, sq1y, yarr = _char2_field_tables(field.p, field.n)
-    count = _char2_fiber_count(field, hist, sq1y, yarr, a, b, c)
-    return FiberReport(base, count, not _char2_fiber_is_smooth(coeffs))
+    q = field.q
+    if c:
+        # a smooth conic (b != 0) or the double line sqrt(a)(x + y) = sqrt(c)u
+        count = q + 1
+    else:
+        # the lines joining the apex (0 : 0 : 1) to the zeros on u = 0
+        line = _line_count(field, a, b)
+        count = q * q + q + 1 if line == q + 1 else q * line + 1
+    # smooth iff b != 0 (partials b*y, b*x, 0) and the apex is off it (c != 0)
+    return FiberReport(base, count, not (b and c))
 
 
 # ---------------------------------------------------------------------------
-# vectorised whole-base scans
+# totals from the degenerate locus
 
 
-def _fiber_abc_arrays(model: SurfaceModel, field: Field):
-    """Arrays of the (x^2&y^2, xy, u^2) fiber coefficients over all (z : 1).
-
-    The whole-base scans rely on the fiber forms having equal x^2 and y^2
-    coefficients and no xu or yu terms; reject models that break this.
-    """
-    lists = model.fiber_quad_coeff_lists(field)
-    if lists[(2, 0, 0)] != lists[(0, 2, 0)] or any(lists[(1, 0, 1)]) or any(lists[(0, 1, 1)]):
-        raise ValueError(f"{model.id}: fiber forms outside the supported shape")
-    z = np.arange(field.q, dtype=np.int64)
-    a = field.v_poly(list(lists[(2, 0, 0)]), z)
-    b = field.v_poly(list(lists[(1, 1, 0)]), z)
-    c = field.v_poly(list(lists[(0, 0, 2)]), z)
-    return z, a, b, c
-
-
-def _u0_line_counts_odd(field: Field, a, b):
-    """Zeros in P^1 of a*(x^2+y^2) + b*xy for every fiber, odd characteristic."""
-    q = field.q
-    out = np.empty(q, dtype=np.int64)
-    za = a == 0
-    zb = b == 0
-    out[za & zb] = q + 1
-    out[za & ~zb] = 2
-    m = ~za
-    if np.any(m):
-        two_a = field.v_scale(field.int_(2), a[m])
-        disc = field.v_sub(field.v_sq(b[m]), field.v_sq(two_a))
-        chi = field.v_chi(disc)
-        vals = np.where(disc == 0, 1, np.where(chi == 1, 2, 0))
-        out[m] = vals
+def _zmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 
-def _scan_odd(model: SurfaceModel, field: Field) -> FiberwiseTotals:
-    q = field.q
-    z, a, b, c = _fiber_abc_arrays(model, field)
-    half = field.inv(field.int_(2))
-    bh = field.v_scale(half, b)
-    d = field.v_sub(field.v_sq(a), field.v_sq(bh))  # 2x2 block determinant
-    smooth = (c != 0) & (d != 0)
-    u0 = _u0_line_counts_odd(field, a, b)
-
-    counts = np.full(q, q + 1, dtype=np.int64)
-    reports = []
-    for i in np.flatnonzero(~smooth):
-        zi = int(z[i])
-        rep = classify_fiber(model, (zi, 1), field)
-        counts[i] = rep.count
-        reports.append(rep)
-    rep_inf = classify_fiber(model, (1, 0), field)
-    if rep_inf.degenerate:
-        reports.append(rep_inf)
-
-    biproj = int(counts.sum()) + rep_inf.count
-    nonaffine = int(u0.sum()) + rep_inf.count
-    affine = int((counts - u0).sum())
-    reports.sort(key=lambda r: r.base)
-    return FiberwiseTotals(model.id, field.p, field.n, biproj, affine, nonaffine,
-                           tuple(reports))
+def _is_constant_times_square(d) -> bool:
+    """Whether d (trimmed, integer) is its leading coefficient times a square in Q[z]."""
+    if (len(d) - 1) % 2:
+        return False
+    e = (len(d) - 1) // 2
+    t = [Fraction(x, d[-1]) for x in d]
+    s = [Fraction(0)] * e + [Fraction(1)]
+    for j in range(1, e + 1):  # match the z^(2e - j) coefficient of s^2
+        s[e - j] = (t[2 * e - j] - sum(s[e - i] * s[e - j + i] for i in range(1, j))) / 2
+    return _zmul(s, s) == t
 
 
-@functools.lru_cache(maxsize=8)
-def _char2_field_tables(p: int, n: int):
-    """(hist, sq1y, yarr) for characteristic-2 fiber counting.
+@functools.lru_cache(maxsize=None)
+def _bundle_loci(surface_id: str):
+    """(k, odd locus, characteristic-2 locus) of a surface's conic bundle.
 
-    hist[s, r] = #{(x, y) in F_q^2 : (x+y)^2 = s, xy = r} aggregates the
-    fiber-plane enumeration; sq1y[y] = (1+y)^2 serves the u = 0 line.
+    The loci are integer polynomials in z, a*c*(b^2 - 4a^2) and a*b*c; their
+    roots include every fiber (z : 1) that is degenerate or whose u = 0 line
+    count may differ from the generic one.  k is the leading coefficient of
+    b^2 - 4a^2.  Raises ValueError for a model that breaks the fiber shape or
+    either identity the generic counts rest on.
     """
-    field = make_field(p, n)
-    q = field.q
-    x = np.repeat(np.arange(q, dtype=np.int64), q)
-    y = np.tile(np.arange(q, dtype=np.int64), q)
-    s = field.v_sq(x ^ y)
-    r = field.v_mul(x, y)
-    hist = np.bincount(s * q + r, minlength=q * q).reshape(q, q)
-    yarr = np.arange(q, dtype=np.int64)
-    return hist, field.v_sq(1 ^ yarr), yarr
-
-
-def _char2_fiber_count(field: Field, hist, sq1y, yarr, a: int, b: int, c: int) -> int:
-    """Zeros of a*(x^2+y^2) + b*xy + c*u^2 in P^2(F_q), characteristic 2.
-
-    The u = 1 chart is aggregated through the histogram of ((x+y)^2, xy);
-    the u = 0 line is evaluated directly on its q + 1 representatives.
-    """
-    q = field.q
-    s_all = np.arange(q, dtype=np.int64)
-    if b != 0:
-        rhs = field.v_scale(a, s_all) ^ c
-        r = field.v_scale(field.inv(b), rhs)
-        n_aff = int(hist[s_all, r].sum())
-    elif a != 0:
-        n_aff = int(hist[field.mul(field.inv(a), c), :].sum())
-    else:
-        n_aff = q * q if c == 0 else 0
-    line_vals = field.v_scale(a, sq1y) ^ field.v_scale(b, yarr)
-    n_line = int(np.count_nonzero(line_vals == 0)) + (1 if a == 0 else 0)
-    return n_aff + n_line
-
-
-def _scan_char2(model: SurfaceModel, field: Field) -> FiberwiseTotals:
-    q = field.q
-    z, a, b, c = _fiber_abc_arrays(model, field)
-    hist, sq1y, yarr = _char2_field_tables(field.p, field.n)
-
-    biproj = affine = nonaffine = 0
-    reports = []
-    coeff_lists = model.fiber_quad_coeff_lists(field)
-    for i in range(q):
-        ai, bi, ci = int(a[i]), int(b[i]), int(c[i])
-        cnt = _char2_fiber_count(field, hist, sq1y, yarr, ai, bi, ci)
-        line_vals = field.v_scale(ai, sq1y) ^ field.v_scale(bi, yarr)
-        u0 = int(np.count_nonzero(line_vals == 0)) + (1 if ai == 0 else 0)
-        biproj += cnt
-        affine += cnt - u0
-        nonaffine += u0
-        if bi == 0 or ci == 0:
-            reports.append(FiberReport(_canonical_base(field, int(z[i]), 1), cnt, True))
-    # fiber at (1 : 0): top z-coefficients, entirely non-affine
-    a_inf = coeff_lists[(2, 0, 0)][-1]
-    b_inf = coeff_lists[(1, 1, 0)][-1]
-    c_inf = coeff_lists[(0, 0, 2)][-1]
-    cnt_inf = _char2_fiber_count(field, hist, sq1y, yarr, a_inf, b_inf, c_inf)
-    biproj += cnt_inf
-    nonaffine += cnt_inf
-    if b_inf == 0 or c_inf == 0:
-        reports.append(FiberReport((1, 0), cnt_inf, True))
-    reports.sort(key=lambda r: r.base)
-    return FiberwiseTotals(model.id, field.p, field.n, biproj, affine, nonaffine,
-                           tuple(reports))
+    quad = _as_model(surface_id)._quad_zw
+    a, b, c = quad[(2, 0, 0)], quad[(1, 1, 0)], quad[(0, 0, 2)]
+    if a != quad[(0, 2, 0)] or any(quad[(1, 0, 1)]) or any(quad[(0, 1, 1)]):
+        raise ValueError(f"{surface_id}: fiber forms outside the supported shape")
+    d = [x - 4 * y for x, y in zip_longest(_zmul(b, b), _zmul(a, a), fillvalue=0)]
+    while d and d[-1] == 0:
+        d.pop()
+    if not d or not _is_constant_times_square(d):
+        raise ValueError(f"{surface_id}: b^2 - 4a^2 is not a constant times a square")
+    # a/b = h + h^2 with h = 1/(z + 1)  <=>  b*z = a*(z + 1)^2 over F_2
+    if any((x - y) % 2 for x, y in zip_longest(_zmul(b, (0, 1)), _zmul(a, (1, 2, 1)),
+                                                fillvalue=0)):
+        raise ValueError(f"{surface_id}: a/b is not h + h^2 with h = 1/(z + 1) over F_2(z)")
+    return d[-1], _zmul(_zmul(a, c), d), _zmul(_zmul(a, b), c)
 
 
 @functools.lru_cache(maxsize=256)
-def _scan_cached(surface_id: str, p: int, n: int) -> FiberwiseTotals:
+def _totals_cached(surface_id: str, p: int, n: int) -> FiberwiseTotals:
     field = make_field(p, n)
-    model = _as_model(surface_id)
-    if field.p == 2:
-        if field.q > MAX_FIBERWISE_Q_CHAR2:
-            raise FieldError(
-                f"fiberwise counting in characteristic 2 limited to q <= {MAX_FIBERWISE_Q_CHAR2}")
-        return _scan_char2(model, field)
-    if field.q > MAX_FIBERWISE_Q:
+    q = field.q
+    if p == 2 and q > MAX_FIBERWISE_Q_CHAR2:
+        raise FieldError(
+            f"fiberwise counting in characteristic 2 limited to q <= {MAX_FIBERWISE_Q_CHAR2}")
+    if q > MAX_FIBERWISE_Q:
         raise FieldError(f"fiberwise counting limited to q <= {MAX_FIBERWISE_Q}")
-    return _scan_odd(model, field)
+    model = _as_model(surface_id)
+    k, odd_locus, char2_locus = _bundle_loci(model.id)
+    if p == 2:
+        roots, line = field_roots(char2_locus, field), 2
+    elif k % p == 0:
+        raise FieldError(f"{model.id}: b^2 - 4a^2 degenerates mod {p}")
+    else:
+        roots = field_roots(odd_locus, field)
+        line = 1 + field.quadratic_character(field.int_(k))
+
+    generic = q - len(roots)  # smooth fibers with the generic u = 0 count
+    biproj, nonaffine = generic * (q + 1), generic * line
+    reports = []
+    for z in roots:
+        rep = classify_fiber(model, (z, 1), field)
+        a, _, _, b, _, _ = model.fiber_form_encs((z, 1), field)
+        biproj += rep.count
+        nonaffine += _line_count(field, a, b)
+        if rep.degenerate:
+            reports.append(rep)
+    rep = classify_fiber(model, (1, 0), field)  # entirely non-affine
+    biproj += rep.count
+    nonaffine += rep.count
+    if rep.degenerate:
+        reports.append(rep)
+    reports.sort(key=lambda r: r.base)
+    return FiberwiseTotals(model.id, p, n, biproj, biproj - nonaffine, nonaffine,
+                           tuple(reports))
 
 
 def fiberwise_totals(model, field: Field) -> FiberwiseTotals:
-    return _scan_cached(_as_model(model).id, field.p, field.n)
+    return _totals_cached(_as_model(model).id, field.p, field.n)
 
 
 def count_fiberwise(model, field: Field, space: str = "biprojective",

@@ -5,8 +5,8 @@ a0 + a1*x + ... + a_{n-1}*x^{n-1} (coefficients in [0, p)) has encoding
 a0 + a1*p + ... + a_{n-1}*p^(n-1).  For n = 1 the encoding is the least
 residue.  Scalar arithmetic works for any supported q; vectorised
 arithmetic on numpy arrays of encodings additionally relies on discrete
-log tables and is available for q <= 2**20, which covers every field the
-counting kernels enumerate.
+log tables and is available for q <= 2**20, which covers every field
+brute-force enumeration reaches.
 
 The extension modulus is the first irreducible monic polynomial in
 ascending order of its coefficient encoding, so field construction is
@@ -16,7 +16,9 @@ deterministic and reproducible.
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -106,21 +108,6 @@ def _poly_pow_x(e, mod, p):
     return result
 
 
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # a mod b with b made monic
-        inv_lead = pow(b[-1], p - 2, p)
-        while len(a) >= len(b) and a:
-            c = a[-1] * inv_lead % p
-            shift = len(a) - len(b)
-            for j, bj in enumerate(b):
-                a[shift + j] = (a[shift + j] - c * bj) % p
-            _poly_trim(a)
-        a, b = b, a
-    return a
-
-
 def _poly_sub_x(a, p):
     """a(x) - x as a trimmed coefficient list."""
     out = list(a) + [0] * max(0, 2 - len(a))
@@ -137,8 +124,7 @@ def _is_irreducible(mod, p):
         return False
     for ell in _prime_factors(n):
         diff = _poly_sub_x(_poly_pow_x(p ** (n // ell), mod, p), p)
-        g = _poly_gcd(diff, list(mod), p)
-        if len(g) != 1:
+        if len(_fq_gcd(list(mod), diff, make_field(p))) != 1:
             return False
     return True
 
@@ -167,8 +153,8 @@ def first_irreducible(p: int, n: int) -> tuple[int, ...]:
 class Field:
     """Descriptor of the finite field F_q with q = p^n (see module docstring).
 
-    Instances are immutable after construction and safe to share across
-    workers; the lazily built lookup tables are write-once.
+    Instances are immutable after construction apart from the lazily built
+    lookup tables, which are write-once and not guarded for use by threads.
     """
 
     def __init__(self, p: int, n: int = 1):
@@ -197,8 +183,6 @@ class Field:
             self._red = red
         self._exp = None
         self._log = None
-        self._mul_table = None
-        self._add_table = None
 
     # -- identity ------------------------------------------------------
 
@@ -238,20 +222,11 @@ class Field:
             return value
         return FieldElement(self, value % self.p)
 
-    def from_encoding(self, enc: int) -> "FieldElement":
-        if not 0 <= enc < self.q:
-            raise FieldError(f"encoding {enc} outside [0, {self.q})")
-        return FieldElement(self, enc)
-
     def gen(self) -> "FieldElement":
         """The residue of x in F_p[x]/(modulus); only for n > 1."""
         if self.n == 1:
             raise FieldError("prime field has no polynomial generator")
         return FieldElement(self, self.p)
-
-    def elements(self):
-        for e in range(self.q):
-            yield FieldElement(self, e)
 
     # -- scalar arithmetic on encodings --------------------------------
 
@@ -329,6 +304,14 @@ class Field:
         if r == self.neg(1):
             return -1
         raise AssertionError("Euler criterion returned a non-unit")
+
+    def trace(self, a: int) -> int:
+        """Absolute trace a + a^p + ... + a^(p^(n-1)), an element of F_p."""
+        total = cur = a
+        for _ in range(self.n - 1):
+            cur = self.pow_(cur, self.p)
+            total = self.add(total, cur)
+        return total
 
     def sqrt(self, a: int) -> int | None:
         """A square root of a, or None when a is a nonsquare (odd char)."""
@@ -421,26 +404,6 @@ class Field:
             self._exp, self._log = exp, log
         return self._exp, self._log
 
-    def mul_table(self) -> np.ndarray:
-        """Full q x q multiplication table of encodings (small fields only)."""
-        if self._mul_table is None:
-            if self.q > 4096:
-                raise FieldError("multiplication table limited to q <= 4096")
-            exp, log = self.exp_log_tables()
-            a = np.arange(self.q, dtype=np.int64)
-            aa, bb = np.meshgrid(a, a, indexing="ij")
-            self._mul_table = self.v_mul(aa, bb)
-        return self._mul_table
-
-    def add_table(self) -> np.ndarray:
-        if self._add_table is None:
-            if self.q > 4096:
-                raise FieldError("addition table limited to q <= 4096")
-            a = np.arange(self.q, dtype=np.int64)
-            aa, bb = np.meshgrid(a, a, indexing="ij")
-            self._add_table = self.v_add(aa, bb)
-        return self._add_table
-
     # -- vectorised arithmetic on int64 arrays of encodings -------------
 
     def v_add(self, a, b):
@@ -456,22 +419,6 @@ class Field:
             pk *= p
         return out
 
-    def v_neg(self, a):
-        if self.n == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a.copy() if isinstance(a, np.ndarray) else a
-        p = self.p
-        out = np.zeros_like(a)
-        pk = 1
-        for _ in range(self.n):
-            out += ((p - a // pk % p) % p) * pk
-            pk *= p
-        return out
-
-    def v_sub(self, a, b):
-        return self.v_add(a, self.v_neg(b))
-
     def v_mul(self, a, b):
         if self.n == 1:
             return a * b % self.p
@@ -484,9 +431,6 @@ class Field:
         s[s >= self.q - 1] -= self.q - 1
         out[m] = exp[s]
         return out
-
-    def v_sq(self, a):
-        return self.v_mul(a, a)
 
     def v_scale(self, c: int, a):
         """Multiply an array of encodings by the fixed element c."""
@@ -504,32 +448,6 @@ class Field:
         s[s >= self.q - 1] -= self.q - 1
         out[m] = exp[s]
         return out
-
-    def v_inv(self, a):
-        if np.any(a == 0):
-            raise ZeroDivisionError("inversion of zero field element")
-        exp, log = self.exp_log_tables()
-        return exp[(self.q - 1 - log[a]) % (self.q - 1)]
-
-    def v_chi(self, a):
-        """Vectorised quadratic character, values in {-1, 0, 1} (odd char)."""
-        if self.p == 2:
-            raise FieldError("quadratic character is undefined in characteristic 2")
-        _, log = self.exp_log_tables()
-        out = np.where(log[a] % 2 == 0, 1, -1).astype(np.int64)
-        out[a == 0] = 0
-        return out
-
-    def v_poly(self, coeffs: list[int], x):
-        """Evaluate sum(coeffs[k] * x^k) by Horner; coeffs are encodings."""
-        if not coeffs:
-            return np.zeros_like(x)
-        acc = np.full_like(x, coeffs[-1])
-        for c in reversed(coeffs[:-1]):
-            acc = self.v_mul(acc, x)
-            if c:
-                acc = self.v_add(acc, np.full_like(x, c))
-        return acc
 
 
 class FieldElement:
@@ -615,6 +533,114 @@ def make_field(p: int, n: int = 1) -> Field:
 def quadratic_character(a: FieldElement) -> int:
     """Generalised Legendre symbol of a field element (odd characteristic)."""
     return a.field.quadratic_character(a.enc)
+
+
+# ---------------------------------------------------------------------------
+# roots of integer polynomials in F_q (coefficient lists of encodings)
+#
+# These helpers work through Field methods.  The integer-only F_p helpers
+# above serve the hot step, x^e modulo a polynomial over F_p.
+
+
+def _fq_divmod(a, m, field: Field):
+    """Quotient and remainder of a by the monic polynomial m."""
+    rem = list(a)
+    dm = len(m) - 1
+    quot = [0] * max(len(rem) - dm, 0)
+    for t in range(len(rem) - 1, dm - 1, -1):
+        c = rem[t]
+        if c:
+            quot[t - dm] = c
+            for j in range(dm):
+                rem[t - dm + j] = field.sub(rem[t - dm + j], field.mul(c, m[j]))
+    return _poly_trim(quot), _poly_trim(rem[:dm])
+
+
+def _fq_monic(a, field: Field):
+    inv = field.inv(a[-1])
+    return [field.mul(inv, c) for c in a]
+
+
+def _fq_mul_mod(a, b, m, field: Field):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+    return _fq_divmod(out, m, field)[1]
+
+
+def _fq_gcd(a, b, field: Field):
+    """Monic gcd of a nonzero a and any b."""
+    a = _fq_monic(a, field)
+    while b:
+        b = _fq_monic(b, field)
+        a, b = b, _fq_divmod(a, b, field)[1]
+    return a
+
+
+def _fq_splitter(f, delta: int, field: Field):
+    """Cantor-Zassenhaus splitting polynomial for f of degree >= 2, mod f.
+
+    Odd q: (z + delta)^((q-1)/2) - 1, zero where z + delta is a nonzero
+    square.  Even q: the absolute trace of delta*z, zero where it is 0.
+    """
+    if field.p == 2:
+        cur = total = _poly_trim([0, delta])
+        for _ in range(field.n - 1):
+            cur = _fq_mul_mod(cur, cur, f, field)
+            total = [field.add(x, y) for x, y in zip_longest(total, cur, fillvalue=0)]
+        return _poly_trim(total)
+    result, base, e = [1], [delta, 1], (field.q - 1) // 2
+    while e:
+        if e & 1:
+            result = _fq_mul_mod(result, base, f, field)
+        base = _fq_mul_mod(base, base, f, field)
+        e >>= 1
+    result = result or [0]
+    return _poly_trim([field.sub(result[0], 1)] + result[1:])
+
+
+def _split_roots(f, field: Field, rng: random.Random, out: list) -> None:
+    """Append the roots of f, a monic product of distinct linear factors."""
+    if len(f) <= 2:
+        if len(f) == 2:
+            out.append(field.neg(f[0]))
+        return
+    while True:
+        g = _fq_splitter(f, rng.randrange(field.q), field)
+        if g:
+            g = _fq_gcd(f, g, field)
+            if 1 < len(g) < len(f):
+                break
+    _split_roots(g, field, rng, out)
+    _split_roots(_fq_divmod(f, g, field)[0], field, rng, out)
+
+
+def field_roots(coeffs, field: Field) -> list[int]:
+    """Encodings of the distinct roots in F_q of an integer polynomial, sorted.
+
+    coeffs are integers, low degree first.  h = gcd(z^q - z, g mod p) over
+    F_p keeps the irreducible factors whose roots lie in F_q.  The F_p-linear
+    part of h is split in F_p; only the rest, whose factors have degree > 1,
+    needs arithmetic in F_q.  Splitting is Cantor-Zassenhaus with random
+    choices seeded by (p, n), so every run takes the same path.
+    """
+    p = field.p
+    prime = make_field(p)
+    g = _poly_trim([c % p for c in coeffs])
+    if not g:
+        raise FieldError(f"the polynomial vanishes identically mod {p}")
+    g = _fq_monic(g, prime)
+    h = _fq_gcd(g, _poly_sub_x(_poly_pow_x(field.q, g, p), p), prime)
+    if len(h) == 1:
+        return []
+    linear = _fq_gcd(h, _poly_sub_x(_poly_pow_x(p, h, p), p), prime)
+    rng = random.Random(f"{p}:{field.n}")
+    roots = []
+    _split_roots(linear, prime, rng, roots)
+    _split_roots(_fq_divmod(h, linear, prime)[0], field, rng, roots)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ function verifies the global factorisation prime by prime.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .finfield import make_field
@@ -226,7 +224,7 @@ def counts_for_space(surface_id: str, p: int, space: str, k: int,
                      n_budget: int = MAX_FIBERWISE_Q) -> list[int]:
     """N_1..N_k with fiberwise counts where feasible, formula counts beyond.
 
-    Biprojective counts come from the fiberwise scan up to the size budget
+    Biprojective counts come from fiberwise counting up to the size budget
     and from the closed formula after that; non-affine counts use the
     formula (the boundary is a fixed union of lines); affine counts are
     their difference.
@@ -292,17 +290,6 @@ def _verify_one_prime(surface_id: str, p: int, n_budget: int) -> dict:
     return entry
 
 
-def worker_count() -> int:
-    cap = os.environ.get("CHARZETA_THREADS")
-    avail = os.cpu_count() or 1
-    if cap:
-        try:
-            return max(1, min(int(cap), avail))
-        except ValueError:
-            pass
-    return min(4, avail)
-
-
 def verify_global(model, primes, n_budget: int = MAX_FIBERWISE_Q) -> list[dict]:
     """Check euler_factor(global expression) against computed local zetas.
 
@@ -312,12 +299,4 @@ def verify_global(model, primes, n_budget: int = MAX_FIBERWISE_Q) -> list[dict]:
     entries, never exceptions.  Reports are ordered by prime.
     """
     surface_id = model if isinstance(model, str) else model.id
-    primes = sorted(set(primes))
-    workers = worker_count()
-    if workers > 1 and len(primes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda p: _verify_one_prime(surface_id, p, n_budget), primes))
-    else:
-        results = [_verify_one_prime(surface_id, p, n_budget) for p in primes]
-    return results
+    return [_verify_one_prime(surface_id, p, n_budget) for p in sorted(set(primes))]

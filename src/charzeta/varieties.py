@@ -82,7 +82,6 @@ class SurfaceModel:
                 coeffs[ez] = c
             self._quad_zw[mono] = tuple(coeffs)
         self._charts = None
-        self._field_cache = {}
 
     def _validate(self):
         if self.F.set_one("u").set_one("w") != self.f:
@@ -96,20 +95,6 @@ class SurfaceModel:
             raise ValueError(f"{self.id}: unexpected monomial in the fiber quadratic form")
 
     # -- fiber extractor -------------------------------------------------
-
-    def fiber_quad_coeff_lists(self, field: Field):
-        """Per quadratic monomial, encoded z-coefficients of F at w = 1.
-
-        The bidegree makes the w-power implicit: the z^k coefficient is
-        paired with w^(d-k), so evaluating the list at z and scaling sums
-        to F restricted to the fiber (z : 1).
-        """
-        key = (field.p, field.n)
-        if key not in self._field_cache:
-            enc = {mono: tuple(field.int_(c) for c in coeffs)
-                   for mono, coeffs in self._quad_zw.items()}
-            self._field_cache[key] = enc
-        return self._field_cache[key]
 
     def fiber_form_encs(self, basepoint, field: Field) -> tuple[int, ...]:
         """Six coefficients (x^2, y^2, u^2, xy, xu, yu) of the fiber at (z : w)."""

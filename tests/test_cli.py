@@ -1,8 +1,13 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import contextlib
 import json
+import signal
+
+import pytest
 
 from charzeta.cli import main
+from charzeta.fibercount import MAX_FIBERWISE_Q
 
 
 def run(capsys, *argv):
@@ -121,3 +126,47 @@ def test_prime_range_parsing(capsys):
     code, doc = run_json(capsys, "verify", "--surface", "L2", "--primes", "13")
     assert code == 0
     assert [r["p"] for r in doc["records"]] == [13]
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"main() still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_usage_error(capsys, *argv):
+    with time_limit(10):
+        assert main(list(argv)) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("p", ["1", "0", "-3", "9"])
+def test_zeta_rejects_non_prime(capsys, p):
+    # p = 1 and p = 0 used to loop forever in the series budget
+    assert_usage_error(capsys, "zeta", "--surface", "L0", "--p", p)
+
+
+@pytest.mark.parametrize("spec", ["200..100", "24..28", "0..1"])
+def test_verify_rejects_empty_prime_range(capsys, spec):
+    # an empty prime list used to report ok: true
+    assert_usage_error(capsys, "verify", "--surface", "L2", "--primes", spec)
+
+
+@pytest.mark.parametrize("spec", [f"2..{MAX_FIBERWISE_Q + 1}", "999983..1000003",
+                                  "1000003", f"2..{10**12}"])
+def test_verify_rejects_primes_beyond_fiberwise_budget(capsys, spec):
+    # above the budget the check compares the closed formula with itself
+    assert_usage_error(capsys, "verify", "--surface", "L2", "--primes", spec)
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf"])
+def test_special_rejects_bad_tolerance(capsys, tol):
+    # a negative tolerance used to fail every cell with exit 1
+    assert_usage_error(capsys, "special", "--tol", tol)

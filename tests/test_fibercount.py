@@ -1,12 +1,14 @@
 """Fiber forms, fiberwise counting, degenerate fibers, and count formulas."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charzeta import (FieldError, classify_fiber, count_fiberwise, count_formula,
                       degenerate_fibers, fiber_form, fiberwise_totals, make_field)
 from charzeta.varieties import (count_affine_brute, count_biprojective_brute,
                                 count_nonaffine_brute)
-from conftest import prime_powers_upto
+from conftest import conic_count_brute, prime_powers_upto
 
 
 def test_fiber_form_examples():
@@ -117,6 +119,19 @@ def test_char2_fiber_counts_against_dumb_enumeration():
                         v = field.add(v, field.mul(coef, field.mul(m1, m2)))
                     dumb += v == 0
                 assert classify_fiber(sid, (z, w), field).count == dumb
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.sampled_from(["L0", "L1", "L2"]), st.integers(1, 6), st.data())
+def test_char2_fiber_counts_property(sid, n, data):
+    # the trace-based count against P^2 enumeration, q <= 64; half of the
+    # draws are degenerate fibers, which a uniform z would rarely hit
+    field = make_field(2, n)
+    base = data.draw(st.one_of(
+        st.sampled_from(degenerate_fibers(sid, field)),
+        st.integers(0, field.q - 1).map(lambda z: (z, 1))))
+    coeffs = fiber_form(sid, base, field)
+    assert classify_fiber(sid, base, field).count == conic_count_brute(field, coeffs)
 
 
 def test_scalar_classifier_agrees_with_scan():

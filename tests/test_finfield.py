@@ -4,9 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charzeta import (FieldError, classify_conic, classify_conic_encs,
+from charzeta import (FieldError, classify_conic, classify_conic_encs, is_prime,
                       make_field, quadratic_character)
+from charzeta.finfield import field_roots
 from conftest import conic_count_brute
 
 
@@ -146,12 +149,6 @@ def test_vector_ops_match_scalar():
                               np.array([f.add(int(x), int(y)) for x, y in zip(a, b)]))
         assert np.array_equal(f.v_mul(a, b),
                               np.array([f.mul(int(x), int(y)) for x, y in zip(a, b)]))
-        line = np.arange(f.q, dtype=np.int64)
-        assert np.array_equal(f.v_neg(line),
-                              np.array([f.neg(i) for i in range(f.q)]))
-        if p != 2:
-            assert np.array_equal(f.v_chi(line),
-                                  np.array([f.quadratic_character(i) for i in range(f.q)]))
 
 
 def test_classify_conic_examples():
@@ -181,3 +178,35 @@ def test_classify_conic_vs_enumeration(p, n):
         coeffs = tuple(rng.randrange(field.q) for _ in range(6))
         cls = classify_conic_encs(field, coeffs)
         assert cls.point_count == conic_count_brute(field, coeffs), coeffs
+
+
+_PRIME_FIELDS = [(p, 1) for p in range(2, 730) if is_prime(p)]
+_EXT_FIELDS = [(p, n) for p in range(2, 28) if is_prime(p)
+               for n in range(2, 10) if p**n <= 729]
+
+
+def _eval_int_poly(field, coeffs, z):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, z), field.int_(c))
+    return acc
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from(_PRIME_FIELDS), st.sampled_from(_EXT_FIELDS)),
+       st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=4), min_size=1, max_size=4))
+def test_field_roots_match_enumeration(pn, factors):
+    # products of small factors of degree <= 3, so that factors irreducible
+    # over F_p with roots only in F_q show up often; total degree <= 10
+    field = make_field(*pn)
+    g = [1]
+    for f in factors:
+        if len(g) + len(f) <= 12:
+            g = [sum(g[i] * f[k - i] for i in range(len(g)) if 0 <= k - i < len(f))
+                 for k in range(len(g) + len(f) - 1)]
+    if not any(c % field.p for c in g):
+        with pytest.raises(FieldError):
+            field_roots(g, field)
+        return
+    expected = [z for z in range(field.q) if _eval_int_poly(field, g, z) == 0]
+    assert field_roots(g, field) == expected

@@ -134,21 +134,3 @@ def test_verify_global_reports_modes_distinctly():
     by_p = {r["p"]: r for r in rep}
     assert by_p[2]["spaces"]["affine"].get("recovered") is not None
     assert by_p[13]["spaces"]["affine"].get("checked_n") is not None
-
-
-def test_worker_count_respects_env(monkeypatch):
-    from charzeta.globalzeta import worker_count
-    monkeypatch.setenv("CHARZETA_THREADS", "1")
-    assert worker_count() == 1
-    monkeypatch.setenv("CHARZETA_THREADS", "not-a-number")
-    assert worker_count() >= 1
-    monkeypatch.delenv("CHARZETA_THREADS")
-    assert worker_count() >= 1
-
-
-def test_verify_global_parallel_matches_sequential(monkeypatch):
-    monkeypatch.setenv("CHARZETA_THREADS", "4")
-    par = verify_global("L0", [5, 7, 11, 13], n_budget=10**3)
-    monkeypatch.setenv("CHARZETA_THREADS", "1")
-    seq = verify_global("L0", [5, 7, 11, 13], n_budget=10**3)
-    assert par == seq
