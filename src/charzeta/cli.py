@@ -19,8 +19,8 @@ import sys
 
 from .finfield import FieldError, is_prime, make_field
 from .fibercount import MAX_FIBERWISE_Q, count_fiberwise, count_formula, degenerate_fibers
-from .globalzeta import (RECOVERY_COUNTS, RECOVERY_PRIMES, counts_for_space,
-                         euler_factor, global_expression, verify_global)
+from .globalzeta import (RECOVERY_COUNTS, RECOVERY_PRIMES, _fiberwise_budget, _fiberwise_n,
+                         counts_for_space, euler_factor, global_expression, verify_global)
 from .localzeta import RecoveryError, local_zeta_closed_form, recover_factors
 from .specialvalues import mahler_measure_mc, riemann_zeta, verify_table1
 from .varieties import (count_affine_brute, count_biprojective_brute,
@@ -129,40 +129,43 @@ def cmd_count(args) -> tuple[dict, int]:
 
 
 def cmd_zeta(args) -> tuple[dict, int]:
+    """Compare the closed-form local zeta with the Euler factor and the counts.
+
+    independent_n is how many of the counts come from fiberwise counting.
+    When it is 0 every count comes from the closed formula, so "match" is
+    null and the verdict rests on the closed form against the Euler factor.
+    """
     if not is_prime(args.p):
         raise UsageError(f"{args.p} is not prime")
+    recovered = args.p in RECOVERY_PRIMES
+    k = RECOVERY_COUNTS if recovered else max(_fiberwise_budget(args.p, MAX_FIBERWISE_Q), 1)
+    independent_n = _fiberwise_n(args.p, args.space, k)
     records = []
     ok = True
     for sid in _surfaces(args.surface):
         closed = local_zeta_closed_form(sid, args.p, args.space)
         expected = euler_factor(global_expression(sid, args.space), args.p)
+        counts = counts_for_space(sid, args.p, args.space, k)
         entry = {"surface": sid, "p": args.p, "space": args.space,
-                 "closed_form": closed.to_json(), "euler": expected.to_json()}
-        if args.p in RECOVERY_PRIMES:
-            counts = counts_for_space(sid, args.p, args.space, RECOVERY_COUNTS)
-            entry["counts"] = counts
-            entry["mode"] = "recovered"
+                 "closed_form": closed.to_json(), "euler": expected.to_json(),
+                 "counts": counts, "independent_n": independent_n,
+                 "mode": "recovered" if recovered else "series"}
+        if recovered:
             try:
                 got = recover_factors(counts, args.p)
                 entry["recovered"] = got.to_json()
-                entry["match"] = got == closed == expected
+                match = got == closed == expected
             except RecoveryError as exc:
                 entry["recovered"] = None
                 entry["error"] = str(exc)
-                entry["match"] = False
+                match = False
         else:
-            n = 0
-            while args.p ** (n + 1) <= 10**6:
-                n += 1
-            n = max(n, 1)
-            counts = counts_for_space(sid, args.p, args.space, n)
-            entry["counts"] = counts
-            entry["mode"] = "series"
-            implied = closed.counts(n)
-            first_bad = next((i + 1 for i in range(n) if counts[i] != implied[i]), None)
+            implied = closed.counts(k)
+            first_bad = next((i + 1 for i in range(k) if counts[i] != implied[i]), None)
             entry["first_mismatch_n"] = first_bad
-            entry["match"] = first_bad is None and closed == expected
-        if not entry["match"]:
+            match = first_bad is None and closed == expected
+        entry["match"] = match if independent_n else None
+        if not (match if independent_n else closed == expected):
             ok = False
             entry["diff"] = {"closed_form": closed.to_json(), "euler": expected.to_json()}
         records.append(entry)

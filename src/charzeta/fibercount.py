@@ -32,6 +32,7 @@ from itertools import zip_longest
 
 from .finfield import (Field, FieldError, classify_conic_encs, field_roots, is_prime,
                        make_field)
+from .localzeta import _legendre
 from .varieties import CountRecord, _as_model
 
 MAX_FIBERWISE_Q = 10**6
@@ -242,13 +243,6 @@ def degenerate_fibers(model, field: Field) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # closed-form counts
-
-
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def count_formula(model, p: int, n: int, space: str = "biprojective") -> CountRecord:

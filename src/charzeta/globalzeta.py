@@ -220,6 +220,11 @@ def _fiberwise_budget(p: int, n_budget: int) -> int:
     return n
 
 
+def _fiberwise_n(p: int, space: str, k: int, n_budget: int = MAX_FIBERWISE_Q) -> int:
+    """How many of the N_1..N_k from counts_for_space come from fiberwise counting."""
+    return 0 if space == "nonaffine" else min(k, _fiberwise_budget(p, n_budget))
+
+
 def counts_for_space(surface_id: str, p: int, space: str, k: int,
                      n_budget: int = MAX_FIBERWISE_Q) -> list[int]:
     """N_1..N_k with fiberwise counts where feasible, formula counts beyond.
@@ -229,16 +234,10 @@ def counts_for_space(surface_id: str, p: int, space: str, k: int,
     formula (the boundary is a fixed union of lines); affine counts are
     their difference.
     """
-    n_fib = _fiberwise_budget(p, n_budget)
-    out = []
-    for n in range(1, k + 1):
-        if space == "biprojective" and n <= n_fib:
-            out.append(fiberwise_totals(surface_id, make_field(p, n)).biprojective)
-        elif space == "affine" and n <= n_fib:
-            out.append(fiberwise_totals(surface_id, make_field(p, n)).affine)
-        else:
-            out.append(count_formula(surface_id, p, n, space).count)
-    return out
+    n_fib = _fiberwise_n(p, space, k, n_budget)
+    return [fiberwise_totals(surface_id, make_field(p, n)).count(space) if n <= n_fib
+            else count_formula(surface_id, p, n, space).count
+            for n in range(1, k + 1)]
 
 
 def _verify_one_prime(surface_id: str, p: int, n_budget: int) -> dict:

@@ -81,7 +81,6 @@ class SurfaceModel:
             for (ez, ew), c in poly_zw.terms.items():
                 coeffs[ez] = c
             self._quad_zw[mono] = tuple(coeffs)
-        self._charts = None
 
     def _validate(self):
         if self.F.set_one("u").set_one("w") != self.f:
@@ -113,19 +112,6 @@ class SurfaceModel:
                                                    field.mul(zp[k], wp[d - k])))
             out.append(acc)
         return tuple(out)
-
-    # -- affine charts for the Jacobian criterion ------------------------
-
-    def charts(self):
-        """Dehomogenised polynomial and partials, keyed by chart (pv, bv)."""
-        if self._charts is None:
-            charts = {}
-            for pv in ("x", "y", "u"):
-                for bv in ("z", "w"):
-                    g = self.F.set_one(pv).set_one(bv)
-                    charts[(pv, bv)] = (g, {v: g.partial(v) for v in g.vars})
-            self._charts = charts
-        return self._charts
 
     def __repr__(self):
         return f"SurfaceModel({self.id})"
@@ -198,50 +184,92 @@ def _p2_reps(p: int, n: int):
             np.concatenate([u1, u2, u3]))
 
 
-def count_affine_brute(model, field: Field) -> CountRecord:
-    """Exact size of {(a, b, c) in F_q^3 : f(a, b, c) = 0} by enumeration.
+def _check_prime_headroom(terms: int, p: int) -> None:
+    """Refuse an unreduced int64 sum of `terms` products that could overflow.
 
-    Evaluation is Horner in z on precomputed grids of the z-coefficient
-    polynomials in (x, y), one slice per value of z.
+    Coefficients and grid values are reduced encodings in [0, p), so each
+    product c_k * G_k is at most (p - 1)^2 and the sum fits when
+    terms * (p - 1)^2 < 2^63.  With at most five terms and p < MAX_AFFINE_Q
+    the sum stays below 5 * 2047^2 < 2^25.
     """
-    model = _as_model(model)
-    q = field.q
-    if q > MAX_AFFINE_Q:
-        raise FieldError(f"affine brute force limited to q <= {MAX_AFFINE_Q}")
-    x, y = _affine_grids(field)
-    zgroups = model.f.group_by(("z",))
-    dz = model.f.degree("z")
-    grids = []
-    for k in range(dz + 1):
-        poly = zgroups.get((k,), IntPoly.zero(("x", "y")))
-        grids.append(poly.eval_field_arrays(field, {"x": x, "y": y}))
-    total = 0
-    for z in range(q):
-        acc = grids[dz]
-        for k in range(dz - 1, -1, -1):
-            acc = field.v_add(field.v_scale(z, acc), grids[k])
-        total += int(np.count_nonzero(acc == 0))
-    return CountRecord(model.id, field.p, field.n, "affine", "brute", total)
+    if terms * (p - 1) ** 2 >= 1 << 63:
+        raise OverflowError(f"{terms} unreduced products mod {p} overflow int64")
 
 
-def _biprojective_fiber_values(model: SurfaceModel, field: Field):
-    """Yield (z, w, values-of-F-on-P^2-reps) for every fiber of P^1(F_q)."""
-    x, y, u = _p2_reps(field.p, field.n)
-    zw_groups = model.F.group_by(("z", "w"))
-    part_grids = [(ez, ew, poly.eval_field_arrays(field, {"x": x, "y": y, "u": u}))
-                  for (ez, ew), poly in sorted(zw_groups.items())]
-    for z in range(field.q):
-        vals = np.zeros_like(x)
-        for ez, ew, grid in part_grids:
-            c = field.pow_(z, ez)  # w = 1
+def _fiber_zero_masks(field: Field, grids, fibers):
+    """Yield (base, mask) per fiber; mask marks the zeros of sum_k c_k * G_k.
+
+    grids are the coefficient grids G_k over the fiber representatives, and
+    fibers yields (base, encodings c_k) per base point.  Every point is
+    evaluated.  Prime fields sum the products in int64 and reduce once per
+    fiber.  Extension fields take the logs of the grids once, with the
+    sentinel log 2(q-1) for zero, and multiply by c with one gather from an
+    exp table over three periods whose last period is zero; terms are added
+    with XOR in characteristic 2 and digit by digit in base p otherwise.
+    """
+    p, n = field.p, field.n
+    if n == 1:
+        _check_prime_headroom(len(grids), p)
+        for base, cs in fibers:
+            acc = np.zeros_like(grids[0])
+            for c, g in zip(cs, grids):
+                if c:
+                    acc += c * g
+            yield base, acc % p == 0
+        return
+    exp, log = field.exp_log_tables()
+    m = field.q - 1
+    exp3 = np.concatenate([exp, exp, np.zeros(m, dtype=np.int64)])
+    logs = [np.where(g == 0, 2 * m, log[g]) for g in grids]
+    if p == 2:
+        for base, cs in fibers:
+            acc = np.zeros_like(grids[0])
+            for c, lg in zip(cs, logs):
+                if c:
+                    acc ^= exp3[log[c]:][lg]
+            yield base, acc == 0
+        return
+    digits = [exp3 // p**j % p for j in range(n)]
+    for base, cs in fibers:
+        accs = [np.zeros_like(grids[0]) for _ in digits]
+        for c, lg in zip(cs, logs):
             if c:
-                vals = field.v_add(vals, field.v_scale(c, grid))
-        yield z, 1, vals
-    vals = np.zeros_like(x)
-    for ez, ew, grid in part_grids:
-        if ew == 0:  # z = 1, w = 0 keeps only pure-z terms
-            vals = field.v_add(vals, grid)
-    yield 1, 0, vals
+                lc = log[c]
+                for acc, table in zip(accs, digits):
+                    acc += table[lc:][lg]
+        mask = accs[0] % p == 0
+        for acc in accs[1:]:
+            mask &= acc % p == 0
+        yield base, mask
+
+
+def _affine_fibers(model: SurfaceModel, field: Field):
+    """Zero masks of f over the (x, y) grid, one per value of z."""
+    x, y = _affine_grids(field)
+    groups = sorted(model.f.group_by(("z",)).items())
+    grids = [poly.eval_field_arrays(field, {"x": x, "y": y}) for _, poly in groups]
+    fibers = ((z, [field.pow_(z, k) for (k,), _ in groups]) for z in range(field.q))
+    return _fiber_zero_masks(field, grids, fibers)
+
+
+def _biprojective_fibers(model: SurfaceModel, field: Field):
+    """Zero masks of F over the P^2 representatives, one per point of P^1."""
+    x, y, u = _p2_reps(field.p, field.n)
+    groups = sorted(model.F.group_by(("z", "w")).items())
+    grids = [poly.eval_field_arrays(field, {"x": x, "y": y, "u": u}) for _, poly in groups]
+    bases = [(z, 1) for z in range(field.q)] + [(1, 0)]
+    fibers = (((z, w), [field.mul(field.pow_(z, ez), field.pow_(w, ew))
+                        for (ez, ew), _ in groups]) for z, w in bases)
+    return _fiber_zero_masks(field, grids, fibers)
+
+
+def count_affine_brute(model, field: Field) -> CountRecord:
+    """Exact size of {(a, b, c) in F_q^3 : f(a, b, c) = 0} by enumeration."""
+    model = _as_model(model)
+    if field.q > MAX_AFFINE_Q:
+        raise FieldError(f"affine brute force limited to q <= {MAX_AFFINE_Q}")
+    total = sum(int(np.count_nonzero(mask)) for _, mask in _affine_fibers(model, field))
+    return CountRecord(model.id, field.p, field.n, "affine", "brute", total)
 
 
 def count_biprojective_brute(model, field: Field) -> CountRecord:
@@ -249,9 +277,7 @@ def count_biprojective_brute(model, field: Field) -> CountRecord:
     model = _as_model(model)
     if field.q > MAX_BIPROJ_Q:
         raise FieldError(f"biprojective brute force limited to q <= {MAX_BIPROJ_Q}")
-    total = 0
-    for _, _, vals in _biprojective_fiber_values(model, field):
-        total += int(np.count_nonzero(vals == 0))
+    total = sum(int(np.count_nonzero(mask)) for _, mask in _biprojective_fibers(model, field))
     return CountRecord(model.id, field.p, field.n, "biprojective", "brute", total)
 
 
@@ -300,60 +326,31 @@ def biprojective_zero_reps(model, field: Field):
         raise FieldError(f"surface enumeration limited to q <= {MAX_BIPROJ_Q}")
     x, y, u = _p2_reps(field.p, field.n)
     reps = []
-    for z, w, vals in _biprojective_fiber_values(model, field):
-        idx = np.flatnonzero(vals == 0)
-        for i in idx:
-            reps.append((int(x[i]), int(y[i]), int(u[i]), z, w))
+    for (z, w), mask in _biprojective_fibers(model, field):
+        idx = np.flatnonzero(mask)
+        reps.extend((a, b, c, z, w) for a, b, c in
+                    zip(x[idx].tolist(), y[idx].tolist(), u[idx].tolist()))
     return reps
 
 
 # ---------------------------------------------------------------------------
-# singular locus via the Jacobian criterion in affine charts
-
-
-_CHART_POS = {"x": 0, "y": 1, "u": 2, "z": 3, "w": 4}
-
-
-def chart_singular(model, field: Field, rep, pv: str, bv: str) -> bool | None:
-    """Whether the point is singular in the chart pv = bv = 1.
-
-    Returns None when the point does not lie in the chart.  The point is
-    rescaled into the chart before the partials are evaluated.
-    """
-    model = _as_model(model)
-    coords = list(rep)
-    if coords[_CHART_POS[pv]] == 0 or coords[_CHART_POS[bv]] == 0:
-        return None
-    s = field.inv(coords[_CHART_POS[pv]])
-    t = field.inv(coords[_CHART_POS[bv]])
-    scaled = [field.mul(s, c) for c in coords[:3]] + [field.mul(t, c) for c in coords[3:]]
-    values = dict(zip(("x", "y", "u", "z", "w"), scaled))
-    _, partials = model.charts()[(pv, bv)]
-    return all(part.eval_field(field, values) == 0 for part in partials.values())
-
-
-def is_singular_point(model, field: Field, rep) -> bool:
-    """All partials vanish in every affine chart containing the point."""
-    model = _as_model(model)
-    seen = False
-    for pv in ("x", "y", "u"):
-        for bv in ("z", "w"):
-            res = chart_singular(model, field, rep, pv, bv)
-            if res is None:
-                continue
-            if not res:
-                return False
-            seen = True
-    if not seen:
-        raise ValueError("point has no containing chart; coordinates all zero?")
-    return True
+# singular locus
 
 
 def singular_locus(model, field: Field) -> set[BiprojectivePoint]:
-    """All F_q-points of V(F) that are singular in every containing chart."""
+    """All F_q-points of V(F) at which the five partials of F vanish.
+
+    This is the Jacobian criterion in every affine chart containing the
+    point.  Euler's identities x F_x + y F_y + u F_u = 2F and
+    z F_z + w F_w = d F hold over Z, hence in every characteristic, so at a
+    zero of F the partials in the chart variables vanish exactly when all
+    five do, whichever chart contains the point.
+    """
     model = _as_model(model)
-    out = set()
-    for rep in biprojective_zero_reps(model, field):
-        if is_singular_point(model, field, rep):
-            out.add(BiprojectivePoint.from_raw(field, rep[:3], rep[3:]))
-    return out
+    reps = biprojective_zero_reps(model, field)
+    coords = dict(zip(model.F.vars, np.array(reps, dtype=np.int64).T))
+    singular = np.ones(len(reps), dtype=bool)
+    for v in model.F.vars:
+        singular &= model.F.partial(v).eval_field_arrays(field, coords) == 0
+    return {BiprojectivePoint.from_raw(field, rep[:3], rep[3:])
+            for rep, hit in zip(reps, singular.tolist()) if hit}

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from charzeta import BiprojectivePoint, is_prime
+import functools
+
+import numpy as np
+
+from charzeta import BiprojectivePoint, is_prime, make_field, surface
 
 
 def prime_powers_upto(limit):
@@ -29,20 +33,91 @@ def p2_reps(field):
     return reps
 
 
+def p1_reps(field):
+    """Canonical representatives of P^1(F_q) as encoding pairs."""
+    return [(z, 1) for z in range(field.q)] + [(1, 0)]
+
+
+@functools.lru_cache(maxsize=None)
+def _p2_rep_arrays(p, n):
+    return tuple(np.array(c, dtype=np.int64) for c in zip(*p2_reps(make_field(p, n))))
+
+
 def conic_count_brute(field, coeff_encs):
-    """Independent oracle: count zeros of a ternary quadratic form in P^2."""
-    a, b, c, d, e, f = coeff_encs
-    mul, add = field.mul, field.add
-    total = 0
-    for (x, y, u) in p2_reps(field):
-        v = mul(a, mul(x, x))
-        v = add(v, mul(b, mul(y, y)))
-        v = add(v, mul(c, mul(u, u)))
-        v = add(v, mul(d, mul(x, y)))
-        v = add(v, mul(e, mul(x, u)))
-        v = add(v, mul(f, mul(y, u)))
-        total += v == 0
-    return total
+    """Independent oracle: count zeros of a ternary quadratic form in P^2.
+
+    The form is evaluated on every representative at once with the
+    vectorised field operations.
+    """
+    x, y, u = _p2_rep_arrays(field.p, field.n)
+    v = np.zeros_like(x)
+    for coef, s, t in zip(coeff_encs, (x, y, u, x, x, y), (x, y, u, y, u, u)):
+        v = field.v_add(v, field.v_mul(int(coef), field.v_mul(s, t)))
+    return int(np.count_nonzero(v == 0))
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_tables(p, n):
+    field = make_field(p, n)
+    add = [[field.add(a, b) for b in range(field.q)] for a in range(field.q)]
+    mul = [[field.mul(a, b) for b in range(field.q)] for a in range(field.q)]
+    inv = [None] + [row.index(1) for row in mul[1:]]
+    return add, mul, inv
+
+
+def eval_scalar(poly, field, point):
+    """poly at one point (encodings aligned with poly.vars), term by term.
+
+    Uses addition and multiplication tables built from Field.add and
+    Field.mul, so it shares no code with the vectorised evaluators.
+    """
+    add, mul, _ = _scalar_tables(field.p, field.n)
+    acc = 0
+    for e, c in poly.terms.items():
+        t = field.int_(c)
+        for v, k in zip(point, e):
+            for _ in range(k):
+                t = mul[t][v]
+        acc = add[acc][t]
+    return acc
+
+
+def zero_points_scalar(poly, field, points):
+    """Independent oracle: the points at which poly vanishes, one at a time."""
+    return [tuple(pt) for pt in points if eval_scalar(poly, field, pt) == 0]
+
+
+_CHART_POS = {"x": 0, "y": 1, "u": 2, "z": 3, "w": 4}
+
+
+@functools.lru_cache(maxsize=None)
+def _chart(surface_id, pv, bv):
+    g = surface(surface_id).F.set_one(pv).set_one(bv)
+    return g.vars, tuple(g.partial(v) for v in g.vars)
+
+
+def chart_singular(surface_id, field, rep, pv, bv):
+    """Jacobian criterion in the chart pv = bv = 1; None outside the chart.
+
+    The point is rescaled into the chart and the partials of the
+    dehomogenised polynomial are evaluated pointwise.
+    """
+    if rep[_CHART_POS[pv]] == 0 or rep[_CHART_POS[bv]] == 0:
+        return None
+    _, mul, inv = _scalar_tables(field.p, field.n)
+    s = mul[inv[rep[_CHART_POS[pv]]]]
+    t = mul[inv[rep[_CHART_POS[bv]]]]
+    scaled = [s[c] for c in rep[:3]] + [t[c] for c in rep[3:]]
+    chart_vars, partials = _chart(surface_id, pv, bv)
+    point = tuple(scaled[_CHART_POS[v]] for v in chart_vars)
+    return all(eval_scalar(part, field, point) == 0 for part in partials)
+
+
+def chart_verdicts(surface_id, field, rep):
+    """chart_singular in every affine chart that contains the point."""
+    flags = (chart_singular(surface_id, field, rep, pv, bv)
+             for pv in ("x", "y", "u") for bv in ("z", "w"))
+    return [f for f in flags if f is not None]
 
 
 def expected_singular_points(surface_id, field):

@@ -64,7 +64,19 @@ def test_zeta_command_series_mode(capsys):
     assert rec["mode"] == "series"
     assert rec["closed_form"]["factors"] == [
         {"exp": 1, "unit": 25}, {"exp": 6, "unit": 5}, {"exp": 1, "unit": 1}]
+    assert rec["independent_n"] == 8       # 5^8 <= 10^6 < 5^9
     assert rec["match"]
+
+
+@pytest.mark.parametrize("p,space", [("1000003", "biprojective"), ("5", "nonaffine"),
+                                     ("2", "nonaffine")])
+def test_zeta_without_fiberwise_counts_claims_no_match(capsys, p, space):
+    # every count comes from the closed formula, so no count was checked
+    code, doc = run_json(capsys, "zeta", "--surface", "all", "--p", p, "--space", space)
+    assert code == 0 and doc["ok"]
+    for rec in doc["records"]:
+        assert rec["independent_n"] == 0
+        assert rec["match"] is None
 
 
 def test_zeta_l2_p3(capsys):

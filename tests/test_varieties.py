@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charzeta import (count_affine_brute, count_biprojective_brute,
+from charzeta import (BiprojectivePoint, count_affine_brute, count_biprojective_brute,
                       count_nonaffine_brute, make_field, singular_locus,
                       surface)
-from charzeta.varieties import biprojective_zero_reps, chart_singular, is_singular_point
-from conftest import expected_singular_points, prime_powers_upto
+from charzeta.varieties import MAX_AFFINE_Q, _check_prime_headroom, biprojective_zero_reps
+from conftest import (chart_verdicts, expected_singular_points, p1_reps, p2_reps,
+                      prime_powers_upto, zero_points_scalar)
 
 
 def test_surface_ids():
@@ -124,16 +127,44 @@ def test_singular_locus_char2_families(sid, n):
     assert singular_locus(sid, field) == expected_singular_points(sid, field)
 
 
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(st.sampled_from(["L0", "L1", "L2"]), st.sampled_from(prime_powers_upto(27)))
+def test_brute_kernel_matches_scalar_enumeration(sid, pn):
+    # prime fields, characteristic 2 and odd extension fields up to q = 27
+    field = make_field(*pn)
+    m = surface(sid)
+    q = field.q
+    affine = zero_points_scalar(m.f, field, [(x, y, z) for x in range(q)
+                                             for y in range(q) for z in range(q)])
+    assert count_affine_brute(sid, field).count == len(affine)
+    biproj = zero_points_scalar(m.F, field, [xyu + zw for xyu in p2_reps(field)
+                                             for zw in p1_reps(field)])
+    assert count_biprojective_brute(sid, field).count == len(biproj)
+    assert sorted(biprojective_zero_reps(sid, field)) == sorted(biproj)
+
+
+def test_prime_accumulation_refuses_int64_overflow():
+    _check_prime_headroom(5, MAX_AFFINE_Q)
+    _check_prime_headroom(2, 2**31)            # 2 * (2^31 - 1)^2 < 2^63
+    with pytest.raises(OverflowError):
+        _check_prime_headroom(2, 2**31 + 1)    # 2 * (2^31)^2 = 2^63
+    with pytest.raises(OverflowError):
+        _check_prime_headroom(5, 2**31 + 11)
+
+
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
-def test_chart_consistency(sid):
-    # singular in one containing chart implies singular in all of them
-    for p, n in prime_powers_upto(9):
+def test_singular_locus_matches_chart_oracle(sid):
+    # the five-partial criterion against the Jacobian criterion in each
+    # containing affine chart; those charts must also agree with each other
+    for p, n in prime_powers_upto(32):
         field = make_field(p, n)
+        want = set()
         for rep in biprojective_zero_reps(sid, field):
-            flags = [chart_singular(sid, field, rep, pv, bv)
-                     for pv in ("x", "y", "u") for bv in ("z", "w")]
-            flags = [f for f in flags if f is not None]
+            flags = chart_verdicts(sid, field, rep)
             assert flags and (all(flags) or not any(flags)), (sid, p, n, rep)
+            if flags[0]:
+                want.add(BiprojectivePoint.from_raw(field, rep[:3], rep[3:]))
+        assert singular_locus(sid, field) == want, (sid, p, n)
 
 
 def test_singular_points_lie_on_surface():
@@ -144,7 +175,11 @@ def test_singular_points_lie_on_surface():
         assert m.F.eval_field(field, values) == 0
 
 
-def test_is_singular_point_rejects_smooth_point():
+def test_smooth_point_is_not_singular():
     field = make_field(7)
     # (0:0:1, 0:1) lies on L0 but is smooth when p is odd
-    assert not is_singular_point("L0", field, (0, 0, 1, 0, 1))
+    rep = (0, 0, 1, 0, 1)
+    assert rep in biprojective_zero_reps("L0", field)
+    flags = chart_verdicts("L0", field, rep)
+    assert flags and not any(flags)
+    assert BiprojectivePoint((0, 0, 1), (0, 1)) not in singular_locus("L0", field)
