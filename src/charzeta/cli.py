@@ -19,16 +19,13 @@ import sys
 
 from .finfield import FieldError, is_prime, make_field
 from .fibercount import MAX_FIBERWISE_Q, count_fiberwise, count_formula, degenerate_fibers
-from .globalzeta import (RECOVERY_COUNTS, RECOVERY_PRIMES, _fiberwise_budget, _fiberwise_n,
-                         counts_for_space, euler_factor, global_expression, verify_global)
-from .localzeta import RecoveryError, local_zeta_closed_form, recover_factors
+from .globalzeta import SPACES, check_local_zeta, verify_global
 from .specialvalues import mahler_measure_mc, riemann_zeta, verify_table1
 from .varieties import (count_affine_brute, count_biprojective_brute,
                         count_nonaffine_brute, singular_locus, surface)
 
 SCHEMA = "charzeta/1"
 SURFACE_CHOICES = ("L0", "L1", "L2", "all")
-SPACES = ("affine", "biprojective", "nonaffine")
 
 
 class UsageError(Exception):
@@ -129,7 +126,7 @@ def cmd_count(args) -> tuple[dict, int]:
 
 
 def cmd_zeta(args) -> tuple[dict, int]:
-    """Compare the closed-form local zeta with the Euler factor and the counts.
+    """Report globalzeta.check_local_zeta for each surface.
 
     independent_n is how many of the counts come from fiberwise counting.
     When it is 0 every count comes from the closed formula, so "match" is
@@ -137,37 +134,18 @@ def cmd_zeta(args) -> tuple[dict, int]:
     """
     if not is_prime(args.p):
         raise UsageError(f"{args.p} is not prime")
-    recovered = args.p in RECOVERY_PRIMES
-    k = RECOVERY_COUNTS if recovered else max(_fiberwise_budget(args.p, MAX_FIBERWISE_Q), 1)
-    independent_n = _fiberwise_n(args.p, args.space, k)
     records = []
     ok = True
     for sid in _surfaces(args.surface):
-        closed = local_zeta_closed_form(sid, args.p, args.space)
-        expected = euler_factor(global_expression(sid, args.space), args.p)
-        counts = counts_for_space(sid, args.p, args.space, k)
+        c = check_local_zeta(sid, args.p, args.space)
         entry = {"surface": sid, "p": args.p, "space": args.space,
-                 "closed_form": closed.to_json(), "euler": expected.to_json(),
-                 "counts": counts, "independent_n": independent_n,
-                 "mode": "recovered" if recovered else "series"}
-        if recovered:
-            try:
-                got = recover_factors(counts, args.p)
-                entry["recovered"] = got.to_json()
-                match = got == closed == expected
-            except RecoveryError as exc:
-                entry["recovered"] = None
-                entry["error"] = str(exc)
-                match = False
-        else:
-            implied = closed.counts(k)
-            first_bad = next((i + 1 for i in range(k) if counts[i] != implied[i]), None)
-            entry["first_mismatch_n"] = first_bad
-            match = first_bad is None and closed == expected
-        entry["match"] = match if independent_n else None
-        if not (match if independent_n else closed == expected):
+                 "closed_form": c.closed_form.to_json(), "euler": c.euler.to_json(),
+                 "counts": list(c.counts), "independent_n": c.independent_n,
+                 "mode": c.mode, **c.detail,
+                 "match": c.passed if c.independent_n else None}
+        if not c.passed:
             ok = False
-            entry["diff"] = {"closed_form": closed.to_json(), "euler": expected.to_json()}
+            entry["diff"] = {"closed_form": c.closed_form.to_json(), "euler": c.euler.to_json()}
         records.append(entry)
     doc = {"schema": SCHEMA, "command": "zeta", "records": records, "ok": ok}
     return doc, 0 if ok else 1
@@ -186,8 +164,6 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_special(args) -> tuple[dict, int]:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
     records = verify_table1(tol=args.tol)
     ok = all(r["pass"] for r in records)
     doc = {"schema": SCHEMA, "command": "special", "tol": args.tol,
@@ -223,6 +199,14 @@ def cmd_mahler(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+def positive_float(text: str) -> float:
+    """argparse type for --tol: a finite, positive float."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="charzeta",
@@ -255,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("special", help="reproduce the special-value table")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=positive_float, default=1e-6)
     p.set_defaults(func=cmd_special)
 
     p = sub.add_parser("singular", help="list singular points of a surface")
@@ -269,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", choices=("1+x+y+z", "1"), default="1+x+y+z")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=5e-3)
+    p.add_argument("--tol", type=positive_float, default=5e-3)
     p.set_defaults(func=cmd_mahler)
     return parser
 

@@ -18,9 +18,9 @@ characteristic fibers are classified as ternary quadratic forms; in
 characteristic 2 the count follows from the absolute trace of a/b.  The
 size caps below are budgets, not limits of the method.
 
-The closed-form count path transcribes the per-surface case analysis
-(characteristic and quadratic-residue branches, including the parity
-terms) without algebraic simplification.
+Closed-form counts are not transcribed here: count_formula evaluates
+N_n = sum_u e_u * u^n on the factor multiset of
+localzeta.local_zeta_closed_form, the one copy of the per-surface table.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import zip_longest
 
 from .finfield import (Field, FieldError, classify_conic_encs, field_roots, is_prime,
                        make_field)
-from .localzeta import _legendre
+from .localzeta import local_zeta_closed_form
 from .varieties import CountRecord, _as_model
 
 MAX_FIBERWISE_Q = 10**6
@@ -99,7 +99,7 @@ def classify_fiber(model, basepoint, field: Field) -> FiberReport:
     """Exact report for a single fiber."""
     model = _as_model(model)
     coeffs = model.fiber_form_encs(basepoint, field)
-    base = _canonical_base(field, *(c.enc if hasattr(c, "enc") else int(c) for c in basepoint))
+    base = _canonical_base(field, *(int(c) for c in basepoint))
     if field.p != 2:
         cls = classify_conic_encs(field, coeffs)
         return FiberReport(base, cls.point_count, cls.rank < 3, cls.rank, cls.split)
@@ -246,12 +246,12 @@ def degenerate_fibers(model, field: Field) -> list[tuple[int, int]]:
 
 
 def count_formula(model, p: int, n: int, space: str = "biprojective") -> CountRecord:
-    """Closed-form count, transcribing the per-surface case analysis.
+    """Closed-form count N_n = sum_u e_u * u^n over F_{p^n}.
 
-    Branches: L0 splits on p = 2 and the residue of 2 mod p; L1 on p = 2,
-    p = 5 and the residue of 5 mod p; L2 is uniform.  The parity terms
-    q*(1 + (-1)^n) are kept in their stated form.  The affine count is the
-    biprojective count minus the non-affine boundary count.
+    The exponents e_u are those of local_zeta_closed_form(model, p, space),
+    so the affine count is the biprojective count minus the non-affine one.
+    Raises ValueError for n < 1 or an unknown space, FieldError when p is
+    not prime or p^n > 2^63.
     """
     surface_id = _as_model(model).id
     if not (isinstance(p, int) and isinstance(n, int) and n >= 1):
@@ -260,40 +260,5 @@ def count_formula(model, p: int, n: int, space: str = "biprojective") -> CountRe
         raise FieldError("formula counts restricted to p^n <= 2^63")
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
-    q = p**n
-    parity = 1 + (-1) ** n
-
-    if space == "affine":
-        big = count_formula(surface_id, p, n, "biprojective").count
-        small = count_formula(surface_id, p, n, "nonaffine").count
-        return CountRecord(surface_id, p, n, "affine", "formula", big - small)
-
-    if space == "nonaffine":
-        if surface_id in ("L0", "L2"):
-            cnt = 3 * q if p == 2 else 3 * q - 1
-        else:
-            cnt = 4 * q - 1 if p == 2 else 4 * q - 2
-        return CountRecord(surface_id, p, n, "nonaffine", "formula", cnt)
-
-    if space != "biprojective":
-        raise ValueError(f"unknown space {space!r}")
-
-    if surface_id == "L0":
-        if p == 2:
-            cnt = q * q + 3 * q + 1
-        elif _legendre(2, p) == 1:
-            cnt = q * q + 7 * q + 1
-        else:
-            cnt = q * q + 5 * q + 1 + q * parity
-    elif surface_id == "L1":
-        if p == 2:
-            cnt = q * q + 2 * q + 1 + q * parity
-        elif p == 5:
-            cnt = q * q + 6 * q + 1
-        elif _legendre(5, p) == 1:
-            cnt = q * q + 8 * q + 1
-        else:
-            cnt = q * q + 4 * q + 1 + 2 * q * parity
-    else:
-        cnt = q * q + 3 * q + 1
-    return CountRecord(surface_id, p, n, "biprojective", "formula", cnt)
+    factors = local_zeta_closed_form(surface_id, p, space).factors
+    return CountRecord(surface_id, p, n, space, "formula", sum(e * u**n for u, e in factors))

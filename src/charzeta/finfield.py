@@ -214,20 +214,6 @@ class Field:
             e = e * self.p + c % self.p
         return e
 
-    def element(self, value) -> "FieldElement":
-        """Coerce an integer (reduced mod p, as a constant) or FieldElement."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldError("element belongs to a different field")
-            return value
-        return FieldElement(self, value % self.p)
-
-    def gen(self) -> "FieldElement":
-        """The residue of x in F_p[x]/(modulus); only for n > 1."""
-        if self.n == 1:
-            raise FieldError("prime field has no polynomial generator")
-        return FieldElement(self, self.p)
-
     # -- scalar arithmetic on encodings --------------------------------
 
     def int_(self, k: int) -> int:
@@ -312,24 +298,6 @@ class Field:
             cur = self.pow_(cur, self.p)
             total = self.add(total, cur)
         return total
-
-    def sqrt(self, a: int) -> int | None:
-        """A square root of a, or None when a is a nonsquare (odd char)."""
-        if a == 0:
-            return 0
-        if self.p == 2:
-            return self.pow_(a, self.q // 2)
-        if self.quadratic_character(a) == -1:
-            return None
-        if self.q <= MAX_TABLE_Q:
-            exp, log = self.exp_log_tables()
-            k = int(log[a])
-            # k is even because a is a square
-            return int(exp[k // 2])
-        for r in range(self.q):  # pragma: no cover - large-field fallback
-            if self.mul(r, r) == a:
-                return r
-        return None
 
     # -- discrete log / lookup tables ----------------------------------
 
@@ -450,89 +418,10 @@ class Field:
         return out
 
 
-class FieldElement:
-    """An element of a Field, wrapping its canonical integer encoding."""
-
-    __slots__ = ("field", "enc")
-
-    def __init__(self, field: Field, enc: int):
-        self.field = field
-        self.enc = enc
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError("elements belong to different fields")
-            return other.enc
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else FieldElement(self.field, self.field.add(self.enc, o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else FieldElement(self.field, self.field.sub(self.enc, o))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else FieldElement(self.field, self.field.mul(self.enc, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else FieldElement(self.field, self.field.mul(self.enc, self.field.inv(o)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.enc))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_(self.enc, e))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.enc))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.enc == other % self.field.p
-        return isinstance(other, FieldElement) and other.field == self.field and other.enc == self.enc
-
-    def __hash__(self):
-        return hash((self.field, self.enc))
-
-    def __bool__(self):
-        return self.enc != 0
-
-    def __int__(self):
-        return self.enc
-
-    def __repr__(self):
-        if self.field.n == 1:
-            return f"F{self.field.q}({self.enc})"
-        terms = []
-        for i, c in enumerate(self.field.coeffs(self.enc)):
-            if c:
-                terms.append(str(c) if i == 0 else (f"x^{i}" if c == 1 else f"{c}*x^{i}").replace("x^1", "x"))
-        return f"F{self.field.q}({' + '.join(terms) or '0'})"
-
-
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, n: int = 1) -> Field:
     """Construct (and cache) the field F_{p^n}."""
     return Field(p, n)
-
-
-def quadratic_character(a: FieldElement) -> int:
-    """Generalised Legendre symbol of a field element (odd characteristic)."""
-    return a.field.quadratic_character(a.enc)
 
 
 # ---------------------------------------------------------------------------
@@ -674,15 +563,13 @@ def _conic_point_count(rank: int, split: bool | None, q: int) -> int:
 def classify_conic(field: Field, coefficients) -> ConicClass:
     """Classify a*x^2 + b*y^2 + c*u^2 + d*xy + e*xu + f*yu over F_q, q odd.
 
-    Coefficients may be FieldElements or plain integers; integers are
-    coerced as prime-subfield constants (reduced mod p).  The rank is that
-    of the associated symmetric matrix; a rank-2 form splits into two
-    rational lines exactly when minus the product of the two nonzero
+    Coefficients are integers, taken as prime-subfield constants (reduced
+    mod p); classify_conic_encs takes element encodings instead.  The rank
+    is that of the associated symmetric matrix; a rank-2 form splits into
+    two rational lines exactly when minus the product of the two nonzero
     entries of a congruent diagonal form is a square.
     """
-    encs = tuple(x.enc if isinstance(x, FieldElement) else field.int_(x)
-                 for x in coefficients)
-    return classify_conic_encs(field, encs)
+    return classify_conic_encs(field, tuple(field.int_(x) for x in coefficients))
 
 
 def classify_conic_encs(field: Field, coefficient_encodings) -> ConicClass:

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finfield import make_field
-from .fibercount import (MAX_FIBERWISE_Q, MAX_FIBERWISE_Q_CHAR2, count_formula,
-                         fiberwise_totals)
-from .localzeta import LocalZetaFactors, local_zeta_closed_form, recover_factors
+from .fibercount import MAX_FIBERWISE_Q, MAX_FIBERWISE_Q_CHAR2, fiberwise_totals
+from .localzeta import (LocalZetaFactors, RecoveryError, local_zeta_closed_form,
+                        recover_factors)
 
 RECOVERY_PRIMES = (2, 3)
 RECOVERY_COUNTS = 14
-SPACES = ("biprojective", "nonaffine", "affine")
+SPACES = ("affine", "biprojective", "nonaffine")
 
 
 @dataclass(frozen=True)
@@ -212,90 +212,103 @@ def euler_factor(expr: GlobalZetaExpr, p: int) -> LocalZetaFactors:
 # per-prime verification against computed local zetas
 
 
-def _fiberwise_budget(p: int, n_budget: int) -> int:
-    cap = min(n_budget, MAX_FIBERWISE_Q_CHAR2 if p == 2 else MAX_FIBERWISE_Q)
+def _fiberwise_budget(p: int) -> int:
+    """The largest n with p^n within the fiberwise size caps."""
+    cap = MAX_FIBERWISE_Q_CHAR2 if p == 2 else MAX_FIBERWISE_Q
     n = 0
     while p ** (n + 1) <= cap:
         n += 1
     return n
 
 
-def _fiberwise_n(p: int, space: str, k: int, n_budget: int = MAX_FIBERWISE_Q) -> int:
+def _fiberwise_n(p: int, space: str, k: int) -> int:
     """How many of the N_1..N_k from counts_for_space come from fiberwise counting."""
-    return 0 if space == "nonaffine" else min(k, _fiberwise_budget(p, n_budget))
+    return 0 if space == "nonaffine" else min(k, _fiberwise_budget(p))
 
 
-def counts_for_space(surface_id: str, p: int, space: str, k: int,
-                     n_budget: int = MAX_FIBERWISE_Q) -> list[int]:
-    """N_1..N_k with fiberwise counts where feasible, formula counts beyond.
+def counts_for_space(surface_id: str, p: int, space: str, k: int) -> list[int]:
+    """N_1..N_k with fiberwise counts where feasible, closed-form counts beyond.
 
-    Biprojective counts come from fiberwise counting up to the size budget
-    and from the closed formula after that; non-affine counts use the
-    formula (the boundary is a fixed union of lines); affine counts are
-    their difference.
+    Biprojective counts come from fiberwise counting within the size caps
+    and from the closed form after that; non-affine counts use the closed
+    form (the boundary is a fixed union of lines); affine counts are their
+    difference.
     """
-    n_fib = _fiberwise_n(p, space, k, n_budget)
-    return [fiberwise_totals(surface_id, make_field(p, n)).count(space) if n <= n_fib
-            else count_formula(surface_id, p, n, space).count
-            for n in range(1, k + 1)]
+    n_fib = _fiberwise_n(p, space, k)
+    closed = local_zeta_closed_form(surface_id, p, space).counts(k)
+    return [fiberwise_totals(surface_id, make_field(p, n)).count(space)
+            for n in range(1, n_fib + 1)] + closed[n_fib:]
 
 
-def _verify_one_prime(surface_id: str, p: int, n_budget: int) -> dict:
-    n_fib = _fiberwise_budget(p, n_budget)
+@dataclass(frozen=True)
+class LocalZetaCheck:
+    """The outcome of check_local_zeta for one surface, prime and space."""
+
+    mode: str              # recovered (p = 2, 3) or series
+    euler: LocalZetaFactors
+    closed_form: LocalZetaFactors
+    counts: tuple[int, ...]
+    independent_n: int     # how many counts come from fiberwise counting
+    detail: dict           # recovered (and error), or first_mismatch_n
+    passed: bool
+
+
+def check_local_zeta(surface_id: str, p: int, space: str) -> LocalZetaCheck:
+    """Check the Euler factor at p against the closed form and the counts.
+
+    For p in {2, 3} the factors are recovered blind from 14 counts and must
+    equal the Euler factor; for other primes the counts must equal those
+    the Euler factor implies, for every n with p^n within the fiberwise
+    caps (at least n = 1).  The check passes when that holds and the closed
+    form equals the Euler factor.
+    """
+    euler = euler_factor(global_expression(surface_id, space), p)
+    closed = local_zeta_closed_form(surface_id, p, space)
     mode = "recovered" if p in RECOVERY_PRIMES else "series"
-    entry = {"surface": surface_id, "p": p, "mode": mode, "spaces": {}, "pass": True}
-
-    # fiberwise counts must agree with the closed count formulas
-    cross = {"pass": True, "first_mismatch_n": None}
-    for n in range(1, n_fib + 1):
-        totals = fiberwise_totals(surface_id, make_field(p, n))
-        for space in SPACES:
-            if totals.count(space) != count_formula(surface_id, p, n, space).count:
-                cross["pass"] = False
-                cross["first_mismatch_n"] = n
-                break
-        if not cross["pass"]:
-            break
-    entry["fiberwise_vs_formula"] = cross
-    entry["pass"] &= cross["pass"]
-
-    for space in SPACES:
-        expected = euler_factor(global_expression(surface_id, space), p)
-        closed = local_zeta_closed_form(surface_id, p, space)
-        item = {"euler": expected.to_json(),
-                "closed_form_match": expected == closed}
-        if mode == "recovered":
-            counts = counts_for_space(surface_id, p, space, RECOVERY_COUNTS, n_budget)
-            try:
-                got = recover_factors(counts, p)
-                item["recovered"] = got.to_json()
-                item["pass"] = got == expected
-            except ValueError as exc:
-                item["recovered"] = None
-                item["error"] = str(exc)
-                item["pass"] = False
-        else:
-            k = max(n_fib, 1)
-            counts = counts_for_space(surface_id, p, space, k, n_budget)
-            implied = expected.counts(k)
-            first_bad = next((i + 1 for i in range(k) if counts[i] != implied[i]), None)
-            item["first_mismatch_n"] = first_bad
-            item["checked_n"] = k
-            item["pass"] = first_bad is None
-        item["pass"] = bool(item["pass"] and item["closed_form_match"])
-        entry["spaces"][space] = item
-        entry["pass"] &= item["pass"]
-    entry["pass"] = bool(entry["pass"])
-    return entry
+    k = RECOVERY_COUNTS if mode == "recovered" else max(_fiberwise_budget(p), 1)
+    counts = counts_for_space(surface_id, p, space, k)
+    if mode == "recovered":
+        try:
+            got = recover_factors(counts, p)
+            detail, ok = {"recovered": got.to_json()}, got == euler
+        except RecoveryError as exc:
+            detail, ok = {"recovered": None, "error": str(exc)}, False
+    else:
+        first_bad = next((n for n, (x, y) in enumerate(zip(counts, euler.counts(k)), 1)
+                          if x != y), None)
+        detail, ok = {"first_mismatch_n": first_bad}, first_bad is None
+    return LocalZetaCheck(mode, euler, closed, tuple(counts),
+                          _fiberwise_n(p, space, k), detail, ok and closed == euler)
 
 
-def verify_global(model, primes, n_budget: int = MAX_FIBERWISE_Q) -> list[dict]:
+def _verify_one_prime(surface_id: str, p: int) -> dict:
+    checks = {space: check_local_zeta(surface_id, p, space) for space in SPACES}
+    # fiberwise counts of every space must agree with the closed forms
+    n_fib = _fiberwise_budget(p)
+    closed = {space: c.closed_form.counts(n_fib) for space, c in checks.items()}
+    first_bad = next((n for n in range(1, n_fib + 1)
+                      if any(fiberwise_totals(surface_id, make_field(p, n)).count(space)
+                             != closed[space][n - 1] for space in SPACES)), None)
+    spaces = {}
+    for space, c in checks.items():
+        spaces[space] = {"euler": c.euler.to_json(),
+                         "closed_form_match": c.closed_form == c.euler,
+                         **c.detail, "pass": c.passed}
+        if c.mode == "series":
+            spaces[space]["checked_n"] = len(c.counts)
+    return {"surface": surface_id, "p": p, "mode": checks[SPACES[0]].mode,
+            "spaces": spaces,
+            "fiberwise_vs_formula": {"pass": first_bad is None, "first_mismatch_n": first_bad},
+            "pass": first_bad is None and all(c.passed for c in checks.values())}
+
+
+def verify_global(model, primes) -> list[dict]:
     """Check euler_factor(global expression) against computed local zetas.
 
-    For p in {2, 3} the comparison is exact multiset equality with a blind
-    recovery from 14 counts; for other primes it is exact count agreement
-    for every n with p^n within the budget.  Mismatches become report
-    entries, never exceptions.  Reports are ordered by prime.
+    Each prime and space goes through check_local_zeta, and the fiberwise
+    counts of every space are compared with the closed forms for every n
+    with p^n within the fiberwise caps.  Mismatches become report entries,
+    never exceptions.  Reports are ordered by prime.
     """
     surface_id = model if isinstance(model, str) else model.id
-    return [_verify_one_prime(surface_id, p, n_budget) for p in sorted(set(primes))]
+    return [_verify_one_prime(surface_id, p) for p in sorted(set(primes))]

@@ -31,20 +31,11 @@ class IntPoly:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
-    def is_zero(self):
-        return not self.terms
-
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
         return IntPoly(self.vars, out)
-
-    def __neg__(self):
-        return IntPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):

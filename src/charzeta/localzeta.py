@@ -66,15 +66,6 @@ class LocalZetaFactors:
         return {"p": self.p,
                 "factors": [{"unit": u, "exp": e} for u, e in self.factors]}
 
-    def __str__(self):
-        if not self.factors:
-            return "1"
-        parts = []
-        for u, e in self.factors:
-            base = f"(1 - {u}T)" if u >= 0 else f"(1 + {-u}T)"
-            parts.append(f"{base}^{-e}")
-        return "".join(parts)
-
 
 def zeta_series_from_counts(counts) -> list[Fraction]:
     """Coefficients c_0..c_k of exp(sum N_n T^n / n), exact rationals.

@@ -97,7 +97,7 @@ class SurfaceModel:
 
     def fiber_form_encs(self, basepoint, field: Field) -> tuple[int, ...]:
         """Six coefficients (x^2, y^2, u^2, xy, xu, yu) of the fiber at (z : w)."""
-        z, w = (c.enc if hasattr(c, "enc") else int(c) for c in basepoint)
+        z, w = (int(c) for c in basepoint)
         if z == 0 and w == 0:
             raise ValueError("(0 : 0) is not a point of the projective line")
         d = self.deg_zw

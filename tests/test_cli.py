@@ -178,7 +178,28 @@ def test_verify_rejects_primes_beyond_fiberwise_budget(capsys, spec):
     assert_usage_error(capsys, "verify", "--surface", "L2", "--primes", spec)
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf"])
-def test_special_rejects_bad_tolerance(capsys, tol):
-    # a negative tolerance used to fail every cell with exit 1
-    assert_usage_error(capsys, "special", "--tol", tol)
+BAD_TOLERANCES = ["-1", "0", "nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("command,tol",
+                         [pytest.param("special", t, id=t) for t in BAD_TOLERANCES]
+                         + [pytest.param("mahler", t, id=f"mahler:{t}") for t in BAD_TOLERANCES])
+def test_special_rejects_bad_tolerance(capsys, command, tol):
+    # a negative tolerance used to fail every check with exit 1, and an
+    # infinite one to pass every check
+    assert_usage_error(capsys, command, "--tol", tol)
+
+
+@pytest.mark.parametrize("p", ["2", "3", "13", "1009"])
+def test_zeta_and_verify_give_one_verdict(capsys, p):
+    _, verify = run_json(capsys, "verify", "--surface", "all", "--primes", p)
+    items = {(r["surface"], space): item for r in verify["records"]
+             for space, item in r["spaces"].items()}
+    for space in ("affine", "biprojective", "nonaffine"):
+        _, zeta = run_json(capsys, "zeta", "--surface", "all", "--p", p, "--space", space)
+        for rec in zeta["records"]:
+            item = items[rec["surface"], space]
+            for key in ("euler", "recovered", "first_mismatch_n"):
+                assert rec.get(key) == item.get(key), (rec["surface"], space, key)
+            if rec["independent_n"]:
+                assert rec["match"] == item["pass"]

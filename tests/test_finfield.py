@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charzeta import (FieldError, classify_conic, classify_conic_encs, is_prime,
-                      make_field, quadratic_character)
+from charzeta import FieldError, classify_conic, classify_conic_encs, is_prime, make_field
 from charzeta.finfield import field_roots
 from conftest import conic_count_brute
 
@@ -54,26 +53,18 @@ def test_inverse_in_f5():
 
 def test_extension_multiplication_reduces():
     f4 = make_field(2, 2)
-    x = f4.gen()
-    assert (x * x).enc == 3  # x^2 = x + 1
+    assert f4.mul(2, 2) == 3  # x^2 = x + 1
 
 
 def test_fermat_in_f7():
     f7 = make_field(7)
-    assert (f7.element(3) ** 6).enc == 1
+    assert f7.pow_(3, 6) == 1
 
 
 def test_inversion_of_zero_raises():
     f5 = make_field(5)
     with pytest.raises(ZeroDivisionError):
         f5.inv(0)
-
-
-def test_mixed_field_arithmetic_raises():
-    a = make_field(5).element(2)
-    b = make_field(7).element(2)
-    with pytest.raises(FieldError):
-        a + b
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 1), (7, 1), (2, 3), (13, 1), (3, 3)])
@@ -127,17 +118,6 @@ def test_prime_nonresidues_are_squares_upstairs():
         for a in range(1, p):
             if fp.quadratic_character(a) == -1:
                 assert fp2.quadratic_character(a) == 1
-
-
-def test_sqrt_round_trip():
-    for p, n in [(3, 1), (7, 1), (3, 2), (5, 2)]:
-        f = make_field(p, n)
-        for a in range(f.q):
-            r = f.sqrt(a)
-            if r is None:
-                assert f.quadratic_character(a) == -1
-            else:
-                assert f.mul(r, r) == a
 
 
 def test_vector_ops_match_scalar():

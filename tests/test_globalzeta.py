@@ -121,7 +121,7 @@ def test_main_term_strips_elementary():
 
 def test_verify_global_small_primes():
     for sid in ("L0", "L1", "L2"):
-        report = verify_global(sid, [2, 3, 5, 7, 11], n_budget=10**4)
+        report = verify_global(sid, [2, 3, 5, 7, 11])
         assert [r["p"] for r in report] == [2, 3, 5, 7, 11]
         for r in report:
             assert r["pass"], r
@@ -130,7 +130,7 @@ def test_verify_global_small_primes():
 
 
 def test_verify_global_reports_modes_distinctly():
-    rep = verify_global("L2", [2, 13], n_budget=10**3)
+    rep = verify_global("L2", [2, 13])
     by_p = {r["p"]: r for r in rep}
     assert by_p[2]["spaces"]["affine"].get("recovered") is not None
     assert by_p[13]["spaces"]["affine"].get("checked_n") is not None

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charzeta import (LocalZetaFactors, RecoveryError, count_formula,
                       local_zeta_closed_form, make_field, recover_factors,
@@ -48,6 +50,16 @@ def test_recover_biprojective_p2():
     got = recover_factors(counts_by_formula("L1", 2, "biprojective"), 2)
     # (1-4T)^-1 (1-2T)^-2 (1-T)^-1 (1-4T^2)^-1 with 1-4T^2 = (1-2T)(1+2T)
     assert got.as_dict() == {4: 1, 2: 3, -2: 1, 1: 1}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 101]), st.data())
+def test_recover_factors_round_trip(p, data):
+    # any product over the six units is recovered blind from 14 counts
+    units = [s * p**j for j in range(3) for s in (1, -1)]
+    exps = data.draw(st.dictionaries(st.sampled_from(units), st.integers(-8, 8)))
+    f = LocalZetaFactors.from_dict(p, exps)
+    assert recover_factors(f.counts(14), p) == f
 
 
 def test_recover_requires_14_counts():
