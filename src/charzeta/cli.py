@@ -22,7 +22,7 @@ from .fibercount import MAX_FIBERWISE_Q, count_fiberwise, count_formula, degener
 from .globalzeta import SPACES, check_local_zeta, verify_global
 from .specialvalues import mahler_measure_mc, riemann_zeta, verify_table1
 from .varieties import (count_affine_brute, count_biprojective_brute,
-                        count_nonaffine_brute, singular_locus, surface)
+                        count_nonaffine_brute, singular_locus)
 
 SCHEMA = "charzeta/1"
 SURFACE_CHOICES = ("L0", "L1", "L2", "all")

@@ -97,8 +97,12 @@ def _line_count(field: Field, a: int, b: int) -> int:
 
 def classify_fiber(model, basepoint, field: Field) -> FiberReport:
     """Exact report for a single fiber."""
-    model = _as_model(model)
-    coeffs = model.fiber_form_encs(basepoint, field)
+    coeffs = _as_model(model).fiber_form_encs(basepoint, field)
+    return _classify_form(coeffs, basepoint, field)
+
+
+def _classify_form(coeffs, basepoint, field: Field) -> FiberReport:
+    """classify_fiber on the fiber form coeffs at basepoint."""
     base = _canonical_base(field, *(int(c) for c in basepoint))
     if field.p != 2:
         cls = classify_conic_encs(field, coeffs)
@@ -191,8 +195,9 @@ def _totals_cached(surface_id: str, p: int, n: int) -> FiberwiseTotals:
     biproj, nonaffine = generic * (q + 1), generic * line
     reports = []
     for z in roots:
-        rep = classify_fiber(model, (z, 1), field)
-        a, _, _, b, _, _ = model.fiber_form_encs((z, 1), field)
+        coeffs = model.fiber_form_encs((z, 1), field)
+        rep = _classify_form(coeffs, (z, 1), field)
+        a, _, _, b, _, _ = coeffs
         biproj += rep.count
         nonaffine += _line_count(field, a, b)
         if rep.degenerate:

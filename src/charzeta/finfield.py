@@ -3,10 +3,14 @@
 Elements of F_q, q = p^n, are encoded as integers in [0, q): the element
 a0 + a1*x + ... + a_{n-1}*x^{n-1} (coefficients in [0, p)) has encoding
 a0 + a1*p + ... + a_{n-1}*p^(n-1).  For n = 1 the encoding is the least
-residue.  Scalar arithmetic works for any supported q; vectorised
-arithmetic on numpy arrays of encodings additionally relies on discrete
-log tables and is available for q <= 2**20, which covers every field
-brute-force enumeration reaches.
+residue.  Scalar arithmetic works for any supported q and costs O(n^2)
+digit operations per call, with no exponentiation: multiplication packs
+the digits into one integer (Kronecker substitution), inversion runs the
+extended Euclidean algorithm against the modulus, and the quadratic
+character is the Legendre symbol of the norm, a resultant over F_p.
+Vectorised arithmetic on numpy arrays of encodings additionally relies on
+discrete log tables and is available for q <= MAX_TABLE_Q = 2048, which
+covers every field brute-force enumeration reaches.
 
 The extension modulus is the first irreducible monic polynomial in
 ascending order of its coefficient encoding, so field construction is
@@ -24,7 +28,7 @@ import numpy as np
 
 MAX_EXT_DEGREE = 24
 MAX_Q = 1 << 63
-MAX_TABLE_Q = 1 << 20
+MAX_TABLE_Q = 2048
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -95,6 +99,21 @@ def _poly_mul_mod(a, b, mod, p):
             for j in range(dm):
                 out[t - dm + j] = (out[t - dm + j] - c * mod[j]) % p
     return _poly_trim(out)
+
+
+def _poly_divmod(a, b, p):
+    """Quotient and remainder of a by a trimmed nonzero b over F_p."""
+    rem = list(a)
+    db = len(b) - 1
+    lead_inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(rem) - db, 0)
+    for t in range(len(rem) - 1, db - 1, -1):
+        c = rem[t] * lead_inv % p
+        if c:
+            quot[t - db] = c
+            for j in range(db):
+                rem[t - db + j] -= c * b[j]
+    return quot, _poly_trim([x % p for x in rem[:db]])
 
 
 def _poly_pow_x(e, mod, p):
@@ -181,6 +200,14 @@ class Field:
                         nxt[j] = (nxt[j] + top * red[0][j]) % p
                 red.append(nxt)
             self._red = red
+            # Kronecker packing for mul: one digit per `width`-bit slot.  A
+            # product digit is at most n(p-1)^2, and folding the high digits
+            # back with _red adds less than as much again, so no slot carries.
+            w = (n * (p - 1) ** 2).bit_length() + 1
+            self._width = w
+            self._slot = (1 << w) - 1
+            self._low = (1 << (n * w)) - 1
+            self._red_packed = [self._pack(self.encode(row)) for row in red]
         self._exp = None
         self._log = None
 
@@ -221,41 +248,72 @@ class Field:
         return k % self.p
 
     def add(self, a: int, b: int) -> int:
+        p = self.p
         if self.n == 1:
-            return (a + b) % self.p
-        if self.p == 2:
+            return (a + b) % p
+        if p == 2:
             return a ^ b
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.encode([x + y for x, y in zip(ca, cb)])
+        out, pk = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * pk
+            pk *= p
+        return out
 
     def neg(self, a: int) -> int:
-        if self.n == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        return self.encode([-c for c in self.coeffs(a)])
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        p = self.p
+        if self.n == 1:
+            return (a - b) % p
+        if p == 2:
+            return a ^ b
+        out, pk = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x - y) % p * pk
+            pk *= p
+        return out
+
+    def _pack(self, a: int) -> int:
+        """The digits of a, one per `_width`-bit slot, as one integer."""
+        p, w = self.p, self._width
+        packed = shift = 0
+        while a:
+            a, d = divmod(a, p)
+            packed |= d << shift
+            shift += w
+        return packed
 
     def mul(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return a * b % self.p
+        """Product by Kronecker substitution.
+
+        Both digit vectors are packed into one integer each, so a single
+        integer product yields every convolution digit; the digits of
+        degree n..2n-2 are folded back with the packed rows x^(n+t) mod the
+        modulus, and each slot is reduced mod p once.
+        """
         p, n = self.p, self.n
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(ca):
-            if ai:
-                for j, bj in enumerate(cb):
-                    conv[i + j] = (conv[i + j] + ai * bj) % p
-        for t in range(2 * n - 2, n - 1, -1):
-            c = conv[t]
+        if n == 1:
+            return a * b % p
+        w, slot = self._width, self._slot
+        prod = self._pack(a) * self._pack(b)
+        low = prod & self._low
+        prod >>= n * w
+        for row in self._red_packed:
+            if not prod:
+                break
+            c = (prod & slot) % p
             if c:
-                conv[t] = 0
-                row = self._red[t - n]
-                for j in range(n):
-                    conv[j] = (conv[j] + c * row[j]) % p
-        return self.encode(conv[:n])
+                low += c * row
+            prod >>= w
+        out = 0
+        for shift in range((n - 1) * w, -1, -w):
+            out = out * p + ((low >> shift) & slot) % p
+        return out
 
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
@@ -272,24 +330,65 @@ class Field:
         return result
 
     def inv(self, a: int) -> int:
+        """Inverse by the extended Euclidean algorithm against the modulus.
+
+        The Bezout cofactor s of s*a + t*modulus = c, a nonzero constant,
+        gives a^-1 = s/c; each step is a polynomial division over F_p.
+        """
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
+        p = self.p
         if self.n == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow_(a, self.q - 2)
+            return pow(a, -1, p)
+        r0, r1 = list(self.modulus), _poly_trim(self.coeffs(a))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            quot, rem = _poly_divmod(r0, r1, p)
+            s2 = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
+            for i, qi in enumerate(quot):
+                if qi:
+                    for j, sj in enumerate(s1):
+                        s2[i + j] -= qi * sj
+            r0, r1 = r1, rem
+            s0, s1 = s1, _poly_trim([x % p for x in s2])
+        c = pow(r1[0], -1, p)
+        return self.encode([c * x for x in s1])
+
+    def norm(self, a: int) -> int:
+        """N(a) = a^((q-1)/(p-1)) in F_p, as the resultant Res(modulus, a).
+
+        Euclid over F_p: Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r)
+        Res(g, r) with r = f mod g, down to Res(f, c) = c^(deg f).
+        """
+        p = self.p
+        if self.n == 1:
+            return a
+        f, g = list(self.modulus), _poly_trim(self.coeffs(a))
+        if not g:
+            return 0
+        res = 1
+        while len(g) > 1:
+            r = _poly_divmod(f, g, p)[1]
+            if not r:
+                return 0
+            df, dg = len(f) - 1, len(g) - 1
+            if df & dg & 1:
+                res = -res
+            res = res * pow(g[-1], df - len(r) + 1, p) % p
+            f, g = g, r
+        return res * pow(g[0], len(f) - 1, p) % p
 
     def quadratic_character(self, a: int) -> int:
-        """0 for a = 0, +1 for nonzero squares, -1 otherwise (odd char only)."""
+        """0 for a = 0, +1 for nonzero squares, -1 otherwise (odd char only).
+
+        chi_q(a) = a^((q-1)/2) = N(a)^((p-1)/2), the Legendre symbol of the
+        norm, so the exponentiation happens in F_p.
+        """
         if self.p == 2:
             raise FieldError("quadratic character is undefined in characteristic 2")
         if a == 0:
             return 0
-        r = self.pow_(a, (self.q - 1) // 2)
-        if r == 1:
-            return 1
-        if r == self.neg(1):
-            return -1
-        raise AssertionError("Euler criterion returned a non-unit")
+        return 1 if pow(self.norm(a), (self.p - 1) // 2, self.p) == 1 else -1
 
     def trace(self, a: int) -> int:
         """Absolute trace a + a^p + ... + a^(p^(n-1)), an element of F_p."""
@@ -335,7 +434,7 @@ class Field:
         return out
 
     def exp_log_tables(self):
-        """(exp, log) discrete-log tables for q <= 2**20, built lazily.
+        """(exp, log) discrete-log tables for q <= MAX_TABLE_Q, built lazily.
 
         exp[k] is the encoding of g^k for a fixed generator g; log inverts
         exp on nonzero encodings (log[0] is a meaningless sentinel, callers

@@ -31,22 +31,6 @@ class IntPoly:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return IntPoly(self.vars, out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(self.vars, {e: c * other for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return IntPoly(self.vars, out)
-
     def degree(self, var: str) -> int:
         i = self.vars.index(var)
         return max((e[i] for e in self.terms), default=0)

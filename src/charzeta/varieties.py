@@ -96,21 +96,32 @@ class SurfaceModel:
     # -- fiber extractor -------------------------------------------------
 
     def fiber_form_encs(self, basepoint, field: Field) -> tuple[int, ...]:
-        """Six coefficients (x^2, y^2, u^2, xy, xu, yu) of the fiber at (z : w)."""
+        """Six coefficients (x^2, y^2, u^2, xy, xu, yu) of the fiber at (z : w).
+
+        The monomials z^k w^(d-k) are running products (no w powers when
+        w = 1); each coefficient is an integer combination of them, summed
+        digit by digit and reduced mod p once.
+        """
         z, w = (int(c) for c in basepoint)
         if z == 0 and w == 0:
             raise ValueError("(0 : 0) is not a point of the projective line")
         d = self.deg_zw
-        zp = [field.pow_(z, k) for k in range(d + 1)]
-        wp = [field.pow_(w, k) for k in range(d + 1)]
+        monos = [1]
+        for _ in range(d):
+            monos.append(field.mul(monos[-1], z))
+        if w != 1:
+            wp = [1]
+            for _ in range(d):
+                wp.append(field.mul(wp[-1], w))
+            monos = [field.mul(zk, wp[d - k]) for k, zk in enumerate(monos)]
+        digits = [field.coeffs(m) for m in monos]
         out = []
         for mono in QUAD_MONOMIALS:
-            acc = 0
-            for k, c in enumerate(self._quad_zw[mono]):
+            acc = [0] * field.n
+            for c, dig in zip(self._quad_zw[mono], digits):
                 if c:
-                    acc = field.add(acc, field.mul(field.int_(c),
-                                                   field.mul(zp[k], wp[d - k])))
-            out.append(acc)
+                    acc = [x + c * y for x, y in zip(acc, dig)]
+            out.append(field.encode(acc))
         return tuple(out)
 
     def __repr__(self):

@@ -56,6 +56,29 @@ def conic_count_brute(field, coeff_encs):
     return int(np.count_nonzero(v == 0))
 
 
+def schoolbook_mul(field, a, b):
+    """Independent oracle: a*b in F_q by digit convolution and long division.
+
+    The digit vectors are convolved term by term, and the convolution is
+    reduced by the monic modulus one leading digit at a time, so the oracle
+    shares nothing with Field.mul beyond the encoding.
+    """
+    p, n = field.p, field.n
+    ca = [a // p**i % p for i in range(n)]
+    cb = [b // p**i % p for i in range(n)]
+    conv = [0] * (2 * n - 1)
+    for i, ai in enumerate(ca):
+        if ai:
+            for j, bj in enumerate(cb):
+                conv[i + j] = (conv[i + j] + ai * bj) % p
+    for t in range(2 * n - 2, n - 1, -1):
+        c = conv[t]
+        if c:
+            for j, mj in enumerate(field.modulus):
+                conv[t - n + j] = (conv[t - n + j] - c * mj) % p
+    return sum(c * p**i for i, c in enumerate(conv[:n]))
+
+
 @functools.lru_cache(maxsize=None)
 def _scalar_tables(p, n):
     field = make_field(p, n)

@@ -4,12 +4,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charzeta import FieldError, classify_conic, classify_conic_encs, is_prime, make_field
-from charzeta.finfield import field_roots
-from conftest import conic_count_brute
+from charzeta.finfield import MAX_EXT_DEGREE, MAX_Q, MAX_TABLE_Q, Field, field_roots
+from charzeta.varieties import MAX_AFFINE_Q
+from conftest import conic_count_brute, schoolbook_mul
 
 
 def test_make_field_prime():
@@ -190,3 +191,50 @@ def test_field_roots_match_enumeration(pn, factors):
         return
     expected = [z for z in range(field.q) if _eval_int_poly(field, g, z) == 0]
     assert field_roots(g, field) == expected
+
+
+# largest prime p with p^2 <= 2^63
+_P63 = 3037000493
+_KERNEL_PRIMES = (2, 3, 5, 7, 13, 101, 65521, _P63)
+
+
+def _max_degree(p):
+    n = 1
+    while n < MAX_EXT_DEGREE and p ** (n + 1) <= MAX_Q:
+        n += 1
+    return n
+
+
+_KERNEL_FIELDS = st.sampled_from(_KERNEL_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, _max_degree(p))))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_KERNEL_FIELDS, st.integers(0, MAX_Q), st.integers(0, MAX_Q))
+@example((5, 3), 99, 99)  # the one product with q <= 729 that needs the spare slot bit
+@example((2, 24), 2**23 + 12345, 2**24 - 1)
+@example((3, 24), 3**23 + 1, 2)
+@example((_P63, 2), _P63 * 17 + 5, _P63**2 - 1)
+def test_scalar_kernels_match_exponentiation_and_schoolbook(pn, a, b):
+    field = make_field(*pn)
+    p, q = field.p, field.q
+    a, b = a % q, b % q
+    assert field.mul(a, b) == schoolbook_mul(field, a, b)
+    assert field.sub(a, b) == field.add(a, field.neg(b))
+    assert field.add(field.sub(a, b), b) == a
+    assert field.norm(a) == field.pow_(a, (q - 1) // (p - 1))
+    if a:
+        inv = field.inv(a)
+        assert inv == field.pow_(a, q - 2)
+        assert field.mul(a, inv) == 1
+    if p != 2:
+        euler = field.pow_(a, (q - 1) // 2)  # Euler's criterion
+        assert field.quadratic_character(a) == {0: 0, 1: 1, field.neg(1): -1}[euler]
+
+
+def test_table_cap_covers_brute_force():
+    assert MAX_AFFINE_Q <= MAX_TABLE_Q == 2048
+    exp, log = Field(2, 11).exp_log_tables()  # q = 2048, at the cap
+    assert len(exp) == 2047 and sorted(exp.tolist()) == list(range(1, 2048))
+    with pytest.raises(FieldError):
+        Field(2053).exp_log_tables()  # the first field above the cap
