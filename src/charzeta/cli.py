@@ -18,13 +18,14 @@ import math
 import sys
 
 from .finfield import FieldError, is_prime, make_field
-from .fibercount import MAX_FIBERWISE_Q, count_fiberwise, count_formula, degenerate_fibers
+from .fibercount import count_fiberwise, count_formula, degenerate_fibers
 from .globalzeta import SPACES, check_local_zeta, verify_global
 from .specialvalues import mahler_measure_mc, riemann_zeta, verify_table1
 from .varieties import (count_affine_brute, count_biprojective_brute,
                         count_nonaffine_brute, singular_locus)
 
 SCHEMA = "charzeta/1"
+MAX_VERIFY_PRIME = 10**6
 SURFACE_CHOICES = ("L0", "L1", "L2", "all")
 
 
@@ -39,8 +40,8 @@ def _surfaces(arg: str):
 def _parse_primes(spec: str):
     """Parse 'a..b' (inclusive, primality-filtered) or a single prime.
 
-    The list must be nonempty and end within the fiberwise budget: above it
-    verify would compare the closed formula with itself.
+    The list must be nonempty and end at most MAX_VERIFY_PRIME, which bounds
+    the size of a verify input.
     """
     lo, sep, hi = spec.partition("..")
     try:
@@ -49,8 +50,8 @@ def _parse_primes(spec: str):
         raise UsageError(f"bad prime range {spec!r}") from None
     if not sep and not is_prime(lo):
         raise UsageError(f"{lo} is not prime")
-    if hi > MAX_FIBERWISE_Q:
-        raise UsageError(f"primes above {MAX_FIBERWISE_Q} have no fiberwise counts to verify")
+    if hi > MAX_VERIFY_PRIME:
+        raise UsageError(f"verify accepts primes up to {MAX_VERIFY_PRIME}")
     primes = [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
     if not primes:
         raise UsageError(f"no primes in range {spec!r}")
@@ -111,7 +112,7 @@ def cmd_count(args) -> tuple[dict, int]:
                           "nonaffine": count_nonaffine_brute}[space]
                     rec = fn(sid, field)
                 elif method == "fiberwise":
-                    rec, _ = count_fiberwise(sid, field, space)
+                    rec = count_fiberwise(sid, field, space)
                 else:
                     rec = count_formula(sid, args.p, args.n, space)
                 got[method] = rec.count
@@ -128,9 +129,8 @@ def cmd_count(args) -> tuple[dict, int]:
 def cmd_zeta(args) -> tuple[dict, int]:
     """Report globalzeta.check_local_zeta for each surface.
 
-    independent_n is how many of the counts come from fiberwise counting.
-    When it is 0 every count comes from the closed formula, so "match" is
-    null and the verdict rests on the closed form against the Euler factor.
+    counts are N_1..N_14 by fiberwise counting, which needs F_{p^2}: a
+    prime with p^2 > 2^63 is a usage error.
     """
     if not is_prime(args.p):
         raise UsageError(f"{args.p} is not prime")
@@ -140,9 +140,8 @@ def cmd_zeta(args) -> tuple[dict, int]:
         c = check_local_zeta(sid, args.p, args.space)
         entry = {"surface": sid, "p": args.p, "space": args.space,
                  "closed_form": c.closed_form.to_json(), "euler": c.euler.to_json(),
-                 "counts": list(c.counts), "independent_n": c.independent_n,
-                 "mode": c.mode, **c.detail,
-                 "match": c.passed if c.independent_n else None}
+                 "counts": list(c.counts), "mode": c.mode, **c.detail,
+                 "match": c.passed}
         if not c.passed:
             ok = False
             entry["diff"] = {"closed_form": c.closed_form.to_json(), "euler": c.euler.to_json()}

@@ -3,20 +3,21 @@
 The fiber of each surface over (z : 1) is the plane conic
 a(z)(x^2 + y^2) + b(z)xy + c(z)u^2; the model is checked to have equal x^2
 and y^2 coefficients and no xu or yu terms.  It is a smooth conic with
-q + 1 points unless z is a root of c(b^2 - 4a^2), or of bc in
-characteristic 2.  Off those roots the line u = 0 of the fiber has a fixed
-number of points as well, because two identities hold for every model,
-checked when it is first used: b^2 - 4a^2 is a constant k times a square,
-so the line carries 1 + chi(k) points in odd characteristic; and
-a/b = h + h^2 with h = 1/(z + 1) over F_2(z), so a/b has absolute trace 0
-and the line carries 2 points in characteristic 2.
+q + 1 points unless z is a root of the degenerate locus c(b^2 - 4a^2), or
+of bc in characteristic 2.  Off those roots the line u = 0 of the fiber
+has a fixed number of points as well, because two identities hold for
+every model, checked when it is first used: b^2 - 4a^2 is a constant k
+times a square, so the line carries 1 + chi(k) points in odd
+characteristic; and a/b = h + h^2 with h = 1/(z + 1) over F_2(z), so a/b
+has absolute trace 0 and the line carries 2 points in characteristic 2.
 
-The totals over P^1(F_q) therefore need only the F_q-roots of one integer
-polynomial of small degree (finfield.field_roots) and an exact
-classification of the fibers over them and over (1 : 0).  Odd
-characteristic fibers are classified as ternary quadratic forms; in
-characteristic 2 the count follows from the absolute trace of a/b.  The
-size caps below are budgets, not limits of the method.
+The totals over P^1(F_q), q = p^n, therefore need only the fibers over
+(1 : 0) and over the roots of the locus.  Those roots lie in F_{p^2}
+(checked: a model with a factor of higher degree mod p is refused), so
+each such fiber is classified once, over its field of definition F_{p^d},
+and its counts over F_q follow by Frobenius descent (_lift): for x in
+F_{p^d}, chi_q(x) = chi_{p^d}(x)^(n/d) and Tr_{F_q/F_2}(x) =
+(n/d) Tr_{F_{p^d}/F_2}(x).  No field beyond F_{p^2} is built.
 
 Closed-form counts are not transcribed here: count_formula evaluates
 N_n = sum_u e_u * u^n on the factor multiset of
@@ -26,18 +27,16 @@ localzeta.local_zeta_closed_form, the one copy of the per-surface table.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .finfield import (Field, FieldError, classify_conic_encs, field_roots, is_prime,
-                       make_field)
+from .finfield import (Field, FieldError, classify_conic_encs, is_prime, low_degree_factors,
+                       make_field, quadratic_roots, split_roots)
 from .localzeta import local_zeta_closed_form
 from .varieties import CountRecord, _as_model
 
-MAX_FIBERWISE_Q = 10**6
-MAX_FIBERWISE_Q_CHAR2 = 512
-MAX_ALL_REPORTS_Q = 4096
 MAX_FORMULA_Q = 1 << 63
 
 
@@ -49,11 +48,6 @@ class FiberReport:
     rank: int | None = None    # None in characteristic 2
     split: bool | None = None
 
-    def to_json(self):
-        return {"base": list(self.base), "count": self.count,
-                "degenerate": self.degenerate, "rank": self.rank,
-                "split": self.split}
-
 
 @dataclass(frozen=True)
 class FiberwiseTotals:
@@ -63,7 +57,6 @@ class FiberwiseTotals:
     biprojective: int
     affine: int
     nonaffine: int
-    degenerate: tuple[FiberReport, ...]
 
     def count(self, space: str) -> int:
         return getattr(self, space)
@@ -82,8 +75,9 @@ def _canonical_base(field: Field, z: int, w: int) -> tuple[int, int]:
     return (1, field.mul(w, field.inv(z)))
 
 
-def _line_count(field: Field, a: int, b: int) -> int:
-    """Zeros of a(x^2 + y^2) + bxy on the line u = 0, a copy of P^1(F_q)."""
+def _line_count(field: Field, coeffs) -> int:
+    """Zeros of the fiber form a(x^2 + y^2) + bxy + cu^2 on the line u = 0."""
+    a, _, _, b, _, _ = coeffs
     if a == 0:
         return field.q + 1 if b == 0 else 2
     if field.p != 2:
@@ -98,11 +92,6 @@ def _line_count(field: Field, a: int, b: int) -> int:
 def classify_fiber(model, basepoint, field: Field) -> FiberReport:
     """Exact report for a single fiber."""
     coeffs = _as_model(model).fiber_form_encs(basepoint, field)
-    return _classify_form(coeffs, basepoint, field)
-
-
-def _classify_form(coeffs, basepoint, field: Field) -> FiberReport:
-    """classify_fiber on the fiber form coeffs at basepoint."""
     base = _canonical_base(field, *(int(c) for c in basepoint))
     if field.p != 2:
         cls = classify_conic_encs(field, coeffs)
@@ -110,20 +99,15 @@ def _classify_form(coeffs, basepoint, field: Field) -> FiberReport:
     a, a2, c, b, e, f = coeffs
     if a != a2 or e or f:
         raise AssertionError("fiber form outside the supported shape")
-    q = field.q
-    if c:
-        # a smooth conic (b != 0) or the double line sqrt(a)(x + y) = sqrt(c)u
-        count = q + 1
-    else:
-        # the lines joining the apex (0 : 0 : 1) to the zeros on u = 0
-        line = _line_count(field, a, b)
-        count = q * q + q + 1 if line == q + 1 else q * line + 1
+    # c != 0: a smooth conic (b != 0) or the double line sqrt(a)(x + y) = sqrt(c)u;
+    # c = 0: the lines joining the apex (0 : 0 : 1) to the zeros on u = 0
+    count = field.q * (1 if c else _line_count(field, coeffs)) + 1
     # smooth iff b != 0 (partials b*y, b*x, 0) and the apex is off it (c != 0)
     return FiberReport(base, count, not (b and c))
 
 
 # ---------------------------------------------------------------------------
-# totals from the degenerate locus
+# totals by Frobenius descent
 
 
 def _zmul(a, b):
@@ -134,27 +118,32 @@ def _zmul(a, b):
     return out
 
 
-def _is_constant_times_square(d) -> bool:
-    """Whether d (trimmed, integer) is its leading coefficient times a square in Q[z]."""
+def _square_root(d):
+    """s with d = lead(d) * s^2, scaled to integer coefficients, or None.
+
+    d is trimmed and integer; s is computed monic in Q[z] first.
+    """
     if (len(d) - 1) % 2:
-        return False
+        return None
     e = (len(d) - 1) // 2
     t = [Fraction(x, d[-1]) for x in d]
     s = [Fraction(0)] * e + [Fraction(1)]
     for j in range(1, e + 1):  # match the z^(2e - j) coefficient of s^2
         s[e - j] = (t[2 * e - j] - sum(s[e - i] * s[e - j + i] for i in range(1, j))) / 2
-    return _zmul(s, s) == t
+    scale = math.lcm(*(x.denominator for x in s))
+    return [int(x * scale) for x in s] if _zmul(s, s) == t else None
 
 
 @functools.lru_cache(maxsize=None)
 def _bundle_loci(surface_id: str):
     """(k, odd locus, characteristic-2 locus) of a surface's conic bundle.
 
-    The loci are integer polynomials in z, a*c*(b^2 - 4a^2) and a*b*c; their
-    roots include every fiber (z : 1) that is degenerate or whose u = 0 line
-    count may differ from the generic one.  k is the leading coefficient of
-    b^2 - 4a^2.  Raises ValueError for a model that breaks the fiber shape or
-    either identity the generic counts rest on.
+    The loci are the integer polynomials c*s and b*c in z, where
+    b^2 - 4a^2 = k*s^2 (s scaled to integers, so the odd locus has the roots
+    of c*(b^2 - 4a^2) at every p not dividing 2k).  Their roots are the
+    fibers (z : 1) that are not smooth conics, and off them the u = 0 line
+    count is the generic one.  Raises ValueError for a model that breaks
+    the fiber shape or either identity the generic counts rest on.
     """
     quad = _as_model(surface_id)._quad_zw
     a, b, c = quad[(2, 0, 0)], quad[(1, 1, 0)], quad[(0, 0, 2)]
@@ -163,87 +152,102 @@ def _bundle_loci(surface_id: str):
     d = [x - 4 * y for x, y in zip_longest(_zmul(b, b), _zmul(a, a), fillvalue=0)]
     while d and d[-1] == 0:
         d.pop()
-    if not d or not _is_constant_times_square(d):
+    root = _square_root(d)
+    if root is None:
         raise ValueError(f"{surface_id}: b^2 - 4a^2 is not a constant times a square")
     # a/b = h + h^2 with h = 1/(z + 1)  <=>  b*z = a*(z + 1)^2 over F_2
     if any((x - y) % 2 for x, y in zip_longest(_zmul(b, (0, 1)), _zmul(a, (1, 2, 1)),
                                                 fillvalue=0)):
         raise ValueError(f"{surface_id}: a/b is not h + h^2 with h = 1/(z + 1) over F_2(z)")
-    return d[-1], _zmul(_zmul(a, c), d), _zmul(_zmul(a, b), c)
+    return d[-1], _zmul(c, root), _zmul(b, c)
+
+
+def _fiber_counts(model, roots, field: Field):
+    """(points, points on the line u = 0) of the fibers over (z : 1), z in roots."""
+    return tuple((classify_fiber(model, (z, 1), field).count,
+                  _line_count(field, model.fiber_form_encs((z, 1), field))) for z in roots)
 
 
 @functools.lru_cache(maxsize=256)
-def _totals_cached(surface_id: str, p: int, n: int) -> FiberwiseTotals:
-    field = make_field(p, n)
-    q = field.q
-    if p == 2 and q > MAX_FIBERWISE_Q_CHAR2:
-        raise FieldError(
-            f"fiberwise counting in characteristic 2 limited to q <= {MAX_FIBERWISE_Q_CHAR2}")
-    if q > MAX_FIBERWISE_Q:
-        raise FieldError(f"fiberwise counting limited to q <= {MAX_FIBERWISE_Q}")
-    model = _as_model(surface_id)
-    k, odd_locus, char2_locus = _bundle_loci(model.id)
-    if p == 2:
-        roots, line = field_roots(char2_locus, field), 2
-    elif k % p == 0:
-        raise FieldError(f"{model.id}: b^2 - 4a^2 degenerates mod {p}")
-    else:
-        roots = field_roots(odd_locus, field)
-        line = 1 + field.quadratic_character(field.int_(k))
+def _prime_descent(surface_id: str, p: int):
+    """The F_p-roots of the locus of _bundle_loci that applies mod p, its
+    irreducible quadratic factors, the generic u = 0 line count, and the
+    fiber counts at (1 : 0) and at the roots.  Raises FieldError, a
+    ValueError, when the locus has a root outside F_{p^2}."""
+    k, odd_locus, char2_locus = _bundle_loci(surface_id)
+    if p != 2 and k % p == 0:
+        raise FieldError(f"{surface_id}: b^2 - 4a^2 degenerates mod {p}")
+    roots, quadratics = low_degree_factors(char2_locus if p == 2 else odd_locus, p)
+    model, field = _as_model(surface_id), make_field(p)
+    generic = 2 if p == 2 else 1 + field.quadratic_character(field.int_(k))
+    return (tuple(roots), tuple(map(tuple, quadratics)), generic,
+            classify_fiber(model, (1, 0), field).count, _fiber_counts(model, roots, field))
 
-    generic = q - len(roots)  # smooth fibers with the generic u = 0 count
-    biproj, nonaffine = generic * (q + 1), generic * line
-    reports = []
-    for z in roots:
-        coeffs = model.fiber_form_encs((z, 1), field)
-        rep = _classify_form(coeffs, (z, 1), field)
-        a, _, _, b, _, _ = coeffs
-        biproj += rep.count
-        nonaffine += _line_count(field, a, b)
-        if rep.degenerate:
-            reports.append(rep)
-    rep = classify_fiber(model, (1, 0), field)  # entirely non-affine
-    biproj += rep.count
-    nonaffine += rep.count
-    if rep.degenerate:
-        reports.append(rep)
-    reports.sort(key=lambda r: r.base)
-    return FiberwiseTotals(model.id, p, n, biproj, biproj - nonaffine, nonaffine,
-                           tuple(reports))
+
+@functools.lru_cache(maxsize=256)
+def _quadratic_descent(surface_id: str, p: int):
+    """The fiber counts over F_{p^2} at the roots of the locus outside F_p."""
+    field = make_field(p, 2)
+    roots = [z for f in _prime_descent(surface_id, p)[1] for z in quadratic_roots(f, field)]
+    return _fiber_counts(_as_model(surface_id), roots, field)
+
+
+def _lift(count: int, q0: int, q: int, e: int) -> int:
+    """Points over F_q, q = q0^e, of a set with `count` points over F_{q0}.
+
+    The set is a line u = 0, or the lines through the vertex of a fiber
+    with q0 * count + 1 points: one or two points, a conjugate pair
+    (count 0, split iff e is even), or the whole line (count q0 + 1).
+    """
+    return q + 1 if count == q0 + 1 else 1 + (count - 1) ** e
+
+
+@functools.lru_cache(maxsize=256)
+def descent_totals(surface_id: str, p: int, n: int) -> FiberwiseTotals:
+    """Fiberwise totals over F_{p^n} from the fibers defined over F_p and F_{p^2}.
+
+    No field beyond F_{p^2} is built, and odd n builds none beyond F_p.
+    Raises ValueError when the degenerate locus has a root outside F_{p^2},
+    FieldError when p is not prime or n is even and p^2 > 2^63.
+    """
+    _, _, generic, infinity, fibers = _prime_descent(surface_id, p)
+    q = p**n
+    by_degree = [(1, fibers)] + ([(2, _quadratic_descent(surface_id, p))] if n % 2 == 0 else [])
+    smooth = q - sum(len(group) for _, group in by_degree)
+    at_infinity = q * _lift((infinity - 1) // p, p, q, n) + 1  # entirely non-affine
+    biproj = smooth * (q + 1) + at_infinity
+    nonaffine = smooth * _lift(generic, p, q, n) + at_infinity
+    for d, group in by_degree:
+        q0 = p**d
+        for fiber, line in group:
+            biproj += q * _lift((fiber - 1) // q0, q0, q, n // d) + 1
+            nonaffine += _lift(line, q0, q, n // d)
+    return FiberwiseTotals(surface_id, p, n, biproj, biproj - nonaffine, nonaffine)
 
 
 def fiberwise_totals(model, field: Field) -> FiberwiseTotals:
-    return _totals_cached(_as_model(model).id, field.p, field.n)
-
-
-def count_fiberwise(model, field: Field, space: str = "biprojective",
-                    all_reports: bool = False):
-    """Count by summing fiber contributions over P^1(F_q).
-
-    Returns (CountRecord, reports).  Reports cover the degenerate fibers;
-    with all_reports=True (q <= 4096) every fiber is reported, smooth ones
-    as rank-3 fibers of q + 1 points.
-    """
-    model = _as_model(model)
-    totals = fiberwise_totals(model, field)
-    record = CountRecord(model.id, field.p, field.n, space, "fiberwise",
-                         totals.count(space))
-    if not all_reports:
-        return record, list(totals.degenerate)
-    if field.q > MAX_ALL_REPORTS_Q:
-        raise FieldError(f"per-fiber reports limited to q <= {MAX_ALL_REPORTS_Q}")
-    reports = []
-    for z in range(field.q):
-        reports.append(classify_fiber(model, (z, 1), field))
-    reports.append(classify_fiber(model, (1, 0), field))
-    reports.sort(key=lambda r: r.base)
-    return record, reports
+    """descent_totals over the field F_{p^n}."""
+    return descent_totals(_as_model(model).id, field.p, field.n)
 
 
 def degenerate_fibers(model, field: Field) -> list[tuple[int, int]]:
-    """Canonical base points of the fibers that are not smooth conics."""
-    totals = fiberwise_totals(_as_model(model), field)
-    return sorted(r.base for r in totals.degenerate)
+    """Canonical base points of the fibers that are not smooth conics: the
+    F_q-roots of the degenerate locus, and (1 : 0) when that fiber is one."""
+    model = _as_model(model)
+    roots, quadratics, _, _, _ = _prime_descent(model.id, field.p)
+    if field.n % 2 == 0:
+        roots += tuple(z for f in quadratics for z in split_roots(f, field))
+    bases = [_canonical_base(field, z, 1) for z in roots]
+    if classify_fiber(model, (1, 0), field).degenerate:
+        bases.append((1, 0))
+    return sorted(bases)
+
+
+def count_fiberwise(model, field: Field, space: str = "biprojective") -> CountRecord:
+    """Count by summing fiber contributions over P^1(F_q)."""
+    model = _as_model(model)
+    return CountRecord(model.id, field.p, field.n, space, "fiberwise",
+                       fiberwise_totals(model, field).count(space))
 
 
 # ---------------------------------------------------------------------------

@@ -89,16 +89,15 @@ def _poly_mul_mod(a, b, mod, p):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce by the monic modulus
+                out[i + j] += ai * bj
+    # reduce by the monic modulus, each coefficient mod p once it is final
     dm = len(mod) - 1
     for t in range(len(out) - 1, dm - 1, -1):
-        c = out[t]
+        c = out[t] % p
         if c:
-            out[t] = 0
             for j in range(dm):
-                out[t - dm + j] = (out[t - dm + j] - c * mod[j]) % p
-    return _poly_trim(out)
+                out[t - dm + j] -= c * mod[j]
+    return _poly_trim([x % p for x in out[:dm]])
 
 
 def _poly_divmod(a, b, p):
@@ -116,17 +115,6 @@ def _poly_divmod(a, b, p):
     return quot, _poly_trim([x % p for x in rem[:db]])
 
 
-def _poly_pow_x(e, mod, p):
-    """x^e mod the monic polynomial `mod`, coefficients over F_p."""
-    result, base = [1], [0, 1]
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, mod, p)
-        base = _poly_mul_mod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
 def _poly_sub_x(a, p):
     """a(x) - x as a trimmed coefficient list."""
     out = list(a) + [0] * max(0, 2 - len(a))
@@ -139,13 +127,12 @@ def _is_irreducible(mod, p):
     n = len(mod) - 1
     if n <= 0:
         return False
-    if _poly_sub_x(_poly_pow_x(p**n, mod, p), p):
-        return False
-    for ell in _prime_factors(n):
-        diff = _poly_sub_x(_poly_pow_x(p ** (n // ell), mod, p), p)
-        if len(_fq_gcd(list(mod), diff, make_field(p))) != 1:
+    prime = make_field(p)
+    for ell in _prime_factors(n):  # the cheaper conditions first
+        diff = _poly_sub_x(_fq_pow([0, 1], p ** (n // ell), mod, prime), p)
+        if len(_fq_gcd(list(mod), diff, prime)) != 1:
             return False
-    return True
+    return not _poly_sub_x(_fq_pow([0, 1], p**n, mod, prime), p)
 
 
 def first_irreducible(p: int, n: int) -> tuple[int, ...]:
@@ -526,12 +513,14 @@ def make_field(p: int, n: int = 1) -> Field:
 # ---------------------------------------------------------------------------
 # roots of integer polynomials in F_q (coefficient lists of encodings)
 #
-# These helpers work through Field methods.  The integer-only F_p helpers
-# above serve the hot step, x^e modulo a polynomial over F_p.
+# These helpers work through Field methods, except that over F_p products
+# and division go to the integer-only helpers above.
 
 
 def _fq_divmod(a, m, field: Field):
     """Quotient and remainder of a by the monic polynomial m."""
+    if field.n == 1:
+        return _poly_divmod(a, m, field.p)
     rem = list(a)
     dm = len(m) - 1
     quot = [0] * max(len(rem) - dm, 0)
@@ -550,12 +539,25 @@ def _fq_monic(a, field: Field):
 
 
 def _fq_mul_mod(a, b, m, field: Field):
+    if field.n == 1:
+        return _poly_mul_mod(a, b, m, field.p)
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = field.add(out[i + j], field.mul(ai, bj))
     return _fq_divmod(out, m, field)[1]
+
+
+def _fq_pow(a, e: int, m, field: Field):
+    """a^e mod the monic polynomial m."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _fq_mul_mod(result, a, m, field)
+        a = _fq_mul_mod(a, a, m, field)
+        e >>= 1
+    return result
 
 
 def _fq_gcd(a, b, field: Field):
@@ -567,68 +569,87 @@ def _fq_gcd(a, b, field: Field):
     return a
 
 
-def _fq_splitter(f, delta: int, field: Field):
-    """Cantor-Zassenhaus splitting polynomial for f of degree >= 2, mod f.
+def _fq_splitter(f, delta: int, field: Field, q: int):
+    """Cantor-Zassenhaus splitting polynomial mod f for roots in F_q, q a power of field.q.
 
     Odd q: (z + delta)^((q-1)/2) - 1, zero where z + delta is a nonzero
     square.  Even q: the absolute trace of delta*z, zero where it is 0.
     """
     if field.p == 2:
         cur = total = _poly_trim([0, delta])
-        for _ in range(field.n - 1):
+        for _ in range(q.bit_length() - 2):
             cur = _fq_mul_mod(cur, cur, f, field)
             total = [field.add(x, y) for x, y in zip_longest(total, cur, fillvalue=0)]
         return _poly_trim(total)
-    result, base, e = [1], [delta, 1], (field.q - 1) // 2
-    while e:
-        if e & 1:
-            result = _fq_mul_mod(result, base, f, field)
-        base = _fq_mul_mod(base, base, f, field)
-        e >>= 1
-    result = result or [0]
+    result = _fq_pow([delta, 1], (q - 1) // 2, f, field) or [0]
     return _poly_trim([field.sub(result[0], 1)] + result[1:])
 
 
-def _split_roots(f, field: Field, rng: random.Random, out: list) -> None:
-    """Append the roots of f, a monic product of distinct linear factors."""
-    if len(f) <= 2:
-        if len(f) == 2:
-            out.append(field.neg(f[0]))
-        return
-    while True:
-        g = _fq_splitter(f, rng.randrange(field.q), field)
-        if g:
-            g = _fq_gcd(f, g, field)
-            if 1 < len(g) < len(f):
-                break
-    _split_roots(g, field, rng, out)
-    _split_roots(_fq_divmod(f, g, field)[0], field, rng, out)
+def _factors(f, field: Field, d: int):
+    """The irreducible factors over field of f, a monic product of distinct
+    irreducible factors of degree d, by Cantor-Zassenhaus with random
+    choices seeded by the field and d, so that every run takes the same path."""
+    rng = random.Random(f"{field.p}:{field.n}:{d}")
+
+    def split(f):
+        if len(f) <= d + 1:
+            return [f] if len(f) > 1 else []
+        while True:
+            g = _fq_splitter(f, rng.randrange(field.q), field, field.q**d)
+            if g:
+                g = _fq_gcd(f, g, field)
+                if 1 < len(g) < len(f):
+                    return split(g) + split(_fq_divmod(f, g, field)[0])
+
+    return split(list(f))
 
 
-def field_roots(coeffs, field: Field) -> list[int]:
-    """Encodings of the distinct roots in F_q of an integer polynomial, sorted.
+def split_roots(f, field: Field) -> list[int]:
+    """Encodings of the roots of f, a monic product of distinct linear
+    factors over F_q, sorted."""
+    return sorted(field.neg(g[0]) for g in _factors(f, field, 1))
 
-    coeffs are integers, low degree first.  h = gcd(z^q - z, g mod p) over
-    F_p keeps the irreducible factors whose roots lie in F_q.  The F_p-linear
-    part of h is split in F_p; only the rest, whose factors have degree > 1,
-    needs arithmetic in F_q.  Splitting is Cantor-Zassenhaus with random
-    choices seeded by (p, n), so every run takes the same path.
+
+def quadratic_roots(f, field: Field) -> list[int]:
+    """Encodings of the roots in F_{p^2} = field of f, sorted.
+
+    f = z^2 + bz + c is irreducible over F_p.  With x the root of the
+    modulus x^2 + c1x + c0, the roots are u + vx, where, for odd p,
+    v^2 = (b^2 - 4c)/(c1^2 - 4c0) in F_p and 2u = c1v - b.
     """
     p = field.p
+    if p == 2:
+        return split_roots(f, field)
+    c, b, _ = f
+    c0, c1, _ = field.modulus
+    t = (b * b - 4 * c) * pow(c1 * c1 - 4 * c0, -1, p) % p
+    return sorted(field.encode([(c1 * v - b) * (p + 1) // 2, v])
+                  for v in split_roots([-t % p, 0, 1], make_field(p)))
+
+
+def low_degree_factors(coeffs, p: int):
+    """(roots in F_p, irreducible quadratic factors) of an integer polynomial mod p.
+
+    Raises FieldError when the polynomial vanishes mod p or has a root
+    outside F_{p^2}: some factor of it does not divide gcd(g, z^(p^2) - z).
+    """
     prime = make_field(p)
     g = _poly_trim([c % p for c in coeffs])
     if not g:
         raise FieldError(f"the polynomial vanishes identically mod {p}")
     g = _fq_monic(g, prime)
-    h = _fq_gcd(g, _poly_sub_x(_poly_pow_x(field.q, g, p), p), prime)
-    if len(h) == 1:
-        return []
-    linear = _fq_gcd(h, _poly_sub_x(_poly_pow_x(p, h, p), p), prime)
-    rng = random.Random(f"{p}:{field.n}")
-    roots = []
-    _split_roots(linear, prime, rng, roots)
-    _split_roots(_fq_divmod(h, linear, prime)[0], field, rng, roots)
-    return sorted(roots)
+    frob = _fq_pow([0, 1], p, g, prime)
+    frob2 = []  # z^(p^2) = frob(frob) mod g, as the Frobenius is a ring map
+    for c in reversed(frob):
+        frob2 = _poly_mul_mod(frob2, frob, g, p) or [0]
+        frob2[0] = (frob2[0] + c) % p
+    h, rest = _fq_gcd(g, _poly_sub_x(frob2, p), prime), g
+    while len(common := _fq_gcd(rest, h, prime)) > 1:
+        rest = _fq_divmod(rest, common, prime)[0]
+    if len(rest) > 1:
+        raise FieldError(f"the polynomial has roots outside F_{p}^2")
+    linear = _fq_gcd(h, _poly_sub_x(_poly_divmod(frob, h, p)[1], p), prime)
+    return split_roots(linear, prime), _factors(_fq_divmod(h, linear, prime)[0], prime, 2)
 
 
 # ---------------------------------------------------------------------------

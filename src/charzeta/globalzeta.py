@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finfield import make_field
-from .fibercount import MAX_FIBERWISE_Q, MAX_FIBERWISE_Q_CHAR2, fiberwise_totals
+from .fibercount import descent_totals
 from .localzeta import (LocalZetaFactors, RecoveryError, local_zeta_closed_form,
                         recover_factors)
 
@@ -212,32 +211,9 @@ def euler_factor(expr: GlobalZetaExpr, p: int) -> LocalZetaFactors:
 # per-prime verification against computed local zetas
 
 
-def _fiberwise_budget(p: int) -> int:
-    """The largest n with p^n within the fiberwise size caps."""
-    cap = MAX_FIBERWISE_Q_CHAR2 if p == 2 else MAX_FIBERWISE_Q
-    n = 0
-    while p ** (n + 1) <= cap:
-        n += 1
-    return n
-
-
-def _fiberwise_n(p: int, space: str, k: int) -> int:
-    """How many of the N_1..N_k from counts_for_space come from fiberwise counting."""
-    return 0 if space == "nonaffine" else min(k, _fiberwise_budget(p))
-
-
 def counts_for_space(surface_id: str, p: int, space: str, k: int) -> list[int]:
-    """N_1..N_k with fiberwise counts where feasible, closed-form counts beyond.
-
-    Biprojective counts come from fiberwise counting within the size caps
-    and from the closed form after that; non-affine counts use the closed
-    form (the boundary is a fixed union of lines); affine counts are their
-    difference.
-    """
-    n_fib = _fiberwise_n(p, space, k)
-    closed = local_zeta_closed_form(surface_id, p, space).counts(k)
-    return [fiberwise_totals(surface_id, make_field(p, n)).count(space)
-            for n in range(1, n_fib + 1)] + closed[n_fib:]
+    """N_1..N_k of one space, all by fiberwise counting (descent_totals)."""
+    return [descent_totals(surface_id, p, n).count(space) for n in range(1, k + 1)]
 
 
 @dataclass(frozen=True)
@@ -248,7 +224,6 @@ class LocalZetaCheck:
     euler: LocalZetaFactors
     closed_form: LocalZetaFactors
     counts: tuple[int, ...]
-    independent_n: int     # how many counts come from fiberwise counting
     detail: dict           # recovered (and error), or first_mismatch_n
     passed: bool
 
@@ -256,17 +231,16 @@ class LocalZetaCheck:
 def check_local_zeta(surface_id: str, p: int, space: str) -> LocalZetaCheck:
     """Check the Euler factor at p against the closed form and the counts.
 
-    For p in {2, 3} the factors are recovered blind from 14 counts and must
-    equal the Euler factor; for other primes the counts must equal those
-    the Euler factor implies, for every n with p^n within the fiberwise
-    caps (at least n = 1).  The check passes when that holds and the closed
-    form equals the Euler factor.
+    The counts are N_1..N_14 from counts_for_space.  For p in {2, 3} the
+    factors are recovered blind from them and must equal the Euler factor;
+    for other primes they must equal the counts the Euler factor implies.
+    The check passes when that holds and the closed form equals the Euler
+    factor.
     """
     euler = euler_factor(global_expression(surface_id, space), p)
     closed = local_zeta_closed_form(surface_id, p, space)
     mode = "recovered" if p in RECOVERY_PRIMES else "series"
-    k = RECOVERY_COUNTS if mode == "recovered" else max(_fiberwise_budget(p), 1)
-    counts = counts_for_space(surface_id, p, space, k)
+    counts = counts_for_space(surface_id, p, space, RECOVERY_COUNTS)
     if mode == "recovered":
         try:
             got = recover_factors(counts, p)
@@ -274,21 +248,18 @@ def check_local_zeta(surface_id: str, p: int, space: str) -> LocalZetaCheck:
         except RecoveryError as exc:
             detail, ok = {"recovered": None, "error": str(exc)}, False
     else:
-        first_bad = next((n for n, (x, y) in enumerate(zip(counts, euler.counts(k)), 1)
+        first_bad = next((n for n, (x, y) in enumerate(zip(counts, euler.counts(len(counts))), 1)
                           if x != y), None)
         detail, ok = {"first_mismatch_n": first_bad}, first_bad is None
-    return LocalZetaCheck(mode, euler, closed, tuple(counts),
-                          _fiberwise_n(p, space, k), detail, ok and closed == euler)
+    return LocalZetaCheck(mode, euler, closed, tuple(counts), detail, ok and closed == euler)
 
 
 def _verify_one_prime(surface_id: str, p: int) -> dict:
     checks = {space: check_local_zeta(surface_id, p, space) for space in SPACES}
     # fiberwise counts of every space must agree with the closed forms
-    n_fib = _fiberwise_budget(p)
-    closed = {space: c.closed_form.counts(n_fib) for space, c in checks.items()}
-    first_bad = next((n for n in range(1, n_fib + 1)
-                      if any(fiberwise_totals(surface_id, make_field(p, n)).count(space)
-                             != closed[space][n - 1] for space in SPACES)), None)
+    pairs = [zip(c.counts, c.closed_form.counts(RECOVERY_COUNTS)) for c in checks.values()]
+    first_bad = next((n for n, row in enumerate(zip(*pairs), 1)
+                      if any(x != y for x, y in row)), None)
     spaces = {}
     for space, c in checks.items():
         spaces[space] = {"euler": c.euler.to_json(),
@@ -306,9 +277,9 @@ def verify_global(model, primes) -> list[dict]:
     """Check euler_factor(global expression) against computed local zetas.
 
     Each prime and space goes through check_local_zeta, and the fiberwise
-    counts of every space are compared with the closed forms for every n
-    with p^n within the fiberwise caps.  Mismatches become report entries,
-    never exceptions.  Reports are ordered by prime.
+    counts N_1..N_14 of every space are compared with the closed forms.
+    Mismatches become report entries, never exceptions.  Reports are
+    ordered by prime.
     """
     surface_id = model if isinstance(model, str) else model.id
     return [_verify_one_prime(surface_id, p) for p in sorted(set(primes))]

@@ -5,8 +5,14 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import pytest
 
-from charzeta import BiprojectivePoint, is_prime, make_field, surface
+from charzeta import BiprojectivePoint, classify_fiber, fibercount, is_prime, make_field, surface
+from charzeta.fibercount import FiberwiseTotals, _bundle_loci, _line_count, _zmul
+from charzeta.finfield import (FieldError, _fq_divmod, _fq_gcd, _fq_monic, _fq_pow, _poly_sub_x,
+                               _poly_trim, split_roots)
+
+MAX_ALL_REPORTS_Q = 4096
 
 
 def prime_powers_upto(limit):
@@ -22,6 +28,80 @@ def prime_powers_upto(limit):
                 n += 1
         p += 1
     return sorted(out, key=lambda t: t[0] ** t[1])
+
+
+@pytest.fixture
+def fresh_descent():
+    """Empty the descent caches around a test that patches what they read."""
+    caches = (fibercount._prime_descent, fibercount._quadratic_descent,
+              fibercount.descent_totals)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def field_roots(coeffs, field):
+    """Encodings of the distinct roots in F_q of an integer polynomial, sorted.
+
+    h = gcd(z^q - z, g mod p) over F_p keeps the irreducible factors whose
+    roots lie in F_q; its F_p-linear part is split in F_p and the rest in
+    F_q.
+    """
+    p = field.p
+    prime = make_field(p)
+    g = _poly_trim([c % p for c in coeffs])
+    if not g:
+        raise FieldError(f"the polynomial vanishes identically mod {p}")
+    g = _fq_monic(g, prime)
+    h = _fq_gcd(g, _poly_sub_x(_fq_pow([0, 1], field.q, g, prime), p), prime)
+    linear = _fq_gcd(h, _poly_sub_x(_fq_pow([0, 1], p, h, prime), p), prime)
+    return sorted(split_roots(linear, prime)
+                  + split_roots(_fq_divmod(h, linear, prime)[0], field))
+
+
+def fiberwise_totals_fq(surface_id, field):
+    """Oracle for the descent: (FiberwiseTotals, degenerate reports) from F_q.
+
+    Finds the F_q-roots of a*c*(b^2 - 4a^2) (a*b*c in characteristic 2)
+    and classifies every fiber over them, and over (1 : 0), in F_q itself.
+    The extra factor a adds fibers whose line u = 0 is counted directly.
+    """
+    model = surface(surface_id)
+    k, odd_locus, char2_locus = _bundle_loci(surface_id)
+    a = model._quad_zw[(2, 0, 0)]
+    q = field.q
+    if field.p == 2:
+        roots, line = field_roots(_zmul(a, char2_locus), field), 2
+    else:
+        roots = field_roots(_zmul(a, odd_locus), field)
+        line = 1 + field.quadratic_character(field.int_(k))
+    generic = q - len(roots)  # smooth fibers with the generic u = 0 count
+    biproj, nonaffine = generic * (q + 1), generic * line
+    reports = []
+    for z in roots:
+        rep = classify_fiber(model, (z, 1), field)
+        biproj += rep.count
+        nonaffine += _line_count(field, model.fiber_form_encs((z, 1), field))
+        if rep.degenerate:
+            reports.append(rep)
+    rep = classify_fiber(model, (1, 0), field)  # entirely non-affine
+    biproj += rep.count
+    nonaffine += rep.count
+    if rep.degenerate:
+        reports.append(rep)
+    reports.sort(key=lambda r: r.base)
+    totals = FiberwiseTotals(surface_id, field.p, field.n, biproj, biproj - nonaffine,
+                             nonaffine)
+    return totals, reports
+
+
+def all_fiber_reports(surface_id, field):
+    """Reports of every fiber over P^1(F_q), q <= MAX_ALL_REPORTS_Q, by base."""
+    assert field.q <= MAX_ALL_REPORTS_Q, "per-fiber reports limited to q <= 4096"
+    reports = [classify_fiber(surface_id, base, field) for base in p1_reps(field)]
+    return sorted(reports, key=lambda r: r.base)
 
 
 def p2_reps(field):

@@ -18,7 +18,8 @@ from charzeta import (count_affine_brute, count_biprojective_brute,
 from charzeta.fibercount import fiberwise_totals
 from charzeta.finfield import classify_conic_encs, is_prime
 from charzeta.globalzeta import CHI5, CHI8, counts_for_space
-from conftest import conic_count_brute, expected_singular_points, prime_powers_upto
+from conftest import (all_fiber_reports, conic_count_brute, expected_singular_points,
+                      prime_powers_upto)
 
 SURFACES = ("L0", "L1", "L2")
 SPACES = ("biprojective", "affine", "nonaffine")
@@ -168,8 +169,8 @@ def test_criterion_10_property_suites():
     for sid in SURFACES:
         for p, n in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (7, 1)]:
             field = make_field(p, n)
-            rec, reports = count_fiberwise(sid, field, all_reports=True)
-            ok &= sum(r.count for r in reports) == rec.count
+            rec = count_fiberwise(sid, field)
+            ok &= sum(r.count for r in all_fiber_reports(sid, field)) == rec.count
     # affine + nonaffine = biprojective
     for sid in SURFACES:
         for p, n in prime_powers_upto(32):

@@ -1,13 +1,15 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import contextlib
+import functools
 import json
 import signal
 
 import pytest
 
-from charzeta.cli import main
-from charzeta.fibercount import MAX_FIBERWISE_Q
+from charzeta import cli, fibercount, finfield, globalzeta
+from charzeta.cli import MAX_VERIFY_PRIME, main
+from charzeta.localzeta import LocalZetaFactors
 
 
 def run(capsys, *argv):
@@ -39,6 +41,16 @@ def test_count_single_method(capsys):
     assert doc["records"][0]["count"] == 2
 
 
+def test_count_fiberwise_beyond_old_char2_cap(capsys):
+    code, doc = run_json(capsys, "count", "--surface", "all", "--p", "2", "--n", "10",
+                         "--space", "all", "--method", "fiberwise")
+    assert code == 0 and doc["ok"]
+    code, formula = run_json(capsys, "count", "--surface", "all", "--p", "2", "--n", "10",
+                             "--space", "all", "--method", "formula")
+    assert code == 0
+    assert [r["count"] for r in doc["records"]] == [r["count"] for r in formula["records"]]
+
+
 def test_count_formula_nonaffine(capsys):
     code, doc = run_json(capsys, "count", "--surface", "L2", "--p", "3",
                          "--space", "nonaffine", "--method", "formula")
@@ -64,19 +76,25 @@ def test_zeta_command_series_mode(capsys):
     assert rec["mode"] == "series"
     assert rec["closed_form"]["factors"] == [
         {"exp": 1, "unit": 25}, {"exp": 6, "unit": 5}, {"exp": 1, "unit": 1}]
-    assert rec["independent_n"] == 8       # 5^8 <= 10^6 < 5^9
-    assert rec["match"]
+    assert len(rec["counts"]) == 14
+    assert rec["match"] is True
 
 
 @pytest.mark.parametrize("p,space", [("1000003", "biprojective"), ("5", "nonaffine"),
                                      ("2", "nonaffine")])
-def test_zeta_without_fiberwise_counts_claims_no_match(capsys, p, space):
-    # every count comes from the closed formula, so no count was checked
+def test_zeta_counts_do_not_come_from_the_closed_form(capsys, monkeypatch, p, space):
+    # a closed form and an Euler factor that agree on the same wrong factors
+    # must not pass: the counts have to disagree with them
+    def wrong(*args):
+        return LocalZetaFactors.from_dict(int(p), {int(p): 1})
+
+    monkeypatch.setattr(globalzeta, "local_zeta_closed_form", wrong)
+    monkeypatch.setattr(globalzeta, "euler_factor", wrong)
+    for sid in ("L0", "L1", "L2"):
+        assert not globalzeta.check_local_zeta(sid, int(p), space).passed
     code, doc = run_json(capsys, "zeta", "--surface", "all", "--p", p, "--space", space)
-    assert code == 0 and doc["ok"]
-    for rec in doc["records"]:
-        assert rec["independent_n"] == 0
-        assert rec["match"] is None
+    assert code == 1 and not doc["ok"]
+    assert [rec["match"] for rec in doc["records"]] == [False] * 3
 
 
 def test_zeta_l2_p3(capsys):
@@ -165,17 +183,39 @@ def test_zeta_rejects_non_prime(capsys, p):
     assert_usage_error(capsys, "zeta", "--surface", "L0", "--p", p)
 
 
+def test_zeta_rejects_primes_without_f_p2(capsys):
+    # fiberwise counts at even n need F_{p^2}, and fields stop at 2^63; this
+    # prime used to pass with every count taken from the closed formula
+    assert_usage_error(capsys, "zeta", "--surface", "all", "--p", "2305843009213693951")
+
+
 @pytest.mark.parametrize("spec", ["200..100", "24..28", "0..1"])
 def test_verify_rejects_empty_prime_range(capsys, spec):
     # an empty prime list used to report ok: true
     assert_usage_error(capsys, "verify", "--surface", "L2", "--primes", spec)
 
 
-@pytest.mark.parametrize("spec", [f"2..{MAX_FIBERWISE_Q + 1}", "999983..1000003",
+@pytest.mark.parametrize("spec", [f"2..{MAX_VERIFY_PRIME + 1}", "999983..1000003",
                                   "1000003", f"2..{10**12}"])
 def test_verify_rejects_primes_beyond_fiberwise_budget(capsys, spec):
-    # above the budget the check compares the closed formula with itself
+    # the range end bounds the size of a verify input
     assert_usage_error(capsys, "verify", "--surface", "L2", "--primes", spec)
+
+
+def test_verify_builds_no_field_beyond_p_squared(capsys, monkeypatch, fresh_descent):
+    built = set()
+
+    @functools.lru_cache(maxsize=None)
+    def recording_make_field(p, n=1):
+        built.add((p, n))
+        return finfield.Field(p, n)
+
+    for module in (finfield, fibercount, globalzeta, cli):
+        if hasattr(module, "make_field"):
+            monkeypatch.setattr(module, "make_field", recording_make_field)
+    code, _ = run_json(capsys, "verify", "--surface", "all", "--primes", "2..199")
+    assert code == 0
+    assert {n for _, n in built} == {1, 2}
 
 
 BAD_TOLERANCES = ["-1", "0", "nan", "inf", "-inf"]
@@ -201,5 +241,4 @@ def test_zeta_and_verify_give_one_verdict(capsys, p):
             item = items[rec["surface"], space]
             for key in ("euler", "recovered", "first_mismatch_n"):
                 assert rec.get(key) == item.get(key), (rec["surface"], space, key)
-            if rec["independent_n"]:
-                assert rec["match"] == item["pass"]
+            assert rec["match"] == item["pass"]

@@ -1,14 +1,20 @@
 """Fiber forms, fiberwise counting, degenerate fibers, and count formulas."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charzeta import (FieldError, classify_fiber, count_fiberwise, count_formula,
-                      degenerate_fibers, fiber_form, fiberwise_totals, make_field)
+                      degenerate_fibers, fiber_form, fiberwise_totals, is_prime, make_field)
+from charzeta import fibercount
+from charzeta.fibercount import _lift, _line_count, descent_totals
+from charzeta.finfield import classify_conic_encs
 from charzeta.varieties import (count_affine_brute, count_biprojective_brute,
                                 count_nonaffine_brute)
-from conftest import conic_count_brute, prime_powers_upto
+from conftest import (all_fiber_reports, conic_count_brute, fiberwise_totals_fq,
+                      prime_powers_upto)
 
 
 def test_fiber_form_examples():
@@ -41,13 +47,11 @@ def test_fiber_form_reproduces_surface_polynomial():
 
 
 def test_count_fiberwise_examples():
-    rec, reports = count_fiberwise("L0", make_field(7))
-    assert rec.count == 99
-    assert sorted(r.base for r in reports) == [(0, 1), (1, 0), (1, 1), (1, 2), (1, 5), (1, 6)]
-    rec, _ = count_fiberwise("L1", make_field(5))
-    assert rec.count == 56
-    rec, _ = count_fiberwise("L2", make_field(3, 2))
-    assert rec.count == 109  # q^2 + 3q + 1 at q = 9
+    assert count_fiberwise("L0", make_field(7)).count == 99
+    assert degenerate_fibers("L0", make_field(7)) == [(0, 1), (1, 0), (1, 1), (1, 2), (1, 5),
+                                                       (1, 6)]
+    assert count_fiberwise("L1", make_field(5)).count == 56
+    assert count_fiberwise("L2", make_field(3, 2)).count == 109  # q^2 + 3q + 1 at q = 9
 
 
 def test_degenerate_fiber_base_points():
@@ -85,7 +89,7 @@ def test_smooth_fibers_contribute_q_plus_one():
     for sid in ("L0", "L1", "L2"):
         for p, n in [(3, 1), (7, 1), (2, 2), (5, 1)]:
             field = make_field(p, n)
-            _, reports = count_fiberwise(sid, field, all_reports=True)
+            reports = all_fiber_reports(sid, field)
             assert len(reports) == field.q + 1
             for r in reports:
                 if not r.degenerate:
@@ -98,8 +102,8 @@ def test_fiber_sum_equals_total():
     for sid in ("L0", "L1", "L2"):
         for p, n in [(2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (11, 1)]:
             field = make_field(p, n)
-            rec, reports = count_fiberwise(sid, field, all_reports=True)
-            assert sum(r.count for r in reports) == rec.count
+            rec = count_fiberwise(sid, field)
+            assert sum(r.count for r in all_fiber_reports(sid, field)) == rec.count
 
 
 def test_char2_fiber_counts_against_dumb_enumeration():
@@ -138,7 +142,7 @@ def test_scalar_classifier_agrees_with_scan():
     for sid in ("L0", "L1", "L2"):
         for p, n in [(3, 2), (5, 1), (2, 2), (7, 1)]:
             field = make_field(p, n)
-            degenerate = {r.base for r in fiberwise_totals(sid, field).degenerate}
+            degenerate = set(degenerate_fibers(sid, field))
             for z in range(field.q):
                 rep = classify_fiber(sid, (z, 1), field)
                 assert rep.degenerate == (rep.base in degenerate)
@@ -173,13 +177,57 @@ def test_count_formula_guards():
         count_formula("L0", 5, 1, "projective")
 
 
-def test_fiberwise_size_guards():
-    with pytest.raises(FieldError):
-        fiberwise_totals("L0", make_field(2, 10))  # 1024 > 512 in char 2
-    with pytest.raises(FieldError):
-        count_fiberwise("L0", make_field(5, 6), all_reports=True)  # 15625 > 4096
-    with pytest.raises(FieldError):
-        fiberwise_totals("L0", make_field(101, 3))  # 101^3 > 1e6
+# every p^n <= 10^6 with p <= 199, 2^n <= 512, and the 24 largest primes below 10^6
+_GATE_FIELDS = ([(p, n) for p in range(2, 200) if is_prime(p) for n in range(1, 20)
+                 if p**n <= (512 if p == 2 else 10**6)]
+                + [(p, 1) for p in range(10**6 - 400, 10**6) if is_prime(p)][-24:])
+
+
+@pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
+def test_descent_equals_fq_oracle(sid):
+    assert len(_GATE_FIELDS) == 174
+    for p, n in _GATE_FIELDS:
+        field = make_field(p, n)
+        totals, reports = fiberwise_totals_fq(sid, field)
+        assert fiberwise_totals(sid, field) == totals, (p, n)
+        assert degenerate_fibers(sid, field) == [r.base for r in reports], (p, n)
+        assert [classify_fiber(sid, b, field) for b in degenerate_fibers(sid, field)] == reports
+
+
+def test_fiberwise_equals_formula_beyond_old_caps():
+    cases = [(p, n) for p in (2, 3, 5, 7, 101, 1000003) for n in range(1, 64)
+             if p**n <= 1 << 63]
+    cases += [(3037000493, 1), (3037000493, 2)]  # the largest p with p^2 <= 2^63
+    for sid in ("L0", "L1", "L2"):
+        for p, n in cases:
+            totals = descent_totals(sid, p, n)
+            for space in ("biprojective", "affine", "nonaffine"):
+                assert totals.count(space) == count_formula(sid, p, n, space).count, \
+                    (sid, p, n, space)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lift_matches_counts_over_extensions(p):
+    # the forms a(x^2 + y^2) + bxy + cu^2 over F_p, counted over F_p and
+    # lifted, against the same forms counted over F_{p^e}
+    prime = make_field(p)
+    for e in (1, 2, 3):
+        field = make_field(p, e)
+        for a, b, c in itertools.product(range(p), repeat=3):
+            form = (a, a, c, b, 0, 0)
+            assert _lift(_line_count(prime, form), p, field.q, e) == _line_count(field, form)
+            if p != 2:
+                points = (classify_conic_encs(prime, form).point_count - 1) // p
+                assert (field.q * _lift(points, p, field.q, e) + 1
+                        == classify_conic_encs(field, form).point_count), (form, e)
+
+
+def test_locus_with_a_root_outside_f_p2_is_refused(monkeypatch, fresh_descent):
+    # z^3 - z - 1 is irreducible mod 3, so its roots lie in F_27 only
+    cubic = [-1, -1, 0, 1]
+    monkeypatch.setattr(fibercount, "_bundle_loci", lambda sid: (1, cubic, cubic))
+    with pytest.raises(ValueError):
+        fiberwise_totals("L2", make_field(3))
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])

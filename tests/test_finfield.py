@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charzeta import FieldError, classify_conic, classify_conic_encs, is_prime, make_field
-from charzeta.finfield import MAX_EXT_DEGREE, MAX_Q, MAX_TABLE_Q, Field, field_roots
+from charzeta.finfield import (MAX_EXT_DEGREE, MAX_Q, MAX_TABLE_Q, Field, low_degree_factors,
+                               quadratic_roots)
 from charzeta.varieties import MAX_AFFINE_Q
-from conftest import conic_count_brute, schoolbook_mul
+from conftest import conic_count_brute, field_roots, schoolbook_mul
 
 
 def test_make_field_prime():
@@ -191,6 +192,33 @@ def test_field_roots_match_enumeration(pn, factors):
         return
     expected = [z for z in range(field.q) if _eval_int_poly(field, g, z) == 0]
     assert field_roots(g, field) == expected
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.sampled_from([p for p in range(2, 24) if is_prime(p)]),
+       st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=4), min_size=1, max_size=3))
+def test_low_degree_factors_match_enumeration(p, factors):
+    # a product of factors of degree <= 3 has a root outside F_{p^2} exactly
+    # when one of them is a cubic without roots mod p
+    g = [1]
+    for f in factors:
+        g = [sum(g[i] * f[k - i] for i in range(len(g)) if 0 <= k - i < len(f))
+             for k in range(len(g) + len(f) - 1)]
+    prime = make_field(p)
+    reduced = [[c % p for c in f] for f in factors]
+    if not all(any(f) for f in reduced) or any(
+            f[-1] and all(_eval_int_poly(prime, f, z) for z in range(p))
+            for f in reduced if len(f) == 4):
+        with pytest.raises(FieldError):
+            low_degree_factors(g, p)
+        return
+    roots, quadratics = low_degree_factors(g, p)
+    assert roots == [z for z in range(p) if _eval_int_poly(prime, g, z) == 0]
+    field = make_field(p, 2)
+    pairs = [quadratic_roots(f, field) for f in quadratics]
+    assert all(len(pair) == 2 and min(pair) >= p for pair in pairs)  # irreducible
+    expected = [z for z in range(p, field.q) if _eval_int_poly(field, g, z) == 0]
+    assert sorted(z for pair in pairs for z in pair) == expected
 
 
 # largest prime p with p^2 <= 2^63
