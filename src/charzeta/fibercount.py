@@ -2,14 +2,17 @@
 
 The fiber of each surface over (z : 1) is the plane conic
 a(z)(x^2 + y^2) + b(z)xy + c(z)u^2; the model is checked to have equal x^2
-and y^2 coefficients and no xu or yu terms.  It is a smooth conic with
-q + 1 points unless z is a root of the degenerate locus c(b^2 - 4a^2), or
-of bc in characteristic 2.  Off those roots the line u = 0 of the fiber
-has a fixed number of points as well, because two identities hold for
-every model, checked when it is first used: b^2 - 4a^2 is a constant k
-times a square, so the line carries 1 + chi(k) points in odd
-characteristic; and a/b = h + h^2 with h = 1/(z + 1) over F_2(z), so a/b
-has absolute trace 0 and the line carries 2 points in characteristic 2.
+and y^2 coefficients and no xu or yu terms.  Every fiber is counted by one
+rule (_conic) in every characteristic: from the zeros of the binary part
+on the line u = 0 and, in odd characteristic, the square class of -ac.
+It is a smooth conic with q + 1 points unless z is a root of the
+degenerate locus c(b^2 - 4a^2), or of bc in characteristic 2.  Off those
+roots the line u = 0 of the fiber has a fixed number of points as well,
+because two identities hold for every model, checked when it is first
+used: b^2 - 4a^2 is a constant k times a square, so the line carries
+1 + chi(k) points in odd characteristic; and a/b = h + h^2 with
+h = 1/(z + 1) over F_2(z), so a/b has absolute trace 0 and the line
+carries 2 points in characteristic 2.
 
 The totals over P^1(F_q), q = p^n, therefore need only the fibers over
 (1 : 0) and over the roots of the locus.  Those roots lie in F_{p^2}
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .finfield import (Field, FieldError, classify_conic_encs, is_prime, low_degree_factors,
-                       make_field, quadratic_roots, split_roots)
+from .finfield import (Field, FieldError, is_prime, low_degree_factors, make_field,
+                       quadratic_roots, split_roots)
 from .localzeta import local_zeta_closed_form
 from .varieties import CountRecord, _as_model
 
@@ -45,8 +48,6 @@ class FiberReport:
     base: tuple[int, int]      # canonical (z : w), encodings
     count: int
     degenerate: bool
-    rank: int | None = None    # None in characteristic 2
-    split: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,6 @@ class FiberwiseTotals:
 
     def count(self, space: str) -> int:
         return getattr(self, space)
-
-
-def fiber_form(model, basepoint, field: Field) -> tuple[int, ...]:
-    """Coefficients (x^2, y^2, u^2, xy, xu, yu) of F restricted to a fiber."""
-    return _as_model(model).fiber_form_encs(basepoint, field)
 
 
 def _canonical_base(field: Field, z: int, w: int) -> tuple[int, int]:
@@ -89,21 +85,31 @@ def _line_count(field: Field, coeffs) -> int:
     return 2 if field.trace(field.mul(a, field.inv(b))) == 0 else 0
 
 
+def _conic(field: Field, coeffs) -> tuple[int, bool]:
+    """(points in P^2(F_q), degenerate) of the fiber form a(x^2 + y^2) + bxy + cu^2.
+
+    With L the zeros on u = 0: for c = 0 the conic is the cone over them
+    from (0 : 0 : 1); for c != 0 and L in {0, 2} it is smooth; otherwise the
+    binary part is a*l^2 or 0, and a*l^2 + cu^2 is a line pair, split iff
+    -ac is a square, or a double line in characteristic 2 or when a = 0.
+    """
+    a, a2, c, _, e, f = coeffs
+    if a != a2 or e or f:
+        raise AssertionError("fiber form outside the supported shape")
+    q, line = field.q, _line_count(field, coeffs)
+    if c == 0:
+        return q * line + 1, True
+    if line in (0, 2):
+        return q + 1, False
+    chi = 0 if field.p == 2 else field.quadratic_character(field.neg(field.mul(a, c)))
+    return q + 1 + q * chi, True
+
+
 def classify_fiber(model, basepoint, field: Field) -> FiberReport:
     """Exact report for a single fiber."""
     coeffs = _as_model(model).fiber_form_encs(basepoint, field)
-    base = _canonical_base(field, *(int(c) for c in basepoint))
-    if field.p != 2:
-        cls = classify_conic_encs(field, coeffs)
-        return FiberReport(base, cls.point_count, cls.rank < 3, cls.rank, cls.split)
-    a, a2, c, b, e, f = coeffs
-    if a != a2 or e or f:
-        raise AssertionError("fiber form outside the supported shape")
-    # c != 0: a smooth conic (b != 0) or the double line sqrt(a)(x + y) = sqrt(c)u;
-    # c = 0: the lines joining the apex (0 : 0 : 1) to the zeros on u = 0
-    count = field.q * (1 if c else _line_count(field, coeffs)) + 1
-    # smooth iff b != 0 (partials b*y, b*x, 0) and the apex is off it (c != 0)
-    return FiberReport(base, count, not (b and c))
+    return FiberReport(_canonical_base(field, *(int(c) for c in basepoint)),
+                       *_conic(field, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +170,8 @@ def _bundle_loci(surface_id: str):
 
 def _fiber_counts(model, roots, field: Field):
     """(points, points on the line u = 0) of the fibers over (z : 1), z in roots."""
-    return tuple((classify_fiber(model, (z, 1), field).count,
-                  _line_count(field, model.fiber_form_encs((z, 1), field))) for z in roots)
+    forms = [model.fiber_form_encs((z, 1), field) for z in roots]
+    return tuple((_conic(field, form)[0], _line_count(field, form)) for form in forms)
 
 
 @functools.lru_cache(maxsize=256)

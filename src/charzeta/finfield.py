@@ -1,4 +1,4 @@
-"""Exact arithmetic in F_p and F_{p^n}, quadratic characters, and conic classification.
+"""Exact arithmetic in F_p and F_{p^n}, quadratic characters, and polynomial roots.
 
 Elements of F_q, q = p^n, are encoded as integers in [0, q): the element
 a0 + a1*x + ... + a_{n-1}*x^{n-1} (coefficients in [0, p)) has encoding
@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
-MAX_EXT_DEGREE = 24
 MAX_Q = 1 << 63
+MAX_EXT_DEGREE = MAX_Q.bit_length() - 1  # q = p^n <= 2^63 and p >= 2
 MAX_TABLE_Q = 2048
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -650,102 +649,3 @@ def low_degree_factors(coeffs, p: int):
         raise FieldError(f"the polynomial has roots outside F_{p}^2")
     linear = _fq_gcd(h, _poly_sub_x(_poly_divmod(frob, h, p)[1], p), prime)
     return split_roots(linear, prime), _factors(_fq_divmod(h, linear, prime)[0], prime, 2)
-
-
-# ---------------------------------------------------------------------------
-# ternary conic classification, odd characteristic
-
-
-@dataclass(frozen=True)
-class ConicClass:
-    """Isomorphism class of a ternary quadratic form's zero locus in P^2.
-
-    rank 3: smooth conic, q+1 points; rank 2 split: two rational lines,
-    2q+1; rank 2 nonsplit: conjugate lines meeting in one rational point,
-    1; rank 1: double line, q+1; rank 0: all of P^2, q^2+q+1.
-    """
-
-    rank: int
-    split: bool | None
-    point_count: int
-
-
-def _conic_point_count(rank: int, split: bool | None, q: int) -> int:
-    if rank == 3:
-        return q + 1
-    if rank == 2:
-        return 2 * q + 1 if split else 1
-    if rank == 1:
-        return q + 1
-    return q * q + q + 1
-
-
-def classify_conic(field: Field, coefficients) -> ConicClass:
-    """Classify a*x^2 + b*y^2 + c*u^2 + d*xy + e*xu + f*yu over F_q, q odd.
-
-    Coefficients are integers, taken as prime-subfield constants (reduced
-    mod p); classify_conic_encs takes element encodings instead.  The rank
-    is that of the associated symmetric matrix; a rank-2 form splits into
-    two rational lines exactly when minus the product of the two nonzero
-    entries of a congruent diagonal form is a square.
-    """
-    return classify_conic_encs(field, tuple(field.int_(x) for x in coefficients))
-
-
-def classify_conic_encs(field: Field, coefficient_encodings) -> ConicClass:
-    """classify_conic on raw element encodings (no coercion)."""
-    if field.p == 2:
-        raise FieldError("conic classification requires odd characteristic")
-    a, b, c, d, e, f = (int(x) for x in coefficient_encodings)
-    h = field.inv(field.int_(2))
-    mm = field.mul
-    m = [[a, mm(d, h), mm(e, h)],
-         [mm(d, h), b, mm(f, h)],
-         [mm(e, h), mm(f, h), c]]
-    diag = _congruence_diagonalize(field, m)
-    nonzero = [x for x in diag if x != 0]
-    rank = len(nonzero)
-    split = None
-    if rank == 2:
-        split = field.quadratic_character(field.neg(mm(nonzero[0], nonzero[1]))) == 1
-    return ConicClass(rank, split, _conic_point_count(rank, split, field.q))
-
-
-def _congruence_diagonalize(field: Field, m) -> list[int]:
-    """Diagonalise a symmetric 3x3 matrix over F_q (odd char) by congruence."""
-    mm, add, neg = field.mul, field.add, field.neg
-
-    def add_row_col(i, j):  # row_i += row_j, col_i += col_j
-        for k in range(3):
-            m[i][k] = add(m[i][k], m[j][k])
-        for k in range(3):
-            m[k][i] = add(m[k][i], m[k][j])
-
-    def swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-    for step in range(3):
-        if m[step][step] == 0:
-            pivot = next((k for k in range(step + 1, 3) if m[k][k] != 0), None)
-            if pivot is not None:
-                swap(step, pivot)
-            else:
-                pair = next(((i, j) for i in range(step, 3) for j in range(i + 1, 3)
-                             if m[i][j] != 0), None)
-                if pair is None:
-                    break
-                add_row_col(pair[0], pair[1])  # makes m[i][i] = 2*m[i][j] != 0
-                if pair[0] != step:
-                    swap(step, pair[0])
-        d = m[step][step]
-        dinv = field.inv(d)
-        for r in range(step + 1, 3):
-            if m[r][step] != 0:
-                factor = neg(mm(m[r][step], dinv))
-                for k in range(3):
-                    m[r][k] = add(m[r][k], mm(factor, m[step][k]))
-                for k in range(3):
-                    m[k][r] = add(m[k][r], mm(factor, m[k][step]))
-    return [m[0][0], m[1][1], m[2][2]]

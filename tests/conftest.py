@@ -136,6 +136,15 @@ def conic_count_brute(field, coeff_encs):
     return int(np.count_nonzero(v == 0))
 
 
+def fiber_determinant(field, form):
+    """Up to a unit, the determinant of the fiber form a(x^2 + y^2) + bxy + cu^2:
+    c(b^2 - 4a^2), or bc in characteristic 2.  Zero iff the conic is degenerate."""
+    a, _, c, b, _, _ = form
+    if field.p == 2:
+        return field.mul(b, c)
+    return field.mul(c, field.sub(field.mul(b, b), field.mul(field.int_(4), field.mul(a, a))))
+
+
 def schoolbook_mul(field, a, b):
     """Independent oracle: a*b in F_q by digit convolution and long division.
 

@@ -15,11 +15,11 @@ from charzeta import (count_affine_brute, count_biprojective_brute,
                       mahler_measure_mc, recover_factors, riemann_zeta,
                       singular_locus, verify_global, verify_table1,
                       zeta_series_from_counts)
-from charzeta.fibercount import fiberwise_totals
-from charzeta.finfield import classify_conic_encs, is_prime
+from charzeta.fibercount import _conic, fiberwise_totals
+from charzeta.finfield import is_prime
 from charzeta.globalzeta import CHI5, CHI8, counts_for_space
 from conftest import (all_fiber_reports, conic_count_brute, expected_singular_points,
-                      prime_powers_upto)
+                      fiber_determinant, prime_powers_upto)
 
 SURFACES = ("L0", "L1", "L2")
 SPACES = ("biprojective", "affine", "nonaffine")
@@ -178,12 +178,13 @@ def test_criterion_10_property_suites():
             ok &= (count_affine_brute(sid, field).count
                    + count_nonaffine_brute(sid, field).count
                    == count_biprojective_brute(sid, field).count)
-    # conic classification against P^2 enumeration, 200 random forms per field
-    for p, n in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]:
+    # the fiber rule against P^2 enumeration, 200 random fiber-shaped forms per field
+    for p, n in [(2, 2), (3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]:
         field = make_field(p, n)
         rng = random.Random(1000 + field.q)
         for _ in range(200):
-            coeffs = tuple(rng.randrange(field.q) for _ in range(6))
-            ok &= classify_conic_encs(field, coeffs).point_count == \
-                conic_count_brute(field, coeffs)
+            a, b, c = (rng.randrange(field.q) for _ in range(3))
+            coeffs = (a, a, c, b, 0, 0)
+            ok &= _conic(field, coeffs) == (conic_count_brute(field, coeffs),
+                                            fiber_determinant(field, coeffs) == 0)
     report("10 property suites (integrality, fiber sums, space additivity, conics)", ok)

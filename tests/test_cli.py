@@ -51,6 +51,16 @@ def test_count_fiberwise_beyond_old_char2_cap(capsys):
     assert [r["count"] for r in doc["records"]] == [r["count"] for r in formula["records"]]
 
 
+def test_count_fiberwise_at_degree_40(capsys):
+    # q = 2^40 < 2^63; this used to be refused with "extension degree 40 outside 1..24"
+    argv = ("count", "--surface", "all", "--p", "2", "--n", "40", "--space", "all")
+    code, doc = run_json(capsys, *argv, "--method", "fiberwise")
+    assert code == 0 and doc["ok"]
+    code, formula = run_json(capsys, *argv, "--method", "formula")
+    assert code == 0
+    assert [r["count"] for r in doc["records"]] == [r["count"] for r in formula["records"]]
+
+
 def test_count_formula_nonaffine(capsys):
     code, doc = run_json(capsys, "count", "--surface", "L2", "--p", "3",
                          "--space", "nonaffine", "--method", "formula")
@@ -187,6 +197,12 @@ def test_zeta_rejects_primes_without_f_p2(capsys):
     # fiberwise counts at even n need F_{p^2}, and fields stop at 2^63; this
     # prime used to pass with every count taken from the closed formula
     assert_usage_error(capsys, "zeta", "--surface", "all", "--p", "2305843009213693951")
+
+
+@pytest.mark.parametrize("n", ["64", "1000000000"])
+def test_count_rejects_fields_beyond_2_63(capsys, n):
+    # p >= 2 bounds n by 63, checked before p^n is formed
+    assert_usage_error(capsys, "count", "--p", "2", "--n", n, "--method", "formula")
 
 
 @pytest.mark.parametrize("spec", ["200..100", "24..28", "0..1"])

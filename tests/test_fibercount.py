@@ -1,42 +1,41 @@
 """Fiber forms, fiberwise counting, degenerate fibers, and count formulas."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charzeta import (FieldError, classify_fiber, count_fiberwise, count_formula,
-                      degenerate_fibers, fiber_form, fiberwise_totals, is_prime, make_field)
+                      degenerate_fibers, fiberwise_totals, is_prime, make_field, surface)
 from charzeta import fibercount
-from charzeta.fibercount import _lift, _line_count, descent_totals
-from charzeta.finfield import classify_conic_encs
+from charzeta.fibercount import _conic, _lift, _line_count, descent_totals
 from charzeta.varieties import (count_affine_brute, count_biprojective_brute,
                                 count_nonaffine_brute)
-from conftest import (all_fiber_reports, conic_count_brute, fiberwise_totals_fq,
-                      prime_powers_upto)
+from conftest import (all_fiber_reports, conic_count_brute, fiber_determinant,
+                      fiberwise_totals_fq, prime_powers_upto)
 
 
 def test_fiber_form_examples():
-    f7 = make_field(7)
+    f7, fiber_form = make_field(7), surface("L0").fiber_form_encs
     # fiber at (1:0) is u^2 = 0
-    assert fiber_form("L0", (1, 0), f7) == (0, 0, 1, 0, 0, 0)
+    assert fiber_form((1, 0), f7) == (0, 0, 1, 0, 0, 0)
     # fiber at (0:1) is -xy = 0
-    assert fiber_form("L0", (0, 1), f7) == (0, 0, 0, 6, 0, 0)
+    assert fiber_form((0, 1), f7) == (0, 0, 0, 6, 0, 0)
     # fiber at (1:1) over F_5 equals (x - y)^2 - u^2 = ((x-y)-u)((x-y)+u)
     f5 = make_field(5)
-    assert fiber_form("L0", (1, 1), f5) == (1, 1, 4, 3, 0, 0)
+    assert fiber_form((1, 1), f5) == (1, 1, 4, 3, 0, 0)
 
 
 def test_fiber_form_reproduces_surface_polynomial():
     for sid in ("L0", "L1", "L2"):
         for p, n in [(3, 1), (5, 1), (2, 2), (7, 1)]:
             field = make_field(p, n)
-            from charzeta import surface
             m = surface(sid)
             for z in list(range(min(field.q, 6))) + [1]:
                 w = 1 if z != 1 else 0
-                a, b, c, d, e, f = fiber_form(sid, (z, w), field)
+                a, b, c, d, e, f = m.fiber_form_encs((z, w), field)
                 for x, y, u in [(1, 2 % field.q, 1), (0, 1, 1), (1, 1, 0), (2 % field.q, 3 % field.q, 1)]:
                     form_val = 0
                     for coef, mono in zip((a, b, c, d, e, f),
@@ -94,8 +93,7 @@ def test_smooth_fibers_contribute_q_plus_one():
             for r in reports:
                 if not r.degenerate:
                     assert r.count == field.q + 1
-                    if field.p != 2:
-                        assert r.rank == 3
+                    assert fiber_determinant(field, surface(sid).fiber_form_encs(r.base, field))
 
 
 def test_fiber_sum_equals_total():
@@ -108,13 +106,12 @@ def test_fiber_sum_equals_total():
 
 def test_char2_fiber_counts_against_dumb_enumeration():
     # independent oracle: evaluate the fiber form at every P^2 representative
-    from charzeta import fiber_form, surface
     from conftest import p2_reps
     for sid in ("L0", "L1", "L2"):
         for n in (1, 2, 3):
             field = make_field(2, n)
             for z, w in [(t, 1) for t in range(field.q)] + [(1, 0)]:
-                coeffs = fiber_form(sid, (z, w), field)
+                coeffs = surface(sid).fiber_form_encs((z, w), field)
                 dumb = 0
                 for (x, y, u) in p2_reps(field):
                     v = 0
@@ -125,17 +122,46 @@ def test_char2_fiber_counts_against_dumb_enumeration():
                 assert classify_fiber(sid, (z, w), field).count == dumb
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(st.sampled_from(["L0", "L1", "L2"]), st.integers(1, 6), st.data())
-def test_char2_fiber_counts_property(sid, n, data):
-    # the trace-based count against P^2 enumeration, q <= 64; half of the
-    # draws are degenerate fibers, which a uniform z would rarely hit
-    field = make_field(2, n)
+_PROPERTY_FIELDS = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 7) if p**n <= 64]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(["L0", "L1", "L2"]), st.sampled_from(_PROPERTY_FIELDS), st.data())
+def test_char2_fiber_counts_property(sid, pn, data):
+    # the one fiber rule, in every characteristic, against P^2 enumeration at
+    # q <= 64; half of the draws are degenerate fibers, which a uniform z
+    # would rarely hit
+    field = make_field(*pn)
     base = data.draw(st.one_of(
         st.sampled_from(degenerate_fibers(sid, field)),
         st.integers(0, field.q - 1).map(lambda z: (z, 1))))
-    coeffs = fiber_form(sid, base, field)
-    assert classify_fiber(sid, base, field).count == conic_count_brute(field, coeffs)
+    coeffs = surface(sid).fiber_form_encs(base, field)
+    report = classify_fiber(sid, base, field)
+    assert report.count == conic_count_brute(field, coeffs)
+    assert report.degenerate == (fiber_determinant(field, coeffs) == 0)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (5, 2), (3, 3), (2, 5)])
+def test_conic_rule_vs_enumeration(p, n):
+    # every form a(x^2 + y^2) + bxy + cu^2 for q <= 9, 200 seeded ones above
+    field = make_field(p, n)
+    if field.q <= 9:
+        forms = itertools.product(range(field.q), repeat=3)
+    else:
+        rng = random.Random(field.q)
+        forms = [tuple(rng.randrange(field.q) for _ in range(3)) for _ in range(200)]
+    for a, b, c in forms:
+        form = (a, a, c, b, 0, 0)
+        assert _conic(field, form) == (conic_count_brute(field, form),
+                                       fiber_determinant(field, form) == 0), form
+
+
+def test_conic_rule_refuses_other_shapes():
+    with pytest.raises(AssertionError):
+        _conic(make_field(3), (1, 2, 1, 0, 0, 0))
+    with pytest.raises(AssertionError):
+        _conic(make_field(2), (1, 1, 1, 0, 1, 0))
 
 
 def test_scalar_classifier_agrees_with_scan():
@@ -216,10 +242,8 @@ def test_lift_matches_counts_over_extensions(p):
         for a, b, c in itertools.product(range(p), repeat=3):
             form = (a, a, c, b, 0, 0)
             assert _lift(_line_count(prime, form), p, field.q, e) == _line_count(field, form)
-            if p != 2:
-                points = (classify_conic_encs(prime, form).point_count - 1) // p
-                assert (field.q * _lift(points, p, field.q, e) + 1
-                        == classify_conic_encs(field, form).point_count), (form, e)
+            points = (_conic(prime, form)[0] - 1) // p
+            assert field.q * _lift(points, p, field.q, e) + 1 == _conic(field, form)[0], (form, e)
 
 
 def test_locus_with_a_root_outside_f_p2_is_refused(monkeypatch, fresh_descent):
