@@ -26,6 +26,7 @@ from .varieties import (count_affine_brute, count_biprojective_brute,
 
 SCHEMA = "charzeta/1"
 MAX_VERIFY_PRIME = 10**6
+MAX_MAHLER_SAMPLES = 10**8
 SURFACE_CHOICES = ("L0", "L1", "L2", "all")
 
 
@@ -189,7 +190,8 @@ def cmd_mahler(args) -> tuple[dict, int]:
     ok = abs(estimate - target) < args.tol
     doc = {"schema": SCHEMA, "command": "mahler",
            "records": [{"poly": args.poly, "samples": args.samples, "seed": args.seed,
-                        "estimate": estimate, "stderr": stderr,
+                        "estimate": estimate,
+                        "stderr": stderr if math.isfinite(stderr) else None,  # inf at one sample
                         "target": target, "abs_error": abs(estimate - target)}],
            "ok": ok}
     return doc, 0 if ok else 1
@@ -204,6 +206,14 @@ def positive_float(text: str) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return tol
+
+
+def sample_count(text: str) -> int:
+    """argparse type for --samples: an integer in 1..MAX_MAHLER_SAMPLES."""
+    samples = int(text)
+    if not 1 <= samples <= MAX_MAHLER_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_MAHLER_SAMPLES}, got {text}")
+    return samples
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mahler", help="Monte Carlo Mahler measure")
     add_common(p)
     p.add_argument("--poly", choices=("1+x+y+z", "1"), default="1+x+y+z")
-    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--samples", type=sample_count, default=10**6)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=positive_float, default=5e-3)
     p.set_defaults(func=cmd_mahler)

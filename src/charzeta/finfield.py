@@ -122,16 +122,20 @@ def _poly_sub_x(a, p):
 
 
 def _is_irreducible(mod, p):
-    """Rabin test for a monic polynomial over F_p."""
-    n = len(mod) - 1
-    if n <= 0:
-        return False
+    """Ben-Or's test for a monic polynomial of degree n >= 2 over F_p.
+
+    f is reducible iff it has a factor of degree i <= n/2, i.e. iff
+    gcd(x^(p^i) - x, f) != 1 for some such i; the powers x^(p^i) mod f come
+    by successive p-th powers, and the test stops at the first common factor,
+    which random polynomials tend to have at small i.
+    """
     prime = make_field(p)
-    for ell in _prime_factors(n):  # the cheaper conditions first
-        diff = _poly_sub_x(_fq_pow([0, 1], p ** (n // ell), mod, prime), p)
-        if len(_fq_gcd(list(mod), diff, prime)) != 1:
+    g = [0, 1]
+    for _ in range((len(mod) - 1) // 2):
+        g = _fq_pow(g, p, mod, prime)
+        if len(_fq_gcd(list(mod), _poly_sub_x(g, p), prime)) != 1:
             return False
-    return not _poly_sub_x(_fq_pow([0, 1], p**n, mod, prime), p)
+    return True
 
 
 def first_irreducible(p: int, n: int) -> tuple[int, ...]:

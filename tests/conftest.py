@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import pytest
 
 from charzeta import BiprojectivePoint, classify_fiber, fibercount, is_prime, make_field, surface
 from charzeta.fibercount import FiberwiseTotals, _bundle_loci, _line_count, _zmul
-from charzeta.finfield import (FieldError, _fq_divmod, _fq_gcd, _fq_monic, _fq_pow, _poly_sub_x,
-                               _poly_trim, split_roots)
+from charzeta.finfield import (FieldError, _fq_divmod, _fq_gcd, _fq_monic, _fq_pow,
+                               _poly_sub_x, _poly_trim, _prime_factors, split_roots)
+from charzeta.specialvalues import _MC_CHUNK
 
 MAX_ALL_REPORTS_Q = 4096
 
@@ -280,3 +282,57 @@ def expected_singular_points(surface_id, field):
         return pts
 
     raise ValueError(surface_id)
+
+
+def _is_irreducible_rabin(mod, p):
+    """Rabin's test for a monic polynomial of degree n >= 1 over F_p:
+    gcd(x^(p^(n/l)) - x, f) = 1 for every prime l | n, and f | x^(p^n) - x."""
+    n = len(mod) - 1
+    prime = make_field(p)
+    for ell in _prime_factors(n):
+        diff = _poly_sub_x(_fq_pow([0, 1], p ** (n // ell), mod, prime), p)
+        if len(_fq_gcd(list(mod), diff, prime)) != 1:
+            return False
+    return not _poly_sub_x(_fq_pow([0, 1], p**n, mod, prime), p)
+
+
+def first_irreducible_rabin(p, n):
+    """Oracle for finfield.first_irreducible: the same candidate order
+    (ascending base-p encoding of the lower coefficients), tested by Rabin."""
+    for enc in range(p**n):
+        mod = [enc // p**i % p for i in range(n)] + [1]
+        if _is_irreducible_rabin(mod, p):
+            return tuple(mod)
+    raise AssertionError(f"no irreducible polynomial of degree {n} over F_{p}")
+
+
+def mahler_mc_serial(poly_id, samples, seed):
+    """Oracle for specialvalues.mahler_measure_mc: the chunked serial loop,
+    one chunk after another in a single thread."""
+    if poly_id == "1":
+        return 0.0, 0.0
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    chunk_index = 0
+    while done < samples:
+        m = min(_MC_CHUNK, samples - done)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+        t = rng.random((m, 3))
+        ang = 2.0 * np.pi * t
+        re = 1.0 + np.cos(ang).sum(axis=1)
+        im = np.sin(ang).sum(axis=1)
+        r2 = re * re + im * im
+        r2 = np.maximum(r2, np.finfo(float).tiny)  # the zero set has measure zero
+        vals = 0.5 * np.log(r2)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += m
+        chunk_index += 1
+    mean = total / samples
+    if samples > 1:
+        var = (total_sq - total * total / samples) / (samples - 1)
+        stderr = math.sqrt(max(var, 0.0) / samples)
+    else:
+        stderr = float("inf")
+    return mean, stderr

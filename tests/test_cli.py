@@ -8,7 +8,7 @@ import signal
 import pytest
 
 from charzeta import cli, fibercount, finfield, globalzeta
-from charzeta.cli import MAX_VERIFY_PRIME, main
+from charzeta.cli import MAX_MAHLER_SAMPLES, MAX_VERIFY_PRIME, build_parser, main
 from charzeta.localzeta import LocalZetaFactors
 
 
@@ -137,6 +137,38 @@ def test_mahler_command_deterministic(capsys):
     code2, out2 = run(capsys, "mahler", "--samples", "50000", "--seed", "42")
     assert code1 == code2 == 0
     assert out1 == out2  # bit-identical output for identical invocations
+
+
+def test_mahler_accepts_samples_up_to_the_cap():
+    # parsed only: the cap itself takes seconds to run
+    args = build_parser().parse_args(["mahler", "--samples", str(MAX_MAHLER_SAMPLES)])
+    assert args.samples == MAX_MAHLER_SAMPLES
+
+
+@pytest.mark.parametrize("samples", [str(MAX_MAHLER_SAMPLES + 1), "0", "-1", str(10**15)])
+def test_mahler_rejects_samples_outside_range(capsys, samples):
+    assert_usage_error(capsys, "mahler", "--samples", samples)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("mahler", "--samples", "1"), id="mahler-one-sample"),
+    pytest.param(("mahler", "--samples", "2", "--poly", "1"), id="mahler-constant"),
+    pytest.param(("special",), id="special"),
+    pytest.param(("count", "--p", "3", "--n", "2", "--space", "all"), id="count"),
+    pytest.param(("verify", "--primes", "2..7"), id="verify"),
+    pytest.param(("zeta", "--surface", "L1", "--p", "5"), id="zeta"),
+    pytest.param(("singular", "--surface", "L0", "--p", "3"), id="singular"),
+])
+def test_stdout_is_strict_json(capsys, argv):
+    # mahler --samples 1 used to print "stderr": Infinity
+    main(list(argv))
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    if argv[0] == "mahler" and argv[2] == "1":
+        assert doc["records"][0]["stderr"] is None
 
 
 def test_usage_error_exit_code(capsys):

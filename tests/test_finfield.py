@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from charzeta import FieldError, is_prime, make_field
 from charzeta.fibercount import _conic
-from charzeta.finfield import MAX_Q, MAX_TABLE_Q, Field, low_degree_factors, quadratic_roots
+from charzeta.finfield import (MAX_Q, MAX_TABLE_Q, Field, _is_irreducible, first_irreducible,
+                               low_degree_factors, quadratic_roots)
 from charzeta.varieties import MAX_AFFINE_Q
-from conftest import conic_count_brute, fiber_determinant, field_roots, schoolbook_mul
+from conftest import (_is_irreducible_rabin, conic_count_brute, fiber_determinant, field_roots,
+                      first_irreducible_rabin, schoolbook_mul)
 
 
 def test_make_field_prime():
@@ -50,6 +52,23 @@ def test_modulus_is_irreducible_exhaustive():
         for r in range(p):
             val = sum(c * r**i for i, c in enumerate(mod)) % p
             assert val != 0, (p, n, mod, r)
+
+
+@pytest.mark.parametrize("p,max_n", [(2, 6), (3, 5), (5, 4)])
+def test_ben_or_matches_rabin_exhaustive(p, max_n):
+    for n in range(2, max_n + 1):
+        for enc in range(p**n):
+            mod = [enc // p**i % p for i in range(n)] + [1]
+            assert _is_irreducible(mod, p) == _is_irreducible_rabin(mod, p), mod
+
+
+def test_first_irreducible_matches_rabin():
+    # every field with p <= 13 and p^n <= 10^6 gets the modulus Rabin's test picks
+    for p in (2, 3, 5, 7, 11, 13):
+        n = 2
+        while p**n <= 10**6:
+            assert first_irreducible(p, n) == first_irreducible_rabin(p, n), (p, n)
+            n += 1
 
 
 def test_inverse_in_f5():

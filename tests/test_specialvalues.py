@@ -1,14 +1,20 @@
 """Numerics: zeta, L-functions, regulators, Laurent data, Mahler measure."""
 
+import concurrent.futures
 import math
+import time
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from charzeta import (CHI5, CHI8, dirichlet_L, hurwitz_zeta_deflated,
                       laurent_leading, mahler_measure_mc, main_term_expression,
                       regulator, riemann_zeta, verify_table1)
-from charzeta.specialvalues import QUAD_FIELD_DATA
+from charzeta import specialvalues
+from charzeta.specialvalues import _MC_CHUNK, QUAD_FIELD_DATA
+from conftest import mahler_mc_serial
 
 mpmath.mp.dps = 30
 
@@ -226,3 +232,54 @@ def test_mahler_rejects_bad_input():
         mahler_measure_mc("1+x+y+z", 0, 1)
     with pytest.raises(ValueError):
         mahler_measure_mc("x^2-1", 100, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(samples=st.integers(1, 4 * _MC_CHUNK), seed=st.integers(0, 2**64 - 1))
+@example(samples=1, seed=0)
+@example(samples=2, seed=42)
+@example(samples=_MC_CHUNK - 1, seed=7)
+@example(samples=_MC_CHUNK, seed=11)
+@example(samples=_MC_CHUNK + 1, seed=3)
+@example(samples=3 * _MC_CHUNK + 5, seed=42)
+def test_mahler_matches_serial_oracle(samples, seed):
+    # the chunks run on a thread pool; mean and stderr stay bit-identical
+    # to the one-chunk-at-a-time loop
+    assert mahler_measure_mc("1+x+y+z", samples, seed) == mahler_mc_serial("1+x+y+z", samples, seed)
+
+
+def test_mahler_independent_of_thread_count(monkeypatch):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(specialvalues.os, "cpu_count", lambda: 8)
+    samples = 5 * _MC_CHUNK + 3
+    results = []
+    for bound in (1, 3):
+        monkeypatch.setattr(specialvalues, "_MC_MAX_THREADS", bound)
+        results.append(mahler_measure_mc("1+x+y+z", samples, 5))
+    assert pools == [1, 3]
+    assert results[0] == results[1] == mahler_mc_serial("1+x+y+z", samples, 5)
+    mahler_measure_mc("1+x+y+z", _MC_CHUNK + 1, 5)  # never more threads than chunks
+    assert pools[-1] == 2
+
+
+def test_mahler_stops_planned_chunks_after_a_failure(monkeypatch):
+    started = []
+
+    def chunk(seed, index, m):
+        started.append(index)
+        if index == 0:
+            raise ValueError("chunk failed")
+        time.sleep(0.01)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(specialvalues, "_mc_chunk", chunk)
+    with pytest.raises(ValueError, match="chunk failed"):
+        mahler_measure_mc("1+x+y+z", 200 * _MC_CHUNK, 1)
+    assert len(started) < 50  # the 199 chunks queued behind the failure are cancelled
