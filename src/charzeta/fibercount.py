@@ -35,12 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .finfield import (Field, FieldError, is_prime, low_degree_factors, make_field,
-                       quadratic_roots, split_roots)
+from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, is_prime, low_degree_factors,
+                       make_field, quadratic_roots, split_roots)
 from .localzeta import local_zeta_closed_form
 from .varieties import CountRecord, _as_model
-
-MAX_FORMULA_Q = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -212,10 +210,13 @@ def _lift(count: int, q0: int, q: int, e: int) -> int:
 def descent_totals(surface_id: str, p: int, n: int) -> FiberwiseTotals:
     """Fiberwise totals over F_{p^n} from the fibers defined over F_p and F_{p^2}.
 
-    No field beyond F_{p^2} is built, and odd n builds none beyond F_p.
-    Raises ValueError when the degenerate locus has a root outside F_{p^2},
-    FieldError when p is not prime or n is even and p^2 > 2^63.
+    No field beyond F_{p^2} is built, and odd n builds none beyond F_p, so
+    p^n may exceed 2^63.  Raises ValueError for n < 1 or when the degenerate
+    locus has a root outside F_{p^2}, FieldError when p is not prime or n is
+    even and p^2 > 2^63.
     """
+    if n < 1:
+        raise ValueError(f"extension degree {n} is below 1")
     _, _, generic, infinity, fibers = _prime_descent(surface_id, p)
     q = p**n
     by_degree = [(1, fibers)] + ([(2, _quadratic_descent(surface_id, p))] if n % 2 == 0 else [])
@@ -271,7 +272,7 @@ def count_formula(model, p: int, n: int, space: str = "biprojective") -> CountRe
     surface_id = _as_model(model).id
     if not (isinstance(p, int) and isinstance(n, int) and n >= 1):
         raise ValueError("p and n must be integers with n >= 1")
-    if p**n > MAX_FORMULA_Q:
+    if n > MAX_EXT_DEGREE or p**n > MAX_Q:
         raise FieldError("formula counts restricted to p^n <= 2^63")
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")

@@ -4,13 +4,13 @@ Elements of F_q, q = p^n, are encoded as integers in [0, q): the element
 a0 + a1*x + ... + a_{n-1}*x^{n-1} (coefficients in [0, p)) has encoding
 a0 + a1*p + ... + a_{n-1}*p^(n-1).  For n = 1 the encoding is the least
 residue.  Scalar arithmetic works for any supported q and costs O(n^2)
-digit operations per call, with no exponentiation: multiplication packs
-the digits into one integer (Kronecker substitution), inversion runs the
-extended Euclidean algorithm against the modulus, and the quadratic
-character is the Legendre symbol of the norm, a resultant over F_p.
-Vectorised arithmetic on numpy arrays of encodings additionally relies on
-discrete log tables and is available for q <= MAX_TABLE_Q = 2048, which
-covers every field brute-force enumeration reaches.
+digit operations per call, with no exponentiation: multiplication is the
+schoolbook product of the digit vectors reduced by the modulus, inversion
+runs the extended Euclidean algorithm against the modulus, and the
+quadratic character is the Legendre symbol of the norm, a resultant over
+F_p.  Vectorised arithmetic on numpy arrays of encodings additionally
+relies on discrete log tables and is available for q <= MAX_TABLE_Q =
+2048, which covers every field brute-force enumeration reaches.
 
 The extension modulus is the first irreducible monic polynomial in
 ascending order of its coefficient encoding, so field construction is
@@ -178,26 +178,6 @@ class Field:
         self.n = n
         self.q = q
         self.modulus = first_irreducible(p, n) if n > 1 else None
-        if self.modulus is not None:
-            # x^(n+t) mod modulus for t = 0..n-2, used by multiplication
-            red = [[(-c) % p for c in self.modulus[:n]]]
-            for _ in range(n - 2):
-                prev = red[-1]
-                nxt = [0] + prev[:-1]
-                top = prev[-1]
-                if top:
-                    for j in range(n):
-                        nxt[j] = (nxt[j] + top * red[0][j]) % p
-                red.append(nxt)
-            self._red = red
-            # Kronecker packing for mul: one digit per `width`-bit slot.  A
-            # product digit is at most n(p-1)^2, and folding the high digits
-            # back with _red adds less than as much again, so no slot carries.
-            w = (n * (p - 1) ** 2).bit_length() + 1
-            self._width = w
-            self._slot = (1 << w) - 1
-            self._low = (1 << (n * w)) - 1
-            self._red_packed = [self._pack(self.encode(row)) for row in red]
         self._exp = None
         self._log = None
 
@@ -268,42 +248,11 @@ class Field:
             pk *= p
         return out
 
-    def _pack(self, a: int) -> int:
-        """The digits of a, one per `_width`-bit slot, as one integer."""
-        p, w = self.p, self._width
-        packed = shift = 0
-        while a:
-            a, d = divmod(a, p)
-            packed |= d << shift
-            shift += w
-        return packed
-
     def mul(self, a: int, b: int) -> int:
-        """Product by Kronecker substitution.
-
-        Both digit vectors are packed into one integer each, so a single
-        integer product yields every convolution digit; the digits of
-        degree n..2n-2 are folded back with the packed rows x^(n+t) mod the
-        modulus, and each slot is reduced mod p once.
-        """
-        p, n = self.p, self.n
-        if n == 1:
-            return a * b % p
-        w, slot = self._width, self._slot
-        prod = self._pack(a) * self._pack(b)
-        low = prod & self._low
-        prod >>= n * w
-        for row in self._red_packed:
-            if not prod:
-                break
-            c = (prod & slot) % p
-            if c:
-                low += c * row
-            prod >>= w
-        out = 0
-        for shift in range((n - 1) * w, -1, -w):
-            out = out * p + ((low >> shift) & slot) % p
-        return out
+        """Schoolbook product of the digit vectors, reduced by the modulus."""
+        if self.n == 1:
+            return a * b % self.p
+        return self.encode(_poly_mul_mod(self.coeffs(a), self.coeffs(b), self.modulus, self.p))
 
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
@@ -398,31 +347,6 @@ class Field:
                 return g
         raise AssertionError("no generator found")  # unreachable for q > 2
 
-    def _scale_raw(self, c: int, arr: np.ndarray) -> np.ndarray:
-        """arr * c elementwise without log tables (used to build them)."""
-        p, n = self.p, self.n
-        if n == 1:
-            return arr * c % p
-        cc = self.coeffs(c)
-        digits = [(arr // p**i) % p for i in range(n)]
-        full = [np.zeros_like(arr) for _ in range(2 * n - 1)]
-        for i, ci in enumerate(cc):
-            if ci:
-                for k in range(n):
-                    full[i + k] = (full[i + k] + ci * digits[k]) % p
-        for t in range(2 * n - 2, n - 1, -1):
-            ft = full[t]
-            row = self._red[t - n]
-            for j in range(n):
-                if row[j]:
-                    full[j] = (full[j] + row[j] * ft) % p
-        out = np.zeros_like(arr)
-        pk = 1
-        for j in range(n):
-            out += full[j] * pk
-            pk *= p
-        return out
-
     def exp_log_tables(self):
         """(exp, log) discrete-log tables for q <= MAX_TABLE_Q, built lazily.
 
@@ -434,28 +358,11 @@ class Field:
             if self.q > MAX_TABLE_Q:
                 raise FieldError(f"field of size {self.q} exceeds the table limit {MAX_TABLE_Q}")
             q = self.q
-            if q == 2:  # trivial unit group
-                self._exp = np.array([1], dtype=np.int64)
-                self._log = np.zeros(2, dtype=np.int64)
-                return self._exp, self._log
-            g = self._find_generator()
-            block = 1 << 12
-            small = [1]
-            for _ in range(min(block, q - 1) - 1):
-                small.append(self.mul(small[-1], g))
-            small = np.array(small, dtype=np.int64)
-            exp = np.empty(q - 1, dtype=np.int64)
-            g_block = self.pow_(g, block)
-            cur = 1
-            pos = 0
-            while pos < q - 1:
-                seg = min(block, q - 1 - pos)
-                if cur == 1:
-                    exp[pos:pos + seg] = small[:seg]
-                else:
-                    exp[pos:pos + seg] = self._scale_raw(cur, small[:seg])
-                cur = self.mul(cur, g_block)
-                pos += seg
+            g = self._find_generator() if q > 2 else 1  # F_2: trivial unit group
+            exp = [1]
+            for _ in range(q - 2):
+                exp.append(self.mul(exp[-1], g))
+            exp = np.array(exp, dtype=np.int64)
             log = np.zeros(q, dtype=np.int64)
             log[exp] = np.arange(q - 1, dtype=np.int64)
             self._exp, self._log = exp, log

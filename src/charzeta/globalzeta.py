@@ -27,14 +27,9 @@ class CharacterDesc:
     label: str
     modulus: int
     values: tuple[int, ...]   # indexed by residue, 0 off the unit group
-    parity: str = "even"
 
     def __call__(self, m: int) -> int:
         return self.values[m % self.modulus]
-
-    def to_json(self):
-        return {"label": self.label, "modulus": self.modulus,
-                "values": list(self.values), "parity": self.parity}
 
 
 # quadratic characters attached to Q(sqrt(2)) and Q(sqrt(5))
@@ -55,14 +50,6 @@ class ZetaFactorTerm:
     d: int | None = None           # dedekind: the squarefree d of Q(sqrt d)
     char: CharacterDesc | None = None
 
-    def to_json(self):
-        out = {"kind": self.kind, "shift": self.shift, "exp": self.exp}
-        if self.d is not None:
-            out["d"] = self.d
-        if self.char is not None:
-            out["char"] = self.char.label
-        return out
-
 
 @dataclass(frozen=True)
 class ElementaryTerm:
@@ -73,18 +60,11 @@ class ElementaryTerm:
     shift: int
     exp: int
 
-    def to_json(self):
-        return {"p": self.p, "sign": self.sign, "shift": self.shift, "exp": self.exp}
-
 
 @dataclass(frozen=True)
 class GlobalZetaExpr:
     factors: tuple[ZetaFactorTerm, ...]
     elementary: tuple[ElementaryTerm, ...]
-
-    def to_json(self):
-        return {"factors": [f.to_json() for f in self.factors],
-                "elementary": [e.to_json() for e in self.elementary]}
 
 
 def _riemann(shift, exp):

@@ -4,8 +4,8 @@ A minimal representation used for the surface equations: a polynomial is a
 mapping from exponent tuples (aligned with a fixed variable list) to
 nonzero integer coefficients.  Supports the handful of exact operations
 the geometry needs: partial derivatives, setting a variable to one,
-grouping by a subset of variables, and evaluation over a finite field
-either pointwise or on numpy arrays of encodings.
+grouping by a subset of variables, and evaluation over the integers or,
+on numpy arrays of encodings, over a finite field.
 """
 
 from __future__ import annotations
@@ -76,17 +76,6 @@ class IntPoly:
                 if ex:
                     t *= values[v] ** ex
             total += t
-        return total
-
-    def eval_field(self, field, values: dict) -> int:
-        """Evaluate at encodings; `values` maps variable name to encoding."""
-        total = 0
-        for e, c in self.terms.items():
-            t = field.int_(c)
-            for v, ex in zip(self.vars, e):
-                if ex:
-                    t = field.mul(t, field.pow_(values[v], ex))
-            total = field.add(total, t)
         return total
 
     def eval_field_arrays(self, field, arrays: dict) -> np.ndarray:

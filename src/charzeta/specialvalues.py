@@ -175,9 +175,6 @@ class LaurentLeading:
     order: int       # > 0 zero, < 0 pole, 0 regular
     coefficient: float
 
-    def to_json(self):
-        return {"s0": self.s0, "order": self.order, "coefficient": self.coefficient}
-
 
 # order bookkeeping: argument -> order of the factor there
 _RIEMANN_ORDERS = {1: -1, -2: 1, -4: 1}

@@ -5,7 +5,11 @@ P^2 x P^1 by the matching bihomogeneous polynomial F(x, y, u, z, w) of
 bidegree (2, d).  Brute-force counting enumerates canonical coordinate
 representatives (leftmost nonzero coordinate of each factor scaled to 1)
 and evaluates the defining polynomial at every one of them; it is the
-ground-truth oracle the faster counting paths are checked against.
+ground-truth oracle the faster counting paths are checked against.  All
+three spaces go through one routine, _zero_masks: F is grouped by its
+monomials in (z, w), each group is evaluated once on a set of plane
+representatives (x : y : u), and every base point (z : w) then costs one
+weighted sum of those grids.
 """
 
 from __future__ import annotations
@@ -62,6 +66,19 @@ class BiprojectivePoint:
         return [list(self.xyu), list(self.zw)]
 
 
+def _zw_monomials(field: Field, z: int, w: int, d: int) -> list[int]:
+    """z^k w^(d-k) for k = 0..d, as running products (no w powers when w = 1)."""
+    monos = [1]
+    for _ in range(d):
+        monos.append(field.mul(monos[-1], z))
+    if w != 1:
+        wp = [1]
+        for _ in range(d):
+            wp.append(field.mul(wp[-1], w))
+        monos = [field.mul(zk, wp[d - k]) for k, zk in enumerate(monos)]
+    return monos
+
+
 class SurfaceModel:
     """One surface: affine polynomial, bihomogeneous model, fiber extractor."""
 
@@ -98,23 +115,13 @@ class SurfaceModel:
     def fiber_form_encs(self, basepoint, field: Field) -> tuple[int, ...]:
         """Six coefficients (x^2, y^2, u^2, xy, xu, yu) of the fiber at (z : w).
 
-        The monomials z^k w^(d-k) are running products (no w powers when
-        w = 1); each coefficient is an integer combination of them, summed
-        digit by digit and reduced mod p once.
+        Each coefficient is an integer combination of the monomials
+        z^k w^(d-k), summed digit by digit and reduced mod p once.
         """
         z, w = (int(c) for c in basepoint)
         if z == 0 and w == 0:
             raise ValueError("(0 : 0) is not a point of the projective line")
-        d = self.deg_zw
-        monos = [1]
-        for _ in range(d):
-            monos.append(field.mul(monos[-1], z))
-        if w != 1:
-            wp = [1]
-            for _ in range(d):
-                wp.append(field.mul(wp[-1], w))
-            monos = [field.mul(zk, wp[d - k]) for k, zk in enumerate(monos)]
-        digits = [field.coeffs(m) for m in monos]
+        digits = [field.coeffs(m) for m in _zw_monomials(field, z, w, self.deg_zw)]
         out = []
         for mono in QUAD_MONOMIALS:
             acc = [0] * field.n
@@ -169,13 +176,6 @@ def _as_model(model) -> SurfaceModel:
 
 # ---------------------------------------------------------------------------
 # brute-force enumeration
-
-
-def _affine_grids(field: Field):
-    q = field.q
-    x = np.repeat(np.arange(q, dtype=np.int64), q)
-    y = np.tile(np.arange(q, dtype=np.int64), q)
-    return x, y
 
 
 @functools.lru_cache(maxsize=32)
@@ -254,32 +254,42 @@ def _fiber_zero_masks(field: Field, grids, fibers):
         yield base, mask
 
 
-def _affine_fibers(model: SurfaceModel, field: Field):
-    """Zero masks of f over the (x, y) grid, one per value of z."""
-    x, y = _affine_grids(field)
-    groups = sorted(model.f.group_by(("z",)).items())
-    grids = [poly.eval_field_arrays(field, {"x": x, "y": y}) for _, poly in groups]
-    fibers = ((z, [field.pow_(z, k) for (k,), _ in groups]) for z in range(field.q))
-    return _fiber_zero_masks(field, grids, fibers)
+def _zero_masks(model: SurfaceModel, field: Field, plane, bases):
+    """Yield ((z, w), mask) per base point; mask marks the zeros of F there.
 
-
-def _biprojective_fibers(model: SurfaceModel, field: Field):
-    """Zero masks of F over the P^2 representatives, one per point of P^1."""
-    x, y, u = _p2_reps(field.p, field.n)
+    plane holds the coordinates (x, y, u) of the representatives, as arrays
+    that broadcast together, the first of full length.  F is grouped by its
+    monomials z^k w^(d-k); each group is a grid over the plane, and the
+    fiber over (z : w) weighs the grids by those monomials.
+    """
     groups = sorted(model.F.group_by(("z", "w")).items())
-    grids = [poly.eval_field_arrays(field, {"x": x, "y": y, "u": u}) for _, poly in groups]
-    bases = [(z, 1) for z in range(field.q)] + [(1, 0)]
-    fibers = (((z, w), [field.mul(field.pow_(z, ez), field.pow_(w, ew))
-                        for (ez, ew), _ in groups]) for z, w in bases)
-    return _fiber_zero_masks(field, grids, fibers)
+    coords = dict(zip(("x", "y", "u"), plane))
+    grids = [poly.eval_field_arrays(field, coords) for _, poly in groups]
+
+    def fibers():
+        for z, w in bases:
+            monos = _zw_monomials(field, z, w, model.deg_zw)
+            yield (z, w), [monos[k] for (k, _), _ in groups]
+
+    return _fiber_zero_masks(field, grids, fibers())
+
+
+def _zero_count(model: SurfaceModel, field: Field, plane, bases) -> int:
+    return sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(model, field, plane, bases))
 
 
 def count_affine_brute(model, field: Field) -> CountRecord:
-    """Exact size of {(a, b, c) in F_q^3 : f(a, b, c) = 0} by enumeration."""
+    """Exact size of {(a, b, c) in F_q^3 : f(a, b, c) = 0} by enumeration.
+
+    The plane (x, y, 1) over the bases (z : 1).
+    """
     model = _as_model(model)
-    if field.q > MAX_AFFINE_Q:
+    q = field.q
+    if q > MAX_AFFINE_Q:
         raise FieldError(f"affine brute force limited to q <= {MAX_AFFINE_Q}")
-    total = sum(int(np.count_nonzero(mask)) for _, mask in _affine_fibers(model, field))
+    plane = (np.repeat(np.arange(q, dtype=np.int64), q), np.tile(np.arange(q, dtype=np.int64), q),
+             np.ones(1, dtype=np.int64))
+    total = _zero_count(model, field, plane, [(z, 1) for z in range(q)])
     return CountRecord(model.id, field.p, field.n, "affine", "brute", total)
 
 
@@ -288,45 +298,25 @@ def count_biprojective_brute(model, field: Field) -> CountRecord:
     model = _as_model(model)
     if field.q > MAX_BIPROJ_Q:
         raise FieldError(f"biprojective brute force limited to q <= {MAX_BIPROJ_Q}")
-    total = sum(int(np.count_nonzero(mask)) for _, mask in _biprojective_fibers(model, field))
+    bases = [(z, 1) for z in range(field.q)] + [(1, 0)]
+    total = _zero_count(model, field, _p2_reps(field.p, field.n), bases)
     return CountRecord(model.id, field.p, field.n, "biprojective", "brute", total)
 
 
-def _boundary_reps(field: Field):
-    """Canonical reps of the boundary {u = 0} union {w = 0} of P^2 x P^1.
-
-    Returned as two disjoint batches: the whole fiber at (1 : 0), and the
-    u = 0 points over the fibers (z : 1).
-    """
-    q = field.q
-    x, y, u = _p2_reps(field.p, field.n)
-    one = np.ones_like(x)
-    zero = np.zeros_like(x)
-    batch_w0 = (x, y, u, one, zero)
-
-    # u = 0 reps of P^2: (1 : y : 0) for all y, and (0 : 1 : 0)
-    px = np.concatenate([np.ones(q, dtype=np.int64), np.array([0], dtype=np.int64)])
-    py = np.concatenate([np.arange(q, dtype=np.int64), np.array([1], dtype=np.int64)])
-    m = q + 1
-    xs = np.tile(px, q)
-    ys = np.tile(py, q)
-    us = np.zeros(q * m, dtype=np.int64)
-    zs = np.repeat(np.arange(q, dtype=np.int64), m)
-    ws = np.ones(q * m, dtype=np.int64)
-    batch_u0 = (xs, ys, us, zs, ws)
-    return batch_w0, batch_u0
-
-
 def count_nonaffine_brute(model, field: Field) -> CountRecord:
-    """Points of V(F) with u = 0 or w = 0 (complement of the affine chart)."""
+    """Points of V(F) with u = 0 or w = 0 (complement of the affine chart).
+
+    Two disjoint parts: all of P^2 over (1 : 0), and the line u = 0, that is
+    (1 : y : 0) and (0 : 1 : 0), over the bases (z : 1).
+    """
     model = _as_model(model)
-    if field.q > MAX_AFFINE_Q:
+    q = field.q
+    if q > MAX_AFFINE_Q:
         raise FieldError(f"non-affine brute force limited to q <= {MAX_AFFINE_Q}")
-    total = 0
-    for x, y, u, z, w in _boundary_reps(field):
-        vals = model.F.eval_field_arrays(
-            field, {"x": x, "y": y, "u": u, "z": z, "w": w})
-        total += int(np.count_nonzero(vals == 0))
+    line = (np.append(np.ones(q, dtype=np.int64), 0), np.append(np.arange(q, dtype=np.int64), 1),
+            np.zeros(1, dtype=np.int64))
+    total = (_zero_count(model, field, _p2_reps(field.p, field.n), [(1, 0)])
+             + _zero_count(model, field, line, [(z, 1) for z in range(q)]))
     return CountRecord(model.id, field.p, field.n, "nonaffine", "brute", total)
 
 
@@ -337,7 +327,8 @@ def biprojective_zero_reps(model, field: Field):
         raise FieldError(f"surface enumeration limited to q <= {MAX_BIPROJ_Q}")
     x, y, u = _p2_reps(field.p, field.n)
     reps = []
-    for (z, w), mask in _biprojective_fibers(model, field):
+    bases = [(z, 1) for z in range(field.q)] + [(1, 0)]
+    for (z, w), mask in _zero_masks(model, field, (x, y, u), bases):
         idx = np.flatnonzero(mask)
         reps.extend((a, b, c, z, w) for a, b, c in
                     zip(x[idx].tolist(), y[idx].tolist(), u[idx].tolist()))

@@ -11,9 +11,10 @@ from charzeta import (FieldError, classify_fiber, count_fiberwise, count_formula
                       degenerate_fibers, fiberwise_totals, is_prime, make_field, surface)
 from charzeta import fibercount
 from charzeta.fibercount import _conic, _lift, _line_count, descent_totals
+from charzeta.localzeta import local_zeta_closed_form
 from charzeta.varieties import (count_affine_brute, count_biprojective_brute,
                                 count_nonaffine_brute)
-from conftest import (all_fiber_reports, conic_count_brute, fiber_determinant,
+from conftest import (all_fiber_reports, conic_count_brute, eval_scalar, fiber_determinant,
                       fiberwise_totals_fq, prime_powers_upto)
 
 
@@ -41,7 +42,7 @@ def test_fiber_form_reproduces_surface_polynomial():
                     for coef, mono in zip((a, b, c, d, e, f),
                                           ((x, x), (y, y), (u, u), (x, y), (x, u), (y, u))):
                         form_val = field.add(form_val, field.mul(coef, field.mul(*mono)))
-                    direct = m.F.eval_field(field, {"x": x, "y": y, "u": u, "z": z, "w": w})
+                    direct = eval_scalar(m.F, field, (x, y, u, z, w))
                     assert form_val == direct
 
 
@@ -199,8 +200,19 @@ def test_count_formula_guards():
         count_formula("L0", 6, 1)
     with pytest.raises(FieldError):
         count_formula("L0", 2, 64)  # 2^64 > 2^63
+    with pytest.raises(FieldError):
+        count_formula("L0", 3, 10**8)  # refused before 3^(10^8) is formed
     with pytest.raises(ValueError):
         count_formula("L0", 5, 1, "projective")
+
+
+def test_descent_totals_guards():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            descent_totals("L0", 3, n)
+    # no field beyond F_{p^2} is built, so p^n past 2^63 is fine
+    closed_form = local_zeta_closed_form("L0", 3, "biprojective")
+    assert descent_totals("L0", 3, 40).biprojective == closed_form.counts(40)[-1]
 
 
 # every p^n <= 10^6 with p <= 199, 2^n <= 512, and the 24 largest primes below 10^6

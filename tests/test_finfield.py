@@ -267,7 +267,7 @@ _KERNEL_FIELDS = st.sampled_from(_KERNEL_PRIMES).flatmap(
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_KERNEL_FIELDS, st.integers(0, MAX_Q), st.integers(0, MAX_Q))
-@example((5, 3), 99, 99)  # the one product with q <= 729 that needs the spare slot bit
+@example((5, 3), 99, 99)  # 99 = 4 + 4*5 + 3*5^2: large digits in every place
 @example((2, 24), 2**23 + 12345, 2**24 - 1)
 @example((3, 24), 3**23 + 1, 2)
 @example((_P63, 2), _P63 * 17 + 5, _P63**2 - 1)

@@ -10,8 +10,8 @@ from charzeta import (BiprojectivePoint, count_affine_brute, count_biprojective_
                       count_nonaffine_brute, make_field, singular_locus,
                       surface)
 from charzeta.varieties import MAX_AFFINE_Q, _check_prime_headroom, biprojective_zero_reps
-from conftest import (chart_verdicts, expected_singular_points, p1_reps, p2_reps,
-                      prime_powers_upto, zero_points_scalar)
+from conftest import (chart_verdicts, eval_scalar, expected_singular_points, p1_reps,
+                      p2_reps, prime_powers_upto, zero_points_scalar)
 
 
 def test_surface_ids():
@@ -59,9 +59,9 @@ def test_bihomogeneity_random_scalars(sid, p, n):
         scaled = {"x": field.mul(lam, pt["x"]), "y": field.mul(lam, pt["y"]),
                   "u": field.mul(lam, pt["u"]), "z": field.mul(mu, pt["z"]),
                   "w": field.mul(mu, pt["w"])}
-        lhs = m.F.eval_field(field, scaled)
+        lhs = eval_scalar(m.F, field, [scaled[v] for v in m.F.vars])
         factor = field.mul(field.pow_(lam, 2), field.pow_(mu, d))
-        rhs = field.mul(factor, m.F.eval_field(field, pt))
+        rhs = field.mul(factor, eval_scalar(m.F, field, [pt[v] for v in m.F.vars]))
         assert lhs == rhs
 
 
@@ -137,10 +137,12 @@ def test_brute_kernel_matches_scalar_enumeration(sid, pn):
     affine = zero_points_scalar(m.f, field, [(x, y, z) for x in range(q)
                                              for y in range(q) for z in range(q)])
     assert count_affine_brute(sid, field).count == len(affine)
-    biproj = zero_points_scalar(m.F, field, [xyu + zw for xyu in p2_reps(field)
-                                             for zw in p1_reps(field)])
+    reps = [xyu + zw for xyu in p2_reps(field) for zw in p1_reps(field)]
+    biproj = zero_points_scalar(m.F, field, reps)
     assert count_biprojective_brute(sid, field).count == len(biproj)
     assert sorted(biprojective_zero_reps(sid, field)) == sorted(biproj)
+    nonaffine = zero_points_scalar(m.F, field, [r for r in reps if r[2] == 0 or r[4] == 0])
+    assert count_nonaffine_brute(sid, field).count == len(nonaffine)
 
 
 def test_prime_accumulation_refuses_int64_overflow():
@@ -171,8 +173,7 @@ def test_singular_points_lie_on_surface():
     field = make_field(5)
     m = surface("L1")
     for pt in singular_locus(m, field):
-        values = dict(zip(("x", "y", "u"), pt.xyu)) | dict(zip(("z", "w"), pt.zw))
-        assert m.F.eval_field(field, values) == 0
+        assert eval_scalar(m.F, field, pt.xyu + pt.zw) == 0
 
 
 def test_smooth_point_is_not_singular():
