@@ -8,9 +8,10 @@ digit operations per call, with no exponentiation: multiplication is the
 schoolbook product of the digit vectors reduced by the modulus, inversion
 runs the extended Euclidean algorithm against the modulus, and the
 quadratic character is the Legendre symbol of the norm, a resultant over
-F_p.  Vectorised arithmetic on numpy arrays of encodings additionally
-relies on discrete log tables and is available for q <= MAX_TABLE_Q =
-2048, which covers every field brute-force enumeration reaches.
+F_p.  Discrete log tables (exp_log_tables) exist for q <= MAX_TABLE_Q =
+2048, which covers every field brute-force enumeration reaches; there a
+product of an array of encodings by one element is a single table gather
+(see varieties._zero_masks).
 
 The extension modulus is the first irreducible monic polynomial in
 ascending order of its coefficient encoding, so field construction is
@@ -218,33 +219,26 @@ class Field:
         return k % self.p
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if self.n == 1:
-            return (a + b) % p
-        if p == 2:
-            return a ^ b
-        out, pk = 0, 1
-        while a or b:
-            a, x = divmod(a, p)
-            b, y = divmod(b, p)
-            out += (x + y) % p * pk
-            pk *= p
-        return out
+        return self._digitwise(a, b, 1)
+
+    def sub(self, a: int, b: int) -> int:
+        return self._digitwise(a, b, -1)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
 
-    def sub(self, a: int, b: int) -> int:
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b, digit by digit mod p (XOR in characteristic 2)."""
         p = self.p
         if self.n == 1:
-            return (a - b) % p
+            return (a + sign * b) % p
         if p == 2:
             return a ^ b
         out, pk = 0, 1
         while a or b:
             a, x = divmod(a, p)
             b, y = divmod(b, p)
-            out += (x - y) % p * pk
+            out += (x + sign * y) % p * pk
             pk *= p
         return out
 
@@ -367,51 +361,6 @@ class Field:
             log[exp] = np.arange(q - 1, dtype=np.int64)
             self._exp, self._log = exp, log
         return self._exp, self._log
-
-    # -- vectorised arithmetic on int64 arrays of encodings -------------
-
-    def v_add(self, a, b):
-        if self.n == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        out = np.zeros_like(a + b)
-        pk = 1
-        for _ in range(self.n):
-            out += ((a // pk + b // pk) % p) * pk
-            pk *= p
-        return out
-
-    def v_mul(self, a, b):
-        if self.n == 1:
-            return a * b % self.p
-        exp, log = self.exp_log_tables()
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        m = (a != 0) & (b != 0)
-        s = log[np.broadcast_to(a, out.shape)[m]] + log[np.broadcast_to(b, out.shape)[m]]
-        s[s >= self.q - 1] -= self.q - 1
-        out[m] = exp[s]
-        return out
-
-    def v_scale(self, c: int, a):
-        """Multiply an array of encodings by the fixed element c."""
-        if c == 0:
-            return np.zeros_like(a)
-        if c == 1:
-            return a.copy()
-        if self.n == 1:
-            return a * c % self.p
-        exp, log = self.exp_log_tables()
-        lc = int(log[c])
-        out = np.zeros_like(a)
-        m = a != 0
-        s = log[a[m]] + lc
-        s[s >= self.q - 1] -= self.q - 1
-        out[m] = exp[s]
-        return out
 
 
 @functools.lru_cache(maxsize=None)

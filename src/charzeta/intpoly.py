@@ -4,13 +4,12 @@ A minimal representation used for the surface equations: a polynomial is a
 mapping from exponent tuples (aligned with a fixed variable list) to
 nonzero integer coefficients.  Supports the handful of exact operations
 the geometry needs: partial derivatives, setting a variable to one,
-grouping by a subset of variables, and evaluation over the integers or,
-on numpy arrays of encodings, over a finite field.
+grouping by a subset of variables, and evaluation over the integers.
+Finite-field evaluation lives with its callers: varieties splits a form by
+its (x, y, u)-monomials and evaluates the pieces over F_q itself.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class IntPoly:
@@ -76,38 +75,6 @@ class IntPoly:
                 if ex:
                     t *= values[v] ** ex
             total += t
-        return total
-
-    def eval_field_arrays(self, field, arrays: dict) -> np.ndarray:
-        """Evaluate on numpy arrays of encodings (one array per variable)."""
-        shape = next(iter(arrays.values())).shape
-        powers = {v: {0: None} for v in self.vars}
-
-        def var_pow(v, ex):
-            cache = powers[v]
-            if ex not in cache:
-                best = max(k for k in cache if k <= ex and k > 0) if any(k > 0 for k in cache) else 0
-                cur = cache[best] if best else None
-                k = best
-                while k < ex:
-                    cur = arrays[v] if cur is None else field.v_mul(cur, arrays[v])
-                    k += 1
-                    cache[k] = cur
-            return cache[ex]
-
-        total = np.zeros(shape, dtype=np.int64)
-        for e, c in self.terms.items():
-            term = None
-            for v, ex in zip(self.vars, e):
-                if ex:
-                    pw = var_pow(v, ex)
-                    term = pw if term is None else field.v_mul(term, pw)
-            cenc = field.int_(c)
-            if term is None:
-                term = np.full(shape, cenc, dtype=np.int64)
-            else:
-                term = field.v_scale(cenc, term)
-            total = field.v_add(total, term)
         return total
 
     def __repr__(self):

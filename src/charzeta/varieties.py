@@ -5,11 +5,12 @@ P^2 x P^1 by the matching bihomogeneous polynomial F(x, y, u, z, w) of
 bidegree (2, d).  Brute-force counting enumerates canonical coordinate
 representatives (leftmost nonzero coordinate of each factor scaled to 1)
 and evaluates the defining polynomial at every one of them; it is the
-ground-truth oracle the faster counting paths are checked against.  All
-three spaces go through one routine, _zero_masks: F is grouped by its
-monomials in (z, w), each group is evaluated once on a set of plane
-representatives (x : y : u), and every base point (z : w) then costs one
-weighted sum of those grids.
+ground-truth oracle the faster counting paths are checked against.  The
+three counts and the singular locus go through one routine, _zero_masks:
+F and its partials are split by their monomials in (x, y, u), each
+monomial is a grid over a set of plane representatives (x : y : u) built
+once, and every base point (z : w) then costs one weighted sum of those
+grids per form, with weights the binary forms in (z, w) at that point.
 """
 
 from __future__ import annotations
@@ -66,17 +67,42 @@ class BiprojectivePoint:
         return [list(self.xyu), list(self.zw)]
 
 
-def _zw_monomials(field: Field, z: int, w: int, d: int) -> list[int]:
-    """z^k w^(d-k) for k = 0..d, as running products (no w powers when w = 1)."""
+def _zw_values(field: Field, coeff_lists, deg: int, z: int, w: int) -> list[int]:
+    """Each binary form sum_k c_k z^k w^(deg-k) of coeff_lists at (z : w).
+
+    The monomials z^k w^(deg-k) are running products (no w powers when
+    w = 1); each form is summed digit by digit and reduced mod p once.
+    """
     monos = [1]
-    for _ in range(d):
+    for _ in range(deg):
         monos.append(field.mul(monos[-1], z))
     if w != 1:
         wp = [1]
-        for _ in range(d):
+        for _ in range(deg):
             wp.append(field.mul(wp[-1], w))
-        monos = [field.mul(zk, wp[d - k]) for k, zk in enumerate(monos)]
-    return monos
+        monos = [field.mul(zk, wp[deg - k]) for k, zk in enumerate(monos)]
+    digits = [field.coeffs(m) for m in monos]
+    out = []
+    for coeffs in coeff_lists:
+        acc = [0] * field.n
+        for c, dig in zip(coeffs, digits):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, dig)]
+        out.append(field.encode(acc))
+    return out
+
+
+def _split_form(poly: IntPoly):
+    """(monomials in (x, y, u), their coefficient lists over z^k w^(d-k), d)."""
+    groups = sorted(poly.group_by(("x", "y", "u")).items())
+    deg = max((sum(e) for _, g in groups for e in g.terms), default=0)
+    lists = []
+    for _, g in groups:
+        coeffs = [0] * (deg + 1)
+        for (ez, _), c in g.terms.items():
+            coeffs[ez] = c
+        lists.append(tuple(coeffs))
+    return tuple(m for m, _ in groups), tuple(lists), deg
 
 
 class SurfaceModel:
@@ -88,16 +114,14 @@ class SurfaceModel:
         self.F = biprojective    # variables (x, y, u, z, w)
         self.deg_zw = self.F.degree("z")
         self._validate()
-        # fiber extractor data: for each quadratic monomial in (x, y, u),
-        # the coefficient list over z at w = 1 and its top z-coefficient
-        by_quad = self.F.group_by(("x", "y", "u"))
-        self._quad_zw = {}
-        for mono in QUAD_MONOMIALS:
-            poly_zw = by_quad.get(mono, IntPoly.zero(("z", "w")))
-            coeffs = [0] * (self.deg_zw + 1)
-            for (ez, ew), c in poly_zw.terms.items():
-                coeffs[ez] = c
-            self._quad_zw[mono] = tuple(coeffs)
+        # F and its five partials split by (x, y, u)-monomials, for the
+        # brute-force kernel; the fiber extractor reads F's six coefficient
+        # lists over z^k w^(d-k)
+        self._forms = tuple(_split_form(g) for g in
+                            (self.F, *(self.F.partial(v) for v in self.F.vars)))
+        monos, lists, d = self._forms[0]
+        split = dict(zip(monos, lists))
+        self._quad_zw = {m: split.get(m, (0,) * (d + 1)) for m in QUAD_MONOMIALS}
 
     def _validate(self):
         if self.F.set_one("u").set_one("w") != self.f:
@@ -121,15 +145,7 @@ class SurfaceModel:
         z, w = (int(c) for c in basepoint)
         if z == 0 and w == 0:
             raise ValueError("(0 : 0) is not a point of the projective line")
-        digits = [field.coeffs(m) for m in _zw_monomials(field, z, w, self.deg_zw)]
-        out = []
-        for mono in QUAD_MONOMIALS:
-            acc = [0] * field.n
-            for c, dig in zip(self._quad_zw[mono], digits):
-                if c:
-                    acc = [x + c * y for x, y in zip(acc, dig)]
-            out.append(field.encode(acc))
-        return tuple(out)
+        return tuple(_zw_values(field, self._quad_zw.values(), self.deg_zw, z, w))
 
     def __repr__(self):
         return f"SurfaceModel({self.id})"
@@ -178,72 +194,101 @@ def _as_model(model) -> SurfaceModel:
 # brute-force enumeration
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1)
 def _p2_reps(p: int, n: int):
-    """Canonical representatives of P^2(F_q) as coordinate arrays."""
+    """Canonical representatives of P^2(F_q) as coordinate arrays.
+
+    Only the last field's arrays are kept: near q = 2048 they take about
+    100 MB, and one command enumerates over one field.
+    """
     q = p**n
-    x1 = np.ones(q * q, dtype=np.int64)
-    y1 = np.repeat(np.arange(q, dtype=np.int64), q)
-    u1 = np.tile(np.arange(q, dtype=np.int64), q)
-    x2 = np.zeros(q, dtype=np.int64)
-    y2 = np.ones(q, dtype=np.int64)
-    u2 = np.arange(q, dtype=np.int64)
-    x3 = np.array([0], dtype=np.int64)
-    y3 = np.array([0], dtype=np.int64)
-    u3 = np.array([1], dtype=np.int64)
-    return (np.concatenate([x1, x2, x3]), np.concatenate([y1, y2, y3]),
-            np.concatenate([u1, u2, u3]))
+    r = np.arange(q, dtype=np.int64)
+    x = np.concatenate([np.ones(q * q, dtype=np.int64), np.zeros(q + 1, dtype=np.int64)])
+    y = np.concatenate([np.repeat(r, q), np.ones(q, dtype=np.int64), [0]])
+    u = np.concatenate([np.tile(r, q), r, [1]])
+    return x, y, u
 
 
 def _check_prime_headroom(terms: int, p: int) -> None:
     """Refuse an unreduced int64 sum of `terms` products that could overflow.
 
-    Coefficients and grid values are reduced encodings in [0, p), so each
-    product c_k * G_k is at most (p - 1)^2 and the sum fits when
-    terms * (p - 1)^2 < 2^63.  With at most five terms and p < MAX_AFFINE_Q
-    the sum stays below 5 * 2047^2 < 2^25.
+    Weights and grid values are reduced encodings in [0, p), so each
+    product c_m * M_m is at most (p - 1)^2 and the sum fits when
+    terms * (p - 1)^2 < 2^63.  With at most six terms and p < MAX_AFFINE_Q
+    the sum stays below 6 * 2047^2 < 2^25.
     """
     if terms * (p - 1) ** 2 >= 1 << 63:
         raise OverflowError(f"{terms} unreduced products mod {p} overflow int64")
 
 
-def _fiber_zero_masks(field: Field, grids, fibers):
-    """Yield (base, mask) per fiber; mask marks the zeros of sum_k c_k * G_k.
+def _monomial_grids(field: Field, plane, monos):
+    """Each (x, y, u)-monomial of monos over the plane representatives.
 
-    grids are the coefficient grids G_k over the fiber representatives, and
-    fibers yields (base, encodings c_k) per base point.  Every point is
-    evaluated.  Prime fields sum the products in int64 and reduce once per
-    fiber.  Extension fields take the logs of the grids once, with the
-    sentinel log 2(q-1) for zero, and multiply by c with one gather from an
-    exp table over three periods whose last period is zero; terms are added
-    with XOR in characteristic 2 and digit by digit in base p otherwise.
+    Over F_p a grid holds the residues of the products.  Over F_{p^n} it
+    holds their discrete logs, sum_i e_i log c_i mod (q - 1), with the
+    sentinel 2(q - 1) where a coordinate raised to e_i > 0 is zero.  A
+    coordinate array of length 1 broadcasts against the others.
+    """
+    p, m = field.p, field.q - 1
+    if field.n > 1:
+        _, log = field.exp_log_tables()
+    grids = []
+    for mono in monos:
+        if field.n == 1:
+            g = np.ones(1, dtype=np.int64)
+            for c, e in zip(plane, mono):
+                for _ in range(e):
+                    g = g * c % p
+        else:
+            g, zero = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)
+            for c, e in zip(plane, mono):
+                if e:
+                    g, zero = g + e * log[c], zero | (c == 0)
+            g = np.where(zero, 2 * m, g % m)
+        grids.append(g)
+    return grids
+
+
+def _zero_masks(forms, field: Field, plane, bases):
+    """Yield ((z, w), mask) per base point; mask marks the common zeros of forms.
+
+    plane holds the coordinates (x, y, u) of the representatives, as arrays
+    that broadcast together, the first of full length.  Each form (see
+    _split_form) is sum_m M_m(x, y, u) P_m(z, w): the grids M_m are built
+    once, and the fiber over (z : w) weighs them by the encodings
+    c_m = P_m(z : w).  The first form is evaluated at every point, each
+    later one only where those before it vanish.  Prime fields sum the
+    products in int64 and reduce once.  Extension fields multiply a log
+    grid by c with one gather from an exp table over three periods whose
+    last period is zero; terms are added with XOR in characteristic 2 and
+    digit by digit in base p otherwise.
     """
     p, n = field.p, field.n
+    used = sorted({mono for monos, _, _ in forms for mono in monos})
+    grid = dict(zip(used, _monomial_grids(field, plane, used)))
     if n == 1:
-        _check_prime_headroom(len(grids), p)
-        for base, cs in fibers:
-            acc = np.zeros_like(grids[0])
+        _check_prime_headroom(max(len(form[0]) for form in forms), p)
+    else:
+        exp, log = field.exp_log_tables()
+        m = field.q - 1
+        exp3 = np.concatenate([exp, exp, np.zeros(m, dtype=np.int64)])
+        digits = [exp3 // p**j % p for j in range(n)]
+
+    def vanishing(grids, cs, shape):
+        if n == 1:
+            acc = np.zeros(shape, dtype=np.int64)
             for c, g in zip(cs, grids):
                 if c:
                     acc += c * g
-            yield base, acc % p == 0
-        return
-    exp, log = field.exp_log_tables()
-    m = field.q - 1
-    exp3 = np.concatenate([exp, exp, np.zeros(m, dtype=np.int64)])
-    logs = [np.where(g == 0, 2 * m, log[g]) for g in grids]
-    if p == 2:
-        for base, cs in fibers:
-            acc = np.zeros_like(grids[0])
-            for c, lg in zip(cs, logs):
+            return acc % p == 0
+        if p == 2:
+            acc = np.zeros(shape, dtype=np.int64)
+            for c, lg in zip(cs, grids):
                 if c:
                     acc ^= exp3[log[c]:][lg]
-            yield base, acc == 0
-        return
-    digits = [exp3 // p**j % p for j in range(n)]
-    for base, cs in fibers:
-        accs = [np.zeros_like(grids[0]) for _ in digits]
-        for c, lg in zip(cs, logs):
+            return acc == 0
+        accs = [np.zeros(shape, dtype=np.int64) for _ in digits]
+        for c, lg in zip(cs, grids):
             if c:
                 lc = log[c]
                 for acc, table in zip(accs, digits):
@@ -251,31 +296,25 @@ def _fiber_zero_masks(field: Field, grids, fibers):
         mask = accs[0] % p == 0
         for acc in accs[1:]:
             mask &= acc % p == 0
-        yield base, mask
+        return mask
 
-
-def _zero_masks(model: SurfaceModel, field: Field, plane, bases):
-    """Yield ((z, w), mask) per base point; mask marks the zeros of F there.
-
-    plane holds the coordinates (x, y, u) of the representatives, as arrays
-    that broadcast together, the first of full length.  F is grouped by its
-    monomials z^k w^(d-k); each group is a grid over the plane, and the
-    fiber over (z : w) weighs the grids by those monomials.
-    """
-    groups = sorted(model.F.group_by(("z", "w")).items())
-    coords = dict(zip(("x", "y", "u"), plane))
-    grids = [poly.eval_field_arrays(field, coords) for _, poly in groups]
-
-    def fibers():
-        for z, w in bases:
-            monos = _zw_monomials(field, z, w, model.deg_zw)
-            yield (z, w), [monos[k] for (k, _), _ in groups]
-
-    return _fiber_zero_masks(field, grids, fibers())
+    shape = plane[0].shape
+    (monos, lists, deg), *rest = forms
+    first = [grid[mono] for mono in monos]
+    for z, w in bases:
+        mask = vanishing(first, _zw_values(field, lists, deg, z, w), shape)
+        for monos_k, lists_k, deg_k in rest:
+            idx = np.flatnonzero(mask)
+            if not idx.size:
+                break
+            sub = [np.broadcast_to(grid[mono], shape)[idx] for mono in monos_k]
+            mask[idx] = vanishing(sub, _zw_values(field, lists_k, deg_k, z, w), idx.shape)
+        yield (z, w), mask
 
 
 def _zero_count(model: SurfaceModel, field: Field, plane, bases) -> int:
-    return sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(model, field, plane, bases))
+    masks = _zero_masks(model._forms[:1], field, plane, bases)
+    return sum(int(np.count_nonzero(mask)) for _, mask in masks)
 
 
 def count_affine_brute(model, field: Field) -> CountRecord:
@@ -320,19 +359,25 @@ def count_nonaffine_brute(model, field: Field) -> CountRecord:
     return CountRecord(model.id, field.p, field.n, "nonaffine", "brute", total)
 
 
-def biprojective_zero_reps(model, field: Field):
-    """Coordinates of every canonical representative lying on V(F)."""
+def _common_zero_reps(model, field: Field, forms: int):
+    """Canonical representatives (x, y, u, z, w) of the common zeros of the
+    model's first `forms` forms: F, then F_x, F_y, F_u, F_z, F_w."""
     model = _as_model(model)
     if field.q > MAX_BIPROJ_Q:
         raise FieldError(f"surface enumeration limited to q <= {MAX_BIPROJ_Q}")
     x, y, u = _p2_reps(field.p, field.n)
     reps = []
     bases = [(z, 1) for z in range(field.q)] + [(1, 0)]
-    for (z, w), mask in _zero_masks(model, field, (x, y, u), bases):
+    for (z, w), mask in _zero_masks(model._forms[:forms], field, (x, y, u), bases):
         idx = np.flatnonzero(mask)
         reps.extend((a, b, c, z, w) for a, b, c in
                     zip(x[idx].tolist(), y[idx].tolist(), u[idx].tolist()))
     return reps
+
+
+def biprojective_zero_reps(model, field: Field):
+    """Coordinates of every canonical representative lying on V(F)."""
+    return _common_zero_reps(model, field, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +393,5 @@ def singular_locus(model, field: Field) -> set[BiprojectivePoint]:
     zero of F the partials in the chart variables vanish exactly when all
     five do, whichever chart contains the point.
     """
-    model = _as_model(model)
-    reps = biprojective_zero_reps(model, field)
-    coords = dict(zip(model.F.vars, np.array(reps, dtype=np.int64).T))
-    singular = np.ones(len(reps), dtype=bool)
-    for v in model.F.vars:
-        singular &= model.F.partial(v).eval_field_arrays(field, coords) == 0
     return {BiprojectivePoint.from_raw(field, rep[:3], rep[3:])
-            for rep, hit in zip(reps, singular.tolist()) if hit}
+            for rep in _common_zero_reps(model, field, 6)}

@@ -125,16 +125,24 @@ def _p2_rep_arrays(p, n):
     return tuple(np.array(c, dtype=np.int64) for c in zip(*p2_reps(make_field(p, n))))
 
 
+@functools.lru_cache(maxsize=None)
+def _table_arrays(p, n):
+    add, mul, _ = _scalar_tables(p, n)
+    return np.array(add, dtype=np.int64), np.array(mul, dtype=np.int64)
+
+
 def conic_count_brute(field, coeff_encs):
     """Independent oracle: count zeros of a ternary quadratic form in P^2.
 
-    The form is evaluated on every representative at once with the
-    vectorised field operations.
+    The form is evaluated on every representative at once by indexing
+    numpy copies of the addition and multiplication tables built from
+    Field.add and Field.mul, so it shares no code with the log tables.
     """
+    add, mul = _table_arrays(field.p, field.n)
     x, y, u = _p2_rep_arrays(field.p, field.n)
     v = np.zeros_like(x)
     for coef, s, t in zip(coeff_encs, (x, y, u, x, x, y), (x, y, u, y, u, u)):
-        v = field.v_add(v, field.v_mul(int(coef), field.v_mul(s, t)))
+        v = add[v, mul[int(coef), mul[s, t]]]
     return int(np.count_nonzero(v == 0))
 
 

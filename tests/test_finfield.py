@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -143,17 +142,6 @@ def test_prime_nonresidues_are_squares_upstairs():
         for a in range(1, p):
             if fp.quadratic_character(a) == -1:
                 assert fp2.quadratic_character(a) == 1
-
-
-def test_vector_ops_match_scalar():
-    for p, n in [(5, 1), (3, 2), (2, 3), (7, 2)]:
-        f = make_field(p, n)
-        a = np.arange(f.q, dtype=np.int64).repeat(f.q)
-        b = np.tile(np.arange(f.q, dtype=np.int64), f.q)
-        assert np.array_equal(f.v_add(a, b),
-                              np.array([f.add(int(x), int(y)) for x, y in zip(a, b)]))
-        assert np.array_equal(f.v_mul(a, b),
-                              np.array([f.mul(int(x), int(y)) for x, y in zip(a, b)]))
 
 
 def test_classify_conic_examples():

@@ -2,16 +2,19 @@
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charzeta import (BiprojectivePoint, count_affine_brute, count_biprojective_brute,
                       count_nonaffine_brute, make_field, singular_locus,
                       surface)
-from charzeta.varieties import MAX_AFFINE_Q, _check_prime_headroom, biprojective_zero_reps
-from conftest import (chart_verdicts, eval_scalar, expected_singular_points, p1_reps,
-                      p2_reps, prime_powers_upto, zero_points_scalar)
+from charzeta.intpoly import IntPoly
+from charzeta.varieties import (MAX_AFFINE_Q, _check_prime_headroom, _monomial_grids, _p2_reps,
+                                _zero_masks, biprojective_zero_reps)
+from conftest import (_scalar_tables, chart_verdicts, eval_scalar, expected_singular_points,
+                      p1_reps, p2_reps, prime_powers_upto, zero_points_scalar)
 
 
 def test_surface_ids():
@@ -143,6 +146,57 @@ def test_brute_kernel_matches_scalar_enumeration(sid, pn):
     assert sorted(biprojective_zero_reps(sid, field)) == sorted(biproj)
     nonaffine = zero_points_scalar(m.F, field, [r for r in reps if r[2] == 0 or r[4] == 0])
     assert count_nonaffine_brute(sid, field).count == len(nonaffine)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(st.sampled_from(["L0", "L1", "L2"]), st.sampled_from(prime_powers_upto(27)),
+       st.integers(0, 5))
+@example("L1", (3, 3), 4)
+@example("L0", (2, 4), 5)
+@example("L2", (5, 2), 1)
+def test_kernel_zero_sets_match_scalar_enumeration(sid, pn, k):
+    # F and each of its five partials, alone, over all of P^2 x P^1
+    field = make_field(*pn)
+    m = surface(sid)
+    form = (m.F, *(m.F.partial(v) for v in m.F.vars))[k]
+    plane = _p2_reps(field.p, field.n)
+    got = [tuple(int(c[i]) for c in plane) + zw
+           for zw, mask in _zero_masks(m._forms[k:k + 1], field, plane, p1_reps(field))
+           for i in np.flatnonzero(mask)]
+    reps = [xyu + zw for xyu in p2_reps(field) for zw in p1_reps(field)]
+    assert sorted(got) == sorted(zero_points_scalar(form, field, reps))
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 2), (2, 3), (7, 2)])
+def test_monomial_grids_match_scalar_products(p, n):
+    # residues over F_p, discrete logs with the zero sentinel 2(q - 1) over
+    # F_{p^n}; u is a broadcasting length-1 array, once zero and once not
+    field = make_field(p, n)
+    q = field.q
+    if n > 1:  # the exp table lists the powers of a generator, by Field.mul
+        _, mul, _ = _scalar_tables(p, n)
+        exp = field.exp_log_tables()[0].tolist()
+        assert sorted(exp) == list(range(1, q))
+        assert all(mul[a][exp[1]] == b for a, b in zip(exp, exp[1:]))
+    monos = [e for e in np.ndindex(3, 3, 3) if sum(e) <= 2]
+    x, y = np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
+    for u in (0, q - 1):
+        grids = _monomial_grids(field, (x, y, np.array([u])), monos)
+        for mono, g in zip(monos, grids):
+            g = np.broadcast_to(g, x.shape).tolist()
+            if n > 1:
+                assert all(0 <= v < q - 1 or v == 2 * (q - 1) for v in g)
+                g = [0 if v == 2 * (q - 1) else exp[v] for v in g]
+            poly = IntPoly(("x", "y", "u"), {mono: 1})
+            assert g == [eval_scalar(poly, field, (a, b, u)) for a, b in zip(x.tolist(), y.tolist())]
+
+
+def test_p2_reps_keeps_one_field():
+    # near q = 2048 one field's arrays take about 100 MB
+    for p in (7, 11):
+        count_biprojective_brute("L0", make_field(p))
+        count_nonaffine_brute("L1", make_field(p))
+    assert _p2_reps.cache_info().currsize == 1
 
 
 def test_prime_accumulation_refuses_int64_overflow():
