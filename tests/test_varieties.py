@@ -167,28 +167,29 @@ def test_kernel_zero_sets_match_scalar_enumeration(sid, pn, k):
     assert sorted(got) == sorted(zero_points_scalar(form, field, reps))
 
 
-@pytest.mark.parametrize("p,n", [(5, 1), (3, 2), (2, 3), (7, 2)])
-def test_monomial_grids_match_scalar_products(p, n):
+def test_monomial_grids_match_scalar_products():
     # residues over F_p, discrete logs with the zero sentinel 2(q - 1) over
     # F_{p^n}; u is a broadcasting length-1 array, once zero and once not
-    field = make_field(p, n)
-    q = field.q
-    if n > 1:  # the exp table lists the powers of a generator, by Field.mul
-        _, mul, _ = _scalar_tables(p, n)
-        exp = field.exp_log_tables()[0].tolist()
-        assert sorted(exp) == list(range(1, q))
-        assert all(mul[a][exp[1]] == b for a, b in zip(exp, exp[1:]))
     monos = [e for e in np.ndindex(3, 3, 3) if sum(e) <= 2]
-    x, y = np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
-    for u in (0, q - 1):
-        grids = _monomial_grids(field, (x, y, np.array([u])), monos)
-        for mono, g in zip(monos, grids):
-            g = np.broadcast_to(g, x.shape).tolist()
-            if n > 1:
-                assert all(0 <= v < q - 1 or v == 2 * (q - 1) for v in g)
-                g = [0 if v == 2 * (q - 1) else exp[v] for v in g]
-            poly = IntPoly(("x", "y", "u"), {mono: 1})
-            assert g == [eval_scalar(poly, field, (a, b, u)) for a, b in zip(x.tolist(), y.tolist())]
+    for p, n in [(5, 1), (3, 2), (2, 3), (7, 2)]:
+        field = make_field(p, n)
+        q = field.q
+        if n > 1:  # the exp table lists the powers of a generator, by Field.mul
+            _, mul, _ = _scalar_tables(p, n)
+            exp = field.exp_log_tables()[0].tolist()
+            assert sorted(exp) == list(range(1, q))
+            assert all(mul[a][exp[1]] == b for a, b in zip(exp, exp[1:]))
+        x, y = np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
+        for u in (0, q - 1):
+            grids = _monomial_grids(field, (x, y, np.array([u])), monos)
+            for mono, g in zip(monos, grids):
+                g = np.broadcast_to(g, x.shape).tolist()
+                if n > 1:
+                    assert all(0 <= v < q - 1 or v == 2 * (q - 1) for v in g)
+                    g = [0 if v == 2 * (q - 1) else exp[v] for v in g]
+                poly = IntPoly(("x", "y", "u"), {mono: 1})
+                want = [eval_scalar(poly, field, (a, b, u)) for a, b in zip(x.tolist(), y.tolist())]
+                assert g == want, (p, n, mono, u)
 
 
 def test_p2_reps_keeps_one_field():
