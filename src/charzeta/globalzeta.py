@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fibercount import descent_totals
-from .localzeta import (LocalZetaFactors, RecoveryError, local_zeta_closed_form,
-                        recover_factors)
+from .localzeta import (RECOVERY_COUNTS, LocalZetaFactors, RecoveryError,
+                        local_zeta_closed_form, recover_factors)
 
 RECOVERY_PRIMES = (2, 3)
-RECOVERY_COUNTS = 14
 SPACES = ("affine", "biprojective", "nonaffine")
 
 

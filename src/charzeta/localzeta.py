@@ -1,11 +1,10 @@
 """Local zeta functions: count sequences, factor recovery, closed forms.
 
 A local zeta function here is a finite product prod_u (1 - u*T)^(-e_u)
-with units u in {p^j, -p^j : j = 0, 1, 2}; its count sequence is
-N_n = sum_u e_u * u^n.  Recovery inverts that: from enough exact counts,
-find the minimal linear recurrence of N_n over the rationals by solving
-Hankel systems of increasing order, match the characteristic roots
-against the candidate unit set, and solve for the integer exponents.
+over the six units u = p^2, -p^2, p, -p, 1, -1 (_units); its count
+sequence is N_n = sum_u e_u * u^n.  Recovery inverts that: the counts
+N_1..N_6 determine the exponents through one Vandermonde system over the
+units, and the later counts must agree with the product it gives.
 Everything in this module is exact; no floating point is used.
 """
 
@@ -14,14 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+# counts recover_factors needs: six solve for the exponents, eight verify them
+RECOVERY_COUNTS = 14
+
 
 class RecoveryError(ValueError):
     """Counts do not come from a product over the candidate unit set."""
 
 
-def _unit_sort_key(item):
-    u, _ = item
-    return (-abs(u), 0 if u > 0 else 1)
+def _units(p: int) -> tuple[int, ...]:
+    """The candidate units at p, in the order factors are listed."""
+    return (p * p, -p * p, p, -p, 1, -1)
 
 
 @dataclass(frozen=True)
@@ -33,15 +35,15 @@ class LocalZetaFactors:
 
     @classmethod
     def from_dict(cls, p: int, exponents: dict[int, int]) -> "LocalZetaFactors":
-        allowed = {s * p**j for j in range(3) for s in (1, -1)}
+        order = _units(p)
         items = []
         for u, e in exponents.items():
             if e == 0:
                 continue
-            if u not in allowed:
+            if u not in order:
                 raise ValueError(f"unit {u} outside {{+-p^j : j <= 2}} for p = {p}")
             items.append((int(u), int(e)))
-        return cls(p, tuple(sorted(items, key=_unit_sort_key)))
+        return cls(p, tuple(sorted(items, key=lambda item: order.index(item[0]))))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
@@ -100,66 +102,28 @@ def _solve_linear(rows, rhs):
     return [a[i][r] for i in range(r)]
 
 
-def _minimal_recurrence(counts):
-    """Smallest r and coefficients with N_m = sum a_i N_{m-i} for all m > r.
-
-    Tries orders in increasing r (Hankel systems on the leading counts),
-    keeping the first candidate that reproduces the whole sequence, which
-    is therefore minimal.
-    """
-    k = len(counts)
-    n = [Fraction(int(x)) for x in counts]
-    if all(x == 0 for x in n):
-        return 0, []
-    for r in range(1, 7):
-        rows = [[n[m - 1 - i] for i in range(1, r + 1)] for m in range(r + 1, 2 * r + 1)]
-        rhs = [n[m - 1] for m in range(r + 1, 2 * r + 1)]
-        a = _solve_linear(rows, rhs)
-        if a is None:
-            continue
-        if all(n[m - 1] == sum(a[i - 1] * n[m - 1 - i] for i in range(1, r + 1))
-               for m in range(r + 1, k + 1)):
-            return r, a
-    raise RecoveryError("no linear recurrence of order <= 6 fits the counts")
-
-
 def recover_factors(counts, p: int) -> LocalZetaFactors:
     """Blind reconstruction of the factor multiset from exact counts N_1..N_k.
 
-    Requires k >= 14 (twice the six candidate units plus two), so the
-    minimal recurrence is overdetermined and fully verified.  Raises
-    RecoveryError when a characteristic root falls outside {+-p^j} or the
-    recovered exponents fail to regenerate the counts exactly.
+    Requires k >= RECOVERY_COUNTS.  The exponents solve
+    N_n = sum_u e_u * u^n for n = 1..6 over the six units; the units are
+    distinct and nonzero for p >= 2, so the solution is unique, and the
+    remaining counts verify it.  Raises RecoveryError when the system is
+    singular (p < 2), an exponent is not an integer, or the recovered
+    factors fail to regenerate the counts exactly.
     """
     counts = [int(x) for x in counts]
-    if len(counts) < 14:
-        raise ValueError(f"need at least 14 counts, got {len(counts)}")
-    r, rec = _minimal_recurrence(counts)
-    if r == 0:
-        return LocalZetaFactors.from_dict(p, {})
-
-    def charpoly(x):
-        return Fraction(x) ** r - sum(rec[i - 1] * Fraction(x) ** (r - i)
-                                      for i in range(1, r + 1))
-
-    candidates = [s * p**j for j in (2, 1, 0) for s in (1, -1)]
-    roots = [u for u in candidates if charpoly(u) == 0]
-    if len(roots) != r:
-        raise RecoveryError(
-            f"characteristic roots outside the candidate set for p = {p} "
-            f"(recurrence order {r}, matched {len(roots)} of the units)")
-    rows = [[Fraction(u) ** m for u in roots] for m in range(1, r + 1)]
-    rhs = [Fraction(counts[m - 1]) for m in range(1, r + 1)]
-    sol = _solve_linear(rows, rhs)
+    if len(counts) < RECOVERY_COUNTS:
+        raise ValueError(f"need at least {RECOVERY_COUNTS} counts, got {len(counts)}")
+    us = _units(p)
+    sol = _solve_linear([[u**n for u in us] for n in range(1, len(us) + 1)],
+                        counts[:len(us)])
     if sol is None:
         raise RecoveryError("unit Vandermonde system is singular")
-    exps = {}
-    for u, e in zip(roots, sol):
+    for u, e in zip(us, sol):
         if e.denominator != 1:
             raise RecoveryError(f"non-integer exponent {e} for unit {u}")
-        if e:
-            exps[u] = int(e)
-    result = LocalZetaFactors.from_dict(p, exps)
+    result = LocalZetaFactors.from_dict(p, {u: int(e) for u, e in zip(us, sol)})
     if result.counts(len(counts)) != counts:
         raise RecoveryError("recovered factors do not regenerate the counts")
     return result

@@ -15,7 +15,6 @@ grids per form, with weights the binary forms in (z, w) at that point.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,13 +193,14 @@ def _as_model(model) -> SurfaceModel:
 # brute-force enumeration
 
 
-@functools.lru_cache(maxsize=1)
-def _p2_reps(p: int, n: int):
-    """Canonical representatives of P^2(F_q) as coordinate arrays.
+def _affine_plane(q: int):
+    """The chart (x, y, 1) of P^2(F_q) as coordinate arrays."""
+    r = np.arange(q, dtype=np.int64)
+    return np.repeat(r, q), np.tile(r, q), np.ones(1, dtype=np.int64)
 
-    Only the last field's arrays are kept: near q = 2048 they take about
-    100 MB, and one command enumerates over one field.
-    """
+
+def _p2_reps(p: int, n: int):
+    """Canonical representatives of P^2(F_q) as coordinate arrays."""
     q = p**n
     r = np.arange(q, dtype=np.int64)
     x = np.concatenate([np.ones(q * q, dtype=np.int64), np.zeros(q + 1, dtype=np.int64)])
@@ -326,9 +326,7 @@ def count_affine_brute(model, field: Field) -> CountRecord:
     q = field.q
     if q > MAX_AFFINE_Q:
         raise FieldError(f"affine brute force limited to q <= {MAX_AFFINE_Q}")
-    plane = (np.repeat(np.arange(q, dtype=np.int64), q), np.tile(np.arange(q, dtype=np.int64), q),
-             np.ones(1, dtype=np.int64))
-    total = _zero_count(model, field, plane, [(z, 1) for z in range(q)])
+    total = _zero_count(model, field, _affine_plane(q), [(z, 1) for z in range(q)])
     return CountRecord(model.id, field.p, field.n, "affine", "brute", total)
 
 
@@ -345,8 +343,8 @@ def count_biprojective_brute(model, field: Field) -> CountRecord:
 def count_nonaffine_brute(model, field: Field) -> CountRecord:
     """Points of V(F) with u = 0 or w = 0 (complement of the affine chart).
 
-    Two disjoint parts: all of P^2 over (1 : 0), and the line u = 0, that is
-    (1 : y : 0) and (0 : 1 : 0), over the bases (z : 1).
+    Two disjoint parts: the line u = 0, that is (1 : y : 0) and
+    (0 : 1 : 0), over all of P^1, and the chart (x, y, 1) over (1 : 0).
     """
     model = _as_model(model)
     q = field.q
@@ -354,8 +352,8 @@ def count_nonaffine_brute(model, field: Field) -> CountRecord:
         raise FieldError(f"non-affine brute force limited to q <= {MAX_AFFINE_Q}")
     line = (np.append(np.ones(q, dtype=np.int64), 0), np.append(np.arange(q, dtype=np.int64), 1),
             np.zeros(1, dtype=np.int64))
-    total = (_zero_count(model, field, _p2_reps(field.p, field.n), [(1, 0)])
-             + _zero_count(model, field, line, [(z, 1) for z in range(q)]))
+    total = (_zero_count(model, field, _affine_plane(q), [(1, 0)])
+             + _zero_count(model, field, line, [(1, 0)] + [(z, 1) for z in range(q)]))
     return CountRecord(model.id, field.p, field.n, "nonaffine", "brute", total)
 
 

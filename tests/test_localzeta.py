@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charzeta import (LocalZetaFactors, RecoveryError, count_formula,
@@ -52,13 +52,22 @@ def test_recover_biprojective_p2():
     assert got.as_dict() == {4: 1, 2: 3, -2: 1, 1: 1}
 
 
+ALL_SIX = (1, -2, 3, -4, 5, -6)
+
+
+def product(p, exps):
+    """prod_u (1 - u*T)^(-e_u) over u = p^2, -p^2, p, -p, 1, -1, e_u in exps."""
+    return LocalZetaFactors.from_dict(p, dict(zip((p * p, -p * p, p, -p, 1, -1), exps)))
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7, 101]), st.data())
-def test_recover_factors_round_trip(p, data):
+@given(st.sampled_from([2, 3, 5, 7, 101]), st.lists(st.integers(-8, 8), min_size=6, max_size=6))
+@example(3, [0] * 6)  # all-zero counts: the empty product
+@example(3, list(ALL_SIX))
+@example(101, list(ALL_SIX))
+def test_recover_factors_round_trip(p, exps):
     # any product over the six units is recovered blind from 14 counts
-    units = [s * p**j for j in range(3) for s in (1, -1)]
-    exps = data.draw(st.dictionaries(st.sampled_from(units), st.integers(-8, 8)))
-    f = LocalZetaFactors.from_dict(p, exps)
+    f = product(p, exps)
     assert recover_factors(f.counts(14), p) == f
 
 
@@ -68,15 +77,25 @@ def test_recover_requires_14_counts():
 
 
 def test_recover_rejects_foreign_roots():
-    with pytest.raises(RecoveryError):
-        recover_factors([3**n for n in range(1, 15)], 2)
+    # a foreign root alone, or as a seventh root beside all six units
+    cases = [(2, [3**n for n in range(1, 15)])]
+    for p, foreign in [(2, 8), (3, 27), (3, 7)]:
+        counts = product(p, ALL_SIX).counts(14)
+        cases.append((p, [c + foreign**n for n, c in enumerate(counts, 1)]))
+    for p, counts in cases:
+        with pytest.raises(RecoveryError):
+            recover_factors(counts, p)
 
 
 def test_recover_rejects_corrupted_counts():
-    counts = counts_by_formula("L0", 3, "biprojective")
-    counts[9] += 1
-    with pytest.raises(RecoveryError):
-        recover_factors(counts, 3)
+    # N_1 and N_6 are the first and last counts solved for, N_7 and N_14
+    # the first and last only verified
+    for n in (1, 6, 7, 10, 14):
+        for p, counts in [(3, counts_by_formula("L0", 3, "biprojective")),
+                          (5, product(5, ALL_SIX).counts(14))]:
+            counts[n - 1] += 1
+            with pytest.raises(RecoveryError):
+                recover_factors(counts, p)
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])

@@ -199,6 +199,9 @@ def test_verify_table1_all_cells():
     report = verify_table1(tol=1e-6)
     assert len(report) == 9
     assert all(r["pass"] for r in report)
+    # the largest error, at (L1, 1), is 3.8e-10; --tol 1e-6 would hide a
+    # coefficient off by a relative 5e-7
+    assert max(r["rel_err"] for r in report) <= 1e-9
     blank = [r for r in report if r["surface"] == "L2" and r["s0"] == 2]
     assert blank[0]["order_expected"] == 0 and "note" in blank[0]
 
@@ -211,6 +214,10 @@ def test_mahler_deterministic():
     a = mahler_measure_mc("1+x+y+z", 50000, 11)
     b = mahler_measure_mc("1+x+y+z", 50000, 11)
     assert a == b
+    # pinned output: the serial oracle shares _MC_CHUNK, so only a fixed
+    # value catches a change of chunk size or of the random stream
+    assert mahler_measure_mc("1+x+y+z", 300_000, 7) == pytest.approx(
+        (0.42662792039010244, 0.0011814529072881033), rel=1e-9)
 
 
 def test_mahler_matches_smyth_value():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charzeta import (BiprojectivePoint, count_affine_brute, count_biprojective_brute,
-                      count_nonaffine_brute, make_field, singular_locus,
-                      surface)
+from charzeta import (BiprojectivePoint, SurfaceModel, count_affine_brute,
+                      count_biprojective_brute, count_formula, count_nonaffine_brute,
+                      make_field, singular_locus, surface)
 from charzeta.intpoly import IntPoly
 from charzeta.varieties import (MAX_AFFINE_Q, _check_prime_headroom, _monomial_grids, _p2_reps,
                                 _zero_masks, biprojective_zero_reps)
@@ -94,7 +94,17 @@ def test_nonaffine_brute_examples():
     assert count_nonaffine_brute("L1", make_field(3)).count == 10
 
 
-@pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
+def _model_with_points_over_w0():
+    # L0 plus x u z^3: the fiber over (1 : 0) is u (u + x) = 0, which meets
+    # the chart u = 1; for the three surfaces it is u^2 = 0, the line u = 0
+    m = surface("L0")
+    f = IntPoly(m.f.vars, {**m.f.terms, (1, 0, 3): 1})
+    F = IntPoly(m.F.vars, {**m.F.terms, (1, 0, 1, 3, 0): 1})
+    return SurfaceModel("L0+xuz^3", f, F)
+
+
+@pytest.mark.parametrize("sid", ["L0", "L1", "L2",
+                                 pytest.param(_model_with_points_over_w0(), id="xuz3")])
 def test_affine_plus_nonaffine_equals_biprojective(sid):
     for p, n in prime_powers_upto(16):
         field = make_field(p, n)
@@ -192,12 +202,15 @@ def test_monomial_grids_match_scalar_products():
                 assert g == want, (p, n, mono, u)
 
 
-def test_p2_reps_keeps_one_field():
-    # near q = 2048 one field's arrays take about 100 MB
-    for p in (7, 11):
-        count_biprojective_brute("L0", make_field(p))
-        count_nonaffine_brute("L1", make_field(p))
-    assert _p2_reps.cache_info().currsize == 1
+def test_nonaffine_brute_never_builds_p2(monkeypatch):
+    # near q = 2048 the P^2 arrays take about 100 MB; the non-affine count
+    # enumerates the chart (x, y, 1) and the line u = 0 instead
+    def refuse(p, n):
+        raise AssertionError(f"_p2_reps({p}, {n}) built")
+    monkeypatch.setattr("charzeta.varieties._p2_reps", refuse)
+    assert count_nonaffine_brute("L0", make_field(3)).count == 8
+    want = count_formula("L1", 2, 3, "nonaffine").count
+    assert count_nonaffine_brute("L1", make_field(2, 3)).count == want
 
 
 def test_prime_accumulation_refuses_int64_overflow():
