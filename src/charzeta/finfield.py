@@ -24,8 +24,6 @@ import functools
 import random
 from itertools import zip_longest
 
-import numpy as np
-
 MAX_Q = 1 << 63
 MAX_EXT_DEGREE = MAX_Q.bit_length() - 1  # q = p^n <= 2^63 and p >= 2
 MAX_TABLE_Q = 2048
@@ -346,7 +344,8 @@ class Field:
 
         exp[k] is the encoding of g^k for a fixed generator g; log inverts
         exp on nonzero encodings (log[0] is a meaningless sentinel, callers
-        must mask zeros first).
+        must mask zeros first).  They are the only numpy arrays this module
+        builds, so numpy is imported here and scalar arithmetic never loads it.
         """
         if self._exp is None:
             if self.q > MAX_TABLE_Q:
@@ -356,6 +355,7 @@ class Field:
             exp = [1]
             for _ in range(q - 2):
                 exp.append(self.mul(exp[-1], g))
+            import numpy as np  # deferred: only table users pay its import
             exp = np.array(exp, dtype=np.int64)
             log = np.zeros(q, dtype=np.int64)
             log[exp] = np.arange(q - 1, dtype=np.int64)

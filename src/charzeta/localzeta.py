@@ -4,12 +4,14 @@ A local zeta function here is a finite product prod_u (1 - u*T)^(-e_u)
 over the six units u = p^2, -p^2, p, -p, 1, -1 (_units); its count
 sequence is N_n = sum_u e_u * u^n.  Recovery inverts that: the counts
 N_1..N_6 determine the exponents through one Vandermonde system over the
-units, and the later counts must agree with the product it gives.
+units, solved in closed (Lagrange) form, and the later counts must agree
+with the product it gives.
 Everything in this module is exact; no floating point is used.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,46 +86,38 @@ def zeta_series_from_counts(counts) -> list[Fraction]:
     return c
 
 
-def _solve_linear(rows, rhs):
-    """Exact Gaussian elimination; None when the system is singular."""
-    r = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
-    for col in range(r):
-        piv = next((i for i in range(col, r) if a[i][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(r):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][r] for i in range(r)]
-
-
 def recover_factors(counts, p: int) -> LocalZetaFactors:
     """Blind reconstruction of the factor multiset from exact counts N_1..N_k.
 
     Requires k >= RECOVERY_COUNTS.  The exponents solve
     N_n = sum_u e_u * u^n for n = 1..6 over the six units; the units are
     distinct and nonzero for p >= 2, so the solution is unique, and the
-    remaining counts verify it.  Raises RecoveryError when the system is
-    singular (p < 2), an exponent is not an integer, or the recovered
-    factors fail to regenerate the counts exactly.
+    remaining counts verify it.  The solve is the Lagrange form of the
+    Vandermonde inverse: with P_u(x) = prod_{w != u} (x - w) =
+    sum_k c_{u,k} x^k, applying the c_{u,k} to N_{k+1} cancels every unit but
+    u, so e_u = (sum_k c_{u,k} N_{k+1}) / (u * P_u(u)), in integers with one
+    exact division per unit.  Raises RecoveryError when the system is
+    singular (a unit is zero or repeated, p in {-1, 0, 1}), an exponent is
+    not an integer, or the recovered factors fail to regenerate the counts
+    exactly.
     """
     counts = [int(x) for x in counts]
     if len(counts) < RECOVERY_COUNTS:
         raise ValueError(f"need at least {RECOVERY_COUNTS} counts, got {len(counts)}")
     us = _units(p)
-    sol = _solve_linear([[u**n for u in us] for n in range(1, len(us) + 1)],
-                        counts[:len(us)])
-    if sol is None:
+    sol = []  # (numerator, denominator) of each exponent
+    for i, u in enumerate(us):
+        others = us[:i] + us[i + 1:]
+        c = [1]  # P_u, lowest degree first
+        for w in others:
+            c = [a - w * b for a, b in zip([0] + c, c + [0])]
+        sol.append((sum(ck * n for ck, n in zip(c, counts)), u * math.prod(u - w for w in others)))
+    if any(den == 0 for _, den in sol):
         raise RecoveryError("unit Vandermonde system is singular")
-    for u, e in zip(us, sol):
-        if e.denominator != 1:
-            raise RecoveryError(f"non-integer exponent {e} for unit {u}")
-    result = LocalZetaFactors.from_dict(p, {u: int(e) for u, e in zip(us, sol)})
+    for u, (num, den) in zip(us, sol):
+        if num % den:
+            raise RecoveryError(f"non-integer exponent {Fraction(num, den)} for unit {u}")
+    result = LocalZetaFactors.from_dict(p, {u: num // den for u, (num, den) in zip(us, sol)})
     if result.counts(len(counts)) != counts:
         raise RecoveryError("recovered factors do not regenerate the counts")
     return result

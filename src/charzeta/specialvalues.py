@@ -12,7 +12,10 @@ central differences.  Only real arguments in [-3, 4] are supported.
 
 The Monte Carlo Mahler measure evaluates its seeded chunks of 2^17
 samples on up to four threads and merges them in chunk order, so its
-result does not depend on the thread count.
+result does not depend on the thread count.  It is the only part of this
+module that uses numpy, which it imports on the calling thread before the
+pool starts; everything else here is scalar floating point, so `special`
+never loads numpy.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ import functools
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .globalzeta import (CharacterDesc, GlobalZetaExpr, dedekind_expand,
                          main_term_expression)
@@ -298,7 +300,7 @@ def verify_table1(tol: float = 1e-6) -> list[dict]:
 MAHLER_POLYS = ("1+x+y+z", "1")
 _MC_CHUNK = 1 << 17
 _MC_MAX_THREADS = 4
-_TINY = np.finfo(float).tiny
+_TINY = sys.float_info.min  # the smallest normal double
 
 
 def _mc_chunk(seed: int, index: int, m: int) -> tuple[float, float]:
@@ -307,6 +309,7 @@ def _mc_chunk(seed: int, index: int, m: int) -> tuple[float, float]:
     The chunk draws its m points from SeedSequence(seed, spawn_key=(index,))
     and works in place on its own buffers, so chunks share no state.
     """
+    import numpy as np  # already loaded by mahler_measure_mc
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     ang = rng.random((m, 3))
     ang *= 2.0 * np.pi
@@ -346,6 +349,7 @@ def mahler_measure_mc(poly_id: str, samples: int, seed: int) -> tuple[float, flo
     if poly_id == "1":
         return 0.0, 0.0
     from concurrent.futures import ThreadPoolExecutor  # deferred: only this pays its import
+    import numpy  # loaded here, so no pool worker is the first to import it
     sizes = [min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)]
     workers = min(_MC_MAX_THREADS, os.cpu_count() or 1, len(sizes))
     total = 0.0

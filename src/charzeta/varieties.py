@@ -11,13 +11,18 @@ F and its partials are split by their monomials in (x, y, u), each
 monomial is a grid over a set of plane representatives (x : y : u) built
 once, and every base point (z : w) then costs one weighted sum of those
 grids per form, with weights the binary forms in (z, w) at that point.
+
+Only that kernel builds arrays, so numpy is imported inside the functions
+that build or count them (_affine_plane, _p2_reps, _monomial_grids,
+_zero_masks, _zero_count and the non-affine count), never at module
+scope: every command imports this module for the surface models, and the
+commands that never enumerate points (verify, zeta, special, and count by
+fiberwise or formula) then start without loading numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .finfield import Field, FieldError
 from .intpoly import IntPoly
@@ -195,12 +200,14 @@ def _as_model(model) -> SurfaceModel:
 
 def _affine_plane(q: int):
     """The chart (x, y, 1) of P^2(F_q) as coordinate arrays."""
+    import numpy as np  # deferred, like every numpy import in this module
     r = np.arange(q, dtype=np.int64)
     return np.repeat(r, q), np.tile(r, q), np.ones(1, dtype=np.int64)
 
 
 def _p2_reps(p: int, n: int):
     """Canonical representatives of P^2(F_q) as coordinate arrays."""
+    import numpy as np
     q = p**n
     r = np.arange(q, dtype=np.int64)
     x = np.concatenate([np.ones(q * q, dtype=np.int64), np.zeros(q + 1, dtype=np.int64)])
@@ -229,6 +236,7 @@ def _monomial_grids(field: Field, plane, monos):
     sentinel 2(q - 1) where a coordinate raised to e_i > 0 is zero.  A
     coordinate array of length 1 broadcasts against the others.
     """
+    import numpy as np
     p, m = field.p, field.q - 1
     if field.n > 1:
         _, log = field.exp_log_tables()
@@ -263,6 +271,7 @@ def _zero_masks(forms, field: Field, plane, bases):
     last period is zero; terms are added with XOR in characteristic 2 and
     digit by digit in base p otherwise.
     """
+    import numpy as np
     p, n = field.p, field.n
     used = sorted({mono for monos, _, _ in forms for mono in monos})
     grid = dict(zip(used, _monomial_grids(field, plane, used)))
@@ -313,6 +322,7 @@ def _zero_masks(forms, field: Field, plane, bases):
 
 
 def _zero_count(model: SurfaceModel, field: Field, plane, bases) -> int:
+    import numpy as np
     masks = _zero_masks(model._forms[:1], field, plane, bases)
     return sum(int(np.count_nonzero(mask)) for _, mask in masks)
 
@@ -350,6 +360,7 @@ def count_nonaffine_brute(model, field: Field) -> CountRecord:
     q = field.q
     if q > MAX_AFFINE_Q:
         raise FieldError(f"non-affine brute force limited to q <= {MAX_AFFINE_Q}")
+    import numpy as np
     line = (np.append(np.ones(q, dtype=np.int64), 0), np.append(np.arange(q, dtype=np.int64), 1),
             np.zeros(1, dtype=np.int64))
     total = (_zero_count(model, field, _affine_plane(q), [(1, 0)])
@@ -367,7 +378,7 @@ def _common_zero_reps(model, field: Field, forms: int):
     reps = []
     bases = [(z, 1) for z in range(field.q)] + [(1, 0)]
     for (z, w), mask in _zero_masks(model._forms[:forms], field, (x, y, u), bases):
-        idx = np.flatnonzero(mask)
+        idx = mask.nonzero()[0]
         reps.extend((a, b, c, z, w) for a, b, c in
                     zip(x[idx].tolist(), y[idx].tolist(), u[idx].tolist()))
     return reps

@@ -3,11 +3,15 @@
 import contextlib
 import functools
 import json
+import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
-from charzeta import cli, fibercount, finfield, globalzeta
+import charzeta
+from charzeta import cli, fibercount, finfield, globalzeta, mahler_measure_mc
 from charzeta.cli import MAX_MAHLER_SAMPLES, MAX_VERIFY_PRIME, build_parser, main
 from charzeta.localzeta import LocalZetaFactors
 
@@ -290,3 +294,57 @@ def test_zeta_and_verify_give_one_verdict(capsys, p):
             for key in ("euler", "recovered", "first_mismatch_n"):
                 assert rec.get(key) == item.get(key), (rec["surface"], space, key)
             assert rec["match"] == item["pass"]
+
+
+# Runs in a fresh interpreter.  A finder first on sys.meta_path records the
+# phase and thread of every lookup of numpy, which happens only while numpy
+# is not yet loaded.
+_COLD_START = """
+import contextlib, io, json, sys, threading
+
+class Watch:
+    phase = "import"
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append([self.phase, threading.current_thread().name])
+
+seen, watch = [], Watch()
+sys.meta_path.insert(0, watch)
+import charzeta, charzeta.cli
+codes = {}
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[" ".join(argv)] = charzeta.cli.main(list(argv))
+
+watch.phase = "commands"
+run("verify", "--primes", "2..30")
+run("zeta", "--p", "3")
+run("special")
+run("count", "--p", "5", "--method", "fiberwise")
+run("count", "--p", "5", "--method", "formula")
+after_commands = "numpy" in sys.modules
+watch.phase = "mahler"
+mahler = [x.hex() for x in charzeta.mahler_measure_mc("1+x+y+z", 300_000, 7)]
+watch.phase = "brute"
+run("count", "--p", "3", "--n", "2", "--method", "brute")
+print(json.dumps({"seen": seen, "codes": codes, "after_commands": after_commands,
+                  "mahler": mahler, "after_brute": "numpy" in sys.modules}))
+"""
+
+
+def test_numpy_loads_only_where_arrays_are_built():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(charzeta.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    doc = json.loads(res.stdout)
+    assert set(doc["codes"].values()) == {0}
+    # verify, zeta, special and the fiberwise and formula counts run on
+    # Python integers and floats alone
+    assert not doc["after_commands"]
+    # the Mahler Monte Carlo loads numpy on the calling thread before its
+    # pool starts, and its value does not depend on who loaded numpy
+    assert doc["seen"] == [["mahler", "MainThread"]]
+    assert doc["mahler"] == [x.hex() for x in mahler_measure_mc("1+x+y+z", 300_000, 7)]
+    assert doc["after_brute"]

@@ -94,8 +94,16 @@ def test_recover_rejects_corrupted_counts():
         for p, counts in [(3, counts_by_formula("L0", 3, "biprojective")),
                           (5, product(5, ALL_SIX).counts(14))]:
             counts[n - 1] += 1
-            with pytest.raises(RecoveryError):
+            reason = "non-integer exponent" if n <= 6 else "do not regenerate"
+            with pytest.raises(RecoveryError, match=reason):
                 recover_factors(counts, p)
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1])
+def test_recover_rejects_degenerate_units(p):
+    # the six units are not distinct and nonzero, so no solve is unique
+    with pytest.raises(RecoveryError, match="singular"):
+        recover_factors([0] * 14, p)
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
