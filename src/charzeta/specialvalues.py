@@ -299,6 +299,7 @@ def verify_table1(tol: float = 1e-6) -> list[dict]:
 
 MAHLER_POLYS = ("1+x+y+z", "1")
 _MC_CHUNK = 1 << 17
+_MC_BLOCK = 2048  # rows per block: its two (rows, 3) buffers take 96 KB
 _MC_MAX_THREADS = 4
 _TINY = sys.float_info.min  # the smallest normal double
 
@@ -307,29 +308,45 @@ def _mc_chunk(seed: int, index: int, m: int) -> tuple[float, float]:
     """Sum and sum of squares of log|1 + x + y + z| over chunk `index`.
 
     The chunk draws its m points from SeedSequence(seed, spawn_key=(index,))
-    and works in place on its own buffers, so chunks share no state.
+    and allocates only its own buffers, so chunks share no state.  The
+    points are drawn and turned into |P|^2 block by block: random(out=)
+    continues one PCG64 stream, so the blocks hold the same angles as
+    random((m, 3)), and cos and sin write into two reused block buffers.
+    A fresh array above glibc's mmap threshold is page-faulted in on first
+    touch, one fault per 4 KB page, which costs about as much as the cos it
+    feeds, so no step allocates one per block.  The log and both sums run
+    over the whole chunk's |P|^2, which keeps numpy's pairwise summation,
+    and so every bit, of the unblocked loop.
     """
     import numpy as np  # already loaded by mahler_measure_mc
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    ang = rng.random((m, 3))
-    ang *= 2.0 * np.pi
-    c = np.cos(ang)
-    # column adds in the order of the row sum .sum(axis=1), without its strided loop
-    re = c[:, 0] + c[:, 1]
-    re += c[:, 2]
-    re += 1.0
-    np.sin(ang, out=ang)
-    im = ang[:, 0] + ang[:, 1]
-    im += ang[:, 2]
-    re *= re
-    im *= im
-    re += im
-    np.maximum(re, _TINY, out=re)  # the zero set has measure zero
-    np.log(re, out=re)
-    re *= 0.5
-    total = float(re.sum())
-    re *= re
-    return total, float(re.sum())
+    r2 = np.empty(m)
+    ang = np.empty((min(m, _MC_BLOCK), 3))
+    trig = np.empty_like(ang)
+    im = np.empty(len(ang))
+    for start in range(0, m, _MC_BLOCK):
+        re = r2[start:start + _MC_BLOCK]
+        b = len(re)
+        a, t, i = ang[:b], trig[:b], im[:b]
+        rng.random(out=a)
+        a *= 2.0 * np.pi
+        # column adds in the order of the row sum .sum(axis=1), without its strided loop
+        np.cos(a, out=t)
+        np.add(t[:, 0], t[:, 1], out=re)
+        re += t[:, 2]
+        re += 1.0
+        np.sin(a, out=t)
+        np.add(t[:, 0], t[:, 1], out=i)
+        i += t[:, 2]
+        re *= re
+        i *= i
+        re += i
+    np.maximum(r2, _TINY, out=r2)  # the zero set has measure zero
+    np.log(r2, out=r2)
+    r2 *= 0.5
+    total = float(r2.sum())
+    r2 *= r2
+    return total, float(r2.sum())
 
 
 def mahler_measure_mc(poly_id: str, samples: int, seed: int) -> tuple[float, float]:

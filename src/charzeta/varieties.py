@@ -11,6 +11,12 @@ F and its partials are split by their monomials in (x, y, u), each
 monomial is a grid over a set of plane representatives (x : y : u) built
 once, and every base point (z : w) then costs one weighted sum of those
 grids per form, with weights the binary forms in (z, w) at that point.
+That sum is computed without temporaries, in cache-sized strips of each
+fiber through buffers allocated once per call, because a fresh array of
+the grids' size costs a page fault per 4 KB on first touch, about as much
+as the arithmetic.  Prime fields add int32 residues and divide by p once
+per fiber; extension fields gather from a table of packed base-p digits
+(of encodings in characteristic 2).
 
 Only that kernel builds arrays, so numpy is imported inside the functions
 that build or count them (_affine_plane, _p2_reps, _monomial_grids,
@@ -217,23 +223,37 @@ def _p2_reps(p: int, n: int):
 
 
 def _check_prime_headroom(terms: int, p: int) -> None:
-    """Refuse an unreduced int64 sum of `terms` products that could overflow.
+    """Refuse an unreduced int32 sum of `terms` products that could overflow.
 
-    Weights and grid values are reduced encodings in [0, p), so each
-    product c_m * M_m is at most (p - 1)^2 and the sum fits when
-    terms * (p - 1)^2 < 2^63.  With at most six terms and p < MAX_AFFINE_Q
-    the sum stays below 6 * 2047^2 < 2^25.
+    Weights and grid values are reduced residues in [0, p), so each
+    product c_m * M_m is at most (p - 1)^2 and the sum fits in int32 when
+    terms * (p - 1)^2 < 2^31.  With at most six terms and p < MAX_AFFINE_Q
+    the sum stays below 6 * 2047^2 < 2^25.  int32 rather than int64 halves
+    the bytes each pass over the grids moves.
     """
-    if terms * (p - 1) ** 2 >= 1 << 63:
-        raise OverflowError(f"{terms} unreduced products mod {p} overflow int64")
+    if terms * (p - 1) ** 2 >= 1 << 31:
+        raise OverflowError(f"{terms} unreduced products mod {p} overflow int32")
+
+
+def _check_packed_headroom(terms: int, p: int, n: int, s: int) -> None:
+    """Refuse a sum of packed F_{p^n} elements that could carry or overflow.
+
+    An element with base-p digits d_j is packed as sum_j d_j 2^(s j).  A
+    sum of `terms` of them holds digit sums of at most terms * (p - 1),
+    which stay inside their s-bit fields when below 2^s, and its n fields
+    fit a non-negative int64 when n * s <= 63.
+    """
+    if terms * (p - 1) >= 1 << s or n * s > 63:
+        raise OverflowError(f"{terms} packed sums over F_{p}^{n} do not fit {s}-bit digits")
 
 
 def _monomial_grids(field: Field, plane, monos):
     """Each (x, y, u)-monomial of monos over the plane representatives.
 
-    Over F_p a grid holds the residues of the products.  Over F_{p^n} it
-    holds their discrete logs, sum_i e_i log c_i mod (q - 1), with the
-    sentinel 2(q - 1) where a coordinate raised to e_i > 0 is zero.  A
+    Over F_p a grid holds the residues of the products, as int32.  Over
+    F_{p^n} it holds their discrete logs, sum_i e_i log c_i mod (q - 1),
+    with the sentinel 2(q - 1) where a coordinate raised to e_i > 0 is
+    zero, as int64 (np.take's index type, so a gather copies no index).  A
     coordinate array of length 1 broadcasts against the others.
     """
     import numpy as np
@@ -247,6 +267,7 @@ def _monomial_grids(field: Field, plane, monos):
             for c, e in zip(plane, mono):
                 for _ in range(e):
                     g = g * c % p
+            g = g.astype(np.int32)
         else:
             g, zero = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)
             for c, e in zip(plane, mono):
@@ -257,6 +278,9 @@ def _monomial_grids(field: Field, plane, monos):
     return grids
 
 
+_BLOCK = 1 << 15  # points per strip: its int64 buffers take 256 KB each
+
+
 def _zero_masks(forms, field: Field, plane, bases):
     """Yield ((z, w), mask) per base point; mask marks the common zeros of forms.
 
@@ -265,59 +289,112 @@ def _zero_masks(forms, field: Field, plane, bases):
     _split_form) is sum_m M_m(x, y, u) P_m(z, w): the grids M_m are built
     once, and the fiber over (z : w) weighs them by the encodings
     c_m = P_m(z : w).  The first form is evaluated at every point, each
-    later one only where those before it vanish.  Prime fields sum the
-    products in int64 and reduce once.  Extension fields multiply a log
-    grid by c with one gather from an exp table over three periods whose
-    last period is zero; terms are added with XOR in characteristic 2 and
-    digit by digit in base p otherwise.
+    later one only where those before it vanish.
+
+    No step allocates a full-size array.  Each fiber is evaluated in
+    strips of _BLOCK points, every term and the zero test of a strip
+    before the next, through an accumulator and a term buffer of one
+    strip allocated once per call; every numpy call writes into them with
+    out=.  A fresh array above glibc's mmap threshold is page-faulted in on
+    first touch, one fault per 4 KB page, which costs about as much as the
+    arithmetic on it, and a strip's buffers stay in cache while each grid
+    is read once per fiber.  The mask is allocated once too, so it is the
+    same array at every base point: read it before advancing the generator.
+
+    Prime fields sum the products in int32 and test acc // p * p == acc,
+    since numpy divides by a scalar by multiplying (libdivide), about twice
+    as fast as %.  Extension fields multiply a log grid by c with one
+    gather (np.take) from a table over three periods of the exp table
+    whose last period is zero.  In characteristic 2 it holds the encodings
+    and terms are added with XOR; in odd characteristic it holds the base-p
+    digits packed into one int64 with s bits each, so a term is one add
+    (see _check_packed_headroom), and once per base point the digits are
+    tested mod p, a few at a time, by lookup in a table of bit patterns.
     """
     import numpy as np
     p, n = field.p, field.n
     used = sorted({mono for monos, _, _ in forms for mono in monos})
     grid = dict(zip(used, _monomial_grids(field, plane, used)))
+    terms = max(len(form[0]) for form in forms)
+    shape = plane[0].shape
     if n == 1:
-        _check_prime_headroom(max(len(form[0]) for form in forms), p)
+        _check_prime_headroom(terms, p)
+        dtype = np.int32
     else:
         exp, log = field.exp_log_tables()
-        m = field.q - 1
-        exp3 = np.concatenate([exp, exp, np.zeros(m, dtype=np.int64)])
-        digits = [exp3 // p**j % p for j in range(n)]
-
-    def vanishing(grids, cs, shape):
-        if n == 1:
-            acc = np.zeros(shape, dtype=np.int64)
-            for c, g in zip(cs, grids):
-                if c:
-                    acc += c * g
-            return acc % p == 0
+        table = np.concatenate([exp, exp, np.zeros(len(exp), dtype=exp.dtype)])
         if p == 2:
-            acc = np.zeros(shape, dtype=np.int64)
-            for c, lg in zip(cs, grids):
-                if c:
-                    acc ^= exp3[log[c]:][lg]
-            return acc == 0
-        accs = [np.zeros(shape, dtype=np.int64) for _ in digits]
-        for c, lg in zip(cs, grids):
-            if c:
-                lc = log[c]
-                for acc, table in zip(accs, digits):
-                    acc += table[lc:][lg]
-        mask = accs[0] % p == 0
-        for acc in accs[1:]:
-            mask &= acc % p == 0
-        return mask
+            dtype = np.int32  # encodings stay below MAX_TABLE_Q
+        else:
+            dtype = np.int64
+            s = (terms * (p - 1)).bit_length()
+            _check_packed_headroom(terms, p, n, s)
+            table = sum(table // p**j % p << s * j for j in range(n))
+            # a sum's digits are tested `width` bits at a time: whole digits,
+            # at most 16 bits, so the lookup table takes at most 64 KB
+            width = s * max(1, min(n, 16 // s))
+            ok = np.zeros(1, dtype=np.int64)
+            for i in range(width // s):  # the patterns whose every digit is a multiple of p
+                ok = np.add.outer(np.arange(0, 1 << s, p) << s * i, ok).ravel()
+            divisible = np.zeros(1 << width, dtype=bool)
+            divisible[ok] = True
+            hit = np.empty(_BLOCK, dtype=bool)
+        table = table.astype(dtype)
+    acc, tmp = np.empty(_BLOCK, dtype=dtype), np.empty(_BLOCK, dtype=dtype)
 
-    shape = plane[0].shape
+    def term(c, g, out):
+        if n == 1:
+            np.multiply(g, c, out=out)
+        elif g.size < out.size:  # a constant monomial's grid has length 1
+            out.fill(table[log[c] + g[0]])
+        else:  # mode "clip" never clips here; "raise" would copy through a buffer
+            np.take(table[log[c]:], g, out=out, mode="clip")
+
+    def zero_test(a, t, out):
+        if n == 1:
+            np.floor_divide(a, p, out=t)
+            t *= p
+            np.equal(t, a, out=out)
+        elif p == 2:
+            np.equal(a, 0, out=out)
+        else:
+            h = hit[:out.size]
+            for shift in range(0, n * s, width):
+                # numpy vectorises the logical shift of uint64, not the arithmetic one of int64
+                np.right_shift(a.view(np.uint64), shift, out=t.view(np.uint64))
+                np.bitwise_and(t, (1 << width) - 1, out=t)
+                np.take(divisible, t, out=h if shift else out, mode="clip")
+                if shift:
+                    out &= h
+
+    def vanishing(grids, cs, out):
+        nonzero = [(c, g) for c, g in zip(cs, grids) if c]
+        if not nonzero:
+            out.fill(True)
+            return out
+        combine = np.bitwise_xor if p == 2 else np.add
+        for lo in range(0, out.size, _BLOCK):
+            o = out[lo:lo + _BLOCK]
+            a, t = acc[:o.size], tmp[:o.size]
+            for i, (c, g) in enumerate(nonzero):
+                term(c, g[lo:lo + _BLOCK] if g.size > 1 else g, t if i else a)
+                if i:
+                    combine(a, t, out=a)
+            zero_test(a, t, o)
+        return out
+
+    mask = np.empty(shape, dtype=bool)
     (monos, lists, deg), *rest = forms
     first = [grid[mono] for mono in monos]
     for z, w in bases:
-        mask = vanishing(first, _zw_values(field, lists, deg, z, w), shape)
+        vanishing(first, _zw_values(field, lists, deg, z, w), mask)
         for monos_k, lists_k, deg_k in rest:
             idx = np.flatnonzero(mask)
             if not idx.size:
                 break
             sub = [np.broadcast_to(grid[mono], shape)[idx] for mono in monos_k]
-            mask[idx] = vanishing(sub, _zw_values(field, lists_k, deg_k, z, w), idx.shape)
+            mask[idx] = vanishing(sub, _zw_values(field, lists_k, deg_k, z, w),
+                                  np.empty(idx.shape, dtype=bool))
         yield (z, w), mask
 
 

@@ -13,7 +13,7 @@ from charzeta import (CHI5, CHI8, dirichlet_L, hurwitz_zeta_deflated,
                       laurent_leading, mahler_measure_mc, main_term_expression,
                       regulator, riemann_zeta, verify_table1)
 from charzeta import specialvalues
-from charzeta.specialvalues import _MC_CHUNK, QUAD_FIELD_DATA
+from charzeta.specialvalues import _MC_BLOCK, _MC_CHUNK, QUAD_FIELD_DATA
 from conftest import mahler_mc_serial
 
 mpmath.mp.dps = 30
@@ -249,6 +249,10 @@ def test_mahler_rejects_bad_input():
 @example(samples=_MC_CHUNK, seed=11)
 @example(samples=_MC_CHUNK + 1, seed=3)
 @example(samples=3 * _MC_CHUNK + 5, seed=42)
+@example(samples=_MC_BLOCK - 1, seed=1)   # the block edges inside a chunk
+@example(samples=_MC_BLOCK, seed=2)
+@example(samples=_MC_BLOCK + 1, seed=3)
+@example(samples=2 * _MC_CHUNK + _MC_BLOCK // 2, seed=4)  # a tail chunk shorter than a block
 def test_mahler_matches_serial_oracle(samples, seed):
     # the chunks run on a thread pool; mean and stderr stay bit-identical
     # to the one-chunk-at-a-time loop

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from charzeta import (BiprojectivePoint, SurfaceModel, count_affine_brute,
                       count_biprojective_brute, count_formula, count_nonaffine_brute,
-                      make_field, singular_locus, surface)
+                      fiberwise_totals, make_field, singular_locus, surface)
 from charzeta.intpoly import IntPoly
-from charzeta.varieties import (MAX_AFFINE_Q, _check_prime_headroom, _monomial_grids, _p2_reps,
-                                _zero_masks, biprojective_zero_reps)
+from charzeta.varieties import (MAX_AFFINE_Q, SURFACE_IDS, _check_packed_headroom,
+                                _check_prime_headroom, _monomial_grids, _p2_reps, _zero_masks,
+                                biprojective_zero_reps)
 from conftest import (_scalar_tables, chart_verdicts, eval_scalar, expected_singular_points,
                       p1_reps, p2_reps, prime_powers_upto, zero_points_scalar)
 
@@ -213,13 +214,51 @@ def test_nonaffine_brute_never_builds_p2(monkeypatch):
     assert count_nonaffine_brute("L1", make_field(2, 3)).count == want
 
 
-def test_prime_accumulation_refuses_int64_overflow():
-    _check_prime_headroom(5, MAX_AFFINE_Q)
-    _check_prime_headroom(2, 2**31)            # 2 * (2^31 - 1)^2 < 2^63
+def test_prime_accumulation_refuses_int32_overflow():
+    _check_prime_headroom(6, MAX_AFFINE_Q)
+    _check_prime_headroom(2, 32768)            # 2 * 32767^2 < 2^31
     with pytest.raises(OverflowError):
-        _check_prime_headroom(2, 2**31 + 1)    # 2 * (2^31)^2 = 2^63
+        _check_prime_headroom(2, 32769)        # 2 * 32768^2 = 2^31
     with pytest.raises(OverflowError):
         _check_prime_headroom(5, 2**31 + 11)
+
+
+def test_packed_digits_refuse_carries_and_overflow():
+    _check_packed_headroom(7, 3, 2, 4)         # 7 * 2 < 2^4
+    _check_packed_headroom(6, 43, 7, 9)        # 6 * 42 < 2^9, 7 * 9 = 63 bits
+    with pytest.raises(OverflowError):
+        _check_packed_headroom(8, 3, 2, 4)     # 8 * 2 = 2^4 carries into the next digit
+    with pytest.raises(OverflowError):
+        _check_packed_headroom(6, 43, 8, 8)    # 8 * 8 = 64 bits
+
+
+def test_packed_digits_fit_every_odd_extension_field():
+    # the kernel packs s = bit_length(terms * (p - 1)) bits per digit, with
+    # terms the most monomials of any form it is handed
+    for p, n in prime_powers_upto(MAX_AFFINE_Q):
+        if p > 2 and n > 1:
+            for sid in SURFACE_IDS:
+                for monos, _, _ in surface(sid)._forms:
+                    _check_packed_headroom(len(monos), p, n, (len(monos) * (p - 1)).bit_length())
+    for p, n in [(43, 2), (3, 6)]:  # the widest spacer and the most digits
+        field = make_field(p, n)
+        for sid in SURFACE_IDS:
+            assert count_nonaffine_brute(sid, field).count == fiberwise_totals(sid, field).nonaffine
+
+
+def test_strips_of_any_size_give_the_same_zeros(monkeypatch):
+    # one strip per fiber at these q; strips of 7 points end on a short
+    # strip in every fiber, and the partials run on the zeros of F only
+    fields = [make_field(p, n) for p, n in [(7, 1), (2, 3), (3, 2)]]
+
+    def zeros():
+        return [(sorted(biprojective_zero_reps(sid, field)), singular_locus(sid, field),
+                 count_affine_brute(sid, field).count, count_nonaffine_brute(sid, field).count)
+                for field in fields for sid in SURFACE_IDS]
+
+    want = zeros()
+    monkeypatch.setattr("charzeta.varieties._BLOCK", 7)
+    assert zeros() == want
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
