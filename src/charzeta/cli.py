@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from .finfield import FieldError, is_prime, make_field
@@ -268,11 +269,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    numpy is first imported inside the commands that build arrays, and on
+    import OpenBLAS starts a worker thread per core unless
+    OPENBLAS_NUM_THREADS says otherwise.  charzeta makes no BLAS call, so
+    main sets that variable to 1 before it dispatches, unless it is already
+    set; importing charzeta as a library leaves the environment alone.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         doc, code = args.func(args)
     except (UsageError, FieldError, ValueError) as exc:

@@ -10,18 +10,20 @@ three counts and the singular locus go through one routine, _zero_masks:
 F and its partials are split by their monomials in (x, y, u), each
 monomial is a grid over a set of plane representatives (x : y : u) built
 once, and every base point (z : w) then costs one weighted sum of those
-grids per form, with weights the binary forms in (z, w) at that point.
-That sum is computed without temporaries, in cache-sized strips of each
-fiber through buffers allocated once per call, because a fresh array of
-the grids' size costs a page fault per 4 KB on first touch, about as much
-as the arithmetic.  Prime fields add int32 residues and divide by p once
+grids per form, with weights the binary forms in (z, w) at that point,
+computed for every form and base point in one vectorised step before the
+first fiber (_form_weights; the scalar _zw_values is their reference and
+serves the fiber extractor at fields of any size).  That sum is computed
+without temporaries, in cache-sized strips of each fiber through buffers
+allocated once per call, because a fresh array of the grids' size costs a
+page fault per 4 KB on first touch, about as much as the arithmetic.  Prime fields add int32 residues and divide by p once
 per fiber; extension fields gather from a table of packed base-p digits
 (of encodings in characteristic 2).
 
 Only that kernel builds arrays, so numpy is imported inside the functions
-that build or count them (_affine_plane, _p2_reps, _monomial_grids,
-_zero_masks, _zero_count and the non-affine count), never at module
-scope: every command imports this module for the surface models, and the
+that build or count them (_form_weights, _affine_plane, _p2_reps,
+_monomial_grids, _zero_masks, _zero_count and the non-affine count), never
+at module scope: every command imports this module for the surface models, and the
 commands that never enumerate points (verify, zeta, special, and count by
 fiberwise or formula) then start without loading numpy.
 """
@@ -82,6 +84,9 @@ def _zw_values(field: Field, coeff_lists, deg: int, z: int, w: int) -> list[int]
 
     The monomials z^k w^(deg-k) are running products (no w powers when
     w = 1); each form is summed digit by digit and reduced mod p once.
+    Scalar field arithmetic, so it works at any q: fiber_form_encs uses it
+    where no exp/log tables exist, and it is the reference for
+    _form_weights, which the brute-force kernel uses instead.
     """
     monos = [1]
     for _ in range(deg):
@@ -99,6 +104,40 @@ def _zw_values(field: Field, coeff_lists, deg: int, z: int, w: int) -> list[int]
             if c:
                 acc = [x + c * y for x, y in zip(acc, dig)]
         out.append(field.encode(acc))
+    return out
+
+
+def _form_weights(field: Field, forms, bases) -> list[list[list[int]]]:
+    """_zw_values of every form (see _split_form) at every base point at once.
+
+    Entry [i][b] lists the weights P_m(z : w) of the monomials of forms[i]
+    at bases[b], as Python ints.  The monomials z^k w^(d-k) come from int64
+    powers mod p over F_p and from the exp/log tables over F_{p^n}; each
+    form's integer combination of them is summed on their base-p digits
+    and encoded once, as _zw_values does one point at a time.
+    """
+    import numpy as np
+    p, n, m = field.p, field.n, field.q - 1
+    z, w = np.array(bases, dtype=np.int64).reshape(-1, 2).T
+    if n == 1:
+        zk, wk = [np.ones_like(z)], [np.ones_like(w)]
+        for _ in range(max(deg for _, _, deg in forms)):
+            zk.append(zk[-1] * z % p)
+            wk.append(wk[-1] * w % p)
+    else:
+        exp, log = field.exp_log_tables()
+    place = p ** np.arange(n, dtype=np.int64)
+    out = []
+    for _, lists, deg in forms:
+        k = np.arange(deg + 1)
+        if n == 1:  # monos[b, k] = z^k w^(deg-k) at bases[b], reduced below
+            monos = np.stack([zk[i] * wk[deg - i] for i in k], axis=1)
+        else:
+            zero = (z[:, None] == 0) & (k > 0) | (w[:, None] == 0) & (k < deg)
+            monos = np.where(zero, 0, exp[(log[z][:, None] * k + log[w][:, None] * (deg - k)) % m])
+        digits = monos[:, None, :, None] // place % p              # [b, 1, k, j]
+        coeffs = np.array(lists, dtype=np.int64)[None, :, :, None]  # [1, mono, k, 1]
+        out.append(((coeffs * digits).sum(axis=2) % p * place).sum(axis=2).tolist())
     return out
 
 
@@ -205,10 +244,14 @@ def _as_model(model) -> SurfaceModel:
 
 
 def _affine_plane(q: int):
-    """The chart (x, y, 1) of P^2(F_q) as coordinate arrays."""
+    """The chart (x, y, 1) of P^2(F_q) as coordinate arrays.
+
+    They broadcast to a q x q grid, x by row and y by column, so the plane
+    itself holds 2q + 1 entries; only the monomial grids reach q^2.
+    """
     import numpy as np  # deferred, like every numpy import in this module
     r = np.arange(q, dtype=np.int64)
-    return np.repeat(r, q), np.tile(r, q), np.ones(1, dtype=np.int64)
+    return r[:, None], r[None, :], np.ones((1, 1), dtype=np.int64)
 
 
 def _p2_reps(p: int, n: int):
@@ -250,31 +293,42 @@ def _check_packed_headroom(terms: int, p: int, n: int, s: int) -> None:
 def _monomial_grids(field: Field, plane, monos):
     """Each (x, y, u)-monomial of monos over the plane representatives.
 
-    Over F_p a grid holds the residues of the products, as int32.  Over
+    The coordinate arrays broadcast together; the representatives are the
+    entries of their broadcast shape in row-major order.  A grid is flat,
+    with one entry per representative, or of length 1 when the monomial
+    reads only coordinates of length 1.  Each grid is built over the
+    coordinates it reads and spread to full size once.
+
+    Over F_p a grid holds the residues of the products, multiplied and
+    reduced one factor at a time in int32, which holds the product of two
+    residues for every p that _check_prime_headroom admits.  Over
     F_{p^n} it holds their discrete logs, sum_i e_i log c_i mod (q - 1),
     with the sentinel 2(q - 1) where a coordinate raised to e_i > 0 is
-    zero, as int64 (np.take's index type, so a gather copies no index).  A
-    coordinate array of length 1 broadcasts against the others.
+    zero, as int64 (np.take's index type, so a gather copies no index).
     """
     import numpy as np
     p, m = field.p, field.q - 1
+    shape = np.broadcast_shapes(*(c.shape for c in plane))
     if field.n > 1:
         _, log = field.exp_log_tables()
+    else:
+        plane = [c.astype(np.int32) for c in plane]
     grids = []
     for mono in monos:
         if field.n == 1:
-            g = np.ones(1, dtype=np.int64)
+            g = np.ones(1, dtype=np.int32)
             for c, e in zip(plane, mono):
                 for _ in range(e):
-                    g = g * c % p
-            g = g.astype(np.int32)
+                    g = g * c
+                    g %= p
         else:
             g, zero = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)
             for c, e in zip(plane, mono):
                 if e:
                     g, zero = g + e * log[c], zero | (c == 0)
-            g = np.where(zero, 2 * m, g % m)
-        grids.append(g)
+            g %= m
+            np.copyto(g, 2 * m, where=zero)
+        grids.append(g.reshape(1) if g.size == 1 else np.broadcast_to(g, shape).ravel())
     return grids
 
 
@@ -285,11 +339,13 @@ def _zero_masks(forms, field: Field, plane, bases):
     """Yield ((z, w), mask) per base point; mask marks the common zeros of forms.
 
     plane holds the coordinates (x, y, u) of the representatives, as arrays
-    that broadcast together, the first of full length.  Each form (see
-    _split_form) is sum_m M_m(x, y, u) P_m(z, w): the grids M_m are built
-    once, and the fiber over (z : w) weighs them by the encodings
-    c_m = P_m(z : w).  The first form is evaluated at every point, each
-    later one only where those before it vanish.
+    that broadcast together (see _monomial_grids); the mask is flat over
+    the broadcast shape in row-major order.  Each form (see _split_form) is
+    sum_m M_m(x, y, u) P_m(z, w): the grids M_m are built once, and the
+    fiber over (z : w) weighs them by the encodings c_m = P_m(z : w), which
+    _form_weights computes for every form and base point before the first
+    fiber.  The first form is evaluated at every point, each later one
+    only where those before it vanish.
 
     No step allocates a full-size array.  Each fiber is evaluated in
     strips of _BLOCK points, every term and the zero test of a strip
@@ -313,10 +369,7 @@ def _zero_masks(forms, field: Field, plane, bases):
     """
     import numpy as np
     p, n = field.p, field.n
-    used = sorted({mono for monos, _, _ in forms for mono in monos})
-    grid = dict(zip(used, _monomial_grids(field, plane, used)))
     terms = max(len(form[0]) for form in forms)
-    shape = plane[0].shape
     if n == 1:
         _check_prime_headroom(terms, p)
         dtype = np.int32
@@ -340,6 +393,8 @@ def _zero_masks(forms, field: Field, plane, bases):
             divisible[ok] = True
             hit = np.empty(_BLOCK, dtype=bool)
         table = table.astype(dtype)
+    used = sorted({mono for monos, _, _ in forms for mono in monos})
+    grid = dict(zip(used, _monomial_grids(field, plane, used)))
     acc, tmp = np.empty(_BLOCK, dtype=dtype), np.empty(_BLOCK, dtype=dtype)
 
     def term(c, g, out):
@@ -383,18 +438,17 @@ def _zero_masks(forms, field: Field, plane, bases):
             zero_test(a, t, o)
         return out
 
-    mask = np.empty(shape, dtype=bool)
-    (monos, lists, deg), *rest = forms
-    first = [grid[mono] for mono in monos]
-    for z, w in bases:
-        vanishing(first, _zw_values(field, lists, deg, z, w), mask)
-        for monos_k, lists_k, deg_k in rest:
+    mask = np.empty(np.broadcast(*plane).size, dtype=bool)
+    first = [grid[mono] for mono in forms[0][0]]
+    weights = _form_weights(field, forms, bases)
+    for b, (z, w) in enumerate(bases):
+        vanishing(first, weights[0][b], mask)
+        for (monos_k, _, _), weights_k in zip(forms[1:], weights[1:]):
             idx = np.flatnonzero(mask)
             if not idx.size:
                 break
-            sub = [np.broadcast_to(grid[mono], shape)[idx] for mono in monos_k]
-            mask[idx] = vanishing(sub, _zw_values(field, lists_k, deg_k, z, w),
-                                  np.empty(idx.shape, dtype=bool))
+            sub = [np.broadcast_to(grid[mono], mask.shape)[idx] for mono in monos_k]
+            mask[idx] = vanishing(sub, weights_k[b], np.empty(idx.shape, dtype=bool))
         yield (z, w), mask
 
 

@@ -333,12 +333,19 @@ print(json.dumps({"seen": seen, "codes": codes, "after_commands": after_commands
 """
 
 
-def test_numpy_loads_only_where_arrays_are_built():
+def _run_fresh(code, **env):
+    """JSON printed by code in a fresh interpreter that imports this charzeta;
+    env entries replace the inherited ones, and None removes one."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(charzeta.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    res = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    doc = json.loads(res.stdout)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           **env}
+    res = subprocess.run([sys.executable, "-c", code], env={k: v for k, v in env.items() if v is not None},
+                         capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(res.stdout)
+
+
+def test_numpy_loads_only_where_arrays_are_built():
+    doc = _run_fresh(_COLD_START)
     assert set(doc["codes"].values()) == {0}
     # verify, zeta, special and the fiberwise and formula counts run on
     # Python integers and floats alone
@@ -348,3 +355,25 @@ def test_numpy_loads_only_where_arrays_are_built():
     assert doc["seen"] == [["mahler", "MainThread"]]
     assert doc["mahler"] == [x.hex() for x in mahler_measure_mc("1+x+y+z", 300_000, 7)]
     assert doc["after_brute"]
+
+
+# Runs in a fresh interpreter, where the brute count is the first to load numpy.
+_BLAS_THREADS = """
+import contextlib, io, json, os, sys
+import charzeta.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = charzeta.cli.main(["count", "--p", "5", "--method", "brute"])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "var": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "tasks": len(os.listdir("/proc/self/task"))}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cli_runs_openblas_on_one_thread_unless_told_otherwise():
+    # charzeta makes no BLAS call, so the pool OpenBLAS starts with numpy
+    # would only idle; a value the user set still wins
+    doc = _run_fresh(_BLAS_THREADS, OPENBLAS_NUM_THREADS=None)
+    assert doc == {"code": 0, "numpy": True, "var": "1", "tasks": 1}
+    doc = _run_fresh(_BLAS_THREADS, OPENBLAS_NUM_THREADS="2")
+    assert (doc["code"], doc["numpy"], doc["var"]) == (0, True, "2")

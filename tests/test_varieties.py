@@ -1,6 +1,7 @@
 """Surface models, brute-force counts, and the singular-locus checker."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from charzeta import (BiprojectivePoint, SurfaceModel, count_affine_brute,
                       fiberwise_totals, make_field, singular_locus, surface)
 from charzeta.intpoly import IntPoly
 from charzeta.varieties import (MAX_AFFINE_Q, SURFACE_IDS, _check_packed_headroom,
-                                _check_prime_headroom, _monomial_grids, _p2_reps, _zero_masks,
-                                biprojective_zero_reps)
+                                _check_prime_headroom, _form_weights, _monomial_grids, _p2_reps,
+                                _zero_masks, _zw_values, biprojective_zero_reps)
 from conftest import (_scalar_tables, chart_verdicts, eval_scalar, expected_singular_points,
                       p1_reps, p2_reps, prime_powers_upto, zero_points_scalar)
 
@@ -203,6 +204,27 @@ def test_monomial_grids_match_scalar_products():
                 assert g == want, (p, n, mono, u)
 
 
+def _weights_match_scalar(field, bases):
+    for sid in SURFACE_IDS:
+        forms = surface(sid)._forms
+        for (_, lists, deg), rows in zip(forms, _form_weights(field, forms, bases)):
+            want = [_zw_values(field, lists, deg, z, w) for z, w in bases]
+            assert rows == want, (sid, field, deg)
+
+
+def test_form_weights_match_scalar_weights():
+    # all six forms of every model: at every base point of each field with
+    # q <= 128, and at the cap-edge fields at (1 : 0) and a seeded sample of
+    # bases (z : 1) that includes z = 0, 1 and q - 1
+    for p, n in prime_powers_upto(128):
+        _weights_match_scalar(make_field(p, n), p1_reps(make_field(p, n)))
+    rng = random.Random(2039)
+    for p, n in [(2, 11), (3, 6), (43, 2), (2039, 1)]:
+        q = p**n
+        zs = sorted({0, 1, q - 1, *rng.sample(range(q), 61)})
+        _weights_match_scalar(make_field(p, n), [(z, 1) for z in zs] + [(1, 0)])
+
+
 def test_nonaffine_brute_never_builds_p2(monkeypatch):
     # near q = 2048 the P^2 arrays take about 100 MB; the non-affine count
     # enumerates the chart (x, y, 1) and the line u = 0 instead
@@ -212,6 +234,21 @@ def test_nonaffine_brute_never_builds_p2(monkeypatch):
     assert count_nonaffine_brute("L0", make_field(3)).count == 8
     want = count_formula("L1", 2, 3, "nonaffine").count
     assert count_nonaffine_brute("L1", make_field(2, 3)).count == want
+
+
+def test_affine_brute_holds_little_beyond_its_grids():
+    # at q = 509 the count needs three int32 grids of q^2 entries (x^2, y^2,
+    # xy; u^2 is one entry) and the mask, 3.8 MiB; int64 coordinate arrays
+    # of q^2 entries and int64 grid temporaries would take 11.9 MiB
+    field = make_field(509)
+    tracemalloc.start()
+    try:
+        count = count_affine_brute("L1", field).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == fiberwise_totals("L1", field).affine
+    assert peak < 11.9 * 2**20 / 2
 
 
 def test_prime_accumulation_refuses_int32_overflow():
