@@ -6,6 +6,9 @@ flattens the records, --format text prints human-readable lines.  Exit
 codes: 0 all checks pass, 1 mathematical mismatch, 2 usage error.
 Identical invocations produce bit-identical output (MC commands take a
 seed).
+
+Each command imports the modules it runs inside its function, so a cold
+call compiles and runs only those.
 """
 
 from __future__ import annotations
@@ -18,12 +21,7 @@ import math
 import os
 import sys
 
-from .finfield import FieldError, is_prime, make_field
-from .fibercount import count_fiberwise, count_formula, degenerate_fibers
-from .globalzeta import SPACES, check_local_zeta, verify_global
-from .specialvalues import mahler_measure_mc, riemann_zeta, verify_table1
-from .varieties import (count_affine_brute, count_biprojective_brute,
-                        count_nonaffine_brute, singular_locus)
+from . import SPACES
 
 SCHEMA = "charzeta/1"
 MAX_VERIFY_PRIME = 10**6
@@ -45,6 +43,7 @@ def _parse_primes(spec: str):
     The list must be nonempty and end at most MAX_VERIFY_PRIME, which bounds
     the size of a verify input.
     """
+    from .finfield import is_prime
     lo, sep, hi = spec.partition("..")
     try:
         lo, hi = int(lo), int(hi if sep else lo)
@@ -99,6 +98,9 @@ def _emit(doc: dict, fmt: str) -> str:
 
 
 def cmd_count(args) -> tuple[dict, int]:
+    from .fibercount import count_fiberwise, count_formula
+    from .finfield import make_field
+    from .varieties import count_affine_brute, count_biprojective_brute, count_nonaffine_brute
     field = make_field(args.p, args.n)
     spaces = SPACES if args.space == "all" else (args.space,)
     methods = ("brute", "fiberwise", "formula") if args.method == "all" else (args.method,)
@@ -134,6 +136,8 @@ def cmd_zeta(args) -> tuple[dict, int]:
     counts are N_1..N_14 by fiberwise counting, which needs F_{p^2}: a
     prime with p^2 > 2^63 is a usage error.
     """
+    from .finfield import is_prime
+    from .globalzeta import check_local_zeta
     if not is_prime(args.p):
         raise UsageError(f"{args.p} is not prime")
     records = []
@@ -153,6 +157,7 @@ def cmd_zeta(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    from .globalzeta import verify_global
     primes = _parse_primes(args.primes)
     records = []
     ok = True
@@ -165,6 +170,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_special(args) -> tuple[dict, int]:
+    from .specialvalues import verify_table1
     records = verify_table1(tol=args.tol)
     ok = all(r["pass"] for r in records)
     doc = {"schema": SCHEMA, "command": "special", "tol": args.tol,
@@ -173,6 +179,9 @@ def cmd_special(args) -> tuple[dict, int]:
 
 
 def cmd_singular(args) -> tuple[dict, int]:
+    from .fibercount import degenerate_fibers
+    from .finfield import make_field
+    from .varieties import singular_locus
     field = make_field(args.p, args.n)
     records = []
     for sid in _surfaces(args.surface):
@@ -186,6 +195,7 @@ def cmd_singular(args) -> tuple[dict, int]:
 
 
 def cmd_mahler(args) -> tuple[dict, int]:
+    from .specialvalues import mahler_measure_mc, riemann_zeta
     estimate, stderr = mahler_measure_mc(args.poly, args.samples, args.seed)
     target = 7.0 * riemann_zeta(3.0) / (2.0 * math.pi**2) if args.poly == "1+x+y+z" else 0.0
     ok = abs(estimate - target) < args.tol
@@ -215,6 +225,14 @@ def sample_count(text: str) -> int:
     if not 1 <= samples <= MAX_MAHLER_SAMPLES:
         raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_MAHLER_SAMPLES}, got {text}")
     return samples
+
+
+def seed_value(text: str) -> int:
+    """argparse type for --seed: a non-negative integer, as numpy's seeding needs."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--poly", choices=("1+x+y+z", "1"), default="1+x+y+z")
     p.add_argument("--samples", type=sample_count, default=10**6)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=seed_value, default=42)
     p.add_argument("--tol", type=positive_float, default=5e-3)
     p.set_defaults(func=cmd_mahler)
     return parser
@@ -285,7 +303,7 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         doc, code = args.func(args)
-    except (UsageError, FieldError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:  # FieldError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(_emit(doc, args.format))

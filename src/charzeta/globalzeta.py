@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fibercount import descent_totals
+from . import SPACES
 from .localzeta import (RECOVERY_COUNTS, LocalZetaFactors, RecoveryError,
                         local_zeta_closed_form, recover_factors)
 
 RECOVERY_PRIMES = (2, 3)
-SPACES = ("affine", "biprojective", "nonaffine")
 
 
 @dataclass(frozen=True)
@@ -192,6 +191,7 @@ def euler_factor(expr: GlobalZetaExpr, p: int) -> LocalZetaFactors:
 
 def counts_for_space(surface_id: str, p: int, space: str, k: int) -> list[int]:
     """N_1..N_k of one space, all by fiberwise counting (descent_totals)."""
+    from .fibercount import descent_totals  # deferred: `special` needs no field code
     return [descent_totals(surface_id, p, n).count(space) for n in range(1, k + 1)]
 
 

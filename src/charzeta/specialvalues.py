@@ -27,9 +27,10 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .globalzeta import (CharacterDesc, GlobalZetaExpr, dedekind_expand,
-                         main_term_expression)
+if TYPE_CHECKING:  # globalzeta is imported where it is used, so `mahler` skips it
+    from .globalzeta import CharacterDesc, GlobalZetaExpr
 
 S_MIN, S_MAX = -3.0, 4.0
 POLE_GUARD = 1e-3
@@ -222,6 +223,7 @@ def laurent_leading(main_term: GlobalZetaExpr, s0: float) -> LaurentLeading:
     """
     if main_term.elementary:
         raise ValueError("main term still carries elementary factors; strip them first")
+    from .globalzeta import dedekind_expand
     expr = dedekind_expand(main_term)
     total_order = 0
     coeff = 1.0
@@ -274,6 +276,7 @@ def verify_table1(tol: float = 1e-6) -> list[dict]:
     coefficient to relative tolerance `tol`.  The (L2, 2) cell is a
     regular value and is checked with order 0 (flagged in the entry).
     """
+    from .globalzeta import main_term_expression
     out = []
     for surface_id in ("L0", "L1", "L2"):
         expr = main_term_expression(surface_id)

@@ -154,6 +154,14 @@ def test_mahler_rejects_samples_outside_range(capsys, samples):
     assert_usage_error(capsys, "mahler", "--samples", samples)
 
 
+def test_mahler_rejects_negative_seed_naming_the_flag(capsys):
+    # numpy used to refuse it with a message that named no flag
+    assert main(["mahler", "--samples", "10", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --seed: must be non-negative" in err
+    assert build_parser().parse_args(["mahler", "--seed", "0"]).seed == 0
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
@@ -377,3 +385,33 @@ def test_cli_runs_openblas_on_one_thread_unless_told_otherwise():
     assert doc == {"code": 0, "numpy": True, "var": "1", "tasks": 1}
     doc = _run_fresh(_BLAS_THREADS, OPENBLAS_NUM_THREADS="2")
     assert (doc["code"], doc["numpy"], doc["var"]) == (0, True, "2")
+
+
+# Runs in a fresh interpreter: the charzeta modules one command leaves loaded.
+_LOADED = """
+import contextlib, io, json, sys
+import charzeta.cli
+argv = {argv!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = charzeta.cli.main(argv) if argv else 0
+print(json.dumps({{"code": code, "modules": sorted(name for name in sys.modules
+                                                 if name.startswith("charzeta."))}}))
+"""
+
+_FIELD_MODULES = {"cli", "finfield", "intpoly", "varieties", "fibercount", "localzeta"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    pytest.param([], {"cli"}, id="import"),
+    pytest.param(["mahler", "--samples", "1000", "--tol", "1"], {"cli", "specialvalues"}, id="mahler"),
+    pytest.param(["special"], {"cli", "specialvalues", "globalzeta", "localzeta"}, id="special"),
+    pytest.param(["count", "--p", "3"], _FIELD_MODULES, id="count"),
+    pytest.param(["singular", "--p", "3"], _FIELD_MODULES, id="singular"),
+    pytest.param(["verify", "--primes", "2..5"], _FIELD_MODULES | {"globalzeta"}, id="verify"),
+    pytest.param(["zeta", "--p", "5"], _FIELD_MODULES | {"globalzeta"}, id="zeta"),
+])
+def test_each_command_loads_only_its_modules(argv, modules):
+    # a cold call compiles and runs every module it imports, so the package
+    # and the CLI import each module where it is first used
+    doc = _run_fresh(_LOADED.format(argv=argv))
+    assert doc == {"code": 0, "modules": sorted(f"charzeta.{name}" for name in modules)}
