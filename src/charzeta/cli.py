@@ -3,7 +3,8 @@
 Commands: count, zeta, verify, special, singular, mahler.  Output is a
 versioned JSON document by default ("schema": "charzeta/1"); --format csv
 flattens the records, --format text prints human-readable lines.  Exit
-codes: 0 all checks pass, 1 mathematical mismatch, 2 usage error.
+codes: 0 all checks pass, 1 mathematical mismatch, 2 usage error,
+141 (128 + SIGPIPE) stdout closed before the output was written.
 Identical invocations produce bit-identical output (MC commands take a
 seed).
 
@@ -27,6 +28,7 @@ SCHEMA = "charzeta/1"
 MAX_VERIFY_PRIME = 10**6
 MAX_MAHLER_SAMPLES = 10**8
 SURFACE_CHOICES = ("L0", "L1", "L2", "all")
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a writer the pipe killed
 
 
 class UsageError(Exception):
@@ -306,7 +308,14 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:  # FieldError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(_emit(doc, args.format))
+    try:
+        print(_emit(doc, args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`| head`); Python flushes stdout again at exit,
+        # so point it at devnull to keep that flush from raising as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -15,12 +15,15 @@ h = 1/(z + 1) over F_2(z), so a/b has absolute trace 0 and the line
 carries 2 points in characteristic 2.
 
 The totals over P^1(F_q), q = p^n, therefore need only the fibers over
-(1 : 0) and over the roots of the locus.  Those roots lie in F_{p^2}
-(checked: a model with a factor of higher degree mod p is refused), so
-each such fiber is classified once, over its field of definition F_{p^d},
-and its counts over F_q follow by Frobenius descent (_lift): for x in
-F_{p^d}, chi_q(x) = chi_{p^d}(x)^(n/d) and Tr_{F_q/F_2}(x) =
-(n/d) Tr_{F_{p^d}/F_2}(x).  No field beyond F_{p^2} is built.
+(1 : 0) and over the closed points of the locus.  Its rational roots are
+split off once over Q, so only the cofactor is factored mod p.  The
+closed points have degree d <= 2 (checked: a model with a factor of
+higher degree mod p is refused), and each fiber is classified once, in
+the residue field F_p[z]/(f) = F_{p^d} of its closed point f; its counts
+over F_q follow by Frobenius descent (_lift): for x in F_{p^d}, chi_q(x) =
+chi_{p^d}(x)^(n/d) and Tr_{F_q/F_2}(x) = (n/d) Tr_{F_{p^d}/F_2}(x).  At
+even n a closed point of degree 2 is two conjugate roots, whose fibers
+the Frobenius swaps, so it counts twice.  No field beyond F_{p^2} is built.
 
 Closed-form counts are not transcribed here: count_formula evaluates
 N_n = sum_u e_u * u^n on the factor multiset of
@@ -35,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, is_prime, low_degree_factors,
-                       make_field, quadratic_roots, split_roots)
+from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, _poly_divmod, is_prime,
+                       low_degree_factors, make_field, split_roots)
 from .localzeta import local_zeta_closed_form
 from .varieties import CountRecord, _as_model
 
@@ -166,10 +169,68 @@ def _bundle_loci(surface_id: str):
     return d[-1], _zmul(c, root), _zmul(b, c)
 
 
-def _fiber_counts(model, roots, field: Field):
-    """(points, points on the line u = 0) of the fibers over (z : 1), z in roots."""
-    forms = [model.fiber_form_encs((z, 1), field) for z in roots]
-    return tuple((_conic(field, form)[0], _line_count(field, form)) for form in forms)
+def _divide_linear(f, u: int, v: int):
+    """f / (v*z - u) over Z, or None when v*z - u does not divide f."""
+    quot, carry = [0] * (len(f) - 1), f[-1]
+    for i in range(len(f) - 1, 0, -1):
+        quot[i - 1], rem = divmod(carry, v)
+        if rem:
+            return None
+        carry = f[i - 1] + u * quot[i - 1]
+    return quot if carry == 0 else None
+
+
+def _divisors(m: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(abs(m)) + 1) if m % d == 0]
+    return small + [abs(m) // d for d in small]
+
+
+@functools.lru_cache(maxsize=None)
+def _rational_split(locus: tuple[int, ...]):
+    """(rational roots, cofactor) of an integer polynomial over Q.
+
+    The roots are pairs (u, v), v > 0 and gcd(u, v) = 1, for the roots u/v;
+    the cofactor is what is left of the locus after dividing it by each
+    v*z - u as often as that divides.  The root 0 comes from stripping z^m;
+    the others have u | the constant and v | the leading coefficient of
+    what remains (the rational-root theorem).  Each v*z - u is primitive,
+    so the cofactor vanishes mod p iff the locus does (Gauss's lemma).
+    """
+    f = list(locus)
+    roots = [(0, 1)] if f and f[0] == 0 else []
+    while f and f[0] == 0:
+        f.pop(0)
+    if not f:
+        return (), ()
+    for v in _divisors(f[-1]):
+        for u in (s * d for d in _divisors(f[0]) for s in (1, -1)):
+            if math.gcd(u, v) == 1 and (quot := _divide_linear(f, u, v)) is not None:
+                roots.append((u, v))
+                while quot is not None:
+                    f, quot = quot, _divide_linear(quot, u, v)
+    return tuple(roots), tuple(f)
+
+
+def _locus_factors(locus, p: int):
+    """low_degree_factors(locus, p), from _rational_split: the F_p-roots are
+    u/v mod p for the rational roots with p not dividing v, together with
+    those of the cofactor, whose irreducible quadratic factors are the
+    locus's.  Raises FieldError where low_degree_factors(locus, p) does."""
+    rational, cofactor = _rational_split(tuple(locus))
+    roots, quadratics = low_degree_factors(cofactor, p)
+    roots = set(roots).union(u * pow(v, -1, p) % p for u, v in rational if v % p)
+    return sorted(roots), quadratics
+
+
+def _residue_counts(model, f, field: Field):
+    """(points, points on the line u = 0) of the fiber over the closed point
+    f = 0 of the line w = 1, f monic irreducible over F_p, in its residue
+    field F_p[z]/(f) = field: a, b and c are reduced mod f."""
+    p = field.p
+    a, b, c = (field.encode(_poly_divmod([x % p for x in model._quad_zw[m]], f, p)[1])
+               for m in ((2, 0, 0), (1, 1, 0), (0, 0, 2)))
+    form = (a, a, c, b, 0, 0)
+    return _conic(field, form)[0], _line_count(field, form)
 
 
 @functools.lru_cache(maxsize=256)
@@ -181,19 +242,20 @@ def _prime_descent(surface_id: str, p: int):
     k, odd_locus, char2_locus = _bundle_loci(surface_id)
     if p != 2 and k % p == 0:
         raise FieldError(f"{surface_id}: b^2 - 4a^2 degenerates mod {p}")
-    roots, quadratics = low_degree_factors(char2_locus if p == 2 else odd_locus, p)
+    roots, quadratics = _locus_factors(char2_locus if p == 2 else odd_locus, p)
     model, field = _as_model(surface_id), make_field(p)
     generic = 2 if p == 2 else 1 + field.quadratic_character(field.int_(k))
     return (tuple(roots), tuple(map(tuple, quadratics)), generic,
-            classify_fiber(model, (1, 0), field).count, _fiber_counts(model, roots, field))
+            classify_fiber(model, (1, 0), field).count,
+            tuple(_residue_counts(model, (-z % p, 1), field) for z in roots))
 
 
 @functools.lru_cache(maxsize=256)
 def _quadratic_descent(surface_id: str, p: int):
-    """The fiber counts over F_{p^2} at the roots of the locus outside F_p."""
-    field = make_field(p, 2)
-    roots = [z for f in _prime_descent(surface_id, p)[1] for z in quadratic_roots(f, field)]
-    return _fiber_counts(_as_model(surface_id), roots, field)
+    """The fiber counts at the closed points of degree 2 of the locus, each
+    over its residue field F_{p^2}."""
+    return tuple(_residue_counts(_as_model(surface_id), f, Field(p, 2, modulus=f))
+                 for f in _prime_descent(surface_id, p)[1])
 
 
 def _lift(count: int, q0: int, q: int, e: int) -> int:
@@ -211,24 +273,27 @@ def descent_totals(surface_id: str, p: int, n: int) -> FiberwiseTotals:
     """Fiberwise totals over F_{p^n} from the fibers defined over F_p and F_{p^2}.
 
     No field beyond F_{p^2} is built, and odd n builds none beyond F_p, so
-    p^n may exceed 2^63.  Raises ValueError for n < 1 or when the degenerate
-    locus has a root outside F_{p^2}, FieldError when p is not prime or n is
-    even and p^2 > 2^63.
+    p^n may exceed 2^63.  A closed point of degree 2 counts twice at even n,
+    once for each of its roots.  Raises ValueError for n < 1 or when the
+    degenerate locus has a root outside F_{p^2}, FieldError when p is not
+    prime or n is even and p^2 > 2^63.
     """
     if n < 1:
         raise ValueError(f"extension degree {n} is below 1")
+    if n % 2 == 0 and p * p > MAX_Q:
+        raise FieldError(f"fiberwise counts at even n need F_{p}^2, beyond 2^63")
     _, _, generic, infinity, fibers = _prime_descent(surface_id, p)
     q = p**n
     by_degree = [(1, fibers)] + ([(2, _quadratic_descent(surface_id, p))] if n % 2 == 0 else [])
-    smooth = q - sum(len(group) for _, group in by_degree)
+    smooth = q - sum(d * len(group) for d, group in by_degree)
     at_infinity = q * _lift((infinity - 1) // p, p, q, n) + 1  # entirely non-affine
     biproj = smooth * (q + 1) + at_infinity
     nonaffine = smooth * _lift(generic, p, q, n) + at_infinity
     for d, group in by_degree:
         q0 = p**d
         for fiber, line in group:
-            biproj += q * _lift((fiber - 1) // q0, q0, q, n // d) + 1
-            nonaffine += _lift(line, q0, q, n // d)
+            biproj += d * (q * _lift((fiber - 1) // q0, q0, q, n // d) + 1)
+            nonaffine += d * _lift(line, q0, q, n // d)
     return FiberwiseTotals(surface_id, p, n, biproj, biproj - nonaffine, nonaffine)
 
 

@@ -15,7 +15,8 @@ product of an array of encodings by one element is a single table gather
 
 The extension modulus is the first irreducible monic polynomial in
 ascending order of its coefficient encoding, so field construction is
-deterministic and reproducible.
+deterministic and reproducible, unless the caller gives one (a residue
+field F_p[z]/(f) takes f).
 """
 
 from __future__ import annotations
@@ -165,7 +166,10 @@ class Field:
     lookup tables, which are write-once and not guarded for use by threads.
     """
 
-    def __init__(self, p: int, n: int = 1):
+    def __init__(self, p: int, n: int = 1, modulus=None):
+        """modulus, for n >= 2 only, is a monic irreducible polynomial of
+        degree n over F_p (coefficients in [0, p), low first); it defaults
+        to first_irreducible(p, n)."""
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         if not 1 <= n <= MAX_EXT_DEGREE:
@@ -173,23 +177,32 @@ class Field:
         q = p**n
         if q > MAX_Q:
             raise FieldError(f"field size {p}^{n} exceeds 2^63")
+        if modulus is not None:
+            modulus = tuple(modulus)
+            if not (n > 1 and len(modulus) == n + 1 and modulus[-1] == 1
+                    and all(0 <= c < p for c in modulus) and _is_irreducible(modulus, p)):
+                raise FieldError(f"{modulus} is not a monic irreducible modulus of degree {n} "
+                                 f"over F_{p}")
+        elif n > 1:
+            modulus = first_irreducible(p, n)
         self.p = p
         self.n = n
         self.q = q
-        self.modulus = first_irreducible(p, n) if n > 1 else None
+        self.modulus = modulus
         self._exp = None
         self._log = None
 
     # -- identity ------------------------------------------------------
 
     def __repr__(self):
-        return f"Field(p={self.p}, n={self.n})"
+        return f"Field(p={self.p}, n={self.n}, modulus={self.modulus})"
 
     def __eq__(self, other):
-        return isinstance(other, Field) and (self.p, self.n) == (other.p, other.n)
+        return isinstance(other, Field) and (self.p, self.n, self.modulus) == (
+            other.p, other.n, other.modulus)
 
     def __hash__(self):
-        return hash((self.p, self.n))
+        return hash((self.p, self.n, self.modulus))
 
     def to_json(self):
         return {"p": self.p, "n": self.n,
@@ -467,23 +480,6 @@ def split_roots(f, field: Field) -> list[int]:
     """Encodings of the roots of f, a monic product of distinct linear
     factors over F_q, sorted."""
     return sorted(field.neg(g[0]) for g in _factors(f, field, 1))
-
-
-def quadratic_roots(f, field: Field) -> list[int]:
-    """Encodings of the roots in F_{p^2} = field of f, sorted.
-
-    f = z^2 + bz + c is irreducible over F_p.  With x the root of the
-    modulus x^2 + c1x + c0, the roots are u + vx, where, for odd p,
-    v^2 = (b^2 - 4c)/(c1^2 - 4c0) in F_p and 2u = c1v - b.
-    """
-    p = field.p
-    if p == 2:
-        return split_roots(f, field)
-    c, b, _ = f
-    c0, c1, _ = field.modulus
-    t = (b * b - 4 * c) * pow(c1 * c1 - 4 * c0, -1, p) % p
-    return sorted(field.encode([(c1 * v - b) * (p + 1) // 2, v])
-                  for v in split_roots([-t % p, 0, 1], make_field(p)))
 
 
 def low_degree_factors(coeffs, p: int):

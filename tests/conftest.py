@@ -34,9 +34,10 @@ def prime_powers_upto(limit):
 
 @pytest.fixture
 def fresh_descent():
-    """Empty the descent caches around a test that patches what they read."""
-    caches = (fibercount._prime_descent, fibercount._quadratic_descent,
-              fibercount.descent_totals)
+    """Empty every functools cache that fibercount defines around a test that
+    patches what they read."""
+    caches = [obj for obj in vars(fibercount).values()
+              if hasattr(obj, "cache_clear") and obj.__module__ == fibercount.__name__]
     for cache in caches:
         cache.cache_clear()
     yield

@@ -263,16 +263,20 @@ def test_verify_rejects_primes_beyond_fiberwise_budget(capsys, spec):
 
 
 def test_verify_builds_no_field_beyond_p_squared(capsys, monkeypatch, fresh_descent):
+    # every Field constructed, the residue fields of closed points included;
+    # a fresh make_field cache builds again the fields earlier tests cached
     built = set()
+    init = finfield.Field.__init__
 
-    @functools.lru_cache(maxsize=None)
-    def recording_make_field(p, n=1):
+    def recording_init(self, p, n=1, modulus=None):
         built.add((p, n))
-        return finfield.Field(p, n)
+        init(self, p, n, modulus)
 
+    monkeypatch.setattr(finfield.Field, "__init__", recording_init)
+    fresh_make_field = functools.lru_cache(maxsize=None)(lambda p, n=1: finfield.Field(p, n))
     for module in (finfield, fibercount, globalzeta, cli):
         if hasattr(module, "make_field"):
-            monkeypatch.setattr(module, "make_field", recording_make_field)
+            monkeypatch.setattr(module, "make_field", fresh_make_field)
     code, _ = run_json(capsys, "verify", "--surface", "all", "--primes", "2..199")
     assert code == 0
     assert {n for _, n in built} == {1, 2}
@@ -341,15 +345,35 @@ print(json.dumps({"seen": seen, "codes": codes, "after_commands": after_commands
 """
 
 
-def _run_fresh(code, **env):
-    """JSON printed by code in a fresh interpreter that imports this charzeta;
+def _fresh_env(**env):
+    """The environment of a fresh interpreter that imports this charzeta;
     env entries replace the inherited ones, and None removes one."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(charzeta.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
            **env}
-    res = subprocess.run([sys.executable, "-c", code], env={k: v for k, v in env.items() if v is not None},
+    return {k: v for k, v in env.items() if v is not None}
+
+
+def _run_fresh(code, **env):
+    """JSON printed by code in a fresh interpreter (see _fresh_env)."""
+    res = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**env),
                          capture_output=True, text=True, timeout=120, check=True)
     return json.loads(res.stdout)
+
+
+def test_closed_stdout_exits_quietly_with_its_own_status():
+    # `verify ... | head -c 10`: the output (about 238 kB) outgrows the pipe,
+    # so writing it fails once the reader has gone; that used to print a
+    # traceback and exit 1, the status of a mathematical mismatch
+    with subprocess.Popen([sys.executable, "-m", "charzeta.cli", "verify", "--primes", "2..199"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env()) as proc:
+        try:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 def test_numpy_loads_only_where_arrays_are_built():

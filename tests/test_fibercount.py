@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from charzeta import (FieldError, classify_fiber, count_fiberwise, count_formula,
                       degenerate_fibers, fiberwise_totals, is_prime, make_field, surface)
 from charzeta import fibercount
-from charzeta.fibercount import _conic, _lift, _line_count, descent_totals
+from charzeta.fibercount import (_bundle_loci, _conic, _lift, _line_count, _locus_factors,
+                                 _zmul, descent_totals)
+from charzeta.finfield import low_degree_factors, split_roots
 from charzeta.localzeta import local_zeta_closed_form
 from charzeta.varieties import (count_affine_brute, count_biprojective_brute,
                                 count_nonaffine_brute)
@@ -264,6 +266,68 @@ def test_locus_with_a_root_outside_f_p2_is_refused(monkeypatch, fresh_descent):
     monkeypatch.setattr(fibercount, "_bundle_loci", lambda sid: (1, cubic, cubic))
     with pytest.raises(ValueError):
         fiberwise_totals("L2", make_field(3))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.sampled_from([p for p in range(2, 24) if is_prime(p)]), st.data())
+def test_split_locus_matches_low_degree_factors(p, data):
+    # products of factors of degree <= 3, as in
+    # test_low_degree_factors_match_enumeration, some with their leading
+    # coefficient scaled by p, times linear factors v*z - u, some with p | v
+    # so that the rational root u/v has no image mod p
+    factors = data.draw(st.lists(st.tuples(st.lists(st.integers(-9, 9), min_size=2, max_size=4),
+                                           st.booleans()), min_size=1, max_size=3))
+    linear = data.draw(st.lists(st.tuples(st.integers(-9, 9), st.one_of(
+        st.integers(1, 4), st.integers(1, 2).map(lambda k: k * p))), max_size=3))
+    g = [1]
+    for f in [f[:-1] + [f[-1] * p] if scaled else f for f, scaled in factors]:
+        g = _zmul(g, f)
+    for u, v in linear:
+        g = _zmul(g, [-u, v])
+    try:
+        roots, quadratics = low_degree_factors(g, p)
+    except FieldError:
+        with pytest.raises(FieldError):
+            _locus_factors(g, p)
+        return
+    roots_after_split, quadratics_after_split = _locus_factors(g, p)
+    assert roots_after_split == roots
+    assert sorted(quadratics_after_split) == sorted(quadratics)
+
+
+@pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
+def test_closed_points_classified_in_their_residue_fields(sid):
+    # the counts of a closed point, taken once in F_p[z]/(f), equal those of
+    # the fiber over each of its roots in make_field(p, 2)
+    model, quadratic_points = surface(sid), 0
+    _, odd_locus, char2_locus = _bundle_loci(sid)
+    for p in (p for p in range(2, 200) if is_prime(p)):
+        roots, quadratics, _, _, fibers = fibercount._prime_descent(sid, p)
+        expected_roots, expected_quadratics = low_degree_factors(
+            char2_locus if p == 2 else odd_locus, p)
+        assert list(roots) == expected_roots
+        assert sorted(map(list, quadratics)) == sorted(expected_quadratics)
+        for field, points, counts in [
+                (make_field(p), [[z] for z in roots], fibers),
+                (make_field(p, 2), [split_roots(f, make_field(p, 2)) for f in quadratics],
+                 fibercount._quadratic_descent(sid, p))]:
+            for zs, (count, line) in zip(points, counts, strict=True):
+                for z in zs:
+                    form = model.fiber_form_encs((z, 1), field)
+                    assert classify_fiber(model, (z, 1), field).count == count, (p, z)
+                    assert _line_count(field, form) == line, (p, z)
+        quadratic_points += len(quadratics)
+    assert quadratic_points > 0 or sid == "L2"
+
+
+@pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
+def test_descent_refuses_even_degree_beyond_f_p2(sid):
+    # L2's locus has no closed point of degree 2, so no residue field would
+    # raise; F_{p^2} is still beyond 2^63 and even n needs it
+    p = 2**61 - 1
+    with pytest.raises(FieldError):
+        descent_totals(sid, p, 2)
+    assert descent_totals(sid, p, 1).biprojective == count_formula(sid, p, 1).count
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from charzeta import FieldError, is_prime, make_field
 from charzeta.fibercount import _conic
 from charzeta.finfield import (MAX_Q, MAX_TABLE_Q, Field, _is_irreducible, first_irreducible,
-                               low_degree_factors, quadratic_roots)
+                               low_degree_factors, split_roots)
 from charzeta.varieties import MAX_AFFINE_Q
 from conftest import (_is_irreducible_rabin, conic_count_brute, fiber_determinant, field_roots,
                       first_irreducible_rabin, schoolbook_mul)
@@ -26,6 +26,28 @@ def test_make_field_f4_modulus():
     # the only monic irreducible quadratic over F_2
     f = make_field(2, 2)
     assert f.modulus == (1, 1, 1)
+
+
+def test_fields_with_different_moduli_differ():
+    default = make_field(5, 2)
+    assert default.modulus == (2, 0, 1)  # z^2 + 2, the first irreducible
+    other = Field(5, 2, modulus=(2, 1, 1))  # z^2 + z + 2
+    assert other != default and hash(other) != hash(default)
+    assert Field(5, 2, modulus=(2, 0, 1)) == default
+    assert hash(Field(5, 2, modulus=(2, 0, 1))) == hash(default)
+    # in F_5[z]/(z^2 + z + 2) the class of z is a root of the modulus
+    z = other.encode([0, 1])
+    assert other.add(other.add(other.mul(z, z), z), 2) == 0
+
+
+@pytest.mark.parametrize("p,n,modulus", [(5, 2, (1, 0, 1)),     # (z - 2)(z + 2)
+                                         (5, 2, (2, 0, 2)),     # not monic
+                                         (5, 2, (7, 0, 1)),     # coefficient beyond p
+                                         (5, 3, (2, 0, 1)),     # degree below n
+                                         (5, 1, (2, 1))])       # no modulus at n = 1
+def test_field_rejects_bad_moduli(p, n, modulus):
+    with pytest.raises(FieldError):
+        Field(p, n, modulus=modulus)
 
 
 def test_make_field_rejects_nonprime():
@@ -230,7 +252,7 @@ def test_low_degree_factors_match_enumeration(p, factors):
     roots, quadratics = low_degree_factors(g, p)
     assert roots == [z for z in range(p) if _eval_int_poly(prime, g, z) == 0]
     field = make_field(p, 2)
-    pairs = [quadratic_roots(f, field) for f in quadratics]
+    pairs = [split_roots(f, field) for f in quadratics]
     assert all(len(pair) == 2 and min(pair) >= p for pair in pairs)  # irreducible
     expected = [z for z in range(p, field.q) if _eval_int_poly(field, g, z) == 0]
     assert sorted(z for pair in pairs for z in pair) == expected
