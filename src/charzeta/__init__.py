@@ -17,9 +17,9 @@ SPACES = ("affine", "biprojective", "nonaffine")
 
 _EXPORTS = {
     "finfield": ("Field", "FieldError", "is_prime", "make_field"),
-    "varieties": ("BiprojectivePoint", "CountRecord", "SurfaceModel", "count_affine_brute",
-                  "count_biprojective_brute", "count_nonaffine_brute", "singular_locus",
-                  "surface"),
+    "surfaces": ("CountRecord", "SurfaceModel", "surface"),
+    "varieties": ("BiprojectivePoint", "count_affine_brute", "count_biprojective_brute",
+                  "count_nonaffine_brute", "singular_locus"),
     "fibercount": ("FiberReport", "classify_fiber", "count_fiberwise", "count_formula",
                    "degenerate_fibers", "fiberwise_totals"),
     "localzeta": ("LocalZetaFactors", "RecoveryError", "local_zeta_closed_form",

@@ -102,7 +102,6 @@ def _emit(doc: dict, fmt: str) -> str:
 def cmd_count(args) -> tuple[dict, int]:
     from .fibercount import count_fiberwise, count_formula
     from .finfield import make_field
-    from .varieties import count_affine_brute, count_biprojective_brute, count_nonaffine_brute
     field = make_field(args.p, args.n)
     spaces = SPACES if args.space == "all" else (args.space,)
     methods = ("brute", "fiberwise", "formula") if args.method == "all" else (args.method,)
@@ -112,7 +111,9 @@ def cmd_count(args) -> tuple[dict, int]:
         for space in spaces:
             got = {}
             for method in methods:
-                if method == "brute":
+                if method == "brute":  # only brute counts load numpy and the kernels
+                    from .varieties import (count_affine_brute, count_biprojective_brute,
+                                            count_nonaffine_brute)
                     fn = {"affine": count_affine_brute,
                           "biprojective": count_biprojective_brute,
                           "nonaffine": count_nonaffine_brute}[space]

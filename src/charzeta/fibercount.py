@@ -1,6 +1,6 @@
 """Point counting through the conic-bundle structure.
 
-The fiber of each surface over (z : 1) is the plane conic
+The fiber of each surface model over (z : 1) is the plane conic
 a(z)(x^2 + y^2) + b(z)xy + c(z)u^2; the model is checked to have equal x^2
 and y^2 coefficients and no xu or yu terms.  Every fiber is counted by one
 rule (_conic) in every characteristic: from the zeros of the binary part
@@ -24,6 +24,7 @@ over F_q follow by Frobenius descent (_lift): for x in F_{p^d}, chi_q(x) =
 chi_{p^d}(x)^(n/d) and Tr_{F_q/F_2}(x) = (n/d) Tr_{F_{p^d}/F_2}(x).  At
 even n a closed point of degree 2 is two conjugate roots, whose fibers
 the Frobenius swaps, so it counts twice.  No field beyond F_{p^2} is built.
+The descent is cached per SurfaceModel object, registered or not.
 
 Closed-form counts are not transcribed here: count_formula evaluates
 N_n = sum_u e_u * u^n on the factor multiset of
@@ -41,7 +42,7 @@ from itertools import zip_longest
 from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, _poly_divmod, is_prime,
                        low_degree_factors, make_field, split_roots)
 from .localzeta import local_zeta_closed_form
-from .varieties import CountRecord, _as_model
+from .surfaces import CountRecord, SurfaceModel, _as_model
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,8 @@ def _square_root(d):
 
 
 @functools.lru_cache(maxsize=None)
-def _bundle_loci(surface_id: str):
-    """(k, odd locus, characteristic-2 locus) of a surface's conic bundle.
+def _bundle_loci(model: SurfaceModel):
+    """(k, odd locus, characteristic-2 locus) of a model's conic bundle.
 
     The loci are the integer polynomials c*s and b*c in z, where
     b^2 - 4a^2 = k*s^2 (s scaled to integers, so the odd locus has the roots
@@ -152,20 +153,20 @@ def _bundle_loci(surface_id: str):
     count is the generic one.  Raises ValueError for a model that breaks
     the fiber shape or either identity the generic counts rest on.
     """
-    quad = _as_model(surface_id)._quad_zw
+    quad = model._quad_zw
     a, b, c = quad[(2, 0, 0)], quad[(1, 1, 0)], quad[(0, 0, 2)]
     if a != quad[(0, 2, 0)] or any(quad[(1, 0, 1)]) or any(quad[(0, 1, 1)]):
-        raise ValueError(f"{surface_id}: fiber forms outside the supported shape")
+        raise ValueError(f"{model.id}: fiber forms outside the supported shape")
     d = [x - 4 * y for x, y in zip_longest(_zmul(b, b), _zmul(a, a), fillvalue=0)]
     while d and d[-1] == 0:
         d.pop()
     root = _square_root(d)
     if root is None:
-        raise ValueError(f"{surface_id}: b^2 - 4a^2 is not a constant times a square")
+        raise ValueError(f"{model.id}: b^2 - 4a^2 is not a constant times a square")
     # a/b = h + h^2 with h = 1/(z + 1)  <=>  b*z = a*(z + 1)^2 over F_2
     if any((x - y) % 2 for x, y in zip_longest(_zmul(b, (0, 1)), _zmul(a, (1, 2, 1)),
                                                 fillvalue=0)):
-        raise ValueError(f"{surface_id}: a/b is not h + h^2 with h = 1/(z + 1) over F_2(z)")
+        raise ValueError(f"{model.id}: a/b is not h + h^2 with h = 1/(z + 1) over F_2(z)")
     return d[-1], _zmul(c, root), _zmul(b, c)
 
 
@@ -234,16 +235,16 @@ def _residue_counts(model, f, field: Field):
 
 
 @functools.lru_cache(maxsize=256)
-def _prime_descent(surface_id: str, p: int):
+def _prime_descent(model: SurfaceModel, p: int):
     """The F_p-roots of the locus of _bundle_loci that applies mod p, its
     irreducible quadratic factors, the generic u = 0 line count, and the
     fiber counts at (1 : 0) and at the roots.  Raises FieldError, a
     ValueError, when the locus has a root outside F_{p^2}."""
-    k, odd_locus, char2_locus = _bundle_loci(surface_id)
+    k, odd_locus, char2_locus = _bundle_loci(model)
     if p != 2 and k % p == 0:
-        raise FieldError(f"{surface_id}: b^2 - 4a^2 degenerates mod {p}")
+        raise FieldError(f"{model.id}: b^2 - 4a^2 degenerates mod {p}")
     roots, quadratics = _locus_factors(char2_locus if p == 2 else odd_locus, p)
-    model, field = _as_model(surface_id), make_field(p)
+    field = make_field(p)
     generic = 2 if p == 2 else 1 + field.quadratic_character(field.int_(k))
     return (tuple(roots), tuple(map(tuple, quadratics)), generic,
             classify_fiber(model, (1, 0), field).count,
@@ -251,11 +252,11 @@ def _prime_descent(surface_id: str, p: int):
 
 
 @functools.lru_cache(maxsize=256)
-def _quadratic_descent(surface_id: str, p: int):
+def _quadratic_descent(model: SurfaceModel, p: int):
     """The fiber counts at the closed points of degree 2 of the locus, each
     over its residue field F_{p^2}."""
-    return tuple(_residue_counts(_as_model(surface_id), f, Field(p, 2, modulus=f))
-                 for f in _prime_descent(surface_id, p)[1])
+    return tuple(_residue_counts(model, f, Field(p, 2, modulus=f))
+                 for f in _prime_descent(model, p)[1])
 
 
 def _lift(count: int, q0: int, q: int, e: int) -> int:
@@ -269,7 +270,7 @@ def _lift(count: int, q0: int, q: int, e: int) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def descent_totals(surface_id: str, p: int, n: int) -> FiberwiseTotals:
+def descent_totals(model, p: int, n: int) -> FiberwiseTotals:
     """Fiberwise totals over F_{p^n} from the fibers defined over F_p and F_{p^2}.
 
     No field beyond F_{p^2} is built, and odd n builds none beyond F_p, so
@@ -282,9 +283,10 @@ def descent_totals(surface_id: str, p: int, n: int) -> FiberwiseTotals:
         raise ValueError(f"extension degree {n} is below 1")
     if n % 2 == 0 and p * p > MAX_Q:
         raise FieldError(f"fiberwise counts at even n need F_{p}^2, beyond 2^63")
-    _, _, generic, infinity, fibers = _prime_descent(surface_id, p)
+    model = _as_model(model)
+    _, _, generic, infinity, fibers = _prime_descent(model, p)
     q = p**n
-    by_degree = [(1, fibers)] + ([(2, _quadratic_descent(surface_id, p))] if n % 2 == 0 else [])
+    by_degree = [(1, fibers)] + ([(2, _quadratic_descent(model, p))] if n % 2 == 0 else [])
     smooth = q - sum(d * len(group) for d, group in by_degree)
     at_infinity = q * _lift((infinity - 1) // p, p, q, n) + 1  # entirely non-affine
     biproj = smooth * (q + 1) + at_infinity
@@ -294,19 +296,19 @@ def descent_totals(surface_id: str, p: int, n: int) -> FiberwiseTotals:
         for fiber, line in group:
             biproj += d * (q * _lift((fiber - 1) // q0, q0, q, n // d) + 1)
             nonaffine += d * _lift(line, q0, q, n // d)
-    return FiberwiseTotals(surface_id, p, n, biproj, biproj - nonaffine, nonaffine)
+    return FiberwiseTotals(model.id, p, n, biproj, biproj - nonaffine, nonaffine)
 
 
 def fiberwise_totals(model, field: Field) -> FiberwiseTotals:
     """descent_totals over the field F_{p^n}."""
-    return descent_totals(_as_model(model).id, field.p, field.n)
+    return descent_totals(model, field.p, field.n)
 
 
 def degenerate_fibers(model, field: Field) -> list[tuple[int, int]]:
     """Canonical base points of the fibers that are not smooth conics: the
     F_q-roots of the degenerate locus, and (1 : 0) when that fiber is one."""
     model = _as_model(model)
-    roots, quadratics, _, _, _ = _prime_descent(model.id, field.p)
+    roots, quadratics, _, _, _ = _prime_descent(model, field.p)
     if field.n % 2 == 0:
         roots += tuple(z for f in quadratics for z in split_roots(f, field))
     bases = [_canonical_base(field, z, 1) for z in roots]

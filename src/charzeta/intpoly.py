@@ -5,8 +5,8 @@ mapping from exponent tuples (aligned with a fixed variable list) to
 nonzero integer coefficients.  Supports the handful of exact operations
 the geometry needs: partial derivatives, setting a variable to one,
 grouping by a subset of variables, and evaluation over the integers.
-Finite-field evaluation lives with its callers: varieties splits a form by
-its (x, y, u)-monomials and evaluates the pieces over F_q itself.
+Finite-field evaluation lives with its callers: surfaces splits a form by
+its (x, y, u)-monomials, and varieties evaluates the pieces over F_q.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ class IntPoly:
     def __init__(self, vars, terms):
         self.vars = tuple(vars)
         self.terms = {tuple(e): int(c) for e, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls, vars):
-        return cls(vars, {})
 
     def __eq__(self, other):
         return (isinstance(other, IntPoly) and self.vars == other.vars

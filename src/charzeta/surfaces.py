@@ -1,0 +1,145 @@
+"""Surface models built from their affine equations, and count records.
+
+A model is given by f(x, y, z) of degree at most 2 in (x, y).  Its
+bihomogeneous F(x, y, u, z, w) in P^2 x P^1 has bidegree (2, d), d the
+z-degree of f, which forces F: the monomial x^a y^b z^c of f becomes
+x^a y^b u^(2-a-b) z^c w^(d-c), so F(x, y, 1, z, 1) = f by construction.
+The registry holds the paper's three surfaces; every counting path also
+takes a SurfaceModel built from any such f.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .finfield import Field
+from .intpoly import IntPoly
+
+SURFACE_IDS = ("L0", "L1", "L2")
+
+QUAD_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+
+@dataclass(frozen=True)
+class CountRecord:
+    surface: str
+    p: int
+    n: int
+    space: str    # affine | biprojective | nonaffine
+    method: str   # brute | fiberwise | formula
+    count: int
+
+    def to_json(self):
+        return {"surface": self.surface, "p": self.p, "n": self.n,
+                "space": self.space, "method": self.method, "count": self.count}
+
+
+def _zw_values(field: Field, coeff_lists, deg: int, z: int, w: int) -> list[int]:
+    """Each binary form sum_k c_k z^k w^(deg-k) of coeff_lists at (z : w).
+
+    The monomials z^k w^(deg-k) are running products (no w powers when
+    w = 1); each form is summed digit by digit and reduced mod p once.
+    Scalar field arithmetic, so it works at any q: fiber_form_encs uses it
+    where no exp/log tables exist, and it is the reference for
+    varieties._form_weights, which the brute-force kernel uses instead.
+    """
+    monos = [1]
+    for _ in range(deg):
+        monos.append(field.mul(monos[-1], z))
+    if w != 1:
+        wp = [1]
+        for _ in range(deg):
+            wp.append(field.mul(wp[-1], w))
+        monos = [field.mul(zk, wp[deg - k]) for k, zk in enumerate(monos)]
+    digits = [field.coeffs(m) for m in monos]
+    out = []
+    for coeffs in coeff_lists:
+        acc = [0] * field.n
+        for c, dig in zip(coeffs, digits):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, dig)]
+        out.append(field.encode(acc))
+    return out
+
+
+def _split_form(poly: IntPoly):
+    """(monomials in (x, y, u), their coefficient lists over z^k w^(d-k), d)."""
+    groups = sorted(poly.group_by(("x", "y", "u")).items())
+    deg = max((sum(e) for _, g in groups for e in g.terms), default=0)
+    lists = []
+    for _, g in groups:
+        coeffs = [0] * (deg + 1)
+        for (ez, _), c in g.terms.items():
+            coeffs[ez] = c
+        lists.append(tuple(coeffs))
+    return tuple(m for m, _ in groups), tuple(lists), deg
+
+
+class SurfaceModel:
+    """One surface: affine polynomial f, bihomogeneous model F, fiber extractor.
+
+    Raises ValueError when f's variables are not (x, y, z) or f has degree
+    above 2 in (x, y).
+    """
+
+    def __init__(self, surface_id: str, affine: IntPoly):
+        if affine.vars != ("x", "y", "z"):
+            raise ValueError(f"{surface_id}: variables {affine.vars} are not (x, y, z)")
+        d = affine.degree("z")
+        terms = {}
+        for (a, b, c), coeff in affine.terms.items():
+            if a + b > 2:
+                raise ValueError(f"{surface_id}: f has degree above 2 in (x, y)")
+            terms[a, b, 2 - a - b, c, d - c] = coeff
+        self.id = surface_id
+        self.f = affine
+        self.F = IntPoly(("x", "y", "u", "z", "w"), terms)
+        self.deg_zw = d
+        # F and its five partials split by (x, y, u)-monomials, for the
+        # brute-force kernel; the fiber extractor reads F's six coefficient
+        # lists over z^k w^(d-k)
+        self._forms = tuple(_split_form(g) for g in
+                            (self.F, *(self.F.partial(v) for v in self.F.vars)))
+        monos, lists, _ = self._forms[0]
+        split = dict(zip(monos, lists))
+        self._quad_zw = {m: split.get(m, (0,) * (d + 1)) for m in QUAD_MONOMIALS}
+
+    def fiber_form_encs(self, basepoint, field: Field) -> tuple[int, ...]:
+        """Six coefficients (x^2, y^2, u^2, xy, xu, yu) of the fiber at (z : w).
+
+        Each coefficient is an integer combination of the monomials
+        z^k w^(d-k), summed digit by digit and reduced mod p once.
+        """
+        z, w = (int(c) for c in basepoint)
+        if z == 0 and w == 0:
+            raise ValueError("(0 : 0) is not a point of the projective line")
+        return tuple(_zw_values(field, self._quad_zw.values(), self.deg_zw, z, w))
+
+    def __repr__(self):
+        return f"SurfaceModel({self.id})"
+
+
+def _build_models():
+    fvars = ("x", "y", "z")
+    f0 = IntPoly(fvars, {(0, 0, 3): 1, (1, 1, 2): -1, (2, 0, 1): 1,
+                         (0, 2, 1): 1, (0, 0, 1): -2, (1, 1, 0): -1})
+    f1 = IntPoly(fvars, {(0, 0, 4): 1, (1, 1, 3): -1, (2, 0, 2): 1,
+                         (0, 2, 2): 1, (0, 0, 2): -3, (1, 1, 1): -1,
+                         (0, 0, 0): 1})
+    f2 = IntPoly(fvars, {(0, 0, 3): 1, (1, 1, 2): -1, (2, 0, 1): 1,
+                         (0, 2, 1): 1, (0, 0, 1): -1, (1, 1, 0): -1})
+    return {sid: SurfaceModel(sid, f) for sid, f in zip(SURFACE_IDS, (f0, f1, f2))}
+
+
+_MODELS = _build_models()
+
+
+def surface(surface_id: str) -> SurfaceModel:
+    try:
+        return _MODELS[surface_id]
+    except KeyError:
+        raise ValueError(f"unknown surface id {surface_id!r}; expected one of {SURFACE_IDS}") from None
+
+
+def _as_model(model) -> SurfaceModel:
+    return model if isinstance(model, SurfaceModel) else surface(model)

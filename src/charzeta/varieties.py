@@ -1,60 +1,38 @@
-"""The three surfaces, brute-force point enumeration, and singular loci.
+"""Brute-force point enumeration and singular loci of a surface model.
 
-Each surface is cut out in affine 3-space by a polynomial f(x, y, z) and in
-P^2 x P^1 by the matching bihomogeneous polynomial F(x, y, u, z, w) of
-bidegree (2, d).  Brute-force counting enumerates canonical coordinate
-representatives (leftmost nonzero coordinate of each factor scaled to 1)
-and evaluates the defining polynomial at every one of them; it is the
-ground-truth oracle the faster counting paths are checked against.  The
-three counts and the singular locus go through one routine, _zero_masks:
-F and its partials are split by their monomials in (x, y, u), each
-monomial is a grid over a set of plane representatives (x : y : u) built
-once, and every base point (z : w) then costs one weighted sum of those
-grids per form, with weights the binary forms in (z, w) at that point,
-computed for every form and base point in one vectorised step before the
-first fiber (_form_weights; the scalar _zw_values is their reference and
-serves the fiber extractor at fields of any size).  That sum is computed
-without temporaries, in cache-sized strips of each fiber through buffers
-allocated once per call, because a fresh array of the grids' size costs a
-page fault per 4 KB on first touch, about as much as the arithmetic.  Prime fields add int32 residues and divide by p once
-per fiber; extension fields gather from a table of packed base-p digits
-(of encodings in characteristic 2).
+Brute-force counting enumerates canonical coordinate representatives
+(leftmost nonzero coordinate of each factor scaled to 1) of P^2 x P^1 and
+evaluates the model's bihomogeneous F (see surfaces) at every one of them;
+it is the ground-truth oracle the faster counting paths are checked
+against.  The three counts and the singular locus go through one routine,
+_zero_masks: F and its partials are split by their monomials in (x, y, u),
+each monomial is a grid over a set of plane representatives (x : y : u)
+built once, and every base point (z : w) then costs one weighted sum of
+those grids per form, with weights the binary forms in (z, w) at that
+point, computed for every form and base point in one vectorised step
+before the first fiber (_form_weights; the scalar surfaces._zw_values is
+their reference).  That sum is computed without temporaries, in
+cache-sized strips of each fiber through buffers allocated once per call,
+because a fresh array of the grids' size costs a page fault per 4 KB on
+first touch, about as much as the arithmetic.  Prime fields add int32
+residues and divide by p once per fiber; extension fields gather from a
+table of packed base-p digits (of encodings in characteristic 2).
 
-Only that kernel builds arrays, so numpy is imported inside the functions
-that build or count them (_form_weights, _affine_plane, _p2_reps,
-_monomial_grids, _zero_masks, _zero_count and the non-affine count), never
-at module scope: every command imports this module for the surface models, and the
-commands that never enumerate points (verify, zeta, special, and count by
-fiberwise or formula) then start without loading numpy.
+Only the commands that enumerate points import this module, so it imports
+numpy at module scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .finfield import Field, FieldError
-from .intpoly import IntPoly
+from .surfaces import CountRecord, SurfaceModel, _as_model
 
 MAX_AFFINE_Q = 2048
 MAX_BIPROJ_Q = 128
-
-SURFACE_IDS = ("L0", "L1", "L2")
-
-QUAD_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    surface: str
-    p: int
-    n: int
-    space: str    # affine | biprojective | nonaffine
-    method: str   # brute | fiberwise | formula
-    count: int
-
-    def to_json(self):
-        return {"surface": self.surface, "p": self.p, "n": self.n,
-                "space": self.space, "method": self.method, "count": self.count}
 
 
 @dataclass(frozen=True)
@@ -79,36 +57,9 @@ class BiprojectivePoint:
         return [list(self.xyu), list(self.zw)]
 
 
-def _zw_values(field: Field, coeff_lists, deg: int, z: int, w: int) -> list[int]:
-    """Each binary form sum_k c_k z^k w^(deg-k) of coeff_lists at (z : w).
-
-    The monomials z^k w^(deg-k) are running products (no w powers when
-    w = 1); each form is summed digit by digit and reduced mod p once.
-    Scalar field arithmetic, so it works at any q: fiber_form_encs uses it
-    where no exp/log tables exist, and it is the reference for
-    _form_weights, which the brute-force kernel uses instead.
-    """
-    monos = [1]
-    for _ in range(deg):
-        monos.append(field.mul(monos[-1], z))
-    if w != 1:
-        wp = [1]
-        for _ in range(deg):
-            wp.append(field.mul(wp[-1], w))
-        monos = [field.mul(zk, wp[deg - k]) for k, zk in enumerate(monos)]
-    digits = [field.coeffs(m) for m in monos]
-    out = []
-    for coeffs in coeff_lists:
-        acc = [0] * field.n
-        for c, dig in zip(coeffs, digits):
-            if c:
-                acc = [x + c * y for x, y in zip(acc, dig)]
-        out.append(field.encode(acc))
-    return out
-
-
 def _form_weights(field: Field, forms, bases) -> list[list[list[int]]]:
-    """_zw_values of every form (see _split_form) at every base point at once.
+    """surfaces._zw_values of every form (see surfaces._split_form) at every
+    base point at once.
 
     Entry [i][b] lists the weights P_m(z : w) of the monomials of forms[i]
     at bases[b], as Python ints.  The monomials z^k w^(d-k) come from int64
@@ -116,7 +67,6 @@ def _form_weights(field: Field, forms, bases) -> list[list[list[int]]]:
     form's integer combination of them is summed on their base-p digits
     and encoded once, as _zw_values does one point at a time.
     """
-    import numpy as np
     p, n, m = field.p, field.n, field.q - 1
     z, w = np.array(bases, dtype=np.int64).reshape(-1, 2).T
     if n == 1:
@@ -141,104 +91,6 @@ def _form_weights(field: Field, forms, bases) -> list[list[list[int]]]:
     return out
 
 
-def _split_form(poly: IntPoly):
-    """(monomials in (x, y, u), their coefficient lists over z^k w^(d-k), d)."""
-    groups = sorted(poly.group_by(("x", "y", "u")).items())
-    deg = max((sum(e) for _, g in groups for e in g.terms), default=0)
-    lists = []
-    for _, g in groups:
-        coeffs = [0] * (deg + 1)
-        for (ez, _), c in g.terms.items():
-            coeffs[ez] = c
-        lists.append(tuple(coeffs))
-    return tuple(m for m, _ in groups), tuple(lists), deg
-
-
-class SurfaceModel:
-    """One surface: affine polynomial, bihomogeneous model, fiber extractor."""
-
-    def __init__(self, surface_id: str, affine: IntPoly, biprojective: IntPoly):
-        self.id = surface_id
-        self.f = affine           # variables (x, y, z)
-        self.F = biprojective    # variables (x, y, u, z, w)
-        self.deg_zw = self.F.degree("z")
-        self._validate()
-        # F and its five partials split by (x, y, u)-monomials, for the
-        # brute-force kernel; the fiber extractor reads F's six coefficient
-        # lists over z^k w^(d-k)
-        self._forms = tuple(_split_form(g) for g in
-                            (self.F, *(self.F.partial(v) for v in self.F.vars)))
-        monos, lists, d = self._forms[0]
-        split = dict(zip(monos, lists))
-        self._quad_zw = {m: split.get(m, (0,) * (d + 1)) for m in QUAD_MONOMIALS}
-
-    def _validate(self):
-        if self.F.set_one("u").set_one("w") != self.f:
-            raise ValueError(f"{self.id}: affine and bihomogeneous models disagree")
-        d = self.deg_zw
-        for e in self.F.terms:
-            if e[0] + e[1] + e[2] != 2 or e[3] + e[4] != d:
-                raise ValueError(f"{self.id}: model is not bihomogeneous of bidegree (2, {d})")
-        by_quad = self.F.group_by(("x", "y", "u"))
-        if any(mono not in QUAD_MONOMIALS for mono in by_quad):
-            raise ValueError(f"{self.id}: unexpected monomial in the fiber quadratic form")
-
-    # -- fiber extractor -------------------------------------------------
-
-    def fiber_form_encs(self, basepoint, field: Field) -> tuple[int, ...]:
-        """Six coefficients (x^2, y^2, u^2, xy, xu, yu) of the fiber at (z : w).
-
-        Each coefficient is an integer combination of the monomials
-        z^k w^(d-k), summed digit by digit and reduced mod p once.
-        """
-        z, w = (int(c) for c in basepoint)
-        if z == 0 and w == 0:
-            raise ValueError("(0 : 0) is not a point of the projective line")
-        return tuple(_zw_values(field, self._quad_zw.values(), self.deg_zw, z, w))
-
-    def __repr__(self):
-        return f"SurfaceModel({self.id})"
-
-
-def _build_models():
-    fvars = ("x", "y", "z")
-    Fvars = ("x", "y", "u", "z", "w")
-    f0 = IntPoly(fvars, {(0, 0, 3): 1, (1, 1, 2): -1, (2, 0, 1): 1,
-                         (0, 2, 1): 1, (0, 0, 1): -2, (1, 1, 0): -1})
-    F0 = IntPoly(Fvars, {(0, 0, 2, 3, 0): 1, (1, 1, 0, 2, 1): -1,
-                         (2, 0, 0, 1, 2): 1, (0, 2, 0, 1, 2): 1,
-                         (0, 0, 2, 1, 2): -2, (1, 1, 0, 0, 3): -1})
-    f1 = IntPoly(fvars, {(0, 0, 4): 1, (1, 1, 3): -1, (2, 0, 2): 1,
-                         (0, 2, 2): 1, (0, 0, 2): -3, (1, 1, 1): -1,
-                         (0, 0, 0): 1})
-    F1 = IntPoly(Fvars, {(0, 0, 2, 4, 0): 1, (1, 1, 0, 3, 1): -1,
-                         (2, 0, 0, 2, 2): 1, (0, 2, 0, 2, 2): 1,
-                         (0, 0, 2, 2, 2): -3, (1, 1, 0, 1, 3): -1,
-                         (0, 0, 2, 0, 4): 1})
-    f2 = IntPoly(fvars, {(0, 0, 3): 1, (1, 1, 2): -1, (2, 0, 1): 1,
-                         (0, 2, 1): 1, (0, 0, 1): -1, (1, 1, 0): -1})
-    F2 = IntPoly(Fvars, {(0, 0, 2, 3, 0): 1, (1, 1, 0, 2, 1): -1,
-                         (2, 0, 0, 1, 2): 1, (0, 2, 0, 1, 2): 1,
-                         (0, 0, 2, 1, 2): -1, (1, 1, 0, 0, 3): -1})
-    return {"L0": SurfaceModel("L0", f0, F0),
-            "L1": SurfaceModel("L1", f1, F1),
-            "L2": SurfaceModel("L2", f2, F2)}
-
-
-_MODELS = _build_models()
-
-
-def surface(surface_id: str) -> SurfaceModel:
-    try:
-        return _MODELS[surface_id]
-    except KeyError:
-        raise ValueError(f"unknown surface id {surface_id!r}; expected one of {SURFACE_IDS}") from None
-
-
-def _as_model(model) -> SurfaceModel:
-    return model if isinstance(model, SurfaceModel) else surface(model)
-
-
 # ---------------------------------------------------------------------------
 # brute-force enumeration
 
@@ -249,14 +101,12 @@ def _affine_plane(q: int):
     They broadcast to a q x q grid, x by row and y by column, so the plane
     itself holds 2q + 1 entries; only the monomial grids reach q^2.
     """
-    import numpy as np  # deferred, like every numpy import in this module
     r = np.arange(q, dtype=np.int64)
     return r[:, None], r[None, :], np.ones((1, 1), dtype=np.int64)
 
 
 def _p2_reps(p: int, n: int):
     """Canonical representatives of P^2(F_q) as coordinate arrays."""
-    import numpy as np
     q = p**n
     r = np.arange(q, dtype=np.int64)
     x = np.concatenate([np.ones(q * q, dtype=np.int64), np.zeros(q + 1, dtype=np.int64)])
@@ -306,7 +156,6 @@ def _monomial_grids(field: Field, plane, monos):
     with the sentinel 2(q - 1) where a coordinate raised to e_i > 0 is
     zero, as int64 (np.take's index type, so a gather copies no index).
     """
-    import numpy as np
     p, m = field.p, field.q - 1
     shape = np.broadcast_shapes(*(c.shape for c in plane))
     if field.n > 1:
@@ -340,12 +189,12 @@ def _zero_masks(forms, field: Field, plane, bases):
 
     plane holds the coordinates (x, y, u) of the representatives, as arrays
     that broadcast together (see _monomial_grids); the mask is flat over
-    the broadcast shape in row-major order.  Each form (see _split_form) is
-    sum_m M_m(x, y, u) P_m(z, w): the grids M_m are built once, and the
-    fiber over (z : w) weighs them by the encodings c_m = P_m(z : w), which
-    _form_weights computes for every form and base point before the first
-    fiber.  The first form is evaluated at every point, each later one
-    only where those before it vanish.
+    the broadcast shape in row-major order.  Each form (see
+    surfaces._split_form) is sum_m M_m(x, y, u) P_m(z, w): the grids M_m are
+    built once, and the fiber over (z : w) weighs them by the encodings
+    c_m = P_m(z : w), which _form_weights computes for every form and base
+    point before the first fiber.  The first form is evaluated at every
+    point, each later one only where those before it vanish.
 
     No step allocates a full-size array.  Each fiber is evaluated in
     strips of _BLOCK points, every term and the zero test of a strip
@@ -367,7 +216,6 @@ def _zero_masks(forms, field: Field, plane, bases):
     (see _check_packed_headroom), and once per base point the digits are
     tested mod p, a few at a time, by lookup in a table of bit patterns.
     """
-    import numpy as np
     p, n = field.p, field.n
     terms = max(len(form[0]) for form in forms)
     if n == 1:
@@ -453,7 +301,6 @@ def _zero_masks(forms, field: Field, plane, bases):
 
 
 def _zero_count(model: SurfaceModel, field: Field, plane, bases) -> int:
-    import numpy as np
     masks = _zero_masks(model._forms[:1], field, plane, bases)
     return sum(int(np.count_nonzero(mask)) for _, mask in masks)
 
@@ -491,7 +338,6 @@ def count_nonaffine_brute(model, field: Field) -> CountRecord:
     q = field.q
     if q > MAX_AFFINE_Q:
         raise FieldError(f"non-affine brute force limited to q <= {MAX_AFFINE_Q}")
-    import numpy as np
     line = (np.append(np.ones(q, dtype=np.int64), 0), np.append(np.arange(q, dtype=np.int64), 1),
             np.zeros(1, dtype=np.int64))
     total = (_zero_count(model, field, _affine_plane(q), [(1, 0)])

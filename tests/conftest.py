@@ -12,7 +12,9 @@ from charzeta import BiprojectivePoint, classify_fiber, fibercount, is_prime, ma
 from charzeta.fibercount import FiberwiseTotals, _bundle_loci, _line_count, _zmul
 from charzeta.finfield import (FieldError, _fq_divmod, _fq_gcd, _fq_monic, _fq_pow,
                                _poly_sub_x, _poly_trim, _prime_factors, split_roots)
+from charzeta.intpoly import IntPoly
 from charzeta.specialvalues import _MC_CHUNK
+from charzeta.surfaces import SurfaceModel, _as_model
 
 MAX_ALL_REPORTS_Q = 4096
 
@@ -45,6 +47,23 @@ def fresh_descent():
         cache.cache_clear()
 
 
+def model_with_points_over_w0():
+    # L0 plus x u z^3: the fiber over (1 : 0) is u (u + x) = 0, which meets
+    # the chart u = 1; for the three surfaces it is u^2 = 0, the line u = 0
+    m = surface("L0")
+    return SurfaceModel("L0+xuz^3", IntPoly(m.f.vars, {**m.f.terms, (1, 0, 3): 1}))
+
+
+def conic_bundle(surface_id, a, b, c):
+    """The model a(z)(x^2 + y^2) + b(z)xy + c(z) = 0, unregistered; a, b and c
+    are integer coefficient lists in z, constant term first."""
+    terms = {}
+    for (ex, ey), coeffs in (((2, 0), a), ((0, 2), a), ((1, 1), b), ((0, 0), c)):
+        for k, coeff in enumerate(coeffs):
+            terms[ex, ey, k] = coeff
+    return SurfaceModel(surface_id, IntPoly(("x", "y", "z"), terms))
+
+
 def field_roots(coeffs, field):
     """Encodings of the distinct roots in F_q of an integer polynomial, sorted.
 
@@ -64,15 +83,15 @@ def field_roots(coeffs, field):
                   + split_roots(_fq_divmod(h, linear, prime)[0], field))
 
 
-def fiberwise_totals_fq(surface_id, field):
+def fiberwise_totals_fq(model, field):
     """Oracle for the descent: (FiberwiseTotals, degenerate reports) from F_q.
 
     Finds the F_q-roots of a*c*(b^2 - 4a^2) (a*b*c in characteristic 2)
     and classifies every fiber over them, and over (1 : 0), in F_q itself.
     The extra factor a adds fibers whose line u = 0 is counted directly.
     """
-    model = surface(surface_id)
-    k, odd_locus, char2_locus = _bundle_loci(surface_id)
+    model = _as_model(model)
+    k, odd_locus, char2_locus = _bundle_loci(model)
     a = model._quad_zw[(2, 0, 0)]
     q = field.q
     if field.p == 2:
@@ -95,7 +114,7 @@ def fiberwise_totals_fq(surface_id, field):
     if rep.degenerate:
         reports.append(rep)
     reports.sort(key=lambda r: r.base)
-    totals = FiberwiseTotals(surface_id, field.p, field.n, biproj, biproj - nonaffine,
+    totals = FiberwiseTotals(model.id, field.p, field.n, biproj, biproj - nonaffine,
                              nonaffine)
     return totals, reports
 

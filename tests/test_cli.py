@@ -422,15 +422,18 @@ print(json.dumps({{"code": code, "modules": sorted(name for name in sys.modules
                                                  if name.startswith("charzeta."))}}))
 """
 
-_FIELD_MODULES = {"cli", "finfield", "intpoly", "varieties", "fibercount", "localzeta"}
+_FIELD_MODULES = {"cli", "finfield", "intpoly", "surfaces", "fibercount", "localzeta"}
 
 
 @pytest.mark.parametrize("argv, modules", [
     pytest.param([], {"cli"}, id="import"),
     pytest.param(["mahler", "--samples", "1000", "--tol", "1"], {"cli", "specialvalues"}, id="mahler"),
     pytest.param(["special"], {"cli", "specialvalues", "globalzeta", "localzeta"}, id="special"),
-    pytest.param(["count", "--p", "3"], _FIELD_MODULES, id="count"),
-    pytest.param(["singular", "--p", "3"], _FIELD_MODULES, id="singular"),
+    pytest.param(["count", "--p", "3"], _FIELD_MODULES | {"varieties"}, id="count"),
+    pytest.param(["count", "--p", "3", "--method", "fiberwise"], _FIELD_MODULES,
+                 id="count-fiberwise"),
+    pytest.param(["count", "--p", "3", "--method", "formula"], _FIELD_MODULES, id="count-formula"),
+    pytest.param(["singular", "--p", "3"], _FIELD_MODULES | {"varieties"}, id="singular"),
     pytest.param(["verify", "--primes", "2..5"], _FIELD_MODULES | {"globalzeta"}, id="verify"),
     pytest.param(["zeta", "--p", "5"], _FIELD_MODULES | {"globalzeta"}, id="zeta"),
 ])

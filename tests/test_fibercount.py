@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,9 @@ from charzeta.finfield import low_degree_factors, split_roots
 from charzeta.localzeta import local_zeta_closed_form
 from charzeta.varieties import (count_affine_brute, count_biprojective_brute,
                                 count_nonaffine_brute)
-from conftest import (all_fiber_reports, conic_count_brute, eval_scalar, fiber_determinant,
-                      fiberwise_totals_fq, prime_powers_upto)
+from conftest import (all_fiber_reports, conic_bundle, conic_count_brute, eval_scalar,
+                      fiber_determinant, fiberwise_totals_fq, model_with_points_over_w0,
+                      prime_powers_upto)
 
 
 def test_fiber_form_examples():
@@ -260,12 +262,51 @@ def test_lift_matches_counts_over_extensions(p):
             assert field.q * _lift(points, p, field.q, e) + 1 == _conic(field, form)[0], (form, e)
 
 
-def test_locus_with_a_root_outside_f_p2_is_refused(monkeypatch, fresh_descent):
-    # z^3 - z - 1 is irreducible mod 3, so its roots lie in F_27 only
-    cubic = [-1, -1, 0, 1]
-    monkeypatch.setattr(fibercount, "_bundle_loci", lambda sid: (1, cubic, cubic))
-    with pytest.raises(ValueError):
-        fiberwise_totals("L2", make_field(3))
+# L0's a = z, b = -(z^2 + 1) and c = z^3 - 2z; a and b meet both identities
+# of the descent, since b^2 - 4a^2 = (z^2 - 1)^2 and bz = a(z + 1)^2 over F_2
+_L0_A, _L0_B, _L0_C = [0, 1], [-1, 0, -1], [0, -2, 0, 1]
+
+
+def test_locus_with_a_root_outside_f_p2_is_refused():
+    # c = z^3 - z - 1 is irreducible mod 3, so its roots lie in F_27 only;
+    # mod 5 it has the root 2, and the same model is counted
+    model = conic_bundle("c=z^3-z-1", _L0_A, _L0_B, [-1, -1, 0, 1])
+    with pytest.raises(ValueError, match="roots outside F_3"):
+        fiberwise_totals(model, make_field(3))
+    field = make_field(5)
+    assert fiberwise_totals(model, field).biprojective == \
+        count_biprojective_brute(model, field).count
+
+
+def test_descent_runs_on_unregistered_models():
+    # c = (z - r)(z^2 + sz + t) for every ninth (r, s, t) in [-3, 3]^3, each
+    # model built from f alone, against brute force in all three spaces
+    fields = [make_field(p, n) for p, n in prime_powers_upto(27)]
+    triples = list(itertools.product(range(-3, 4), repeat=3))[::9]
+    assert (len(triples), len(fields)) == (39, 15)
+    for r, s, t in triples:
+        model = conic_bundle(f"c=(z-{r})(z^2+{s}z+{t})", _L0_A, _L0_B, _zmul([-r, 1], [t, s, 1]))
+        for field in fields:
+            totals = fiberwise_totals(model, field)
+            assert totals.surface == model.id
+            assert count_biprojective_brute(model, field).count == totals.biprojective
+            assert count_affine_brute(model, field).count == totals.affine
+            assert count_nonaffine_brute(model, field).count == totals.nonaffine
+
+
+@pytest.mark.parametrize("model, reason", [
+    pytest.param(model_with_points_over_w0(), "fiber forms outside the supported shape",
+                 id="shape"),
+    # b^2 - 4a^2 = z^2(z^2 - 4)
+    pytest.param(conic_bundle("b=-z^2", [0, 1], [0, 0, -1], _L0_C),
+                 "b^2 - 4a^2 is not a constant times a square", id="square"),
+    # b^2 - 4a^2 = (z^2 - 1)^2, but b*z != a*(z + 1)^2 = 0 over F_2
+    pytest.param(conic_bundle("a=0", [], [-1, 0, 1], _L0_C),
+                 "a/b is not h + h^2 with h = 1/(z + 1) over F_2(z)", id="char2"),
+])
+def test_descent_refuses_models_outside_its_identities(model, reason):
+    with pytest.raises(ValueError, match=re.escape(f"{model.id}: {reason}")):
+        fiberwise_totals(model, make_field(3))
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -300,9 +341,9 @@ def test_closed_points_classified_in_their_residue_fields(sid):
     # the counts of a closed point, taken once in F_p[z]/(f), equal those of
     # the fiber over each of its roots in make_field(p, 2)
     model, quadratic_points = surface(sid), 0
-    _, odd_locus, char2_locus = _bundle_loci(sid)
+    _, odd_locus, char2_locus = _bundle_loci(model)
     for p in (p for p in range(2, 200) if is_prime(p)):
-        roots, quadratics, _, _, fibers = fibercount._prime_descent(sid, p)
+        roots, quadratics, _, _, fibers = fibercount._prime_descent(model, p)
         expected_roots, expected_quadratics = low_degree_factors(
             char2_locus if p == 2 else odd_locus, p)
         assert list(roots) == expected_roots
@@ -310,7 +351,7 @@ def test_closed_points_classified_in_their_residue_fields(sid):
         for field, points, counts in [
                 (make_field(p), [[z] for z in roots], fibers),
                 (make_field(p, 2), [split_roots(f, make_field(p, 2)) for f in quadratics],
-                 fibercount._quadratic_descent(sid, p))]:
+                 fibercount._quadratic_descent(model, p))]:
             for zs, (count, line) in zip(points, counts, strict=True):
                 for z in zs:
                     form = model.fiber_form_encs((z, 1), field)

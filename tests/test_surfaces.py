@@ -1,0 +1,82 @@
+"""The surface models: built from f alone, and checked against the link groups."""
+
+import itertools
+
+import pytest
+
+from charzeta.intpoly import IntPoly
+from charzeta.surfaces import SurfaceModel, surface
+
+# Each surface's link in Schubert normal form b(alpha, beta) (Riley,
+# "Parabolic representations of knot groups, I", 1972): 5^2_1 = b(8, 3),
+# 6^2_2 = b(10, 3) and 6^2_3 = b(12, 5).
+LINKS = {"L0": (8, 3), "L1": (10, 3), "L2": (12, 5)}
+
+
+def schubert_word(alpha, beta):
+    """w = b^e_1 a^e_2 ... b^e_(alpha-1), e_i = (-1)^floor(i beta / alpha), as
+    (letter, exponent) pairs; the link group is <a, b | aw = wa>."""
+    return [("ba"[(i - 1) % 2], (-1) ** (i * beta // alpha)) for i in range(1, alpha)]
+
+
+def sl2(p):
+    """SL2(F_p) as (a, b, c, d) for [[a, b], [c, d]], and its Cayley table."""
+    group = [m for m in itertools.product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p == 1]
+    index = {m: i for i, m in enumerate(group)}
+    table = [[index[(a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p]
+              for e, f, g, h in group] for a, b, c, d in group]
+    return group, table
+
+
+def trace_triples(alpha, beta, p):
+    """(tr A, tr B, tr AB) mod p of every pair (A, B) in SL2(F_p)^2 with AW = WA,
+    W the Schubert word of b(alpha, beta) in A and B."""
+    group, table = sl2(p)
+    one = group.index((1, 0, 0, 1))
+    inverse = [row.index(one) for row in table]
+    trace = [(m[0] + m[3]) % p for m in group]
+    word = schubert_word(alpha, beta)
+    triples = set()
+    for a, b in itertools.product(range(len(group)), repeat=2):
+        letters = {("a", 1): a, ("a", -1): inverse[a], ("b", 1): b, ("b", -1): inverse[b]}
+        w = one
+        for letter in word:
+            w = table[w][letters[letter]]
+        if table[a][w] == table[w][a]:
+            triples.add((trace[a], trace[b], trace[table[a][b]]))
+    return triples
+
+
+def _markov(x, y, z, k):
+    """x^2 + y^2 + z^2 - xyz - k, which is tr[A, B] + 2 - k at the traces
+    (tr A, tr B, tr AB) of (A, B) in SL2."""
+    return x * x + y * y + z * z - x * y * z - k
+
+
+@pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_surface_is_the_trace_image_of_the_link_group(sid, p):
+    # every pair (A, B) with AW = WA has its traces on the surface, on the
+    # reducible locus tr[A, B] = 2, or, for 6^2_3 only, on the second
+    # component tr[A, B] = 1, which holds 32 triples off the surface at
+    # p = 5 and none at p = 3; and every F_p-point of the surface is the
+    # trace triple of such a pair
+    f = surface(sid).f
+    triples = trace_triples(*LINKS[sid], p)
+    on_f = {t for t in triples if f.eval_int(dict(zip("xyz", t))) % p == 0}
+    reducible = {t for t in triples if _markov(*t, 4) % p == 0}
+    extra = {t for t in triples if _markov(*t, 3) % p == 0}
+    assert triples == on_f | reducible | (extra if sid == "L2" else set())
+    points = {t for t in itertools.product(range(p), repeat=3)
+              if f.eval_int(dict(zip("xyz", t))) % p == 0}
+    assert points <= triples
+    if sid == "L2":
+        assert len(extra - on_f) == {3: 0, 5: 32}[p]
+
+
+def test_model_refuses_f_outside_the_conic_bundle_shape():
+    f = surface("L0").f
+    with pytest.raises(ValueError, match="degree above 2 in"):
+        SurfaceModel("x^2y", IntPoly(f.vars, {**f.terms, (2, 1, 0): 1}))
+    with pytest.raises(ValueError, match=r"are not \(x, y, z\)"):
+        SurfaceModel("xzy", IntPoly(("x", "z", "y"), f.terms))

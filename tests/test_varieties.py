@@ -8,15 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charzeta import (BiprojectivePoint, SurfaceModel, count_affine_brute,
-                      count_biprojective_brute, count_formula, count_nonaffine_brute,
-                      fiberwise_totals, make_field, singular_locus, surface)
+from charzeta import (BiprojectivePoint, count_affine_brute, count_biprojective_brute,
+                      count_formula, count_nonaffine_brute, fiberwise_totals, make_field,
+                      singular_locus, surface)
 from charzeta.intpoly import IntPoly
-from charzeta.varieties import (MAX_AFFINE_Q, SURFACE_IDS, _check_packed_headroom,
-                                _check_prime_headroom, _form_weights, _monomial_grids, _p2_reps,
-                                _zero_masks, _zw_values, biprojective_zero_reps)
+from charzeta.surfaces import SURFACE_IDS, _zw_values
+from charzeta.varieties import (MAX_AFFINE_Q, _check_packed_headroom, _check_prime_headroom,
+                                _form_weights, _monomial_grids, _p2_reps, _zero_masks,
+                                biprojective_zero_reps)
 from conftest import (_scalar_tables, chart_verdicts, eval_scalar, expected_singular_points,
-                      p1_reps, p2_reps, prime_powers_upto, zero_points_scalar)
+                      model_with_points_over_w0, p1_reps, p2_reps, prime_powers_upto,
+                      zero_points_scalar)
 
 
 def test_surface_ids():
@@ -38,7 +40,7 @@ def test_affine_polynomials_transcribed():
 
 
 def test_dehomogenisation_identity():
-    # F(x, y, 1, z, 1) = f(x, y, z) exactly, checked at construction and here
+    # F(x, y, 1, z, 1) = f(x, y, z) exactly: F is built from f so that it holds
     for sid in ("L0", "L1", "L2"):
         m = surface(sid)
         assert m.F.set_one("u").set_one("w") == m.f
@@ -96,17 +98,8 @@ def test_nonaffine_brute_examples():
     assert count_nonaffine_brute("L1", make_field(3)).count == 10
 
 
-def _model_with_points_over_w0():
-    # L0 plus x u z^3: the fiber over (1 : 0) is u (u + x) = 0, which meets
-    # the chart u = 1; for the three surfaces it is u^2 = 0, the line u = 0
-    m = surface("L0")
-    f = IntPoly(m.f.vars, {**m.f.terms, (1, 0, 3): 1})
-    F = IntPoly(m.F.vars, {**m.F.terms, (1, 0, 1, 3, 0): 1})
-    return SurfaceModel("L0+xuz^3", f, F)
-
-
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2",
-                                 pytest.param(_model_with_points_over_w0(), id="xuz3")])
+                                 pytest.param(model_with_points_over_w0(), id="xuz3")])
 def test_affine_plus_nonaffine_equals_biprojective(sid):
     for p, n in prime_powers_upto(16):
         field = make_field(p, n)
