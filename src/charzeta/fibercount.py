@@ -35,24 +35,24 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
+from . import _record
 from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, _poly_divmod, is_prime,
                        low_degree_factors, make_field, split_roots)
 from .localzeta import local_zeta_closed_form
 from .surfaces import CountRecord, SurfaceModel, _as_model
 
 
-@dataclass(frozen=True)
+@_record
 class FiberReport:
     base: tuple[int, int]      # canonical (z : w), encodings
     count: int
     degenerate: bool
 
 
-@dataclass(frozen=True)
+@_record
 class FiberwiseTotals:
     surface: str
     p: int
@@ -269,7 +269,6 @@ def _lift(count: int, q0: int, q: int, e: int) -> int:
     return q + 1 if count == q0 + 1 else 1 + (count - 1) ** e
 
 
-@functools.lru_cache(maxsize=256)
 def descent_totals(model, p: int, n: int) -> FiberwiseTotals:
     """Fiberwise totals over F_{p^n} from the fibers defined over F_p and F_{p^2}.
 
@@ -277,13 +276,18 @@ def descent_totals(model, p: int, n: int) -> FiberwiseTotals:
     p^n may exceed 2^63.  A closed point of degree 2 counts twice at even n,
     once for each of its roots.  Raises ValueError for n < 1 or when the
     degenerate locus has a root outside F_{p^2}, FieldError when p is not
-    prime or n is even and p^2 > 2^63.
+    prime or n is even and p^2 > 2^63.  A surface id and its model share one
+    cache entry.
     """
+    return _descent_totals(_as_model(model), p, n)
+
+
+@functools.lru_cache(maxsize=256)
+def _descent_totals(model: SurfaceModel, p: int, n: int) -> FiberwiseTotals:
     if n < 1:
         raise ValueError(f"extension degree {n} is below 1")
     if n % 2 == 0 and p * p > MAX_Q:
         raise FieldError(f"fiberwise counts at even n need F_{p}^2, beyond 2^63")
-    model = _as_model(model)
     _, _, generic, infinity, fibers = _prime_descent(model, p)
     q = p**n
     by_degree = [(1, fibers)] + ([(2, _quadratic_descent(model, p))] if n % 2 == 0 else [])

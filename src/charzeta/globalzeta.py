@@ -9,16 +9,14 @@ function verifies the global factorisation prime by prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import SPACES
+from . import SPACES, _record
 from .localzeta import (RECOVERY_COUNTS, LocalZetaFactors, RecoveryError,
                         local_zeta_closed_form, recover_factors)
 
 RECOVERY_PRIMES = (2, 3)
 
 
-@dataclass(frozen=True)
+@_record
 class CharacterDesc:
     """An even real Dirichlet character given by its value table."""
 
@@ -38,7 +36,7 @@ QUADRATIC_DISC = {2: 8, 5: 5}
 QUADRATIC_CHAR = {2: CHI8, 5: CHI5}
 
 
-@dataclass(frozen=True)
+@_record
 class ZetaFactorTerm:
     """One factor zeta(s-shift)^exp, zeta_K(s-shift)^exp or L(chi, s-shift)^exp."""
 
@@ -49,7 +47,7 @@ class ZetaFactorTerm:
     char: CharacterDesc | None = None
 
 
-@dataclass(frozen=True)
+@_record
 class ElementaryTerm:
     """A factor (1 - sign * p^(shift - s))^exp, only active at its prime."""
 
@@ -59,7 +57,7 @@ class ElementaryTerm:
     exp: int
 
 
-@dataclass(frozen=True)
+@_record
 class GlobalZetaExpr:
     factors: tuple[ZetaFactorTerm, ...]
     elementary: tuple[ElementaryTerm, ...]
@@ -195,7 +193,7 @@ def counts_for_space(surface_id: str, p: int, space: str, k: int) -> list[int]:
     return [descent_totals(surface_id, p, n).count(space) for n in range(1, k + 1)]
 
 
-@dataclass(frozen=True)
+@_record
 class LocalZetaCheck:
     """The outcome of check_local_zeta for one surface, prime and space."""
 

@@ -12,8 +12,9 @@ Everything in this module is exact; no floating point is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from . import _record
 
 # counts recover_factors needs: six solve for the exponents, eight verify them
 RECOVERY_COUNTS = 14
@@ -28,7 +29,7 @@ def _units(p: int) -> tuple[int, ...]:
     return (p * p, -p * p, p, -p, 1, -1)
 
 
-@dataclass(frozen=True)
+@_record
 class LocalZetaFactors:
     """Multiset of factors (1 - u*T)^(-e); e > 0 means denominator factor."""
 

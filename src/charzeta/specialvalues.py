@@ -25,9 +25,10 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
+
+from . import _record
 
 if TYPE_CHECKING:  # globalzeta is imported where it is used, so `mahler` skips it
     from .globalzeta import CharacterDesc, GlobalZetaExpr
@@ -142,7 +143,7 @@ def dirichlet_L(char: CharacterDesc, s: float) -> float:
 # quadratic field data and regulators
 
 
-@dataclass(frozen=True)
+@_record
 class QuadraticFieldData:
     d: int
     discriminant: int
@@ -172,7 +173,7 @@ def regulator(d: int) -> float:
 # Laurent leading terms
 
 
-@dataclass(frozen=True)
+@_record
 class LaurentLeading:
     s0: float
     order: int       # > 0 zero, < 0 pole, 0 regular

@@ -10,8 +10,7 @@ takes a SurfaceModel built from any such f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import _record
 from .finfield import Field
 from .intpoly import IntPoly
 
@@ -20,7 +19,7 @@ SURFACE_IDS = ("L0", "L1", "L2")
 QUAD_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
-@dataclass(frozen=True)
+@_record
 class CountRecord:
     surface: str
     p: int

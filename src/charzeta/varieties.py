@@ -24,10 +24,9 @@ numpy at module scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import _record
 from .finfield import Field, FieldError
 from .surfaces import CountRecord, SurfaceModel, _as_model
 
@@ -35,7 +34,7 @@ MAX_AFFINE_Q = 2048
 MAX_BIPROJ_Q = 128
 
 
-@dataclass(frozen=True)
+@_record
 class BiprojectivePoint:
     """A point of P^2 x P^1 in canonical coordinates (encodings)."""
 

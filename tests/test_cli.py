@@ -411,7 +411,8 @@ def test_cli_runs_openblas_on_one_thread_unless_told_otherwise():
     assert (doc["code"], doc["numpy"], doc["var"]) == (0, True, "2")
 
 
-# Runs in a fresh interpreter: the charzeta modules one command leaves loaded.
+# Runs in a fresh interpreter: the charzeta modules one command leaves loaded,
+# and which of some standard library modules it does not need.
 _LOADED = """
 import contextlib, io, json, sys
 import charzeta.cli
@@ -419,7 +420,10 @@ argv = {argv!r}
 with contextlib.redirect_stdout(io.StringIO()):
     code = charzeta.cli.main(argv) if argv else 0
 print(json.dumps({{"code": code, "modules": sorted(name for name in sys.modules
-                                                 if name.startswith("charzeta."))}}))
+                                                 if name.startswith("charzeta.")),
+                  "stdlib": sorted(name for name in ("csv", "dataclasses", "inspect")
+                                   if name in sys.modules),
+                  "numpy": "numpy" in sys.modules}}))
 """
 
 _FIELD_MODULES = {"cli", "finfield", "intpoly", "surfaces", "fibercount", "localzeta"}
@@ -433,6 +437,8 @@ _FIELD_MODULES = {"cli", "finfield", "intpoly", "surfaces", "fibercount", "local
     pytest.param(["count", "--p", "3", "--method", "fiberwise"], _FIELD_MODULES,
                  id="count-fiberwise"),
     pytest.param(["count", "--p", "3", "--method", "formula"], _FIELD_MODULES, id="count-formula"),
+    pytest.param(["count", "--p", "3", "--method", "formula", "--format", "csv"], _FIELD_MODULES,
+                 id="count-formula-csv"),
     pytest.param(["singular", "--p", "3"], _FIELD_MODULES | {"varieties"}, id="singular"),
     pytest.param(["verify", "--primes", "2..5"], _FIELD_MODULES | {"globalzeta"}, id="verify"),
     pytest.param(["zeta", "--p", "5"], _FIELD_MODULES | {"globalzeta"}, id="zeta"),
@@ -441,4 +447,9 @@ def test_each_command_loads_only_its_modules(argv, modules):
     # a cold call compiles and runs every module it imports, so the package
     # and the CLI import each module where it is first used
     doc = _run_fresh(_LOADED.format(argv=argv))
-    assert doc == {"code": 0, "modules": sorted(f"charzeta.{name}" for name in modules)}
+    assert (doc["code"], doc["modules"]) == (0, sorted(f"charzeta.{name}" for name in modules))
+    # nor standard library modules it does not run: the records load no
+    # dataclasses (which brings inspect and ast), and only --format csv
+    # loads csv; numpy loads inspect itself
+    stdlib = set(doc["stdlib"]) - ({"inspect"} if doc["numpy"] else set())
+    assert stdlib == ({"csv"} if "csv" in argv else set())

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from charzeta import (FieldError, classify_fiber, count_fiberwise, count_formula,
                       degenerate_fibers, fiberwise_totals, is_prime, make_field, surface)
 from charzeta import fibercount
-from charzeta.fibercount import (_bundle_loci, _conic, _lift, _line_count, _locus_factors,
-                                 _zmul, descent_totals)
+from charzeta.fibercount import (FiberwiseTotals, _bundle_loci, _conic, _lift, _line_count,
+                                 _locus_factors, _zmul, descent_totals)
 from charzeta.finfield import low_degree_factors, split_roots
 from charzeta.localzeta import local_zeta_closed_form
 from charzeta.varieties import (count_affine_brute, count_biprojective_brute,
@@ -217,6 +217,21 @@ def test_descent_totals_guards():
     # no field beyond F_{p^2} is built, so p^n past 2^63 is fine
     closed_form = local_zeta_closed_form("L0", 3, "biprojective")
     assert descent_totals("L0", 3, 40).biprojective == closed_form.counts(40)[-1]
+
+
+def test_descent_totals_caches_an_id_and_its_model_once(fresh_descent):
+    cache_info = fibercount._descent_totals.cache_info
+    totals = descent_totals("L0", 5, 1)
+    assert descent_totals(surface("L0"), 5, 1) is totals
+    assert fiberwise_totals(surface("L0"), make_field(5)) is totals
+    info = cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    # an unregistered model is cached by identity, even with L0's equation
+    copy = conic_bundle("L0 copy", [0, 1], [-1, 0, -1], [0, -2, 0, 1])
+    assert copy.f == surface("L0").f
+    assert descent_totals(copy, 5, 1) == FiberwiseTotals(
+        "L0 copy", 5, 1, totals.biprojective, totals.affine, totals.nonaffine)
+    assert cache_info().currsize == 2
 
 
 # every p^n <= 10^6 with p <= 199, 2^n <= 512, and the 24 largest primes below 10^6
