@@ -16,14 +16,15 @@ __version__ = "0.1.0"
 
 # the point sets every count, local zeta factor and check is taken over
 SPACES = ("affine", "biprojective", "nonaffine")
+# the registered surfaces, in the order --surface all runs them
+SURFACE_IDS = ("L0", "L1", "L2")
 
 _EXPORTS = {
     "finfield": ("Field", "FieldError", "is_prime", "make_field"),
-    "surfaces": ("CountRecord", "SurfaceModel", "surface"),
-    "varieties": ("BiprojectivePoint", "count_affine_brute", "count_biprojective_brute",
-                  "count_nonaffine_brute", "singular_locus"),
-    "fibercount": ("FiberReport", "classify_fiber", "count_fiberwise", "count_formula",
-                   "degenerate_fibers", "fiberwise_totals"),
+    "surfaces": ("CountRecord", "CountTotals", "SurfaceModel", "surface"),
+    "varieties": ("BiprojectivePoint", "brute_totals", "singular_locus"),
+    "fibercount": ("FiberReport", "classify_fiber", "count_formula", "degenerate_fibers",
+                   "fiberwise_totals"),
     "localzeta": ("LocalZetaFactors", "RecoveryError", "local_zeta_closed_form",
                   "recover_factors", "zeta_series_from_counts"),
     "globalzeta": ("CHI5", "CHI8", "CharacterDesc", "ElementaryTerm", "GlobalZetaExpr",

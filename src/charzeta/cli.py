@@ -24,12 +24,12 @@ import math
 import os
 import sys
 
-from . import SPACES
+from . import SPACES, SURFACE_IDS
 
 SCHEMA = "charzeta/1"
 MAX_VERIFY_PRIME = 10**6
 MAX_MAHLER_SAMPLES = 10**8
-SURFACE_CHOICES = ("L0", "L1", "L2", "all")
+SURFACE_CHOICES = SURFACE_IDS + ("all",)
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a writer the pipe killed
 
 
@@ -38,7 +38,7 @@ class UsageError(Exception):
 
 
 def _surfaces(arg: str):
-    return ("L0", "L1", "L2") if arg == "all" else (arg,)
+    return SURFACE_IDS if arg == "all" else (arg,)
 
 
 def _parse_primes(spec: str):
@@ -103,28 +103,29 @@ def _emit(doc: dict, fmt: str) -> str:
 
 
 def cmd_count(args) -> tuple[dict, int]:
-    from .fibercount import count_fiberwise, count_formula
+    from .fibercount import count_formula, fiberwise_totals
     from .finfield import make_field
+    from .surfaces import CountRecord
     field = make_field(args.p, args.n)
     spaces = SPACES if args.space == "all" else (args.space,)
     methods = ("brute", "fiberwise", "formula") if args.method == "all" else (args.method,)
     records = []
     ok = True
     for sid in _surfaces(args.surface):
+        totals = {}  # one record of all three spaces per counting method
+        if "brute" in methods:  # only brute counts load numpy and the kernels
+            from .varieties import brute_totals
+            totals["brute"] = brute_totals(sid, field)
+        if "fiberwise" in methods:
+            totals["fiberwise"] = fiberwise_totals(sid, field)
         for space in spaces:
             got = {}
             for method in methods:
-                if method == "brute":  # only brute counts load numpy and the kernels
-                    from .varieties import (count_affine_brute, count_biprojective_brute,
-                                            count_nonaffine_brute)
-                    fn = {"affine": count_affine_brute,
-                          "biprojective": count_biprojective_brute,
-                          "nonaffine": count_nonaffine_brute}[space]
-                    rec = fn(sid, field)
-                elif method == "fiberwise":
-                    rec = count_fiberwise(sid, field, space)
-                else:
+                if method == "formula":
                     rec = count_formula(sid, args.p, args.n, space)
+                else:
+                    rec = CountRecord(sid, field.p, field.n, space, method,
+                                      totals[method].count(space))
                 got[method] = rec.count
                 records.append(rec.to_json())
             if len(set(got.values())) > 1:

@@ -25,6 +25,8 @@ chi_{p^d}(x)^(n/d) and Tr_{F_q/F_2}(x) = (n/d) Tr_{F_{p^d}/F_2}(x).  At
 even n a closed point of degree 2 is two conjugate roots, whose fibers
 the Frobenius swaps, so it counts twice.  No field beyond F_{p^2} is built.
 The descent is cached per SurfaceModel object, registered or not.
+fiberwise_totals returns the three totals as one surfaces.CountTotals,
+the record varieties.brute_totals returns, so the two compare whole.
 
 Closed-form counts are not transcribed here: count_formula evaluates
 N_n = sum_u e_u * u^n on the factor multiset of
@@ -42,7 +44,7 @@ from . import _record
 from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, _poly_divmod, is_prime,
                        low_degree_factors, make_field, split_roots)
 from .localzeta import local_zeta_closed_form
-from .surfaces import CountRecord, SurfaceModel, _as_model
+from .surfaces import CountRecord, CountTotals, SurfaceModel, _as_model
 
 
 @_record
@@ -50,19 +52,6 @@ class FiberReport:
     base: tuple[int, int]      # canonical (z : w), encodings
     count: int
     degenerate: bool
-
-
-@_record
-class FiberwiseTotals:
-    surface: str
-    p: int
-    n: int
-    biprojective: int
-    affine: int
-    nonaffine: int
-
-    def count(self, space: str) -> int:
-        return getattr(self, space)
 
 
 def _canonical_base(field: Field, z: int, w: int) -> tuple[int, int]:
@@ -269,7 +258,7 @@ def _lift(count: int, q0: int, q: int, e: int) -> int:
     return q + 1 if count == q0 + 1 else 1 + (count - 1) ** e
 
 
-def descent_totals(model, p: int, n: int) -> FiberwiseTotals:
+def descent_totals(model, p: int, n: int) -> CountTotals:
     """Fiberwise totals over F_{p^n} from the fibers defined over F_p and F_{p^2}.
 
     No field beyond F_{p^2} is built, and odd n builds none beyond F_p, so
@@ -283,7 +272,7 @@ def descent_totals(model, p: int, n: int) -> FiberwiseTotals:
 
 
 @functools.lru_cache(maxsize=256)
-def _descent_totals(model: SurfaceModel, p: int, n: int) -> FiberwiseTotals:
+def _descent_totals(model: SurfaceModel, p: int, n: int) -> CountTotals:
     if n < 1:
         raise ValueError(f"extension degree {n} is below 1")
     if n % 2 == 0 and p * p > MAX_Q:
@@ -300,10 +289,10 @@ def _descent_totals(model: SurfaceModel, p: int, n: int) -> FiberwiseTotals:
         for fiber, line in group:
             biproj += d * (q * _lift((fiber - 1) // q0, q0, q, n // d) + 1)
             nonaffine += d * _lift(line, q0, q, n // d)
-    return FiberwiseTotals(model.id, p, n, biproj, biproj - nonaffine, nonaffine)
+    return CountTotals(model.id, p, n, biproj, biproj - nonaffine, nonaffine)
 
 
-def fiberwise_totals(model, field: Field) -> FiberwiseTotals:
+def fiberwise_totals(model, field: Field) -> CountTotals:
     """descent_totals over the field F_{p^n}."""
     return descent_totals(model, field.p, field.n)
 
@@ -319,13 +308,6 @@ def degenerate_fibers(model, field: Field) -> list[tuple[int, int]]:
     if classify_fiber(model, (1, 0), field).degenerate:
         bases.append((1, 0))
     return sorted(bases)
-
-
-def count_fiberwise(model, field: Field, space: str = "biprojective") -> CountRecord:
-    """Count by summing fiber contributions over P^1(F_q)."""
-    model = _as_model(model)
-    return CountRecord(model.id, field.p, field.n, space, "fiberwise",
-                       fiberwise_totals(model, field).count(space))
 
 
 # ---------------------------------------------------------------------------

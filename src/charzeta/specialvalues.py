@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import _record
+from . import SURFACE_IDS, _record
 
 if TYPE_CHECKING:  # globalzeta is imported where it is used, so `mahler` skips it
     from .globalzeta import CharacterDesc, GlobalZetaExpr
@@ -279,7 +279,7 @@ def verify_table1(tol: float = 1e-6) -> list[dict]:
     """
     from .globalzeta import main_term_expression
     out = []
-    for surface_id in ("L0", "L1", "L2"):
+    for surface_id in SURFACE_IDS:
         expr = main_term_expression(surface_id)
         for s0 in (0, 1, 2):
             got = laurent_leading(expr, s0)

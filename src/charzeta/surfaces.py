@@ -10,11 +10,9 @@ takes a SurfaceModel built from any such f.
 
 from __future__ import annotations
 
-from . import _record
+from . import SURFACE_IDS, _record
 from .finfield import Field
 from .intpoly import IntPoly
-
-SURFACE_IDS = ("L0", "L1", "L2")
 
 QUAD_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
@@ -31,6 +29,22 @@ class CountRecord:
     def to_json(self):
         return {"surface": self.surface, "p": self.p, "n": self.n,
                 "space": self.space, "method": self.method, "count": self.count}
+
+
+@_record
+class CountTotals:
+    """A surface's counts over F_{p^n} in all three spaces, by one method;
+    biprojective = affine + nonaffine."""
+
+    surface: str
+    p: int
+    n: int
+    biprojective: int
+    affine: int
+    nonaffine: int
+
+    def count(self, space: str) -> int:
+        return getattr(self, space)
 
 
 def _zw_values(field: Field, coeff_lists, deg: int, z: int, w: int) -> list[int]:

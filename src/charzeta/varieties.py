@@ -1,10 +1,14 @@
 """Brute-force point enumeration and singular loci of a surface model.
 
-Brute-force counting enumerates canonical coordinate representatives
-(leftmost nonzero coordinate of each factor scaled to 1) of P^2 x P^1 and
-evaluates the model's bihomogeneous F (see surfaces) at every one of them;
-it is the ground-truth oracle the faster counting paths are checked
-against.  The three counts and the singular locus go through one routine,
+Brute-force counting (brute_totals) evaluates the model's bihomogeneous F
+(see surfaces) at every point of P^2 x P^1, in canonical coordinates
+(leftmost nonzero coordinate of each factor scaled to 1), in two passes
+over the q + 1 base points (z : w): one over the chart (x, y, 1) of P^2 and
+one over its line u = 0.  The chart over (z : 1) is the affine surface,
+the chart over (1 : 0) and the line make up the non-affine rest, and the
+biprojective count is their sum.  It is the ground-truth oracle the faster
+counting paths are checked against.  The singular locus enumerates all of
+P^2 at once (_p2_reps, q <= MAX_BIPROJ_Q).  Both go through one routine,
 _zero_masks: F and its partials are split by their monomials in (x, y, u),
 each monomial is a grid over a set of plane representatives (x : y : u)
 built once, and every base point (z : w) then costs one weighted sum of
@@ -28,10 +32,10 @@ import numpy as np
 
 from . import _record
 from .finfield import Field, FieldError
-from .surfaces import CountRecord, SurfaceModel, _as_model
+from .surfaces import CountTotals, _as_model
 
-MAX_AFFINE_Q = 2048
-MAX_BIPROJ_Q = 128
+MAX_AFFINE_Q = 2048  # brute_totals
+MAX_BIPROJ_Q = 128   # singular_locus: _p2_reps holds q^2 + q + 1 int64 entries per coordinate
 
 
 @_record
@@ -102,6 +106,12 @@ def _affine_plane(q: int):
     """
     r = np.arange(q, dtype=np.int64)
     return r[:, None], r[None, :], np.ones((1, 1), dtype=np.int64)
+
+
+def _line_plane(q: int):
+    """The line u = 0 of P^2(F_q), (1 : y : 0) and (0 : 1 : 0), as coordinate arrays."""
+    return (np.append(np.ones(q, dtype=np.int64), 0), np.append(np.arange(q, dtype=np.int64), 1),
+            np.zeros(1, dtype=np.int64))
 
 
 def _p2_reps(p: int, n: int):
@@ -299,49 +309,28 @@ def _zero_masks(forms, field: Field, plane, bases):
         yield (z, w), mask
 
 
-def _zero_count(model: SurfaceModel, field: Field, plane, bases) -> int:
-    masks = _zero_masks(model._forms[:1], field, plane, bases)
-    return sum(int(np.count_nonzero(mask)) for _, mask in masks)
+def _fiber_counts(model, field: Field, plane, bases) -> list[int]:
+    """Zeros of F on the plane representatives over each base point."""
+    return [int(np.count_nonzero(mask))
+            for _, mask in _zero_masks(model._forms[:1], field, plane, bases)]
 
 
-def count_affine_brute(model, field: Field) -> CountRecord:
-    """Exact size of {(a, b, c) in F_q^3 : f(a, b, c) = 0} by enumeration.
+def brute_totals(model, field: Field) -> CountTotals:
+    """Exact counts of V(F) in all three spaces by enumeration.
 
-    The plane (x, y, 1) over the bases (z : 1).
+    The affine count is the chart (x, y, 1) over the bases (z : 1), the
+    non-affine one the chart over (1 : 0) and the line u = 0 over all of
+    P^1, and the biprojective count their sum.
     """
     model = _as_model(model)
     q = field.q
     if q > MAX_AFFINE_Q:
-        raise FieldError(f"affine brute force limited to q <= {MAX_AFFINE_Q}")
-    total = _zero_count(model, field, _affine_plane(q), [(z, 1) for z in range(q)])
-    return CountRecord(model.id, field.p, field.n, "affine", "brute", total)
-
-
-def count_biprojective_brute(model, field: Field) -> CountRecord:
-    """Exact number of canonical representatives on V(F) in P^2 x P^1."""
-    model = _as_model(model)
-    if field.q > MAX_BIPROJ_Q:
-        raise FieldError(f"biprojective brute force limited to q <= {MAX_BIPROJ_Q}")
-    bases = [(z, 1) for z in range(field.q)] + [(1, 0)]
-    total = _zero_count(model, field, _p2_reps(field.p, field.n), bases)
-    return CountRecord(model.id, field.p, field.n, "biprojective", "brute", total)
-
-
-def count_nonaffine_brute(model, field: Field) -> CountRecord:
-    """Points of V(F) with u = 0 or w = 0 (complement of the affine chart).
-
-    Two disjoint parts: the line u = 0, that is (1 : y : 0) and
-    (0 : 1 : 0), over all of P^1, and the chart (x, y, 1) over (1 : 0).
-    """
-    model = _as_model(model)
-    q = field.q
-    if q > MAX_AFFINE_Q:
-        raise FieldError(f"non-affine brute force limited to q <= {MAX_AFFINE_Q}")
-    line = (np.append(np.ones(q, dtype=np.int64), 0), np.append(np.arange(q, dtype=np.int64), 1),
-            np.zeros(1, dtype=np.int64))
-    total = (_zero_count(model, field, _affine_plane(q), [(1, 0)])
-             + _zero_count(model, field, line, [(1, 0)] + [(z, 1) for z in range(q)]))
-    return CountRecord(model.id, field.p, field.n, "nonaffine", "brute", total)
+        raise FieldError(f"brute force limited to q <= {MAX_AFFINE_Q}")
+    bases = [(z, 1) for z in range(q)] + [(1, 0)]
+    chart = _fiber_counts(model, field, _affine_plane(q), bases)
+    affine = sum(chart[:q])
+    nonaffine = chart[q] + sum(_fiber_counts(model, field, _line_plane(q), bases))
+    return CountTotals(model.id, field.p, field.n, affine + nonaffine, affine, nonaffine)
 
 
 def _common_zero_reps(model, field: Field, forms: int):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from charzeta import BiprojectivePoint, classify_fiber, fibercount, is_prime, make_field, surface
-from charzeta.fibercount import FiberwiseTotals, _bundle_loci, _line_count, _zmul
+from charzeta.fibercount import _bundle_loci, _line_count, _zmul
 from charzeta.finfield import (FieldError, _fq_divmod, _fq_gcd, _fq_monic, _fq_pow,
                                _poly_sub_x, _poly_trim, _prime_factors, split_roots)
 from charzeta.intpoly import IntPoly
 from charzeta.specialvalues import _MC_CHUNK
-from charzeta.surfaces import SurfaceModel, _as_model
+from charzeta.surfaces import CountTotals, SurfaceModel, _as_model
 
 MAX_ALL_REPORTS_Q = 4096
 
@@ -84,7 +84,7 @@ def field_roots(coeffs, field):
 
 
 def fiberwise_totals_fq(model, field):
-    """Oracle for the descent: (FiberwiseTotals, degenerate reports) from F_q.
+    """Oracle for the descent: (CountTotals, degenerate reports) from F_q.
 
     Finds the F_q-roots of a*c*(b^2 - 4a^2) (a*b*c in characteristic 2)
     and classifies every fiber over them, and over (1 : 0), in F_q itself.
@@ -114,8 +114,7 @@ def fiberwise_totals_fq(model, field):
     if rep.degenerate:
         reports.append(rep)
     reports.sort(key=lambda r: r.base)
-    totals = FiberwiseTotals(model.id, field.p, field.n, biproj, biproj - nonaffine,
-                             nonaffine)
+    totals = CountTotals(model.id, field.p, field.n, biproj, biproj - nonaffine, nonaffine)
     return totals, reports
 
 

@@ -8,9 +8,7 @@ import math
 
 import pytest
 
-from charzeta import (count_affine_brute, count_biprojective_brute,
-                      count_fiberwise, count_formula, count_nonaffine_brute,
-                      dedekind_expand, dirichlet_L, euler_factor,
+from charzeta import (brute_totals, count_formula, dedekind_expand, dirichlet_L, euler_factor,
                       global_expression, local_zeta_closed_form, make_field,
                       mahler_measure_mc, recover_factors, riemann_zeta,
                       singular_locus, verify_global, verify_table1,
@@ -35,15 +33,15 @@ def test_criterion_01_three_way_count_agreement():
     for sid in SURFACES:
         for p, n in prime_powers_upto(128):
             field = make_field(p, n)
-            totals = fiberwise_totals(sid, field)
+            brute, totals = brute_totals(sid, field), fiberwise_totals(sid, field)
             rows = {
-                "biprojective": (count_biprojective_brute(sid, field).count,
+                "biprojective": (brute.biprojective,
                                  totals.biprojective,
                                  count_formula(sid, p, n, "biprojective").count),
-                "affine": (count_affine_brute(sid, field).count,
+                "affine": (brute.affine,
                            totals.affine,
                            count_formula(sid, p, n, "affine").count),
-                "nonaffine": (count_nonaffine_brute(sid, field).count,
+                "nonaffine": (brute.nonaffine,
                               totals.nonaffine,
                               count_formula(sid, p, n, "nonaffine").count),
             }
@@ -55,18 +53,18 @@ def test_criterion_01_three_way_count_agreement():
 
 def test_criterion_02_spot_counts():
     checks = [
-        (count_biprojective_brute("L0", make_field(7)).count, 99),
-        (count_biprojective_brute("L0", make_field(3)).count, 25),
-        (count_biprojective_brute("L0", make_field(3, 2)).count, 145),
-        (count_biprojective_brute("L1", make_field(5)).count, 56),
-        (count_biprojective_brute("L1", make_field(2)).count, 9),
-        (count_biprojective_brute("L1", make_field(2, 2)).count, 33),
-        (count_affine_brute("L0", make_field(2)).count, 5),
-        (count_affine_brute("L1", make_field(2)).count, 2),
+        (brute_totals("L0", make_field(7)).biprojective, 99),
+        (brute_totals("L0", make_field(3)).biprojective, 25),
+        (brute_totals("L0", make_field(3, 2)).biprojective, 145),
+        (brute_totals("L1", make_field(5)).biprojective, 56),
+        (brute_totals("L1", make_field(2)).biprojective, 9),
+        (brute_totals("L1", make_field(2, 2)).biprojective, 33),
+        (brute_totals("L0", make_field(2)).affine, 5),
+        (brute_totals("L1", make_field(2)).affine, 2),
     ]
     for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]:
         q = p**n
-        checks.append((count_biprojective_brute("L2", make_field(p, n)).count,
+        checks.append((brute_totals("L2", make_field(p, n)).biprojective,
                        q * q + 3 * q + 1))
     report("02 spot counts reproduce the closed formulas",
            all(got == want for got, want in checks))
@@ -169,15 +167,13 @@ def test_criterion_10_property_suites():
     for sid in SURFACES:
         for p, n in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (7, 1)]:
             field = make_field(p, n)
-            rec = count_fiberwise(sid, field)
-            ok &= sum(r.count for r in all_fiber_reports(sid, field)) == rec.count
+            total = fiberwise_totals(sid, field).biprojective
+            ok &= sum(r.count for r in all_fiber_reports(sid, field)) == total
     # affine + nonaffine = biprojective
     for sid in SURFACES:
         for p, n in prime_powers_upto(32):
-            field = make_field(p, n)
-            ok &= (count_affine_brute(sid, field).count
-                   + count_nonaffine_brute(sid, field).count
-                   == count_biprojective_brute(sid, field).count)
+            totals = brute_totals(sid, make_field(p, n))
+            ok &= totals.affine + totals.nonaffine == totals.biprojective
     # the fiber rule against P^2 enumeration, 200 random fiber-shaped forms per field
     for p, n in [(2, 2), (3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]:
         field = make_field(p, n)

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import charzeta
-from charzeta import cli, fibercount, finfield, globalzeta, mahler_measure_mc
+from charzeta import cli, fibercount, finfield, globalzeta, mahler_measure_mc, varieties
 from charzeta.cli import MAX_MAHLER_SAMPLES, MAX_VERIFY_PRIME, build_parser, main
 from charzeta.localzeta import LocalZetaFactors
 
@@ -43,6 +43,34 @@ def test_count_single_method(capsys):
                          "--space", "affine", "--method", "brute")
     assert code == 0
     assert doc["records"][0]["count"] == 2
+
+
+def test_count_brute_beyond_old_biprojective_cap(capsys):
+    # q = 131 used to exit 2 once the affine count had run: the biprojective
+    # brute count stopped at q = 128
+    code, doc = run_json(capsys, "count", "--surface", "L2", "--space", "all", "--method", "all",
+                         "--p", "131")
+    assert code == 0 and doc["ok"]
+    for space in ("affine", "biprojective", "nonaffine"):
+        got = {r["method"]: r["count"] for r in doc["records"] if r["space"] == space}
+        assert set(got) == {"brute", "fiberwise", "formula"} and len(set(got.values())) == 1
+
+
+def test_count_all_spaces_makes_two_brute_passes_per_surface(capsys, monkeypatch):
+    # the chart (x, y, 1) and the line u = 0, each over all of P^1, give the
+    # counts in all three spaces
+    passes = []
+    zero_masks = varieties._zero_masks
+
+    def counted(forms, field, plane, bases):
+        passes.append(len(bases))
+        return zero_masks(forms, field, plane, bases)
+
+    monkeypatch.setattr(varieties, "_zero_masks", counted)
+    code, doc = run_json(capsys, "count", "--surface", "all", "--space", "all", "--method",
+                         "brute", "--p", "5")
+    assert code == 0 and len(doc["records"]) == 9
+    assert passes == [6] * 6
 
 
 def test_count_fiberwise_beyond_old_char2_cap(capsys):

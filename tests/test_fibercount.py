@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charzeta import (FieldError, classify_fiber, count_fiberwise, count_formula,
+from charzeta import (CountTotals, FieldError, brute_totals, classify_fiber, count_formula,
                       degenerate_fibers, fiberwise_totals, is_prime, make_field, surface)
 from charzeta import fibercount
-from charzeta.fibercount import (FiberwiseTotals, _bundle_loci, _conic, _lift, _line_count,
-                                 _locus_factors, _zmul, descent_totals)
+from charzeta.fibercount import (_bundle_loci, _conic, _lift, _line_count, _locus_factors, _zmul,
+                                 descent_totals)
 from charzeta.finfield import low_degree_factors, split_roots
 from charzeta.localzeta import local_zeta_closed_form
-from charzeta.varieties import (count_affine_brute, count_biprojective_brute,
-                                count_nonaffine_brute)
 from conftest import (all_fiber_reports, conic_bundle, conic_count_brute, eval_scalar,
                       fiber_determinant, fiberwise_totals_fq, model_with_points_over_w0,
                       prime_powers_upto)
@@ -51,11 +49,11 @@ def test_fiber_form_reproduces_surface_polynomial():
 
 
 def test_count_fiberwise_examples():
-    assert count_fiberwise("L0", make_field(7)).count == 99
+    assert fiberwise_totals("L0", make_field(7)).biprojective == 99
     assert degenerate_fibers("L0", make_field(7)) == [(0, 1), (1, 0), (1, 1), (1, 2), (1, 5),
                                                        (1, 6)]
-    assert count_fiberwise("L1", make_field(5)).count == 56
-    assert count_fiberwise("L2", make_field(3, 2)).count == 109  # q^2 + 3q + 1 at q = 9
+    assert fiberwise_totals("L1", make_field(5)).biprojective == 56
+    assert fiberwise_totals("L2", make_field(3, 2)).biprojective == 109  # q^2 + 3q + 1 at q = 9
 
 
 def test_degenerate_fiber_base_points():
@@ -105,8 +103,8 @@ def test_fiber_sum_equals_total():
     for sid in ("L0", "L1", "L2"):
         for p, n in [(2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (11, 1)]:
             field = make_field(p, n)
-            rec = count_fiberwise(sid, field)
-            assert sum(r.count for r in all_fiber_reports(sid, field)) == rec.count
+            total = fiberwise_totals(sid, field).biprojective
+            assert sum(r.count for r in all_fiber_reports(sid, field)) == total
 
 
 def test_char2_fiber_counts_against_dumb_enumeration():
@@ -229,7 +227,7 @@ def test_descent_totals_caches_an_id_and_its_model_once(fresh_descent):
     # an unregistered model is cached by identity, even with L0's equation
     copy = conic_bundle("L0 copy", [0, 1], [-1, 0, -1], [0, -2, 0, 1])
     assert copy.f == surface("L0").f
-    assert descent_totals(copy, 5, 1) == FiberwiseTotals(
+    assert descent_totals(copy, 5, 1) == CountTotals(
         "L0 copy", 5, 1, totals.biprojective, totals.affine, totals.nonaffine)
     assert cache_info().currsize == 2
 
@@ -289,8 +287,7 @@ def test_locus_with_a_root_outside_f_p2_is_refused():
     with pytest.raises(ValueError, match="roots outside F_3"):
         fiberwise_totals(model, make_field(3))
     field = make_field(5)
-    assert fiberwise_totals(model, field).biprojective == \
-        count_biprojective_brute(model, field).count
+    assert fiberwise_totals(model, field).biprojective == brute_totals(model, field).biprojective
 
 
 def test_descent_runs_on_unregistered_models():
@@ -304,9 +301,7 @@ def test_descent_runs_on_unregistered_models():
         for field in fields:
             totals = fiberwise_totals(model, field)
             assert totals.surface == model.id
-            assert count_biprojective_brute(model, field).count == totals.biprojective
-            assert count_affine_brute(model, field).count == totals.affine
-            assert count_nonaffine_brute(model, field).count == totals.nonaffine
+            assert brute_totals(model, field) == totals
 
 
 @pytest.mark.parametrize("model, reason", [
@@ -391,8 +386,6 @@ def test_three_way_agreement_small(sid):
     for p, n in prime_powers_upto(32):
         field = make_field(p, n)
         totals = fiberwise_totals(sid, field)
-        assert count_biprojective_brute(sid, field).count == totals.biprojective
-        assert count_affine_brute(sid, field).count == totals.affine
-        assert count_nonaffine_brute(sid, field).count == totals.nonaffine
+        assert brute_totals(sid, field) == totals
         for space in ("biprojective", "affine", "nonaffine"):
             assert count_formula(sid, p, n, space).count == totals.count(space)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from charzeta import (LocalZetaFactors, RecoveryError, count_formula,
                       local_zeta_closed_form, make_field, recover_factors,
                       zeta_series_from_counts)
-from charzeta.varieties import count_affine_brute
+from charzeta.varieties import brute_totals
 
 
 def counts_by_formula(sid, p, space, k=14):
@@ -27,7 +27,7 @@ def test_series_empty_variety():
 
 
 def test_series_first_coefficient_is_first_count():
-    n1 = count_affine_brute("L0", make_field(2)).count
+    n1 = brute_totals("L0", make_field(2)).affine
     assert n1 == 5
     assert zeta_series_from_counts([n1]) == [1, 5]
 

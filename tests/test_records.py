@@ -5,12 +5,12 @@ import pickle
 
 import pytest
 
-from charzeta.fibercount import FiberReport, FiberwiseTotals
+from charzeta.fibercount import FiberReport
 from charzeta.globalzeta import (CHI5, CharacterDesc, ElementaryTerm, GlobalZetaExpr,
                                  LocalZetaCheck, ZetaFactorTerm)
 from charzeta.localzeta import LocalZetaFactors
 from charzeta.specialvalues import LaurentLeading, QuadraticFieldData
-from charzeta.surfaces import CountRecord
+from charzeta.surfaces import CountRecord, CountTotals
 from charzeta.varieties import BiprojectivePoint
 
 _FACTORS = LocalZetaFactors(5, ((25, 1), (5, 1), (1, 1)))
@@ -18,7 +18,7 @@ _FACTORS = LocalZetaFactors(5, ((25, 1), (5, 1), (1, 1)))
 # (class, field names in order, one value per field)
 RECORDS = [
     (FiberReport, ("base", "count", "degenerate"), ((1, 3), 7, False)),
-    (FiberwiseTotals, ("surface", "p", "n", "biprojective", "affine", "nonaffine"),
+    (CountTotals, ("surface", "p", "n", "biprojective", "affine", "nonaffine"),
      ("L0", 5, 1, 36, 25, 11)),
     (CharacterDesc, ("label", "modulus", "values"), ("chi5", 5, (0, 1, -1, -1, 1))),
     (ZetaFactorTerm, ("kind", "shift", "exp", "d", "char"), ("dirichlet", 1, -1, 5, CHI5)),

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charzeta import (BiprojectivePoint, count_affine_brute, count_biprojective_brute,
-                      count_formula, count_nonaffine_brute, fiberwise_totals, make_field,
-                      singular_locus, surface)
+from charzeta import (SURFACE_IDS, BiprojectivePoint, FieldError, brute_totals, count_formula,
+                      fiberwise_totals, make_field, singular_locus, surface)
 from charzeta.intpoly import IntPoly
-from charzeta.surfaces import SURFACE_IDS, _zw_values
-from charzeta.varieties import (MAX_AFFINE_Q, _check_packed_headroom, _check_prime_headroom,
-                                _form_weights, _monomial_grids, _p2_reps, _zero_masks,
-                                biprojective_zero_reps)
+from charzeta.surfaces import _as_model, _zw_values
+from charzeta.varieties import (MAX_AFFINE_Q, _affine_plane, _check_packed_headroom,
+                                _check_prime_headroom, _fiber_counts, _form_weights, _line_plane,
+                                _monomial_grids, _p2_reps, _zero_masks, biprojective_zero_reps)
 from conftest import (_scalar_tables, chart_verdicts, eval_scalar, expected_singular_points,
                       model_with_points_over_w0, p1_reps, p2_reps, prime_powers_upto,
                       zero_points_scalar)
@@ -73,9 +72,9 @@ def test_bihomogeneity_random_scalars(sid, p, n):
 
 
 def test_affine_brute_examples():
-    assert count_affine_brute("L0", make_field(2)).count == 5
-    assert count_affine_brute("L1", make_field(2)).count == 2
-    assert count_affine_brute("L2", make_field(3)).count == 11
+    assert brute_totals("L0", make_field(2)).affine == 5
+    assert brute_totals("L1", make_field(2)).affine == 2
+    assert brute_totals("L2", make_field(3)).affine == 11
 
 
 def test_affine_f1_f2_solutions_over_f2():
@@ -87,33 +86,34 @@ def test_affine_f1_f2_solutions_over_f2():
 
 
 def test_biprojective_brute_examples():
-    assert count_biprojective_brute("L0", make_field(7)).count == 99
-    assert count_biprojective_brute("L0", make_field(3)).count == 25
-    assert count_biprojective_brute("L1", make_field(2)).count == 9
+    assert brute_totals("L0", make_field(7)).biprojective == 99
+    assert brute_totals("L0", make_field(3)).biprojective == 25
+    assert brute_totals("L1", make_field(2)).biprojective == 9
 
 
 def test_nonaffine_brute_examples():
-    assert count_nonaffine_brute("L0", make_field(3)).count == 8
-    assert count_nonaffine_brute("L0", make_field(2)).count == 6
-    assert count_nonaffine_brute("L1", make_field(3)).count == 10
+    assert brute_totals("L0", make_field(3)).nonaffine == 8
+    assert brute_totals("L0", make_field(2)).nonaffine == 6
+    assert brute_totals("L1", make_field(3)).nonaffine == 10
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2",
                                  pytest.param(model_with_points_over_w0(), id="xuz3")])
 def test_affine_plus_nonaffine_equals_biprojective(sid):
+    # brute_totals sums its biprojective count from the other two, so this
+    # guards the record rather than the kernel
     for p, n in prime_powers_upto(16):
-        field = make_field(p, n)
-        a = count_affine_brute(sid, field).count
-        na = count_nonaffine_brute(sid, field).count
-        b = count_biprojective_brute(sid, field).count
-        assert a + na == b, (sid, p, n)
+        totals = brute_totals(sid, make_field(p, n))
+        assert totals.affine + totals.nonaffine == totals.biprojective, (sid, p, n)
 
 
 def test_brute_size_guards():
-    from charzeta import FieldError
-    big = make_field(157)  # q^2 fine, but biprojective brute capped at 128
+    # counts stop at MAX_AFFINE_Q in every space; the singular locus, which
+    # enumerates all of P^2 at once, stops at q = 128
     with pytest.raises(FieldError):
-        count_biprojective_brute("L0", big)
+        brute_totals("L0", make_field(2053))
+    with pytest.raises(FieldError):
+        singular_locus("L0", make_field(131))
 
 
 @pytest.mark.parametrize("sid,p,expected_size", [
@@ -136,21 +136,25 @@ def test_singular_locus_char2_families(sid, n):
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(st.sampled_from(["L0", "L1", "L2"]), st.sampled_from(prime_powers_upto(27)))
+@given(st.sampled_from(["L0", "L1", "L2", model_with_points_over_w0()]),
+       st.sampled_from(prime_powers_upto(27)))
+@example(model_with_points_over_w0(), (2, 2))
 def test_brute_kernel_matches_scalar_enumeration(sid, pn):
-    # prime fields, characteristic 2 and odd extension fields up to q = 27
+    # prime fields, characteristic 2 and odd extension fields up to q = 27;
+    # only the last model has points over (1 : 0) in the chart u = 1
     field = make_field(*pn)
-    m = surface(sid)
+    m = _as_model(sid)
     q = field.q
+    totals = brute_totals(sid, field)
     affine = zero_points_scalar(m.f, field, [(x, y, z) for x in range(q)
                                              for y in range(q) for z in range(q)])
-    assert count_affine_brute(sid, field).count == len(affine)
+    assert totals.affine == len(affine)
     reps = [xyu + zw for xyu in p2_reps(field) for zw in p1_reps(field)]
     biproj = zero_points_scalar(m.F, field, reps)
-    assert count_biprojective_brute(sid, field).count == len(biproj)
+    assert totals.biprojective == len(biproj)
     assert sorted(biprojective_zero_reps(sid, field)) == sorted(biproj)
     nonaffine = zero_points_scalar(m.F, field, [r for r in reps if r[2] == 0 or r[4] == 0])
-    assert count_nonaffine_brute(sid, field).count == len(nonaffine)
+    assert totals.nonaffine == len(nonaffine)
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
@@ -219,14 +223,16 @@ def test_form_weights_match_scalar_weights():
 
 
 def test_nonaffine_brute_never_builds_p2(monkeypatch):
-    # near q = 2048 the P^2 arrays take about 100 MB; the non-affine count
-    # enumerates the chart (x, y, 1) and the line u = 0 instead
+    # near q = 2048 the P^2 arrays take about 100 MB; the counts in every
+    # space enumerate the chart (x, y, 1) and the line u = 0 instead
     def refuse(p, n):
         raise AssertionError(f"_p2_reps({p}, {n}) built")
     monkeypatch.setattr("charzeta.varieties._p2_reps", refuse)
-    assert count_nonaffine_brute("L0", make_field(3)).count == 8
-    want = count_formula("L1", 2, 3, "nonaffine").count
-    assert count_nonaffine_brute("L1", make_field(2, 3)).count == want
+    totals = brute_totals("L0", make_field(3))
+    assert (totals.biprojective, totals.affine, totals.nonaffine) == (25, 17, 8)
+    totals = brute_totals("L1", make_field(2, 3))
+    for space in ("biprojective", "affine", "nonaffine"):
+        assert totals.count(space) == count_formula("L1", 2, 3, space).count, space
 
 
 def test_affine_brute_holds_little_beyond_its_grids():
@@ -236,7 +242,7 @@ def test_affine_brute_holds_little_beyond_its_grids():
     field = make_field(509)
     tracemalloc.start()
     try:
-        count = count_affine_brute("L1", field).count
+        count = brute_totals("L1", field).affine
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -271,19 +277,26 @@ def test_packed_digits_fit_every_odd_extension_field():
                 for monos, _, _ in surface(sid)._forms:
                     _check_packed_headroom(len(monos), p, n, (len(monos) * (p - 1)).bit_length())
     for p, n in [(43, 2), (3, 6)]:  # the widest spacer and the most digits
-        field = make_field(p, n)
+        # the non-affine part of brute_totals' passes: the chart over (1 : 0)
+        # and the line u = 0; its affine pass would take minutes at q = 1849
+        field, q = make_field(p, n), p**n
+        bases = [(z, 1) for z in range(q)] + [(1, 0)]
         for sid in SURFACE_IDS:
-            assert count_nonaffine_brute(sid, field).count == fiberwise_totals(sid, field).nonaffine
+            model = surface(sid)
+            nonaffine = (_fiber_counts(model, field, _affine_plane(q), [(1, 0)])[0]
+                         + sum(_fiber_counts(model, field, _line_plane(q), bases)))
+            assert nonaffine == fiberwise_totals(sid, field).nonaffine
 
 
 def test_strips_of_any_size_give_the_same_zeros(monkeypatch):
     # one strip per fiber at these q; strips of 7 points end on a short
-    # strip in every fiber, and the partials run on the zeros of F only
+    # strip in every fiber, and the partials run on the zeros of F only;
+    # brute_totals runs both its passes, over the chart and the line u = 0
     fields = [make_field(p, n) for p, n in [(7, 1), (2, 3), (3, 2)]]
 
     def zeros():
         return [(sorted(biprojective_zero_reps(sid, field)), singular_locus(sid, field),
-                 count_affine_brute(sid, field).count, count_nonaffine_brute(sid, field).count)
+                 brute_totals(sid, field))
                 for field in fields for sid in SURFACE_IDS]
 
     want = zeros()
