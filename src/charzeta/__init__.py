@@ -21,7 +21,7 @@ SURFACE_IDS = ("L0", "L1", "L2")
 
 _EXPORTS = {
     "finfield": ("Field", "FieldError", "is_prime", "make_field"),
-    "surfaces": ("CountRecord", "CountTotals", "SurfaceModel", "surface"),
+    "surfaces": ("CountTotals", "SurfaceModel", "surface"),
     "varieties": ("BiprojectivePoint", "brute_totals", "singular_locus"),
     "fibercount": ("FiberReport", "classify_fiber", "count_formula", "degenerate_fibers",
                    "fiberwise_totals"),

@@ -6,7 +6,10 @@ flattens the records, --format text prints human-readable lines.  Exit
 codes: 0 all checks pass, 1 mathematical mismatch, 2 usage error,
 141 (128 + SIGPIPE) stdout closed before the output was written.
 Identical invocations produce bit-identical output (MC commands take a
-seed).
+seed).  count takes one surfaces.CountTotals per method and surface and
+writes a record per space and method from it.  --surface picks the
+surfaces of count, zeta, verify and singular; special (all three
+surfaces) and mahler (none) do not take it.
 
 Each command imports the modules it runs inside its function, so a cold
 call compiles and runs only those.  The standard library follows suit:
@@ -105,33 +108,25 @@ def _emit(doc: dict, fmt: str) -> str:
 def cmd_count(args) -> tuple[dict, int]:
     from .fibercount import count_formula, fiberwise_totals
     from .finfield import make_field
-    from .surfaces import CountRecord
     field = make_field(args.p, args.n)
     spaces = SPACES if args.space == "all" else (args.space,)
     methods = ("brute", "fiberwise", "formula") if args.method == "all" else (args.method,)
+    counters = {"fiberwise": fiberwise_totals,
+                "formula": lambda sid, field: count_formula(sid, field.p, field.n)}
+    if "brute" in methods:  # only brute counts load numpy and the kernels
+        from .varieties import brute_totals
+        counters["brute"] = brute_totals
     records = []
     ok = True
     for sid in _surfaces(args.surface):
-        totals = {}  # one record of all three spaces per counting method
-        if "brute" in methods:  # only brute counts load numpy and the kernels
-            from .varieties import brute_totals
-            totals["brute"] = brute_totals(sid, field)
-        if "fiberwise" in methods:
-            totals["fiberwise"] = fiberwise_totals(sid, field)
+        totals = {method: counters[method](sid, field) for method in methods}
         for space in spaces:
-            got = {}
-            for method in methods:
-                if method == "formula":
-                    rec = count_formula(sid, args.p, args.n, space)
-                else:
-                    rec = CountRecord(sid, field.p, field.n, space, method,
-                                      totals[method].count(space))
-                got[method] = rec.count
-                records.append(rec.to_json())
+            got = {method: t.count(space) for method, t in totals.items()}
+            records += [{"surface": sid, "p": field.p, "n": field.n, "space": space,
+                         "method": method, "count": count} for method, count in got.items()]
             if len(set(got.values())) > 1:
                 ok = False
-                records.append({"surface": sid, "space": space,
-                                "disagreement": got})
+                records.append({"surface": sid, "space": space, "disagreement": got})
     doc = {"schema": SCHEMA, "command": "count",
            "field": field.to_json(), "records": records, "ok": ok}
     return doc, 0 if ok else 1
@@ -249,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "of three conic-bundle surfaces over finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, surface_default="all"):
-        p.add_argument("--surface", choices=SURFACE_CHOICES, default=surface_default)
+    def add_common(p, surface=True):
+        if surface:
+            p.add_argument("--surface", choices=SURFACE_CHOICES, default="all")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p = sub.add_parser("count", help="count rational points")
@@ -273,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("special", help="reproduce the special-value table")
-    add_common(p)
+    add_common(p, surface=False)
     p.add_argument("--tol", type=positive_float, default=1e-6)
     p.set_defaults(func=cmd_special)
 
@@ -284,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_singular)
 
     p = sub.add_parser("mahler", help="Monte Carlo Mahler measure")
-    add_common(p)
+    add_common(p, surface=False)
     p.add_argument("--poly", choices=("1+x+y+z", "1"), default="1+x+y+z")
     p.add_argument("--samples", type=sample_count, default=10**6)
     p.add_argument("--seed", type=seed_value, default=42)

@@ -25,12 +25,13 @@ chi_{p^d}(x)^(n/d) and Tr_{F_q/F_2}(x) = (n/d) Tr_{F_{p^d}/F_2}(x).  At
 even n a closed point of degree 2 is two conjugate roots, whose fibers
 the Frobenius swaps, so it counts twice.  No field beyond F_{p^2} is built.
 The descent is cached per SurfaceModel object, registered or not.
-fiberwise_totals returns the three totals as one surfaces.CountTotals,
-the record varieties.brute_totals returns, so the two compare whole.
+fiberwise_totals returns the three totals as one surfaces.CountTotals.
 
 Closed-form counts are not transcribed here: count_formula evaluates
-N_n = sum_u e_u * u^n on the factor multiset of
-localzeta.local_zeta_closed_form, the one copy of the per-surface table.
+N_n = sum_u e_u * u^n on the biprojective and non-affine factor multisets
+of localzeta.local_zeta_closed_form, the one copy of the per-surface
+table, and subtracts for the affine count.  It returns a CountTotals too,
+as varieties.brute_totals does, so the three methods compare whole.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from . import _record
 from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, _poly_divmod, is_prime,
                        low_degree_factors, make_field, split_roots)
 from .localzeta import local_zeta_closed_form
-from .surfaces import CountRecord, CountTotals, SurfaceModel, _as_model
+from .surfaces import CountTotals, SurfaceModel, _as_model
 
 
 @_record
@@ -314,13 +315,13 @@ def degenerate_fibers(model, field: Field) -> list[tuple[int, int]]:
 # closed-form counts
 
 
-def count_formula(model, p: int, n: int, space: str = "biprojective") -> CountRecord:
-    """Closed-form count N_n = sum_u e_u * u^n over F_{p^n}.
+def count_formula(model, p: int, n: int) -> CountTotals:
+    """Closed-form counts N_n = sum_u e_u * u^n over F_{p^n}.
 
-    The exponents e_u are those of local_zeta_closed_form(model, p, space),
-    so the affine count is the biprojective count minus the non-affine one.
-    Raises ValueError for n < 1 or an unknown space, FieldError when p is
-    not prime or p^n > 2^63.
+    The exponents e_u are those of local_zeta_closed_form(model, p, space)
+    for the biprojective and non-affine spaces; the affine count is their
+    difference.  Raises ValueError for n < 1, FieldError when p is not
+    prime or p^n > 2^63.
     """
     surface_id = _as_model(model).id
     if not (isinstance(p, int) and isinstance(n, int) and n >= 1):
@@ -329,5 +330,6 @@ def count_formula(model, p: int, n: int, space: str = "biprojective") -> CountRe
         raise FieldError("formula counts restricted to p^n <= 2^63")
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
-    factors = local_zeta_closed_form(surface_id, p, space).factors
-    return CountRecord(surface_id, p, n, space, "formula", sum(e * u**n for u, e in factors))
+    biproj, nonaffine = (sum(e * u**n for u, e in local_zeta_closed_form(surface_id, p, s).factors)
+                         for s in ("biprojective", "nonaffine"))
+    return CountTotals(surface_id, p, n, biproj, biproj - nonaffine, nonaffine)

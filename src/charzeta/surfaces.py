@@ -1,34 +1,22 @@
-"""Surface models built from their affine equations, and count records.
+"""Surface models built from their affine equations, and count totals.
 
 A model is given by f(x, y, z) of degree at most 2 in (x, y).  Its
 bihomogeneous F(x, y, u, z, w) in P^2 x P^1 has bidegree (2, d), d the
 z-degree of f, which forces F: the monomial x^a y^b z^c of f becomes
 x^a y^b u^(2-a-b) z^c w^(d-c), so F(x, y, 1, z, 1) = f by construction.
 The registry holds the paper's three surfaces; every counting path also
-takes a SurfaceModel built from any such f.
+takes a SurfaceModel built from any such f.  CountTotals is the one count
+record: brute force, the fiberwise descent and the closed formula each
+return a surface's counts in all three spaces in one.
 """
 
 from __future__ import annotations
 
-from . import SURFACE_IDS, _record
+from . import SPACES, SURFACE_IDS, _record
 from .finfield import Field
 from .intpoly import IntPoly
 
 QUAD_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
-
-
-@_record
-class CountRecord:
-    surface: str
-    p: int
-    n: int
-    space: str    # affine | biprojective | nonaffine
-    method: str   # brute | fiberwise | formula
-    count: int
-
-    def to_json(self):
-        return {"surface": self.surface, "p": self.p, "n": self.n,
-                "space": self.space, "method": self.method, "count": self.count}
 
 
 @_record
@@ -44,6 +32,9 @@ class CountTotals:
     nonaffine: int
 
     def count(self, space: str) -> int:
+        """The count in one of SPACES; ValueError for any other name."""
+        if space not in SPACES:
+            raise ValueError(f"unknown space {space!r}; expected one of {SPACES}")
         return getattr(self, space)
 
 

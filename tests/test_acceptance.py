@@ -33,19 +33,10 @@ def test_criterion_01_three_way_count_agreement():
     for sid in SURFACES:
         for p, n in prime_powers_upto(128):
             field = make_field(p, n)
-            brute, totals = brute_totals(sid, field), fiberwise_totals(sid, field)
-            rows = {
-                "biprojective": (brute.biprojective,
-                                 totals.biprojective,
-                                 count_formula(sid, p, n, "biprojective").count),
-                "affine": (brute.affine,
-                           totals.affine,
-                           count_formula(sid, p, n, "affine").count),
-                "nonaffine": (brute.nonaffine,
-                              totals.nonaffine,
-                              count_formula(sid, p, n, "nonaffine").count),
-            }
-            for space, row in rows.items():
+            methods = (brute_totals(sid, field), fiberwise_totals(sid, field),
+                       count_formula(sid, p, n))
+            for space in SPACES:
+                row = tuple(totals.count(space) for totals in methods)
                 if len(set(row)) != 1:
                     failures.append((sid, p, n, space, row))
     report("01 three-way count agreement (q <= 128, all spaces)", not failures)
@@ -161,7 +152,7 @@ def test_criterion_10_property_suites():
     for sid in SURFACES:
         for p in (2, 3, 5):
             for space in SPACES:
-                counts = [count_formula(sid, p, n, space).count for n in range(1, 11)]
+                counts = [count_formula(sid, p, n).count(space) for n in range(1, 11)]
                 ok &= all(c.denominator == 1 for c in zeta_series_from_counts(counts))
     # fiber sums equal totals
     for sid in SURFACES:

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import json
 import os
 import signal
@@ -98,6 +99,69 @@ def test_count_formula_nonaffine(capsys):
                          "--space", "nonaffine", "--method", "formula")
     assert code == 0
     assert doc["records"][0]["count"] == 8
+
+
+def test_count_reports_a_disagreement_after_its_space(capsys, monkeypatch):
+    # a fiberwise affine count one too high makes that space disagree, and
+    # that space alone
+    fiberwise_totals = fibercount.fiberwise_totals
+
+    def off_by_one(model, field):
+        t = fiberwise_totals(model, field)
+        return charzeta.CountTotals(t.surface, t.p, t.n, t.biprojective, t.affine + 1,
+                                    t.nonaffine)
+
+    monkeypatch.setattr(fibercount, "fiberwise_totals", off_by_one)
+    code, doc = run_json(capsys, "count", "--surface", "L0", "--p", "5", "--space", "all",
+                         "--method", "all")
+    assert code == 1 and doc["ok"] is False
+    records = doc["records"]
+    assert len(records) == 10
+    assert [(r["space"], r["method"]) for r in records[:3]] == [
+        ("affine", "brute"), ("affine", "fiberwise"), ("affine", "formula")]
+    affine = records[0]["count"]
+    assert records[3] == {"surface": "L0", "space": "affine",
+                          "disagreement": {"brute": affine, "fiberwise": affine + 1,
+                                           "formula": affine}}
+    assert all("disagreement" not in r for r in records[4:])
+
+
+# stdout SHA-256 of count calls in each format, so that any change to the
+# counting paths prints the same bytes; the json ones equal
+# bench/reference.json's
+COUNT_STDOUT_SHA256 = [
+    pytest.param(("count", "--surface", "all", "--space", "all", "--method", "all",
+                  "--p", "2", "--n", "4"),
+                 "c128bcbd32b1a470479126ab33ef0fad7b5afad9d215f59958e6ad5891366eb3", id="2^4"),
+    pytest.param(("count", "--surface", "all", "--space", "all", "--method", "all",
+                  "--p", "3", "--n", "3"),
+                 "23586c48f4cecd5554f0608f806005ebaf263387e14b60fa36be2d9154599822", id="3^3"),
+    pytest.param(("count", "--surface", "all", "--space", "all", "--method", "all",
+                  "--p", "11", "--n", "1"),
+                 "2a611d78a926626dc18a7e0dcd012244e8256c094406f47df982a062d55f079f", id="11"),
+    pytest.param(("count", "--surface", "L1", "--space", "all", "--method", "all",
+                  "--p", "5", "--n", "2", "--format", "csv"),
+                 "fb5ea2a6d11fc830e30505e4df74a062afcd2f7c303513f6537364c8ce6896b5", id="csv"),
+    pytest.param(("count", "--surface", "L0", "--space", "all", "--method", "all",
+                  "--p", "7", "--format", "text"),
+                 "b1b12f0516b74bcb666172f2292cf495d2f8f83e3a7b715c43dfafe5e682f37c", id="text"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", COUNT_STDOUT_SHA256)
+def test_count_stdout_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [["special", "--surface", "L0"],
+                                  ["mahler", "--surface", "L2", "--samples", "10"]])
+def test_special_and_mahler_refuse_surface(capsys, argv):
+    # special spans all three surfaces and mahler none, so --surface would be
+    # ignored
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_zeta_command_recovered(capsys):

@@ -26,11 +26,12 @@ def test_exports_resolve_lazily_and_are_listed():
 
 
 def test_counts_come_as_one_totals_record_per_method():
-    # brute force and the fiberwise descent each give all three spaces in
-    # one surfaces.CountTotals; only the closed formula counts one space
+    # brute force, the fiberwise descent and the closed formula each give
+    # all three spaces in one surfaces.CountTotals
     field = charzeta.make_field(5)
-    totals = [charzeta.brute_totals("L1", field), charzeta.fiberwise_totals("L1", field)]
-    assert [type(t) for t in totals] == [charzeta.CountTotals] * 2
+    totals = [charzeta.brute_totals("L1", field), charzeta.fiberwise_totals("L1", field),
+              charzeta.count_formula("L1", 5, 1)]
+    assert [type(t) for t in totals] == [charzeta.CountTotals] * 3
     assert charzeta.CountTotals.__module__ == "charzeta.surfaces"
     counters = {name for name in charzeta.__all__ if name.startswith("count_") or "Totals" in name}
     assert counters == {"count_formula", "CountTotals"}

@@ -180,21 +180,21 @@ def test_scalar_classifier_agrees_with_scan():
 
 
 def test_count_formula_examples():
-    assert count_formula("L0", 3, 2, "biprojective").count == 145
-    assert count_formula("L1", 2, 2, "biprojective").count == 33
-    assert count_formula("L1", 11, 1, "affine").count == 168
-    assert count_formula("L2", 3, 1, "nonaffine").count == 8
+    assert count_formula("L0", 3, 2).biprojective == 145
+    assert count_formula("L1", 2, 2).biprojective == 33
+    assert count_formula("L1", 11, 1).affine == 168
+    assert count_formula("L2", 3, 1) == CountTotals("L2", 3, 1, 19, 11, 8)
 
 
 def test_count_formula_branches():
     # all four L1 branches
-    assert count_formula("L1", 11, 1).count == 121 + 88 + 1      # (5/11) = 1
-    assert count_formula("L1", 13, 1).count == 169 + 52 + 1      # inert, n odd
-    assert count_formula("L1", 13, 2).count == 169**2 + 4 * 169 + 1 + 4 * 169
-    assert count_formula("L1", 5, 3).count == 125**2 + 6 * 125 + 1
+    assert count_formula("L1", 11, 1).biprojective == 121 + 88 + 1      # (5/11) = 1
+    assert count_formula("L1", 13, 1).biprojective == 169 + 52 + 1      # inert, n odd
+    assert count_formula("L1", 13, 2).biprojective == 169**2 + 4 * 169 + 1 + 4 * 169
+    assert count_formula("L1", 5, 3).biprojective == 125**2 + 6 * 125 + 1
     # L0 inert parity term
-    assert count_formula("L0", 3, 1).count == 9 + 15 + 1
-    assert count_formula("L0", 3, 2).count == 81 + 45 + 1 + 18
+    assert count_formula("L0", 3, 1).biprojective == 9 + 15 + 1
+    assert count_formula("L0", 3, 2).biprojective == 81 + 45 + 1 + 18
 
 
 def test_count_formula_guards():
@@ -204,8 +204,11 @@ def test_count_formula_guards():
         count_formula("L0", 2, 64)  # 2^64 > 2^63
     with pytest.raises(FieldError):
         count_formula("L0", 3, 10**8)  # refused before 3^(10^8) is formed
-    with pytest.raises(ValueError):
-        count_formula("L0", 5, 1, "projective")
+    # a CountTotals answers only for the three spaces, not for its other fields
+    totals = count_formula("L0", 5, 1)
+    for name in ("projective", "p", "surface"):
+        with pytest.raises(ValueError):
+            totals.count(name)
 
 
 def test_descent_totals_guards():
@@ -255,10 +258,7 @@ def test_fiberwise_equals_formula_beyond_old_caps():
     cases += [(3037000493, 1), (3037000493, 2)]  # the largest p with p^2 <= 2^63
     for sid in ("L0", "L1", "L2"):
         for p, n in cases:
-            totals = descent_totals(sid, p, n)
-            for space in ("biprojective", "affine", "nonaffine"):
-                assert totals.count(space) == count_formula(sid, p, n, space).count, \
-                    (sid, p, n, space)
+            assert descent_totals(sid, p, n) == count_formula(sid, p, n), (sid, p, n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -378,7 +378,7 @@ def test_descent_refuses_even_degree_beyond_f_p2(sid):
     p = 2**61 - 1
     with pytest.raises(FieldError):
         descent_totals(sid, p, 2)
-    assert descent_totals(sid, p, 1).biprojective == count_formula(sid, p, 1).count
+    assert descent_totals(sid, p, 1) == count_formula(sid, p, 1)
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
@@ -386,6 +386,4 @@ def test_three_way_agreement_small(sid):
     for p, n in prime_powers_upto(32):
         field = make_field(p, n)
         totals = fiberwise_totals(sid, field)
-        assert brute_totals(sid, field) == totals
-        for space in ("biprojective", "affine", "nonaffine"):
-            assert count_formula(sid, p, n, space).count == totals.count(space)
+        assert brute_totals(sid, field) == totals == count_formula(sid, p, n)

@@ -13,7 +13,7 @@ from charzeta.varieties import brute_totals
 
 
 def counts_by_formula(sid, p, space, k=14):
-    return [count_formula(sid, p, n, space).count for n in range(1, k + 1)]
+    return [count_formula(sid, p, n).count(space) for n in range(1, k + 1)]
 
 
 def test_series_geometric_identity():

@@ -1,5 +1,5 @@
 """The frozen value records: construction, equality, hashing, immutability
-and repr, the same for all twelve."""
+and repr, the same for all eleven."""
 
 import pickle
 
@@ -10,7 +10,7 @@ from charzeta.globalzeta import (CHI5, CharacterDesc, ElementaryTerm, GlobalZeta
                                  LocalZetaCheck, ZetaFactorTerm)
 from charzeta.localzeta import LocalZetaFactors
 from charzeta.specialvalues import LaurentLeading, QuadraticFieldData
-from charzeta.surfaces import CountRecord, CountTotals
+from charzeta.surfaces import CountTotals
 from charzeta.varieties import BiprojectivePoint
 
 _FACTORS = LocalZetaFactors(5, ((25, 1), (5, 1), (1, 1)))
@@ -31,8 +31,6 @@ RECORDS = [
     (QuadraticFieldData, ("d", "discriminant", "class_number", "roots_of_unity",
                           "fundamental_unit", "regulator"), (2, 8, 1, 2, 2.5, 0.75)),
     (LaurentLeading, ("s0", "order", "coefficient"), (1.0, -1, 0.5)),
-    (CountRecord, ("surface", "p", "n", "space", "method", "count"),
-     ("L1", 3, 2, "affine", "brute", 64)),
     (BiprojectivePoint, ("xyu", "zw"), ((1, 0, 2), (0, 1))),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
