@@ -15,8 +15,11 @@ h = 1/(z + 1) over F_2(z), so a/b has absolute trace 0 and the line
 carries 2 points in characteristic 2.
 
 The totals over P^1(F_q), q = p^n, therefore need only the fibers over
-(1 : 0) and over the closed points of the locus.  Its rational roots are
-split off once over Q, so only the cofactor is factored mod p.  The
+(1 : 0) and over the closed points of the locus.  Its rational roots and
+its quadratic factors are split off once over Q.  At odd p a quadratic
+factor splits by the quadratic character of its discriminant, with its
+roots from one square root mod p; Cantor-Zassenhaus (low_degree_factors)
+factors only what is left of degree >= 3, and every factor at p = 2.  The
 closed points have degree d <= 2 (checked: a model with a factor of
 higher degree mod p is refused), and each fiber is classified once, in
 the residue field F_p[z]/(f) = F_{p^d} of its closed point f; its counts
@@ -42,8 +45,8 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import _record
-from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, _poly_divmod, is_prime,
-                       low_degree_factors, make_field, split_roots)
+from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, _poly_divmod, _poly_trim,
+                       is_prime, low_degree_factors, make_field, split_roots, sqrt_mod)
 from .localzeta import local_zeta_closed_form
 from .surfaces import CountTotals, SurfaceModel, _as_model
 
@@ -160,15 +163,16 @@ def _bundle_loci(model: SurfaceModel):
     return d[-1], _zmul(c, root), _zmul(b, c)
 
 
-def _divide_linear(f, u: int, v: int):
-    """f / (v*z - u) over Z, or None when v*z - u does not divide f."""
-    quot, carry = [0] * (len(f) - 1), f[-1]
-    for i in range(len(f) - 1, 0, -1):
-        quot[i - 1], rem = divmod(carry, v)
-        if rem:
+def _divide(f, g):
+    """f / g over Z, or None when g does not divide f."""
+    quot, rem = [0] * (len(f) - len(g) + 1), list(f)
+    for i in reversed(range(len(quot))):
+        quot[i], carry = divmod(rem[i + len(g) - 1], g[-1])
+        if carry:
             return None
-        carry = f[i - 1] + u * quot[i - 1]
-    return quot if carry == 0 else None
+        for j, c in enumerate(g):
+            rem[i + j] -= quot[i] * c
+    return None if any(rem) else quot
 
 
 def _divisors(m: int) -> list[int]:
@@ -176,41 +180,99 @@ def _divisors(m: int) -> list[int]:
     return small + [abs(m) // d for d in small]
 
 
+def _signed_divisors(m: int) -> list[int]:
+    return [s * d for d in _divisors(m) for s in (1, -1)]
+
+
+def _peel(f, g):
+    """(f / g^k, k) for the largest k with g^k | f over Z."""
+    k = 0
+    while (quot := _divide(f, g)) is not None:
+        f, k = quot, k + 1
+    return f, k
+
+
 @functools.lru_cache(maxsize=None)
 def _rational_split(locus: tuple[int, ...]):
-    """(rational roots, cofactor) of an integer polynomial over Q.
+    """(rational roots, quadratic factors, rest) of an integer polynomial over Q.
 
     The roots are pairs (u, v), v > 0 and gcd(u, v) = 1, for the roots u/v;
-    the cofactor is what is left of the locus after dividing it by each
-    v*z - u as often as that divides.  The root 0 comes from stripping z^m;
-    the others have u | the constant and v | the leading coefficient of
-    what remains (the rational-root theorem).  Each v*z - u is primitive,
-    so the cofactor vanishes mod p iff the locus does (Gauss's lemma).
+    the quadratic factors are primitive triples (t, s, a), a > 0, for
+    az^2 + sz + t; the rest is what is left of the locus after dividing it
+    by each v*z - u, then each quadratic, as often as that divides.  The
+    root 0 comes from stripping z^m; the others have u | the constant and
+    v | the leading coefficient of what remains (the rational-root
+    theorem).  What is left then has no root at 0, 1 or -1, and a quadratic
+    factor g of it has g(k) | F(k) there: a | the leading coefficient,
+    t | F(0), a + s + t | F(1) and a - s + t | F(-1).  No quadratic factor
+    splits over Q, as the rational roots are gone.  Every divisor is
+    primitive, so the rest vanishes mod p iff the locus does (Gauss's lemma).
     """
-    f = list(locus)
+    f = _poly_trim(list(locus))
     roots = [(0, 1)] if f and f[0] == 0 else []
     while f and f[0] == 0:
         f.pop(0)
     if not f:
-        return (), ()
+        return (), (), ()
     for v in _divisors(f[-1]):
-        for u in (s * d for d in _divisors(f[0]) for s in (1, -1)):
-            if math.gcd(u, v) == 1 and (quot := _divide_linear(f, u, v)) is not None:
-                roots.append((u, v))
-                while quot is not None:
-                    f, quot = quot, _divide_linear(quot, u, v)
-    return tuple(roots), tuple(f)
+        for u in _signed_divisors(f[0]):
+            if math.gcd(u, v) == 1:
+                f, k = _peel(f, (-u, v))
+                if k:
+                    roots.append((u, v))
+    quadratics, at_minus_one = [], sum(f[0::2]) - sum(f[1::2])
+    divisors_at_one = _signed_divisors(sum(f))
+    for a in _divisors(f[-1]):
+        for t in _signed_divisors(f[0]):
+            for s in (m - a - t for m in divisors_at_one):
+                if a - s + t and at_minus_one % (a - s + t) == 0 and math.gcd(a, s, t) == 1:
+                    f, k = _peel(f, (t, s, a))
+                    if k:
+                        quadratics.append((t, s, a))
+    return tuple(roots), tuple(quadratics), tuple(f)
+
+
+def _split_quadratic(f, p: int):
+    """low_degree_factors(f, p) for a primitive quadratic (t, s, a) and an odd p.
+
+    Mod p it is linear when p | a, has the double root -s/(2a) when p | the
+    discriminant, and otherwise splits iff the discriminant is a square,
+    with roots (-s +- r)/(2a) from one square root r; else it is irreducible.
+    """
+    t, s, a = (c % p for c in f)
+    if a == 0:  # s != 0 or t != 0, as f is primitive
+        return ([-t * pow(s, -1, p) % p] if s else []), []
+    disc, half = (s * s - 4 * a * t) % p, pow(2 * a, -1, p)
+    if disc == 0:
+        return [-s * half % p], []
+    if make_field(p).quadratic_character(disc) == 1:
+        r = sqrt_mod(disc, p)
+        return [(r - s) * half % p, (-r - s) * half % p], []
+    inv = pow(a, -1, p)
+    return [], [[t * inv % p, s * inv % p, 1]]
 
 
 def _locus_factors(locus, p: int):
-    """low_degree_factors(locus, p), from _rational_split: the F_p-roots are
-    u/v mod p for the rational roots with p not dividing v, together with
-    those of the cofactor, whose irreducible quadratic factors are the
-    locus's.  Raises FieldError where low_degree_factors(locus, p) does."""
-    rational, cofactor = _rational_split(tuple(locus))
-    roots, quadratics = low_degree_factors(cofactor, p)
-    roots = set(roots).union(u * pow(v, -1, p) % p for u, v in rational if v % p)
-    return sorted(roots), quadratics
+    """low_degree_factors(locus, p), sorted, from _rational_split.
+
+    The F_p-roots are u/v mod p for the rational roots with p not dividing
+    v, together with those of the other factors.  At odd p the quadratic
+    factors split by the quadratic character of their discriminants
+    (_split_quadratic); at p = 2 they, and at every p the rest, go through
+    low_degree_factors, except a rest that is a constant not divisible by p.
+    Factors that meet mod p give each root and quadratic once.  Raises
+    FieldError where low_degree_factors(locus, p) does.
+    """
+    rational, quadratics, rest = _rational_split(tuple(locus))
+    factored = [(low_degree_factors if p == 2 else _split_quadratic)(f, p) for f in quadratics]
+    if len(rest) != 1 or rest[0] % p == 0:
+        factored.append(low_degree_factors(rest, p))
+    roots = {u * pow(v, -1, p) % p for u, v in rational if v % p}
+    irreducible = set()
+    for f_roots, f_quadratics in factored:
+        roots.update(f_roots)
+        irreducible.update(map(tuple, f_quadratics))
+    return sorted(roots), sorted(map(list, irreducible))
 
 
 def _residue_counts(model, f, field: Field):
@@ -228,8 +290,10 @@ def _residue_counts(model, f, field: Field):
 def _prime_descent(model: SurfaceModel, p: int):
     """The F_p-roots of the locus of _bundle_loci that applies mod p, its
     irreducible quadratic factors, the generic u = 0 line count, and the
-    fiber counts at (1 : 0) and at the roots.  Raises FieldError, a
-    ValueError, when the locus has a root outside F_{p^2}."""
+    fiber counts at (1 : 0) and at the roots.  Roots and factors come from
+    _locus_factors, sorted: at odd p those of the locus's quadratic factors
+    over Q by their characters, the rest by Cantor-Zassenhaus.  Raises
+    FieldError, a ValueError, when the locus has a root outside F_{p^2}."""
     k, odd_locus, char2_locus = _bundle_loci(model)
     if p != 2 and k % p == 0:
         raise FieldError(f"{model.id}: b^2 - 4a^2 degenerates mod {p}")

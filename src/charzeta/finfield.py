@@ -60,6 +60,36 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of a mod the odd prime p, for a a square mod p.
+
+    For p = 3 mod 4 it is a^((p+1)/4).  Otherwise Tonelli-Shanks: with
+    p - 1 = 2^e * m, m odd, and c the least non-residue (Euler's criterion),
+    x = a^((m+1)/2) has x^2 = a*b with b = a^m of order 2^i < 2^e; each step
+    multiplies x by a power of c^m that lowers the order of b, until b = 1.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    m, e = p - 1, 0
+    while m % 2 == 0:
+        m, e = m // 2, e + 1
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    z, x, b = pow(c, m, p), pow(a, (m + 1) // 2, p), pow(a, m, p)
+    while b != 1:
+        i, b2 = 0, b
+        while b2 != 1:
+            b2, i = b2 * b2 % p, i + 1
+        t = pow(z, 1 << (e - i - 1), p)
+        z, e = t * t % p, i
+        x, b = x * t % p, b * z % p
+    return x
+
+
 def _prime_factors(m: int) -> list[int]:
     out = []
     d = 2

@@ -5,12 +5,12 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charzeta import (CountTotals, FieldError, brute_totals, classify_fiber, count_formula,
                       degenerate_fibers, fiberwise_totals, is_prime, make_field, surface)
-from charzeta import fibercount
+from charzeta import fibercount, localzeta
 from charzeta.fibercount import (_bundle_loci, _conic, _lift, _line_count, _locus_factors, _zmul,
                                  descent_totals)
 from charzeta.finfield import low_degree_factors, split_roots
@@ -235,10 +235,12 @@ def test_descent_totals_caches_an_id_and_its_model_once(fresh_descent):
     assert cache_info().currsize == 2
 
 
+# the 24 largest primes below 10^6, the pool of the bigprime benchmark workload
+_BIG_PRIMES = [p for p in range(10**6 - 400, 10**6) if is_prime(p)][-24:]
 # every p^n <= 10^6 with p <= 199, 2^n <= 512, and the 24 largest primes below 10^6
 _GATE_FIELDS = ([(p, n) for p in range(2, 200) if is_prime(p) for n in range(1, 20)
                  if p**n <= (512 if p == 2 else 10**6)]
-                + [(p, 1) for p in range(10**6 - 400, 10**6) if is_prime(p)][-24:])
+                + [(p, 1) for p in _BIG_PRIMES])
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
@@ -319,31 +321,41 @@ def test_descent_refuses_models_outside_its_identities(model, reason):
         fiberwise_totals(model, make_field(3))
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(st.sampled_from([p for p in range(2, 24) if is_prime(p)]), st.data())
-def test_split_locus_matches_low_degree_factors(p, data):
+@st.composite
+def _split_cases(draw):
     # products of factors of degree <= 3, as in
     # test_low_degree_factors_match_enumeration, some with their leading
     # coefficient scaled by p, times linear factors v*z - u, some with p | v
     # so that the rational root u/v has no image mod p
-    factors = data.draw(st.lists(st.tuples(st.lists(st.integers(-9, 9), min_size=2, max_size=4),
-                                           st.booleans()), min_size=1, max_size=3))
-    linear = data.draw(st.lists(st.tuples(st.integers(-9, 9), st.one_of(
+    p = draw(st.sampled_from([p for p in range(2, 24) if is_prime(p)]))
+    factors = draw(st.lists(st.tuples(st.lists(st.integers(-9, 9), min_size=2, max_size=4),
+                                      st.booleans()), min_size=1, max_size=3))
+    linear = draw(st.lists(st.tuples(st.integers(-9, 9), st.one_of(
         st.integers(1, 4), st.integers(1, 2).map(lambda k: k * p))), max_size=3))
     g = [1]
     for f in [f[:-1] + [f[-1] * p] if scaled else f for f, scaled in factors]:
         g = _zmul(g, f)
     for u, v in linear:
         g = _zmul(g, [-u, v])
+    return p, g
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_split_cases())
+# two factors over Q that meet mod p: one quadratic [3, 0, 1], and the roots [3, 4]
+@example((5, _zmul([-2, 0, 1], [3, 0, 1])))
+@example((7, _zmul([-3, 1], [-2, 0, 1])))
+@example((5, [1, 1, 5]))  # p | a: the one root 4
+@example((5, [-1, -1, 1]))  # p | disc = 5: the double root 3
+def test_split_locus_matches_low_degree_factors(case):
+    p, g = case
     try:
         roots, quadratics = low_degree_factors(g, p)
     except FieldError:
         with pytest.raises(FieldError):
             _locus_factors(g, p)
         return
-    roots_after_split, quadratics_after_split = _locus_factors(g, p)
-    assert roots_after_split == roots
-    assert sorted(quadratics_after_split) == sorted(quadratics)
+    assert _locus_factors(g, p) == (roots, sorted(quadratics))
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
@@ -369,6 +381,34 @@ def test_closed_points_classified_in_their_residue_fields(sid):
                     assert _line_count(field, form) == line, (p, z)
         quadratic_points += len(quadratics)
     assert quadratic_points > 0 or sid == "L2"
+
+
+@pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
+def test_prime_descent_factors_the_locus_as_low_degree_factors(sid):
+    # the quadratic factors over Q split by their characters, against
+    # Cantor-Zassenhaus on the whole locus
+    model = surface(sid)
+    _, odd_locus, char2_locus = _bundle_loci(model)
+    for p in [p for p in range(2, 2000) if is_prime(p)] + _BIG_PRIMES:
+        roots, quadratics, _, _, _ = fibercount._prime_descent(model, p)
+        expected_roots, expected_quadratics = low_degree_factors(
+            char2_locus if p == 2 else odd_locus, p)
+        assert (list(roots), list(map(list, quadratics))) == (expected_roots,
+                                                              sorted(expected_quadratics)), p
+
+
+def test_descent_does_not_use_the_closed_form_characters(monkeypatch, fresh_descent):
+    # the descent is checked against the closed form, so it takes no
+    # Legendre symbol from it
+    cases = [(sid, p, n) for sid in ("L0", "L1", "L2") for p in (3, 5, 7, 31, 999983)
+             for n in (1, 2)]
+    expected = [count_formula(sid, p, n) for sid, p, n in cases]
+
+    def refuse(a, p):
+        raise AssertionError("the descent called localzeta._legendre")
+
+    monkeypatch.setattr(localzeta, "_legendre", refuse)
+    assert [descent_totals(sid, p, n) for sid, p, n in cases] == expected
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])

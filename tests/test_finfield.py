@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from charzeta import FieldError, is_prime, make_field
 from charzeta.fibercount import _conic
 from charzeta.finfield import (MAX_Q, MAX_TABLE_Q, Field, _is_irreducible, first_irreducible,
-                               low_degree_factors, split_roots)
+                               low_degree_factors, split_roots, sqrt_mod)
 from charzeta.varieties import MAX_AFFINE_Q
 from conftest import (_is_irreducible_rabin, conic_count_brute, fiber_determinant, field_roots,
                       first_irreducible_rabin, schoolbook_mul)
@@ -164,6 +164,18 @@ def test_prime_nonresidues_are_squares_upstairs():
         for a in range(1, p):
             if fp.quadratic_character(a) == -1:
                 assert fp2.quadratic_character(a) == 1
+
+
+def test_sqrt_mod_of_every_square():
+    for p in (p for p in range(3, 600) if is_prime(p)):
+        for n in {x * x % p for x in range(1, p)}:
+            assert sqrt_mod(n, p) ** 2 % p == n, (p, n)
+    # 998244353 = 119 * 2^23 + 1 runs the Tonelli-Shanks loop deep, deepest
+    # at 9 as 3 generates its unit group; 2^61 - 1 = 3 mod 4 takes one power
+    for p in (998244353, 2**61 - 1):
+        rng = random.Random(p)
+        for n in [9] + [rng.randrange(1, p) ** 2 % p for _ in range(200)]:
+            assert sqrt_mod(n, p) ** 2 % p == n, (p, n)
 
 
 def test_classify_conic_examples():
