@@ -22,9 +22,9 @@ SURFACE_IDS = ("L0", "L1", "L2")
 _EXPORTS = {
     "finfield": ("Field", "FieldError", "is_prime", "make_field"),
     "surfaces": ("CountTotals", "SurfaceModel", "surface"),
-    "varieties": ("BiprojectivePoint", "brute_totals", "singular_locus"),
-    "fibercount": ("FiberReport", "classify_fiber", "count_formula", "degenerate_fibers",
-                   "fiberwise_totals"),
+    "varieties": ("brute_totals",),
+    "fibercount": ("BiprojectivePoint", "FiberReport", "classify_fiber", "count_formula",
+                   "degenerate_fibers", "fiberwise_totals", "singular_locus"),
     "localzeta": ("LocalZetaFactors", "RecoveryError", "local_zeta_closed_form",
                   "recover_factors", "zeta_series_from_counts"),
     "globalzeta": ("CHI5", "CHI8", "CharacterDesc", "ElementaryTerm", "GlobalZetaExpr",

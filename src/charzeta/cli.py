@@ -7,9 +7,10 @@ codes: 0 all checks pass, 1 mathematical mismatch, 2 usage error,
 141 (128 + SIGPIPE) stdout closed before the output was written.
 Identical invocations produce bit-identical output (MC commands take a
 seed).  count takes one surfaces.CountTotals per method and surface and
-writes a record per space and method from it.  --surface picks the
-surfaces of count, zeta, verify and singular; special (all three
-surfaces) and mahler (none) do not take it.
+writes a record per space and method from it.  singular lists the points
+of fibercount.singular_locus, whole singular lines up to q = 2^11 only.
+--surface picks the surfaces of count, zeta, verify and singular; special
+(all three surfaces) and mahler (none) do not take it.
 
 Each command imports the modules it runs inside its function, so a cold
 call compiles and runs only those.  The standard library follows suit:
@@ -181,9 +182,8 @@ def cmd_special(args) -> tuple[dict, int]:
 
 
 def cmd_singular(args) -> tuple[dict, int]:
-    from .fibercount import degenerate_fibers
+    from .fibercount import degenerate_fibers, singular_locus
     from .finfield import make_field
-    from .varieties import singular_locus
     field = make_field(args.p, args.n)
     records = []
     for sid in _surfaces(args.surface):

@@ -29,6 +29,7 @@ even n a closed point of degree 2 is two conjugate roots, whose fibers
 the Frobenius swaps, so it counts twice.  No field beyond F_{p^2} is built.
 The descent is cached per SurfaceModel object, registered or not.
 fiberwise_totals returns the three totals as one surfaces.CountTotals.
+The singular points lie on the degenerate fibers too (singular_locus).
 
 Closed-form counts are not transcribed here: count_formula evaluates
 N_n = sum_u e_u * u^n on the biprojective and non-affine factor multisets
@@ -45,10 +46,13 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import _record
-from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, _poly_divmod, _poly_trim,
-                       is_prime, low_degree_factors, make_field, split_roots, sqrt_mod)
+from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, _fq_gcd, _fq_monic, _fq_pow,
+                       _poly_divmod, _poly_trim, is_prime, low_degree_factors, make_field,
+                       split_roots, sqrt_mod)
 from .localzeta import local_zeta_closed_form
-from .surfaces import CountTotals, SurfaceModel, _as_model
+from .surfaces import CountTotals, SurfaceModel, _as_model, _zw_values
+
+MAX_SINGULAR_LINE_Q = 2048  # singular_locus: a whole singular line lists q + 1 points
 
 
 @_record
@@ -56,6 +60,17 @@ class FiberReport:
     base: tuple[int, int]      # canonical (z : w), encodings
     count: int
     degenerate: bool
+
+
+@_record
+class BiprojectivePoint:
+    """A point of P^2 x P^1 in canonical coordinates (encodings)."""
+
+    xyu: tuple[int, int, int]
+    zw: tuple[int, int]
+
+    def to_json(self):
+        return [list(self.xyu), list(self.zw)]
 
 
 def _canonical_base(field: Field, z: int, w: int) -> tuple[int, int]:
@@ -373,6 +388,101 @@ def degenerate_fibers(model, field: Field) -> list[tuple[int, int]]:
     if classify_fiber(model, (1, 0), field).degenerate:
         bases.append((1, 0))
     return sorted(bases)
+
+
+# ---------------------------------------------------------------------------
+# singular locus
+
+
+def _form_at(field: Field, form, v) -> int:
+    """The form a(x^2 + y^2) + bxy + cu^2, form = (a, b, c), at v = (x, y, u)."""
+    (a, b, c), (x, y, u), mul, add = form, v, field.mul, field.add
+    return add(add(mul(a, add(mul(x, x), mul(y, y))), mul(b, mul(x, y))), mul(c, mul(u, u)))
+
+
+def _restrict(field: Field, form, v0, v1):
+    """(g0, g1, g2) with form(s v0 + t v1) = g0 s^2 + g1 st + g2 t^2."""
+    g0, g2 = _form_at(field, form, v0), _form_at(field, form, v1)
+    g = _form_at(field, form, [field.add(x, y) for x, y in zip(v0, v1)])
+    return g0, field.sub(field.sub(g, g0), g2), g2
+
+
+def _binary_zeros(field: Field, g):
+    """The points of P^1(F_q), canonical, where g0 s^2 + g1 st + g2 t^2, not 0,
+    vanishes: (1 : t) for the roots t of gcd(g(1, t), t^q - t), a product of
+    distinct linear factors, and (0 : 1) when g2 = 0."""
+    zeros, h = [], _poly_trim(list(g))
+    if len(h) > 1:
+        h = _fq_monic(h, field)
+        frob = _fq_pow([0, 1], field.q, h, field) + [0, 0]
+        frob[1] = field.sub(frob[1], 1)
+        zeros = [(1, t) for t in split_roots(_fq_gcd(h, _poly_trim(frob), field), field)]
+    return zeros + ([(0, 1)] if g[2] == 0 else [])
+
+
+def _fiber_singular_span(field: Field, a: int, b: int, c: int):
+    """Canonical vectors spanning the singular set of the fiber conic
+    a(x^2 + y^2) + bxy + cu^2, a line's as (1, *, *) and (0, *, *): the
+    common kernel of F_x = 2ax + by, F_y = bx + 2ay and F_u = 2cu, or, in
+    characteristic 2 with b = 0, where that is the plane, the double line
+    sqrt(a)(x + y) + sqrt(c)u = 0, sqrt(v) = v^(q/2).  Raises FieldError
+    when the conic is the plane."""
+    two_a = field.add(a, a)
+    span = [(0, 0, 1)] if field.add(c, c) == 0 else []
+    if two_a == b == 0:
+        span = [(1, 0, 0), (0, 1, 0)] + span
+    elif field.mul(two_a, two_a) == field.mul(b, b):  # odd p and b = +-2a != 0
+        span = [(1, field.neg(field.mul(two_a, field.inv(b))), 0)] + span
+    if len(span) < 3:
+        return span
+    if a == c == 0:  # and b = 0
+        raise FieldError("a fiber of the model is the whole plane")
+    if c == 0:
+        return [(1, 1, 0), (0, 0, 1)]
+    root = field.pow_(field.mul(a, field.inv(c)), field.q // 2)
+    return [(1, 0, root), (0, 1, root)]
+
+
+def singular_locus(model, field: Field) -> set[BiprojectivePoint]:
+    """All F_q-points of V(F) at which the five partials of F vanish.
+
+    A point of a smooth fiber conic has F_x, F_y or F_u nonzero, so each
+    lies in the singular set of a fiber over degenerate_fibers: a vertex,
+    kept where F, F_z and F_w vanish, or a line, on which the three restrict
+    to binary quadratics.  Their common zeros are the zeros of the first
+    nonzero one at which the others vanish, or the whole line, listed for
+    q <= MAX_SINGULAR_LINE_Q only.  By Euler's identities over Z,
+    x F_x + y F_y + u F_u = 2F and z F_z + w F_w = d F, the five partials
+    give the Jacobian criterion in every affine chart.  Raises FieldError
+    where degenerate_fibers does, for a whole singular line at
+    q > MAX_SINGULAR_LINE_Q and for a fiber that is the plane.
+    """
+    model = _as_model(model)
+    d = model.deg_zw
+    abc = [model._quad_zw[m] for m in ((2, 0, 0), (1, 1, 0), (0, 0, 2))]
+    # F_z and F_w: a, b and c differentiated as binary forms of degree d
+    by_z = [[k * x for k, x in enumerate(f)][1:] for f in abc]
+    by_w = [[(d - k) * x for k, x in enumerate(f)][:-1] for f in abc]
+    points = set()
+    for base in degenerate_fibers(model, field):
+        a, _, c, b, _, _ = model.fiber_form_encs(base, field)
+        forms = [(a, b, c)] + [_zw_values(field, lists, d - 1, *base) for lists in (by_z, by_w)]
+        candidates = _fiber_singular_span(field, a, b, c)
+        if len(candidates) == 2:
+            v0, v1 = candidates
+            restricted = [g for g in (_restrict(field, f, v0, v1) for f in forms) if any(g)]
+            if restricted:
+                zeros = _binary_zeros(field, restricted[0])
+            elif field.q > MAX_SINGULAR_LINE_Q:
+                raise FieldError(f"whole singular lines are listed for q <= {MAX_SINGULAR_LINE_Q}")
+            else:  # every point of the line is singular
+                zeros, forms = [(1, t) for t in range(field.q)] + [(0, 1)], []
+            # s v0 + t v1 is canonical for canonical (s : t)
+            candidates = [tuple(field.add(x, field.mul(t, y)) for x, y in zip(v0, v1)) if s else v1
+                          for s, t in zeros]
+        points.update(BiprojectivePoint(v, base) for v in candidates
+                      if all(_form_at(field, f, v) == 0 for f in forms))
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -152,13 +152,17 @@ def _poly_sub_x(a, p):
 
 
 def _is_irreducible(mod, p):
-    """Ben-Or's test for a monic polynomial of degree n >= 2 over F_p.
+    """Whether a monic polynomial of degree n >= 2 over F_p is irreducible.
 
-    f is reducible iff it has a factor of degree i <= n/2, i.e. iff
-    gcd(x^(p^i) - x, f) != 1 for some such i; the powers x^(p^i) mod f come
-    by successive p-th powers, and the test stops at the first common factor,
-    which random polynomials tend to have at small i.
+    A quadratic is iff it has no root: at odd p iff its discriminant is a
+    non-square, at p = 2 iff it is x^2 + x + 1.  Otherwise Ben-Or's test: f
+    is reducible iff gcd(x^(p^i) - x, f) != 1 for some i <= n/2; the powers
+    x^(p^i) mod f come by successive p-th powers, and the test stops at the
+    first common factor, which random polynomials tend to have at small i.
     """
+    if len(mod) == 3:
+        t, s, _ = mod
+        return (t, s) == (1, 1) if p == 2 else pow(s * s - 4 * t, (p - 1) // 2, p) == p - 1
     prime = make_field(p)
     g = [0, 1]
     for _ in range((len(mod) - 1) // 2):

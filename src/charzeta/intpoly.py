@@ -2,9 +2,9 @@
 
 A minimal representation used for the surface equations: a polynomial is a
 mapping from exponent tuples (aligned with a fixed variable list) to
-nonzero integer coefficients.  Supports the handful of exact operations
-the geometry needs: partial derivatives, setting a variable to one,
-grouping by a subset of variables, and evaluation over the integers.
+nonzero integer coefficients.  Supports the exact operations the
+package needs: grouping by a subset of variables, and evaluation over the
+integers.
 Finite-field evaluation lives with its callers: surfaces splits a form by
 its (x, y, u)-monomials, and varieties evaluates the pieces over F_q.
 """
@@ -29,25 +29,6 @@ class IntPoly:
     def degree(self, var: str) -> int:
         i = self.vars.index(var)
         return max((e[i] for e in self.terms), default=0)
-
-    def partial(self, var: str) -> "IntPoly":
-        i = self.vars.index(var)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                de = list(e)
-                de[i] -= 1
-                out[tuple(de)] = out.get(tuple(de), 0) + c * e[i]
-        return IntPoly(self.vars, out)
-
-    def set_one(self, var: str) -> "IntPoly":
-        """Substitute var = 1 and drop it from the variable list."""
-        i = self.vars.index(var)
-        out = {}
-        for e, c in self.terms.items():
-            e2 = e[:i] + e[i + 1:]
-            out[e2] = out.get(e2, 0) + c
-        return IntPoly(self.vars[:i] + self.vars[i + 1:], out)
 
     def group_by(self, subset) -> dict:
         """Split into {exponents over `subset`: IntPoly in the other vars}."""

@@ -43,8 +43,8 @@ def _zw_values(field: Field, coeff_lists, deg: int, z: int, w: int) -> list[int]
 
     The monomials z^k w^(deg-k) are running products (no w powers when
     w = 1); each form is summed digit by digit and reduced mod p once.
-    Scalar field arithmetic, so it works at any q: fiber_form_encs uses it
-    where no exp/log tables exist, and it is the reference for
+    Scalar field arithmetic, so it works at any q: fiber_form_encs and
+    fibercount.singular_locus use it, and it is the reference for
     varieties._form_weights, which the brute-force kernel uses instead.
     """
     monos = [1]
@@ -99,12 +99,10 @@ class SurfaceModel:
         self.f = affine
         self.F = IntPoly(("x", "y", "u", "z", "w"), terms)
         self.deg_zw = d
-        # F and its five partials split by (x, y, u)-monomials, for the
-        # brute-force kernel; the fiber extractor reads F's six coefficient
-        # lists over z^k w^(d-k)
-        self._forms = tuple(_split_form(g) for g in
-                            (self.F, *(self.F.partial(v) for v in self.F.vars)))
-        monos, lists, _ = self._forms[0]
+        # F split by (x, y, u)-monomials, for the brute-force kernel; the
+        # fiber extractor reads its six coefficient lists over z^k w^(d-k)
+        self._form = _split_form(self.F)
+        monos, lists, _ = self._form
         split = dict(zip(monos, lists))
         self._quad_zw = {m: split.get(m, (0,) * (d + 1)) for m in QUAD_MONOMIALS}
 

@@ -1,4 +1,4 @@
-"""Brute-force point enumeration and singular loci of a surface model.
+"""Brute-force point enumeration of a surface model.
 
 Brute-force counting (brute_totals) evaluates the model's bihomogeneous F
 (see surfaces) at every point of P^2 x P^1, in canonical coordinates
@@ -7,20 +7,18 @@ over the q + 1 base points (z : w): one over the chart (x, y, 1) of P^2 and
 one over its line u = 0.  The chart over (z : 1) is the affine surface,
 the chart over (1 : 0) and the line make up the non-affine rest, and the
 biprojective count is their sum.  It is the ground-truth oracle the faster
-counting paths are checked against.  The singular locus enumerates all of
-P^2 at once (_p2_reps, q <= MAX_BIPROJ_Q).  Both go through one routine,
-_zero_masks: F and its partials are split by their monomials in (x, y, u),
-each monomial is a grid over a set of plane representatives (x : y : u)
-built once, and every base point (z : w) then costs one weighted sum of
-those grids per form, with weights the binary forms in (z, w) at that
-point, computed for every form and base point in one vectorised step
-before the first fiber (_form_weights; the scalar surfaces._zw_values is
-their reference).  That sum is computed without temporaries, in
-cache-sized strips of each fiber through buffers allocated once per call,
-because a fresh array of the grids' size costs a page fault per 4 KB on
-first touch, about as much as the arithmetic.  Prime fields add int32
-residues and divide by p once per fiber; extension fields gather from a
-table of packed base-p digits (of encodings in characteristic 2).
+counting paths are checked against.  Both passes go through one routine,
+_zero_masks: F is split by its monomials in (x, y, u), each monomial is a
+grid over a set of plane representatives (x : y : u) built once, and
+every base point (z : w) then costs one weighted sum of those grids, with
+weights the binary forms in (z, w) at that point, computed for every base
+point in one vectorised step before the first fiber (_form_weights; the
+scalar surfaces._zw_values is their reference).  That sum is computed
+without temporaries, in cache-sized strips of each fiber through buffers
+allocated once per call, because a fresh array of the grids' size costs a
+page fault per 4 KB on first touch, about as much as the arithmetic.  Prime
+fields add int32 residues and divide by p once per fiber; extension fields
+gather from a table of packed base-p digits (of encodings at p = 2).
 
 Only the commands that enumerate points import this module, so it imports
 numpy at module scope.
@@ -30,68 +28,40 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _record
 from .finfield import Field, FieldError
 from .surfaces import CountTotals, _as_model
 
 MAX_AFFINE_Q = 2048  # brute_totals
-MAX_BIPROJ_Q = 128   # singular_locus: _p2_reps holds q^2 + q + 1 int64 entries per coordinate
 
 
-@_record
-class BiprojectivePoint:
-    """A point of P^2 x P^1 in canonical coordinates (encodings)."""
-
-    xyu: tuple[int, int, int]
-    zw: tuple[int, int]
-
-    @classmethod
-    def from_raw(cls, field: Field, xyu, zw) -> "BiprojectivePoint":
-        xyu = tuple(int(c) for c in xyu)
-        zw = tuple(int(c) for c in zw)
-        if not any(xyu) or not any(zw):
-            raise ValueError("projective coordinates cannot be all zero")
-        s = field.inv(next(c for c in xyu if c))
-        t = field.inv(next(c for c in zw if c))
-        return cls(tuple(field.mul(s, c) for c in xyu),
-                   tuple(field.mul(t, c) for c in zw))
-
-    def to_json(self):
-        return [list(self.xyu), list(self.zw)]
-
-
-def _form_weights(field: Field, forms, bases) -> list[list[list[int]]]:
-    """surfaces._zw_values of every form (see surfaces._split_form) at every
+def _form_weights(field: Field, form, bases) -> list[list[int]]:
+    """surfaces._zw_values of the form (see surfaces._split_form) at every
     base point at once.
 
-    Entry [i][b] lists the weights P_m(z : w) of the monomials of forms[i]
-    at bases[b], as Python ints.  The monomials z^k w^(d-k) come from int64
-    powers mod p over F_p and from the exp/log tables over F_{p^n}; each
-    form's integer combination of them is summed on their base-p digits
+    Entry [b] lists the weights P_m(z : w) of the form's monomials at
+    bases[b], as Python ints.  The monomials z^k w^(d-k) come from int64
+    powers mod p over F_p and from the exp/log tables over F_{p^n}; the
+    form's integer combinations of them are summed on their base-p digits
     and encoded once, as _zw_values does one point at a time.
     """
     p, n, m = field.p, field.n, field.q - 1
+    _, lists, deg = form
     z, w = np.array(bases, dtype=np.int64).reshape(-1, 2).T
-    if n == 1:
+    k = np.arange(deg + 1)
+    if n == 1:  # monos[b, k] = z^k w^(deg-k) at bases[b], reduced below
         zk, wk = [np.ones_like(z)], [np.ones_like(w)]
-        for _ in range(max(deg for _, _, deg in forms)):
+        for _ in range(deg):
             zk.append(zk[-1] * z % p)
             wk.append(wk[-1] * w % p)
+        monos = np.stack([zk[i] * wk[deg - i] for i in k], axis=1)
     else:
         exp, log = field.exp_log_tables()
+        zero = (z[:, None] == 0) & (k > 0) | (w[:, None] == 0) & (k < deg)
+        monos = np.where(zero, 0, exp[(log[z][:, None] * k + log[w][:, None] * (deg - k)) % m])
     place = p ** np.arange(n, dtype=np.int64)
-    out = []
-    for _, lists, deg in forms:
-        k = np.arange(deg + 1)
-        if n == 1:  # monos[b, k] = z^k w^(deg-k) at bases[b], reduced below
-            monos = np.stack([zk[i] * wk[deg - i] for i in k], axis=1)
-        else:
-            zero = (z[:, None] == 0) & (k > 0) | (w[:, None] == 0) & (k < deg)
-            monos = np.where(zero, 0, exp[(log[z][:, None] * k + log[w][:, None] * (deg - k)) % m])
-        digits = monos[:, None, :, None] // place % p              # [b, 1, k, j]
-        coeffs = np.array(lists, dtype=np.int64)[None, :, :, None]  # [1, mono, k, 1]
-        out.append(((coeffs * digits).sum(axis=2) % p * place).sum(axis=2).tolist())
-    return out
+    digits = monos[:, None, :, None] // place % p              # [b, 1, k, j]
+    coeffs = np.array(lists, dtype=np.int64)[None, :, :, None]  # [1, mono, k, 1]
+    return ((coeffs * digits).sum(axis=2) % p * place).sum(axis=2).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +82,6 @@ def _line_plane(q: int):
     """The line u = 0 of P^2(F_q), (1 : y : 0) and (0 : 1 : 0), as coordinate arrays."""
     return (np.append(np.ones(q, dtype=np.int64), 0), np.append(np.arange(q, dtype=np.int64), 1),
             np.zeros(1, dtype=np.int64))
-
-
-def _p2_reps(p: int, n: int):
-    """Canonical representatives of P^2(F_q) as coordinate arrays."""
-    q = p**n
-    r = np.arange(q, dtype=np.int64)
-    x = np.concatenate([np.ones(q * q, dtype=np.int64), np.zeros(q + 1, dtype=np.int64)])
-    y = np.concatenate([np.repeat(r, q), np.ones(q, dtype=np.int64), [0]])
-    u = np.concatenate([np.tile(r, q), r, [1]])
-    return x, y, u
 
 
 def _check_prime_headroom(terms: int, p: int) -> None:
@@ -193,17 +153,16 @@ def _monomial_grids(field: Field, plane, monos):
 _BLOCK = 1 << 15  # points per strip: its int64 buffers take 256 KB each
 
 
-def _zero_masks(forms, field: Field, plane, bases):
-    """Yield ((z, w), mask) per base point; mask marks the common zeros of forms.
+def _zero_masks(form, field: Field, plane, bases):
+    """Yield ((z, w), mask) per base point; mask marks the zeros of form.
 
     plane holds the coordinates (x, y, u) of the representatives, as arrays
     that broadcast together (see _monomial_grids); the mask is flat over
-    the broadcast shape in row-major order.  Each form (see
+    the broadcast shape in row-major order.  The form (see
     surfaces._split_form) is sum_m M_m(x, y, u) P_m(z, w): the grids M_m are
     built once, and the fiber over (z : w) weighs them by the encodings
-    c_m = P_m(z : w), which _form_weights computes for every form and base
-    point before the first fiber.  The first form is evaluated at every
-    point, each later one only where those before it vanish.
+    c_m = P_m(z : w), which _form_weights computes for every base point
+    before the first fiber.
 
     No step allocates a full-size array.  Each fiber is evaluated in
     strips of _BLOCK points, every term and the zero test of a strip
@@ -226,7 +185,7 @@ def _zero_masks(forms, field: Field, plane, bases):
     tested mod p, a few at a time, by lookup in a table of bit patterns.
     """
     p, n = field.p, field.n
-    terms = max(len(form[0]) for form in forms)
+    terms = len(form[0])
     if n == 1:
         _check_prime_headroom(terms, p)
         dtype = np.int32
@@ -250,8 +209,7 @@ def _zero_masks(forms, field: Field, plane, bases):
             divisible[ok] = True
             hit = np.empty(_BLOCK, dtype=bool)
         table = table.astype(dtype)
-    used = sorted({mono for monos, _, _ in forms for mono in monos})
-    grid = dict(zip(used, _monomial_grids(field, plane, used)))
+    grids = _monomial_grids(field, plane, form[0])
     acc, tmp = np.empty(_BLOCK, dtype=dtype), np.empty(_BLOCK, dtype=dtype)
 
     def term(c, g, out):
@@ -279,40 +237,27 @@ def _zero_masks(forms, field: Field, plane, bases):
                 if shift:
                     out &= h
 
-    def vanishing(grids, cs, out):
-        nonzero = [(c, g) for c, g in zip(cs, grids) if c]
+    mask = np.empty(np.broadcast(*plane).size, dtype=bool)
+    combine = np.bitwise_xor if p == 2 else np.add
+    for zw, weights in zip(bases, _form_weights(field, form, bases)):
+        nonzero = [(c, g) for c, g in zip(weights, grids) if c]
         if not nonzero:
-            out.fill(True)
-            return out
-        combine = np.bitwise_xor if p == 2 else np.add
-        for lo in range(0, out.size, _BLOCK):
-            o = out[lo:lo + _BLOCK]
+            mask.fill(True)
+        for lo in range(0, mask.size if nonzero else 0, _BLOCK):
+            o = mask[lo:lo + _BLOCK]
             a, t = acc[:o.size], tmp[:o.size]
             for i, (c, g) in enumerate(nonzero):
                 term(c, g[lo:lo + _BLOCK] if g.size > 1 else g, t if i else a)
                 if i:
                     combine(a, t, out=a)
             zero_test(a, t, o)
-        return out
-
-    mask = np.empty(np.broadcast(*plane).size, dtype=bool)
-    first = [grid[mono] for mono in forms[0][0]]
-    weights = _form_weights(field, forms, bases)
-    for b, (z, w) in enumerate(bases):
-        vanishing(first, weights[0][b], mask)
-        for (monos_k, _, _), weights_k in zip(forms[1:], weights[1:]):
-            idx = np.flatnonzero(mask)
-            if not idx.size:
-                break
-            sub = [np.broadcast_to(grid[mono], mask.shape)[idx] for mono in monos_k]
-            mask[idx] = vanishing(sub, weights_k[b], np.empty(idx.shape, dtype=bool))
-        yield (z, w), mask
+        yield zw, mask
 
 
 def _fiber_counts(model, field: Field, plane, bases) -> list[int]:
     """Zeros of F on the plane representatives over each base point."""
     return [int(np.count_nonzero(mask))
-            for _, mask in _zero_masks(model._forms[:1], field, plane, bases)]
+            for _, mask in _zero_masks(model._form, field, plane, bases)]
 
 
 def brute_totals(model, field: Field) -> CountTotals:
@@ -331,41 +276,3 @@ def brute_totals(model, field: Field) -> CountTotals:
     affine = sum(chart[:q])
     nonaffine = chart[q] + sum(_fiber_counts(model, field, _line_plane(q), bases))
     return CountTotals(model.id, field.p, field.n, affine + nonaffine, affine, nonaffine)
-
-
-def _common_zero_reps(model, field: Field, forms: int):
-    """Canonical representatives (x, y, u, z, w) of the common zeros of the
-    model's first `forms` forms: F, then F_x, F_y, F_u, F_z, F_w."""
-    model = _as_model(model)
-    if field.q > MAX_BIPROJ_Q:
-        raise FieldError(f"surface enumeration limited to q <= {MAX_BIPROJ_Q}")
-    x, y, u = _p2_reps(field.p, field.n)
-    reps = []
-    bases = [(z, 1) for z in range(field.q)] + [(1, 0)]
-    for (z, w), mask in _zero_masks(model._forms[:forms], field, (x, y, u), bases):
-        idx = mask.nonzero()[0]
-        reps.extend((a, b, c, z, w) for a, b, c in
-                    zip(x[idx].tolist(), y[idx].tolist(), u[idx].tolist()))
-    return reps
-
-
-def biprojective_zero_reps(model, field: Field):
-    """Coordinates of every canonical representative lying on V(F)."""
-    return _common_zero_reps(model, field, 1)
-
-
-# ---------------------------------------------------------------------------
-# singular locus
-
-
-def singular_locus(model, field: Field) -> set[BiprojectivePoint]:
-    """All F_q-points of V(F) at which the five partials of F vanish.
-
-    This is the Jacobian criterion in every affine chart containing the
-    point.  Euler's identities x F_x + y F_y + u F_u = 2F and
-    z F_z + w F_w = d F hold over Z, hence in every characteristic, so at a
-    zero of F the partials in the chart variables vanish exactly when all
-    five do, whichever chart contains the point.
-    """
-    return {BiprojectivePoint.from_raw(field, rep[:3], rep[3:])
-            for rep in _common_zero_reps(model, field, 6)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from charzeta.finfield import (FieldError, _fq_divmod, _fq_gcd, _fq_monic, _fq_p
 from charzeta.intpoly import IntPoly
 from charzeta.specialvalues import _MC_CHUNK
 from charzeta.surfaces import CountTotals, SurfaceModel, _as_model
+from charzeta.varieties import _zero_masks
 
 MAX_ALL_REPORTS_Q = 4096
 
@@ -62,6 +64,14 @@ def conic_bundle(surface_id, a, b, c):
         for k, coeff in enumerate(coeffs):
             terms[ex, ey, k] = coeff
     return SurfaceModel(surface_id, IntPoly(("x", "y", "z"), terms))
+
+
+def generated_models():
+    """The models with L0's a = z and b = -(z^2 + 1) and c = (z - r)(z^2 + sz + t)
+    for every ninth (r, s, t) in [-3, 3]^3, 39 of them, each built from f alone."""
+    triples = list(itertools.product(range(-3, 4), repeat=3))[::9]
+    return [conic_bundle(f"c=(z-{r})(z^2+{s}z+{t})", [0, 1], [-1, 0, -1],
+                         _zmul([-r, 1], [t, s, 1])) for r, s, t in triples]
 
 
 def field_roots(coeffs, field):
@@ -142,6 +152,29 @@ def p1_reps(field):
 @functools.lru_cache(maxsize=None)
 def _p2_rep_arrays(p, n):
     return tuple(np.array(c, dtype=np.int64) for c in zip(*p2_reps(make_field(p, n))))
+
+
+def biprojective_zero_reps(model, field):
+    """Canonical representatives (x, y, u, z, w) of the zeros of F, from the
+    brute-force kernel over all of P^2 at every base point."""
+    x, y, u = _p2_rep_arrays(field.p, field.n)
+    reps = []
+    for (z, w), mask in _zero_masks(_as_model(model)._form, field, (x, y, u), p1_reps(field)):
+        idx = mask.nonzero()[0]
+        reps.extend((a, b, c, z, w) for a, b, c in
+                    zip(x[idx].tolist(), y[idx].tolist(), u[idx].tolist()))
+    return reps
+
+
+def canonical_point(field, xyu, zw):
+    """The BiprojectivePoint of (x : y : u) x (z : w), each factor scaled so
+    that its leftmost nonzero coordinate is 1."""
+    if not any(xyu) or not any(zw):
+        raise ValueError("projective coordinates cannot be all zero")
+    s = field.inv(next(c for c in xyu if c))
+    t = field.inv(next(c for c in zw if c))
+    return BiprojectivePoint(tuple(field.mul(s, c) for c in xyu),
+                             tuple(field.mul(t, c) for c in zw))
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,16 +261,38 @@ def zero_points_scalar(poly, field, points):
     return [tuple(pt) for pt in points if eval_scalar(poly, field, pt) == 0]
 
 
+def partial(poly, var):
+    """The partial derivative of an IntPoly in var."""
+    i = poly.vars.index(var)
+    out = {}
+    for e, c in poly.terms.items():
+        if e[i]:
+            de = list(e)
+            de[i] -= 1
+            out[tuple(de)] = out.get(tuple(de), 0) + c * e[i]
+    return IntPoly(poly.vars, out)
+
+
+def set_one(poly, var):
+    """Substitute var = 1 in an IntPoly and drop it from the variable list."""
+    i = poly.vars.index(var)
+    out = {}
+    for e, c in poly.terms.items():
+        e2 = e[:i] + e[i + 1:]
+        out[e2] = out.get(e2, 0) + c
+    return IntPoly(poly.vars[:i] + poly.vars[i + 1:], out)
+
+
 _CHART_POS = {"x": 0, "y": 1, "u": 2, "z": 3, "w": 4}
 
 
 @functools.lru_cache(maxsize=None)
-def _chart(surface_id, pv, bv):
-    g = surface(surface_id).F.set_one(pv).set_one(bv)
-    return g.vars, tuple(g.partial(v) for v in g.vars)
+def _chart(model, pv, bv):
+    g = set_one(set_one(_as_model(model).F, pv), bv)
+    return g.vars, tuple(partial(g, v) for v in g.vars)
 
 
-def chart_singular(surface_id, field, rep, pv, bv):
+def chart_singular(model, field, rep, pv, bv):
     """Jacobian criterion in the chart pv = bv = 1; None outside the chart.
 
     The point is rescaled into the chart and the partials of the
@@ -249,16 +304,31 @@ def chart_singular(surface_id, field, rep, pv, bv):
     s = mul[inv[rep[_CHART_POS[pv]]]]
     t = mul[inv[rep[_CHART_POS[bv]]]]
     scaled = [s[c] for c in rep[:3]] + [t[c] for c in rep[3:]]
-    chart_vars, partials = _chart(surface_id, pv, bv)
+    chart_vars, partials = _chart(model, pv, bv)
     point = tuple(scaled[_CHART_POS[v]] for v in chart_vars)
     return all(eval_scalar(part, field, point) == 0 for part in partials)
 
 
-def chart_verdicts(surface_id, field, rep):
-    """chart_singular in every affine chart that contains the point."""
-    flags = (chart_singular(surface_id, field, rep, pv, bv)
+def chart_verdicts(model, field, rep, limit=None):
+    """chart_singular in every affine chart that contains the point, or in
+    the first `limit` of them."""
+    flags = (chart_singular(model, field, rep, pv, bv)
              for pv in ("x", "y", "u") for bv in ("z", "w"))
-    return [f for f in flags if f is not None]
+    return list(itertools.islice((f for f in flags if f is not None), limit))
+
+
+def singular_points_by_charts(model, field, charts=None):
+    """Oracle for singular_locus: the zeros of F over all of P^2 x P^1
+    (biprojective_zero_reps) that the Jacobian criterion finds singular in
+    the affine charts containing them, or in the first `charts` of them,
+    which must agree."""
+    points = set()
+    for rep in biprojective_zero_reps(model, field):
+        flags = chart_verdicts(model, field, rep, charts)
+        assert flags and (all(flags) or not any(flags)), (model, field, rep)
+        if flags[0]:
+            points.add(canonical_point(field, rep[:3], rep[3:]))
+    return points
 
 
 def expected_singular_points(surface_id, field):
@@ -268,7 +338,7 @@ def expected_singular_points(surface_id, field):
     pts = set()
 
     def add(xyu, zw):
-        pts.add(BiprojectivePoint.from_raw(field, xyu, zw))
+        pts.add(canonical_point(field, xyu, zw))
 
     if surface_id in ("L0", "L2"):
         add((1, 0, 0), (1, 0))

@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ import charzeta
 from charzeta import cli, fibercount, finfield, globalzeta, mahler_measure_mc, varieties
 from charzeta.cli import MAX_MAHLER_SAMPLES, MAX_VERIFY_PRIME, build_parser, main
 from charzeta.localzeta import LocalZetaFactors
+from conftest import expected_singular_points
 
 
 def run(capsys, *argv):
@@ -226,6 +228,44 @@ def test_singular_command(capsys):
     code, doc = run_json(capsys, "singular", "--surface", "L1", "--p", "5", "--n", "1")
     assert code == 0
     assert doc["records"][0]["count"] == 8
+
+
+# SHA-256 of the stdout of singular --surface all --p P --n N, as printed when
+# the singular locus was found by enumerating all of P^2 x P^1
+_SINGULAR_SHA256 = {
+    (2, 4): "18e9909a81f547c3e9ac77f6fc0f9ad9694fbbcffc91d1ed1a40da8f3defa772",
+    (3, 3): "078695780401721bf44822e344d1122379f03a0be1564f6987399653fb648a29",
+    (31, 1): "d03d824b522ad0f33e28b02809ff20c4f32f37ad3eaec1473ba8e09861f1eca7",
+    (5, 3): "7329f004b02f55be12c180b60dc5ae36ce861fa8496559043b0c24647d27b3a9",
+    (127, 1): "db039a0454c22df70becfbbba75f4dc92f96d04c1b7df48539c2f2b5b18538e4",
+    (2, 7): "2ab81645fc98bf921bd63a817bde8e39bd3dec5b7320a0a0c78cd2202815aced",
+}
+
+
+def test_singular_stdout_is_pinned(capsys):
+    for (p, n), digest in _SINGULAR_SHA256.items():
+        code, out = run(capsys, "singular", "--surface", "all", "--p", str(p), "--n", str(n))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (p, n)
+
+
+def test_singular_beyond_the_old_cap(capsys):
+    # the degenerate fibers reach the largest prime below 2^63 at n = 1 and
+    # below 2^31.5 at n = 2
+    for p, n in [(9223372036854775783, 1), (3037000493, 2)]:
+        code, doc = run_json(capsys, "singular", "--p", str(p), "--n", str(n))
+        assert code == 0
+        field = finfield.make_field(p, n)
+        for rec in doc["records"]:
+            want = sorted(expected_singular_points(rec["surface"], field),
+                          key=lambda pt: (pt.zw, pt.xyu))
+            assert rec["points"] == [pt.to_json() for pt in want], (p, n, rec["surface"])
+    # whole singular lines, in characteristic 2, are listed up to q = 2^11;
+    # beyond it the command is refused before it lists anything
+    start = time.perf_counter()
+    assert main(["singular", "--p", "2", "--n", "12"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "whole singular lines" in capsys.readouterr().err
 
 
 def test_mahler_command_deterministic(capsys):
@@ -531,7 +571,7 @@ _FIELD_MODULES = {"cli", "finfield", "intpoly", "surfaces", "fibercount", "local
     pytest.param(["count", "--p", "3", "--method", "formula"], _FIELD_MODULES, id="count-formula"),
     pytest.param(["count", "--p", "3", "--method", "formula", "--format", "csv"], _FIELD_MODULES,
                  id="count-formula-csv"),
-    pytest.param(["singular", "--p", "3"], _FIELD_MODULES | {"varieties"}, id="singular"),
+    pytest.param(["singular", "--p", "3"], _FIELD_MODULES, id="singular"),
     pytest.param(["verify", "--primes", "2..5"], _FIELD_MODULES | {"globalzeta"}, id="verify"),
     pytest.param(["zeta", "--p", "5"], _FIELD_MODULES | {"globalzeta"}, id="zeta"),
 ])
@@ -545,3 +585,5 @@ def test_each_command_loads_only_its_modules(argv, modules):
     # loads csv; numpy loads inspect itself
     stdlib = set(doc["stdlib"]) - ({"inspect"} if doc["numpy"] else set())
     assert stdlib == ({"csv"} if "csv" in argv else set())
+    # numpy loads only with the brute-force kernels and the Mahler sampler
+    assert doc["numpy"] == ("varieties" in modules or "mahler" in argv)

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from charzeta import (CountTotals, FieldError, brute_totals, classify_fiber, count_formula,
                       degenerate_fibers, fiberwise_totals, is_prime, make_field, surface)
 from charzeta import fibercount, localzeta
-from charzeta.fibercount import (_bundle_loci, _conic, _lift, _line_count, _locus_factors, _zmul,
-                                 descent_totals)
+from charzeta.fibercount import (_bundle_loci, _conic, _fiber_singular_span, _lift, _line_count,
+                                 _locus_factors, _zmul, descent_totals)
 from charzeta.finfield import low_degree_factors, split_roots
 from charzeta.localzeta import local_zeta_closed_form
-from conftest import (all_fiber_reports, conic_bundle, conic_count_brute, eval_scalar,
-                      fiber_determinant, fiberwise_totals_fq, model_with_points_over_w0,
-                      prime_powers_upto)
+from conftest import (_scalar_tables, all_fiber_reports, conic_bundle, conic_count_brute,
+                      eval_scalar, fiber_determinant, fiberwise_totals_fq, generated_models,
+                      model_with_points_over_w0, p2_reps, prime_powers_upto)
 
 
 def test_fiber_form_examples():
@@ -167,6 +167,33 @@ def test_conic_rule_refuses_other_shapes():
         _conic(make_field(2), (1, 1, 1, 0, 1, 0))
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def test_fiber_singular_span_matches_enumeration(p, n):
+    # every form a(x^2 + y^2) + bxy + cu^2 for q <= 9: the canonical points
+    # spanned are the common zeros of F_x = 2ax + by, F_y = bx + 2ay and
+    # F_u = 2cu, or, where those are the plane, the zeros of the form
+    field = make_field(p, n)
+    add, mul, _ = _scalar_tables(p, n)
+    plane = p2_reps(field)
+    for a, b, c in itertools.product(range(field.q), repeat=3):
+        if a == b == c == 0:
+            with pytest.raises(FieldError, match="whole plane"):
+                _fiber_singular_span(field, a, b, c)
+            continue
+        two_a, two_c = add[a][a], add[c][c]
+        want = [(x, y, u) for x, y, u in plane if add[mul[two_a][x]][mul[b][y]] == 0
+                and add[mul[b][x]][mul[two_a][y]] == 0 and mul[two_c][u] == 0]
+        if len(want) == len(plane):
+            want = [(x, y, u) for x, y, u in plane if add[mul[a][add[mul[x][x]][mul[y][y]]]][
+                add[mul[b][mul[x][y]]][mul[c][mul[u][u]]]] == 0]
+        span = _fiber_singular_span(field, a, b, c)
+        if len(span) == 2:
+            v0, v1 = span
+            span = [tuple(add[x][mul[t][y]] for x, y in zip(v0, v1))
+                    for t in range(field.q)] + [v1]
+        assert sorted(span) == sorted(want), (a, b, c)
+
+
 def test_scalar_classifier_agrees_with_scan():
     for sid in ("L0", "L1", "L2"):
         for p, n in [(3, 2), (5, 1), (2, 2), (7, 1)]:
@@ -293,13 +320,11 @@ def test_locus_with_a_root_outside_f_p2_is_refused():
 
 
 def test_descent_runs_on_unregistered_models():
-    # c = (z - r)(z^2 + sz + t) for every ninth (r, s, t) in [-3, 3]^3, each
-    # model built from f alone, against brute force in all three spaces
+    # the generated models, against brute force in all three spaces
     fields = [make_field(p, n) for p, n in prime_powers_upto(27)]
-    triples = list(itertools.product(range(-3, 4), repeat=3))[::9]
-    assert (len(triples), len(fields)) == (39, 15)
-    for r, s, t in triples:
-        model = conic_bundle(f"c=(z-{r})(z^2+{s}z+{t})", _L0_A, _L0_B, _zmul([-r, 1], [t, s, 1]))
+    models = generated_models()
+    assert (len(models), len(fields)) == (39, 15)
+    for model in models:
         for field in fields:
             totals = fiberwise_totals(model, field)
             assert totals.surface == model.id

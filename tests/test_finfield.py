@@ -83,6 +83,23 @@ def test_ben_or_matches_rabin_exhaustive(p, max_n):
             assert _is_irreducible(mod, p) == _is_irreducible_rabin(mod, p), mod
 
 
+def test_quadratic_irreducibility_matches_rabin():
+    # a quadratic is decided by its roots, not by Ben-Or's powering: every
+    # monic quadratic for p < 60, and seeded samples near 10^6 and 2^31,
+    # where a random quadratic is irreducible about half the time
+    for p in filter(is_prime, range(60)):
+        for t, s in itertools.product(range(p), repeat=2):
+            assert _is_irreducible([t, s, 1], p) == _is_irreducible_rabin([t, s, 1], p), (p, t, s)
+    rng = random.Random(31)
+    for p in (999983, 1000003, 2147483647, 2147483659):
+        verdicts = []
+        for _ in range(40):
+            mod = [rng.randrange(p), rng.randrange(p), 1]
+            verdicts.append(_is_irreducible(mod, p))
+            assert verdicts[-1] == _is_irreducible_rabin(mod, p), (p, mod)
+        assert 0 < sum(verdicts) < 40, p
+
+
 def test_first_irreducible_matches_rabin():
     # every field with p <= 13 and p^n <= 10^6 gets the modulus Rabin's test picks
     for p in (2, 3, 5, 7, 11, 13):

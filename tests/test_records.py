@@ -5,13 +5,12 @@ import pickle
 
 import pytest
 
-from charzeta.fibercount import FiberReport
+from charzeta.fibercount import BiprojectivePoint, FiberReport
 from charzeta.globalzeta import (CHI5, CharacterDesc, ElementaryTerm, GlobalZetaExpr,
                                  LocalZetaCheck, ZetaFactorTerm)
 from charzeta.localzeta import LocalZetaFactors
 from charzeta.specialvalues import LaurentLeading, QuadraticFieldData
 from charzeta.surfaces import CountTotals
-from charzeta.varieties import BiprojectivePoint
 
 _FACTORS = LocalZetaFactors(5, ((25, 1), (5, 1), (1, 1)))
 

@@ -9,15 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charzeta import (SURFACE_IDS, BiprojectivePoint, FieldError, brute_totals, count_formula,
-                      fiberwise_totals, make_field, singular_locus, surface)
+                      fiberwise_totals, make_field, singular_locus, surface, varieties)
 from charzeta.intpoly import IntPoly
 from charzeta.surfaces import _as_model, _zw_values
 from charzeta.varieties import (MAX_AFFINE_Q, _affine_plane, _check_packed_headroom,
                                 _check_prime_headroom, _fiber_counts, _form_weights, _line_plane,
-                                _monomial_grids, _p2_reps, _zero_masks, biprojective_zero_reps)
-from conftest import (_scalar_tables, chart_verdicts, eval_scalar, expected_singular_points,
-                      model_with_points_over_w0, p1_reps, p2_reps, prime_powers_upto,
-                      zero_points_scalar)
+                                _monomial_grids, _zero_masks)
+from conftest import (_p2_rep_arrays, _scalar_tables, biprojective_zero_reps, chart_verdicts,
+                      eval_scalar, expected_singular_points, generated_models,
+                      model_with_points_over_w0, p1_reps, p2_reps, prime_powers_upto, set_one,
+                      singular_points_by_charts, zero_points_scalar)
 
 
 def test_surface_ids():
@@ -42,7 +43,7 @@ def test_dehomogenisation_identity():
     # F(x, y, 1, z, 1) = f(x, y, z) exactly: F is built from f so that it holds
     for sid in ("L0", "L1", "L2"):
         m = surface(sid)
-        assert m.F.set_one("u").set_one("w") == m.f
+        assert set_one(set_one(m.F, "u"), "w") == m.f
 
 
 def test_bidegrees():
@@ -108,12 +109,18 @@ def test_affine_plus_nonaffine_equals_biprojective(sid):
 
 
 def test_brute_size_guards():
-    # counts stop at MAX_AFFINE_Q in every space; the singular locus, which
-    # enumerates all of P^2 at once, stops at q = 128
+    # counts stop at MAX_AFFINE_Q in every space
     with pytest.raises(FieldError):
         brute_totals("L0", make_field(2053))
-    with pytest.raises(FieldError):
-        singular_locus("L0", make_field(131))
+
+
+@pytest.mark.parametrize("p,n", [(131, 1), (3, 5), (2, 8), (2, 11), (1000003, 1), (999983, 2)])
+def test_singular_locus_beyond_the_old_cap(p, n):
+    # the degenerate fibers reach every field of the descent; whole singular
+    # lines, which occur in characteristic 2, are listed up to q = 2^11
+    field = make_field(p, n)
+    for sid in SURFACE_IDS:
+        assert singular_locus(sid, field) == expected_singular_points(sid, field), sid
 
 
 @pytest.mark.parametrize("sid,p,expected_size", [
@@ -158,22 +165,20 @@ def test_brute_kernel_matches_scalar_enumeration(sid, pn):
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
-@given(st.sampled_from(["L0", "L1", "L2"]), st.sampled_from(prime_powers_upto(27)),
-       st.integers(0, 5))
-@example("L1", (3, 3), 4)
-@example("L0", (2, 4), 5)
-@example("L2", (5, 2), 1)
-def test_kernel_zero_sets_match_scalar_enumeration(sid, pn, k):
-    # F and each of its five partials, alone, over all of P^2 x P^1
+@given(st.sampled_from(["L0", "L1", "L2"]), st.sampled_from(prime_powers_upto(27)))
+@example("L1", (3, 3))
+@example("L0", (2, 4))
+@example("L2", (5, 2))
+def test_kernel_zero_sets_match_scalar_enumeration(sid, pn):
+    # F over all of P^2 x P^1, as one flat plane
     field = make_field(*pn)
     m = surface(sid)
-    form = (m.F, *(m.F.partial(v) for v in m.F.vars))[k]
-    plane = _p2_reps(field.p, field.n)
+    plane = _p2_rep_arrays(field.p, field.n)
     got = [tuple(int(c[i]) for c in plane) + zw
-           for zw, mask in _zero_masks(m._forms[k:k + 1], field, plane, p1_reps(field))
+           for zw, mask in _zero_masks(m._form, field, plane, p1_reps(field))
            for i in np.flatnonzero(mask)]
     reps = [xyu + zw for xyu in p2_reps(field) for zw in p1_reps(field)]
-    assert sorted(got) == sorted(zero_points_scalar(form, field, reps))
+    assert sorted(got) == sorted(zero_points_scalar(m.F, field, reps))
 
 
 def test_monomial_grids_match_scalar_products():
@@ -203,14 +208,14 @@ def test_monomial_grids_match_scalar_products():
 
 def _weights_match_scalar(field, bases):
     for sid in SURFACE_IDS:
-        forms = surface(sid)._forms
-        for (_, lists, deg), rows in zip(forms, _form_weights(field, forms, bases)):
-            want = [_zw_values(field, lists, deg, z, w) for z, w in bases]
-            assert rows == want, (sid, field, deg)
+        form = surface(sid)._form
+        _, lists, deg = form
+        want = [_zw_values(field, lists, deg, z, w) for z, w in bases]
+        assert _form_weights(field, form, bases) == want, (sid, field)
 
 
 def test_form_weights_match_scalar_weights():
-    # all six forms of every model: at every base point of each field with
+    # F of every model: at every base point of each field with
     # q <= 128, and at the cap-edge fields at (1 : 0) and a seeded sample of
     # bases (z : 1) that includes z = 0, 1 and q - 1
     for p, n in prime_powers_upto(128):
@@ -223,14 +228,19 @@ def test_form_weights_match_scalar_weights():
 
 
 def test_nonaffine_brute_never_builds_p2(monkeypatch):
-    # near q = 2048 the P^2 arrays take about 100 MB; the counts in every
-    # space enumerate the chart (x, y, 1) and the line u = 0 instead
-    def refuse(p, n):
-        raise AssertionError(f"_p2_reps({p}, {n}) built")
-    monkeypatch.setattr("charzeta.varieties._p2_reps", refuse)
+    # near q = 2048 the P^2 arrays would take about 100 MB; the counts in
+    # every space enumerate the chart (x, y, 1) and the line u = 0 instead
+    planes, zero_masks = [], varieties._zero_masks
+
+    def recorded(form, field, plane, bases):
+        planes.append((field.q, np.broadcast(*plane).size))
+        return zero_masks(form, field, plane, bases)
+
+    monkeypatch.setattr(varieties, "_zero_masks", recorded)
     totals = brute_totals("L0", make_field(3))
     assert (totals.biprojective, totals.affine, totals.nonaffine) == (25, 17, 8)
     assert brute_totals("L1", make_field(2, 3)) == count_formula("L1", 2, 3)
+    assert planes == [(3, 3 * 3), (3, 3 + 1), (8, 8 * 8), (8, 8 + 1)]
 
 
 def test_affine_brute_holds_little_beyond_its_grids():
@@ -268,12 +278,12 @@ def test_packed_digits_refuse_carries_and_overflow():
 
 def test_packed_digits_fit_every_odd_extension_field():
     # the kernel packs s = bit_length(terms * (p - 1)) bits per digit, with
-    # terms the most monomials of any form it is handed
+    # terms the monomials of F
     for p, n in prime_powers_upto(MAX_AFFINE_Q):
         if p > 2 and n > 1:
             for sid in SURFACE_IDS:
-                for monos, _, _ in surface(sid)._forms:
-                    _check_packed_headroom(len(monos), p, n, (len(monos) * (p - 1)).bit_length())
+                terms = len(surface(sid)._form[0])
+                _check_packed_headroom(terms, p, n, (terms * (p - 1)).bit_length())
     for p, n in [(43, 2), (3, 6)]:  # the widest spacer and the most digits
         # the non-affine part of brute_totals' passes: the chart over (1 : 0)
         # and the line u = 0; its affine pass would take minutes at q = 1849
@@ -288,13 +298,12 @@ def test_packed_digits_fit_every_odd_extension_field():
 
 def test_strips_of_any_size_give_the_same_zeros(monkeypatch):
     # one strip per fiber at these q; strips of 7 points end on a short
-    # strip in every fiber, and the partials run on the zeros of F only;
-    # brute_totals runs both its passes, over the chart and the line u = 0
+    # strip in every fiber, over all of P^2 and in both passes of
+    # brute_totals, over the chart and the line u = 0
     fields = [make_field(p, n) for p, n in [(7, 1), (2, 3), (3, 2)]]
 
     def zeros():
-        return [(sorted(biprojective_zero_reps(sid, field)), singular_locus(sid, field),
-                 brute_totals(sid, field))
+        return [(sorted(biprojective_zero_reps(sid, field)), brute_totals(sid, field))
                 for field in fields for sid in SURFACE_IDS]
 
     want = zeros()
@@ -304,17 +313,30 @@ def test_strips_of_any_size_give_the_same_zeros(monkeypatch):
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
 def test_singular_locus_matches_chart_oracle(sid):
-    # the five-partial criterion against the Jacobian criterion in each
-    # containing affine chart; those charts must also agree with each other
+    # the singular sets of the degenerate fibers against the Jacobian
+    # criterion at every zero of F in P^2 x P^1, in each containing affine
+    # chart; those charts must also agree with each other
     for p, n in prime_powers_upto(32):
         field = make_field(p, n)
-        want = set()
-        for rep in biprojective_zero_reps(sid, field):
-            flags = chart_verdicts(sid, field, rep)
-            assert flags and (all(flags) or not any(flags)), (sid, p, n, rep)
-            if flags[0]:
-                want.add(BiprojectivePoint.from_raw(field, rep[:3], rep[3:]))
-        assert singular_locus(sid, field) == want, (sid, p, n)
+        assert singular_locus(sid, field) == singular_points_by_charts(sid, field), (sid, p, n)
+
+
+def test_singular_locus_matches_chart_oracle_on_generated_models():
+    # every third of the models the descent is tested on, each point in the
+    # first chart that contains it: all 39 take about 4 s
+    fields = [make_field(p, n) for p, n in prime_powers_upto(27)]
+    for model in generated_models()[::3]:
+        for field in fields:
+            want = singular_points_by_charts(model, field, 1)
+            assert singular_locus(model, field) == want, (model, field)
+
+
+def test_singular_locus_refuses_fibers_outside_the_bundle_shape():
+    # L0 + xuz^3 has xu terms in its fiber forms, which the descent refuses,
+    # and the singular locus reads its degenerate fibers
+    for p, n in prime_powers_upto(16):
+        with pytest.raises(ValueError, match="fiber forms outside the supported shape"):
+            singular_locus(model_with_points_over_w0(), make_field(p, n))
 
 
 def test_singular_points_lie_on_surface():
