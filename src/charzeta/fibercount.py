@@ -379,15 +379,21 @@ def fiberwise_totals(model, field: Field) -> CountTotals:
 
 def degenerate_fibers(model, field: Field) -> list[tuple[int, int]]:
     """Canonical base points of the fibers that are not smooth conics: the
-    F_q-roots of the degenerate locus, and (1 : 0) when that fiber is one."""
-    model = _as_model(model)
+    F_q-roots of the degenerate locus, and (1 : 0) when that fiber is one.
+    Cached like descent_totals, so singular_locus and its caller split the
+    degree-2 points at even n once."""
+    return list(_degenerate_fibers(_as_model(model), field))
+
+
+@functools.lru_cache(maxsize=256)
+def _degenerate_fibers(model: SurfaceModel, field: Field) -> tuple[tuple[int, int], ...]:
     roots, quadratics, _, _, _ = _prime_descent(model, field.p)
     if field.n % 2 == 0:
         roots += tuple(z for f in quadratics for z in split_roots(f, field))
     bases = [_canonical_base(field, z, 1) for z in roots]
     if classify_fiber(model, (1, 0), field).degenerate:
         bases.append((1, 0))
-    return sorted(bases)
+    return tuple(sorted(bases))
 
 
 # ---------------------------------------------------------------------------

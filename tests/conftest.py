@@ -14,7 +14,7 @@ from charzeta.fibercount import _bundle_loci, _line_count, _zmul
 from charzeta.finfield import (FieldError, _fq_divmod, _fq_gcd, _fq_monic, _fq_pow,
                                _poly_sub_x, _poly_trim, _prime_factors, split_roots)
 from charzeta.intpoly import IntPoly
-from charzeta.specialvalues import _MC_CHUNK
+from charzeta.specialvalues import _MC_CHUNK, _mc_chunk
 from charzeta.surfaces import CountTotals, SurfaceModel, _as_model
 from charzeta.varieties import _zero_masks
 
@@ -403,9 +403,18 @@ def first_irreducible_rabin(p, n):
     raise AssertionError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
+def _mean_stderr(total, total_sq, samples):
+    mean = total / samples
+    if samples > 1:
+        var = (total_sq - total * total / samples) / (samples - 1)
+        return mean, math.sqrt(max(var, 0.0) / samples)
+    return mean, float("inf")
+
+
 def mahler_mc_serial(poly_id, samples, seed):
-    """Oracle for specialvalues.mahler_measure_mc: the chunked serial loop,
-    one chunk after another in a single thread."""
+    """Oracle for specialvalues.mahler_measure_mc: the textbook form
+    (1 + sum cos)^2 + (sum sin)^2 on the same chunked uniforms, one chunk
+    after another in a single thread."""
     if poly_id == "1":
         return 0.0, 0.0
     total = 0.0
@@ -426,10 +435,16 @@ def mahler_mc_serial(poly_id, samples, seed):
         total_sq += float((vals * vals).sum())
         done += m
         chunk_index += 1
-    mean = total / samples
-    if samples > 1:
-        var = (total_sq - total * total / samples) / (samples - 1)
-        stderr = math.sqrt(max(var, 0.0) / samples)
-    else:
-        stderr = float("inf")
-    return mean, stderr
+    return _mean_stderr(total, total_sq, samples)
+
+
+def mahler_chunks_serial(samples, seed):
+    """specialvalues._mc_chunk called chunk by chunk in one thread, its sums
+    added in chunk order: mahler_measure_mc without the pool."""
+    total = 0.0
+    total_sq = 0.0
+    for i, start in enumerate(range(0, samples, _MC_CHUNK)):
+        s, sq = _mc_chunk(seed, i, min(_MC_CHUNK, samples - start))
+        total += s
+        total_sq += sq
+    return _mean_stderr(total, total_sq, samples)

@@ -249,6 +249,26 @@ def test_singular_stdout_is_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (p, n)
 
 
+def test_singular_splits_the_degenerate_locus_once(capsys, monkeypatch):
+    # the record's degenerate_fibers and singular_locus share one split of
+    # each closed point of degree 2 of the degenerate locus mod 3 (L2 has none)
+    quadratics = {"L0": [(1, 0, 1)], "L1": [(2, 1, 1), (2, 2, 1)]}
+    splits = []
+    split_roots = fibercount.split_roots
+
+    def counting_split_roots(f, field):
+        splits.append(tuple(f))
+        return split_roots(f, field)
+
+    monkeypatch.setattr(fibercount, "split_roots", counting_split_roots)
+    fibercount._degenerate_fibers.cache_clear()
+    for sid, want in quadratics.items():
+        splits.clear()
+        code, doc = run_json(capsys, "singular", "--surface", sid, "--p", "3", "--n", "4")
+        assert code == 0 and doc["records"][0]["degenerate_fibers"]
+        assert [f for f in splits if f in want] == want, sid
+
+
 def test_singular_beyond_the_old_cap(capsys):
     # the degenerate fibers reach the largest prime below 2^63 at n = 1 and
     # below 2^31.5 at n = 2

@@ -1,10 +1,13 @@
 """Numerics: zeta, L-functions, regulators, Laurent data, Mahler measure."""
 
 import concurrent.futures
+import itertools
 import math
 import time
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,8 +16,9 @@ from charzeta import (CHI5, CHI8, dirichlet_L, hurwitz_zeta_deflated,
                       laurent_leading, mahler_measure_mc, main_term_expression,
                       regulator, riemann_zeta, verify_table1)
 from charzeta import specialvalues
-from charzeta.specialvalues import _MC_BLOCK, _MC_CHUNK, QUAD_FIELD_DATA
-from conftest import mahler_mc_serial
+from charzeta.specialvalues import (_MC_BLOCK, _MC_CHUNK, QUAD_FIELD_DATA, _mc_chunk,
+                                    _torus_abs2)
+from conftest import mahler_chunks_serial, mahler_mc_serial
 
 mpmath.mp.dps = 30
 
@@ -245,6 +249,74 @@ def test_mahler_rejects_bad_input():
         mahler_measure_mc("x^2-1", 100, 1)
 
 
+# _torus_abs2 against the textbook form on the same uniforms: over 600 seeded
+# draws of 1 to 4 * 2^17 samples the worst gaps were 4.2e-16 relative in the
+# mean and 1.8e-15 in the stderr; the unshifted A^2 + D^2 + 2AD cos t
+# reached 2.7e-12 and 3.0e-11
+MAHLER_REL = 1e-13
+
+
+def torus_abs2(u):
+    out = np.empty(len(u))
+    _torus_abs2(u, out, np.empty((3, len(u))))
+    return out
+
+
+def textbook_abs2(u):
+    ang = 2.0 * np.pi * u
+    return (1.0 + np.cos(ang).sum(axis=1)) ** 2 + np.sin(ang).sum(axis=1) ** 2
+
+
+class FixedUniforms:
+    """Stands in for numpy's Generator: random(out=) copies the next rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.next = 0
+
+    def random(self, out):
+        out[...] = self.rows[self.next:self.next + len(out)]
+        self.next += len(out)
+
+
+def test_half_angle_abs2_matches_textbook_form():
+    grid = np.array(list(itertools.product(np.arange(40) / 40, repeat=3)))
+    for u in (grid, np.random.default_rng(0).random((100_000, 3))):
+        # |P|^2 <= 16, and the two forms read at most 1.1e-14 apart
+        assert np.max(np.abs(torus_abs2(u) - textbook_abs2(u))) <= 2e-14
+    assert torus_abs2(np.zeros((1, 3)))[0] == 16.0
+
+
+def test_half_angle_abs2_does_not_cancel_on_the_zero_set(monkeypatch):
+    # u = (1/2, t, t + 1/2 mod 1) and its permutations, at which 1 + x + y + z
+    # vanishes up to the rounding of t + 1/2
+    ts = np.concatenate([np.arange(64) / 64, np.random.default_rng(1).random(200)])
+    rows = np.array([row for t in ts for row in set(itertools.permutations((0.5, t, (t + 0.5) % 1)))])
+    r2 = torus_abs2(rows)
+    # |P| is of the order of the rounding of t + 1/2 there: this form reads
+    # at most 1.3e-30 and the textbook form 1.8e-30 (0 at 112 of the 1578
+    # rows), where A^2 + D^2 + 2AD cos t reads from -8.9e-16 to 8.9e-16, and
+    # 0 or less at 1002 rows
+    assert (r2 > 0).all() and r2.max() <= 1e-28
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: FixedUniforms(rows))
+    total, total_sq = _mc_chunk(0, 0, len(rows))
+    assert math.isfinite(total) and math.isfinite(total_sq)
+    assert total / len(rows) < -30.0  # log |P| of about 1e-15
+
+
+def test_mahler_chunk_allocates_its_samples_and_block_buffers_only():
+    # m doubles for |P|^2 and 96 KB of block buffers (1,123 KB in all); a
+    # second array of m doubles, or blocks twice the size, breaks the bound
+    _mc_chunk(3, 0, _MC_CHUNK)
+    tracemalloc.start()
+    try:
+        _mc_chunk(3, 0, _MC_CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * _MC_CHUNK + 128 * 1024
+
+
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(samples=st.integers(1, 4 * _MC_CHUNK), seed=st.integers(0, 2**64 - 1))
 @example(samples=1, seed=0)
@@ -257,10 +329,14 @@ def test_mahler_rejects_bad_input():
 @example(samples=_MC_BLOCK, seed=2)
 @example(samples=_MC_BLOCK + 1, seed=3)
 @example(samples=2 * _MC_CHUNK + _MC_BLOCK // 2, seed=4)  # a tail chunk shorter than a block
+@example(samples=156_871, seed=13469175560461530605)  # the unshifted form's worst draw
 def test_mahler_matches_serial_oracle(samples, seed):
     # the chunks run on a thread pool; mean and stderr stay bit-identical
-    # to the one-chunk-at-a-time loop
-    assert mahler_measure_mc("1+x+y+z", samples, seed) == mahler_mc_serial("1+x+y+z", samples, seed)
+    # to the one-chunk-at-a-time loop over _mc_chunk, and agree with the
+    # textbook form on the same uniforms to MAHLER_REL
+    got = mahler_measure_mc("1+x+y+z", samples, seed)
+    assert got == mahler_chunks_serial(samples, seed)
+    assert got == pytest.approx(mahler_mc_serial("1+x+y+z", samples, seed), rel=MAHLER_REL)
 
 
 def test_mahler_independent_of_thread_count(monkeypatch):
@@ -279,7 +355,8 @@ def test_mahler_independent_of_thread_count(monkeypatch):
         monkeypatch.setattr(specialvalues, "_MC_MAX_THREADS", bound)
         results.append(mahler_measure_mc("1+x+y+z", samples, 5))
     assert pools == [1, 3]
-    assert results[0] == results[1] == mahler_mc_serial("1+x+y+z", samples, 5)
+    assert results[0] == results[1] == mahler_chunks_serial(samples, 5)
+    assert results[0] == pytest.approx(mahler_mc_serial("1+x+y+z", samples, 5), rel=MAHLER_REL)
     mahler_measure_mc("1+x+y+z", _MC_CHUNK + 1, 5)  # never more threads than chunks
     assert pools[-1] == 2
 
