@@ -32,10 +32,12 @@ fiberwise_totals returns the three totals as one surfaces.CountTotals.
 The singular points lie on the degenerate fibers too (singular_locus).
 
 Closed-form counts are not transcribed here: count_formula evaluates
-N_n = sum_u e_u * u^n on the biprojective and non-affine factor multisets
-of localzeta.local_zeta_closed_form, the one copy of the per-surface
-table, and subtracts for the affine count.  It returns a CountTotals too,
-as varieties.brute_totals does, so the three methods compare whole.
+N_n = sum_u e_u * u^n on the Euler factors at p of the biprojective and
+non-affine global products (globalzeta.euler_factor), the one copy of
+the theorem, and subtracts for the affine count.  It imports globalzeta
+when called, so the descent and the singular locus load neither zeta
+module.  It returns a CountTotals too, as varieties.brute_totals does, so
+the three methods compare whole.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from . import _record
 from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, _fq_gcd, _fq_monic, _fq_pow,
                        _poly_divmod, _poly_trim, is_prime, low_degree_factors, make_field,
                        split_roots, sqrt_mod)
-from .localzeta import local_zeta_closed_form
 from .surfaces import CountTotals, SurfaceModel, _as_model, _zw_values
 
 MAX_SINGULAR_LINE_Q = 2048  # singular_locus: a whole singular line lists q + 1 points
@@ -498,10 +499,10 @@ def singular_locus(model, field: Field) -> set[BiprojectivePoint]:
 def count_formula(model, p: int, n: int) -> CountTotals:
     """Closed-form counts N_n = sum_u e_u * u^n over F_{p^n}.
 
-    The exponents e_u are those of local_zeta_closed_form(model, p, space)
-    for the biprojective and non-affine spaces; the affine count is their
-    difference.  Raises ValueError for n < 1, FieldError when p is not
-    prime or p^n > 2^63.
+    The exponents e_u are those of the Euler factor at p of the global
+    product of the biprojective and of the non-affine space; the affine
+    count is their difference.  Raises ValueError for n < 1, FieldError
+    when p is not prime or p^n > 2^63.
     """
     surface_id = _as_model(model).id
     if not (isinstance(p, int) and isinstance(n, int) and n >= 1):
@@ -510,6 +511,11 @@ def count_formula(model, p: int, n: int) -> CountTotals:
         raise FieldError("formula counts restricted to p^n <= 2^63")
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
-    biproj, nonaffine = (sum(e * u**n for u, e in local_zeta_closed_form(surface_id, p, s).factors)
-                         for s in ("biprojective", "nonaffine"))
+    from .globalzeta import euler_factor, global_expression  # deferred: see the module docstring
+
+    def count(space):
+        factors = euler_factor(global_expression(surface_id, space), p).factors
+        return sum(e * u**n for u, e in factors)
+
+    biproj, nonaffine = count("biprojective"), count("nonaffine")
     return CountTotals(surface_id, p, n, biproj, biproj - nonaffine, nonaffine)

@@ -2,16 +2,19 @@
 
 A global expression is a product of shifted Riemann zeta factors,
 quadratic Dedekind zeta factors, and Dirichlet L-factors, together with
-per-prime elementary correction factors (1 +- 2^(a-s))^e.  Extracting the
-Euler factor at a prime and comparing it with the locally computed zeta
-function verifies the global factorisation prime by prime.
+per-prime elementary correction factors (1 +- 2^(a-s))^e.  These products
+are the paper's theorem and its only transcription in the package: the
+local zeta function of a surface at p is the Euler factor of its product
+(euler_factor), each Dedekind factor split at p by the Dedekind-Kummer
+law, and the closed-form counts (fibercount.count_formula) are evaluated
+on it.  Comparing the Euler factor with the zeta function rebuilt from
+fiberwise counts verifies the global factorisation prime by prime.
 """
 
 from __future__ import annotations
 
 from . import SPACES, _record
-from .localzeta import (RECOVERY_COUNTS, LocalZetaFactors, RecoveryError,
-                        local_zeta_closed_form, recover_factors)
+from .localzeta import RECOVERY_COUNTS, LocalZetaFactors, RecoveryError, recover_factors
 
 RECOVERY_PRIMES = (2, 3)
 
@@ -199,23 +202,19 @@ class LocalZetaCheck:
 
     mode: str              # recovered (p = 2, 3) or series
     euler: LocalZetaFactors
-    closed_form: LocalZetaFactors
     counts: tuple[int, ...]
     detail: dict           # recovered (and error), or first_mismatch_n
     passed: bool
 
 
 def check_local_zeta(surface_id: str, p: int, space: str) -> LocalZetaCheck:
-    """Check the Euler factor at p against the closed form and the counts.
+    """Check the Euler factor at p against the fiberwise counts.
 
     The counts are N_1..N_14 from counts_for_space.  For p in {2, 3} the
     factors are recovered blind from them and must equal the Euler factor;
     for other primes they must equal the counts the Euler factor implies.
-    The check passes when that holds and the closed form equals the Euler
-    factor.
     """
     euler = euler_factor(global_expression(surface_id, space), p)
-    closed = local_zeta_closed_form(surface_id, p, space)
     mode = "recovered" if p in RECOVERY_PRIMES else "series"
     counts = counts_for_space(surface_id, p, space, RECOVERY_COUNTS)
     if mode == "recovered":
@@ -228,20 +227,18 @@ def check_local_zeta(surface_id: str, p: int, space: str) -> LocalZetaCheck:
         first_bad = next((n for n, (x, y) in enumerate(zip(counts, euler.counts(len(counts))), 1)
                           if x != y), None)
         detail, ok = {"first_mismatch_n": first_bad}, first_bad is None
-    return LocalZetaCheck(mode, euler, closed, tuple(counts), detail, ok and closed == euler)
+    return LocalZetaCheck(mode, euler, tuple(counts), detail, ok)
 
 
 def _verify_one_prime(surface_id: str, p: int) -> dict:
     checks = {space: check_local_zeta(surface_id, p, space) for space in SPACES}
-    # fiberwise counts of every space must agree with the closed forms
-    pairs = [zip(c.counts, c.closed_form.counts(RECOVERY_COUNTS)) for c in checks.values()]
+    # fiberwise counts of every space must agree with those of the Euler factors
+    pairs = [zip(c.counts, c.euler.counts(RECOVERY_COUNTS)) for c in checks.values()]
     first_bad = next((n for n, row in enumerate(zip(*pairs), 1)
                       if any(x != y for x, y in row)), None)
     spaces = {}
     for space, c in checks.items():
-        spaces[space] = {"euler": c.euler.to_json(),
-                         "closed_form_match": c.closed_form == c.euler,
-                         **c.detail, "pass": c.passed}
+        spaces[space] = {"euler": c.euler.to_json(), **c.detail, "pass": c.passed}
         if c.mode == "series":
             spaces[space]["checked_n"] = len(c.counts)
     return {"surface": surface_id, "p": p, "mode": checks[SPACES[0]].mode,
@@ -254,9 +251,9 @@ def verify_global(model, primes) -> list[dict]:
     """Check euler_factor(global expression) against computed local zetas.
 
     Each prime and space goes through check_local_zeta, and the fiberwise
-    counts N_1..N_14 of every space are compared with the closed forms.
-    Mismatches become report entries, never exceptions.  Reports are
-    ordered by prime.
+    counts N_1..N_14 of every space are compared with those the Euler
+    factors imply.  Mismatches become report entries, never exceptions.
+    Reports are ordered by prime.
     """
     surface_id = model if isinstance(model, str) else model.id
     return [_verify_one_prime(surface_id, p) for p in sorted(set(primes))]

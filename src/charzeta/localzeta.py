@@ -1,4 +1,4 @@
-"""Local zeta functions: count sequences, factor recovery, closed forms.
+"""Local zeta functions: factor multisets, count sequences, factor recovery.
 
 A local zeta function here is a finite product prod_u (1 - u*T)^(-e_u)
 over the six units u = p^2, -p^2, p, -p, 1, -1 (_units); its count
@@ -6,7 +6,10 @@ sequence is N_n = sum_u e_u * u^n.  Recovery inverts that: the counts
 N_1..N_6 determine the exponents through one Vandermonde system over the
 units, solved in closed (Lagrange) form, and the later counts must agree
 with the product it gives.
-Everything in this module is exact; no floating point is used.
+The module holds no surface's factors: those are the Euler factors of
+the global products (globalzeta.euler_factor), the one transcription of
+the theorem.  Everything in this module is exact; no floating point is
+used.
 """
 
 from __future__ import annotations
@@ -57,15 +60,6 @@ class LocalZetaFactors:
 
     def series(self, k: int) -> list[Fraction]:
         return zeta_series_from_counts(self.counts(k))
-
-    def combine(self, other: "LocalZetaFactors", sign: int = 1) -> "LocalZetaFactors":
-        """Product (sign=+1) or quotient (sign=-1) by exponent arithmetic."""
-        if other.p != self.p:
-            raise ValueError("cannot combine local factors at different primes")
-        out = self.as_dict()
-        for u, e in other.factors:
-            out[u] = out.get(u, 0) + sign * e
-        return LocalZetaFactors.from_dict(self.p, out)
 
     def to_json(self):
         return {"p": self.p,
@@ -122,62 +116,3 @@ def recover_factors(counts, p: int) -> LocalZetaFactors:
     if result.counts(len(counts)) != counts:
         raise RecoveryError("recovered factors do not regenerate the counts")
     return result
-
-
-# ---------------------------------------------------------------------------
-# transcribed closed forms
-
-
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def _biprojective_closed_form(surface_id: str, p: int) -> dict[int, int]:
-    if surface_id == "L0":
-        if p == 2:
-            return {4: 1, 2: 3, 1: 1}
-        if _legendre(2, p) == 1:
-            return {p * p: 1, p: 7, 1: 1}
-        return {p * p: 1, p: 6, 1: 1, -p: 1}
-    if surface_id == "L1":
-        if p == 2:
-            # (1-4T)^-1 (1-2T)^-2 (1-T)^-1 (1-4T^2)^-1, the last factor
-            # splitting as (1-2T)^-1 (1+2T)^-1
-            return {4: 1, 2: 3, -2: 1, 1: 1}
-        if p == 5:
-            return {25: 1, 5: 6, 1: 1}
-        if _legendre(5, p) == 1:
-            return {p * p: 1, p: 8, 1: 1}
-        return {p * p: 1, p: 6, -p: 2, 1: 1}
-    if surface_id == "L2":
-        return {p * p: 1, p: 3, 1: 1}
-    raise ValueError(f"unknown surface id {surface_id!r}")
-
-
-def _nonaffine_closed_form(surface_id: str, p: int) -> dict[int, int]:
-    if surface_id in ("L0", "L2"):
-        return {2: 3} if p == 2 else {p: 3, 1: -1}
-    if surface_id == "L1":
-        return {2: 4, 1: -1} if p == 2 else {p: 4, 1: -2}
-    raise ValueError(f"unknown surface id {surface_id!r}")
-
-
-def local_zeta_closed_form(model, p: int, space: str = "biprojective") -> LocalZetaFactors:
-    """The transcribed factor multiset for the branch that applies at p.
-
-    The affine factors are the biprojective ones divided by the
-    non-affine ones (exponent subtraction), mirroring how the affine
-    zeta function is assembled.
-    """
-    surface_id = model if isinstance(model, str) else model.id
-    if space == "biprojective":
-        return LocalZetaFactors.from_dict(p, _biprojective_closed_form(surface_id, p))
-    if space == "nonaffine":
-        return LocalZetaFactors.from_dict(p, _nonaffine_closed_form(surface_id, p))
-    if space == "affine":
-        big = local_zeta_closed_form(surface_id, p, "biprojective")
-        return big.combine(local_zeta_closed_form(surface_id, p, "nonaffine"), sign=-1)
-    raise ValueError(f"unknown space {space!r}")

@@ -14,6 +14,7 @@ from charzeta.fibercount import _bundle_loci, _line_count, _zmul
 from charzeta.finfield import (FieldError, _fq_divmod, _fq_gcd, _fq_monic, _fq_pow,
                                _poly_sub_x, _poly_trim, _prime_factors, split_roots)
 from charzeta.intpoly import IntPoly
+from charzeta.localzeta import LocalZetaFactors
 from charzeta.specialvalues import _MC_CHUNK, _mc_chunk
 from charzeta.surfaces import CountTotals, SurfaceModel, _as_model
 from charzeta.varieties import _zero_masks
@@ -34,6 +35,65 @@ def prime_powers_upto(limit):
                 n += 1
         p += 1
     return sorted(out, key=lambda t: t[0] ** t[1])
+
+
+def _legendre(a, p):
+    """The Legendre symbol (a/p) by Euler's criterion, 0 when p divides a."""
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def _paper_biprojective(surface_id, p):
+    if surface_id == "L0":
+        if p == 2:
+            return {4: 1, 2: 3, 1: 1}
+        if _legendre(2, p) == 1:
+            return {p * p: 1, p: 7, 1: 1}
+        return {p * p: 1, p: 6, 1: 1, -p: 1}
+    if surface_id == "L1":
+        if p == 2:
+            # (1-4T)^-1 (1-2T)^-2 (1-T)^-1 (1-4T^2)^-1, the last factor
+            # splitting as (1-2T)^-1 (1+2T)^-1
+            return {4: 1, 2: 3, -2: 1, 1: 1}
+        if p == 5:
+            return {25: 1, 5: 6, 1: 1}
+        if _legendre(5, p) == 1:
+            return {p * p: 1, p: 8, 1: 1}
+        return {p * p: 1, p: 6, -p: 2, 1: 1}
+    if surface_id == "L2":
+        return {p * p: 1, p: 3, 1: 1}
+    raise ValueError(f"unknown surface id {surface_id!r}")
+
+
+def _paper_nonaffine(surface_id, p):
+    if surface_id in ("L0", "L2"):
+        return {2: 3} if p == 2 else {p: 3, 1: -1}
+    if surface_id == "L1":
+        return {2: 4, 1: -1} if p == 2 else {p: 4, 1: -2}
+    raise ValueError(f"unknown surface id {surface_id!r}")
+
+
+def paper_local_zeta(surface_id, p, space="biprojective"):
+    """Oracle for globalzeta.euler_factor: the paper's local zeta function of
+    a surface at p, transcribed branch by branch from its per-prime table.
+
+    Only the biprojective and non-affine tables are written down; the affine
+    factors are their quotient, by exponent subtraction.  The branches take
+    their own Legendre symbols, so nothing is shared with the global products.
+    """
+    if space == "biprojective":
+        exps = _paper_biprojective(surface_id, p)
+    elif space == "nonaffine":
+        exps = _paper_nonaffine(surface_id, p)
+    elif space == "affine":
+        exps = _paper_biprojective(surface_id, p)
+        for u, e in _paper_nonaffine(surface_id, p).items():
+            exps[u] = exps.get(u, 0) - e
+    else:
+        raise ValueError(f"unknown space {space!r}")
+    return LocalZetaFactors.from_dict(p, exps)
 
 
 @pytest.fixture

@@ -9,15 +9,14 @@ import math
 import pytest
 
 from charzeta import (brute_totals, count_formula, dedekind_expand, dirichlet_L, euler_factor,
-                      global_expression, local_zeta_closed_form, make_field,
-                      mahler_measure_mc, recover_factors, riemann_zeta,
-                      singular_locus, verify_global, verify_table1,
+                      global_expression, make_field, mahler_measure_mc, recover_factors,
+                      riemann_zeta, singular_locus, verify_global, verify_table1,
                       zeta_series_from_counts)
 from charzeta.fibercount import _conic, fiberwise_totals
 from charzeta.finfield import is_prime
 from charzeta.globalzeta import CHI5, CHI8, counts_for_space
 from conftest import (all_fiber_reports, conic_count_brute, expected_singular_points,
-                      fiber_determinant, prime_powers_upto)
+                      fiber_determinant, paper_local_zeta, prime_powers_upto)
 
 SURFACES = ("L0", "L1", "L2")
 SPACES = ("biprojective", "affine", "nonaffine")
@@ -68,7 +67,7 @@ def test_criterion_03_blind_recovery_p2_p3():
             for space in SPACES:
                 counts = counts_for_space(sid, p, space, 14)
                 got = recover_factors(counts, p)
-                want = local_zeta_closed_form(sid, p, space)
+                want = paper_local_zeta(sid, p, space)
                 ok &= got == want
     report("03 blind local-zeta recovery matches closed forms (p = 2, 3)", ok)
 
@@ -80,7 +79,7 @@ def test_criterion_04_series_agreement_larger_primes():
             n_max = 0
             while p ** (n_max + 1) <= 10**6:
                 n_max += 1
-            implied = {space: local_zeta_closed_form(sid, p, space).counts(n_max)
+            implied = {space: paper_local_zeta(sid, p, space).counts(n_max)
                        for space in SPACES}
             for n in range(1, n_max + 1):
                 totals = fiberwise_totals(sid, make_field(p, n))

@@ -128,6 +128,20 @@ def test_count_reports_a_disagreement_after_its_space(capsys, monkeypatch):
     assert all("disagreement" not in r for r in records[4:])
 
 
+def test_count_formula_reads_the_global_product(capsys, monkeypatch):
+    # the formula counts are evaluated on the Euler factors of the global
+    # products, so a wrong Euler factor makes them disagree with the others
+    def wrong(expr, p):
+        return LocalZetaFactors.from_dict(p, {p: 1})
+
+    monkeypatch.setattr(globalzeta, "euler_factor", wrong)
+    code, doc = run_json(capsys, "count", "--surface", "L2", "--p", "3", "--space", "biprojective",
+                         "--method", "all")
+    assert code == 1 and doc["ok"] is False
+    assert doc["records"][-1] == {"surface": "L2", "space": "biprojective",
+                                  "disagreement": {"brute": 19, "fiberwise": 19, "formula": 3}}
+
+
 # stdout SHA-256 of count calls in each format, so that any change to the
 # counting paths prints the same bytes; the json ones equal
 # bench/reference.json's
@@ -182,7 +196,7 @@ def test_zeta_command_series_mode(capsys):
     assert code == 0
     rec = doc["records"][0]
     assert rec["mode"] == "series"
-    assert rec["closed_form"]["factors"] == [
+    assert rec["euler"]["factors"] == [
         {"exp": 1, "unit": 25}, {"exp": 6, "unit": 5}, {"exp": 1, "unit": 1}]
     assert len(rec["counts"]) == 14
     assert rec["match"] is True
@@ -191,12 +205,10 @@ def test_zeta_command_series_mode(capsys):
 @pytest.mark.parametrize("p,space", [("1000003", "biprojective"), ("5", "nonaffine"),
                                      ("2", "nonaffine")])
 def test_zeta_counts_do_not_come_from_the_closed_form(capsys, monkeypatch, p, space):
-    # a closed form and an Euler factor that agree on the same wrong factors
-    # must not pass: the counts have to disagree with them
+    # a wrong Euler factor must not pass: the counts have to disagree with it
     def wrong(*args):
         return LocalZetaFactors.from_dict(int(p), {int(p): 1})
 
-    monkeypatch.setattr(globalzeta, "local_zeta_closed_form", wrong)
     monkeypatch.setattr(globalzeta, "euler_factor", wrong)
     for sid in ("L0", "L1", "L2"):
         assert not globalzeta.check_local_zeta(sid, int(p), space).passed
@@ -208,7 +220,7 @@ def test_zeta_counts_do_not_come_from_the_closed_form(capsys, monkeypatch, p, sp
 def test_zeta_l2_p3(capsys):
     code, doc = run_json(capsys, "zeta", "--surface", "L2", "--p", "3")
     assert code == 0
-    assert doc["records"][0]["closed_form"]["factors"] == [
+    assert doc["records"][0]["euler"]["factors"] == [
         {"exp": 1, "unit": 9}, {"exp": 3, "unit": 3}, {"exp": 1, "unit": 1}]
 
 
@@ -216,6 +228,41 @@ def test_verify_command(capsys):
     code, doc = run_json(capsys, "verify", "--surface", "L2", "--primes", "2..13")
     assert code == 0 and doc["ok"]
     assert [r["p"] for r in doc["records"]] == [2, 3, 5, 7, 11, 13]
+
+
+# stdout SHA-256 of verify and zeta calls, so that any change to the
+# per-prime checks prints the same bytes
+ZETA_STDOUT_SHA256 = [
+    pytest.param(("verify", "--surface", "all", "--primes", "2..31"),
+                 "0e0028776bf8f8cb4aa8449548d664f14ab6b193e9f82fb6799f4f8bc23c31dc", id="verify"),
+    pytest.param(("zeta", "--surface", "all", "--p", "5", "--space", "affine"),
+                 "1e49806b2a5e6d5796161c442db327d18a393c17a5f4b5691cbd8b61c68e9883", id="zeta-5"),
+    pytest.param(("zeta", "--surface", "all", "--p", "2"),
+                 "525ea5cfcdc1f4a621b2d299dd2a51d31a95f20ef150d7cfa44afb5ee593afa1", id="zeta-2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", ZETA_STDOUT_SHA256)
+def test_zeta_and_verify_stdout_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the compact, key-sorted JSON of verify --surface all --primes
+# 2..31 as printed while a second, per-prime transcription of the closed
+# forms was compared too, with the closed_form_match it added to each space
+# item (true everywhere) removed
+_VERIFY_BEFORE_ONE_TRANSCRIPTION = (
+    "fe2e070a46702057aa37f9fd0a3768074e4ae7ed022d7873f249fc3d9523dac6")
+
+
+def test_verify_document_lost_only_the_second_transcription(capsys):
+    _, doc = run_json(capsys, "verify", "--surface", "all", "--primes", "2..31")
+    assert all("closed_form_match" not in item
+               for r in doc["records"] for item in r["spaces"].values())
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == _VERIFY_BEFORE_ONE_TRANSCRIPTION
 
 
 def test_special_command(capsys):
@@ -578,22 +625,25 @@ print(json.dumps({{"code": code, "modules": sorted(name for name in sys.modules
                   "numpy": "numpy" in sys.modules}}))
 """
 
-_FIELD_MODULES = {"cli", "finfield", "intpoly", "surfaces", "fibercount", "localzeta"}
+_FIELD_MODULES = {"cli", "finfield", "intpoly", "surfaces", "fibercount"}
+_ZETA_MODULES = {"globalzeta", "localzeta"}
 
 
 @pytest.mark.parametrize("argv, modules", [
     pytest.param([], {"cli"}, id="import"),
     pytest.param(["mahler", "--samples", "1000", "--tol", "1"], {"cli", "specialvalues"}, id="mahler"),
     pytest.param(["special"], {"cli", "specialvalues", "globalzeta", "localzeta"}, id="special"),
-    pytest.param(["count", "--p", "3"], _FIELD_MODULES | {"varieties"}, id="count"),
+    pytest.param(["count", "--p", "3"], _FIELD_MODULES | _ZETA_MODULES | {"varieties"},
+                 id="count"),
     pytest.param(["count", "--p", "3", "--method", "fiberwise"], _FIELD_MODULES,
                  id="count-fiberwise"),
-    pytest.param(["count", "--p", "3", "--method", "formula"], _FIELD_MODULES, id="count-formula"),
-    pytest.param(["count", "--p", "3", "--method", "formula", "--format", "csv"], _FIELD_MODULES,
-                 id="count-formula-csv"),
+    pytest.param(["count", "--p", "3", "--method", "formula"], _FIELD_MODULES | _ZETA_MODULES,
+                 id="count-formula"),
+    pytest.param(["count", "--p", "3", "--method", "formula", "--format", "csv"],
+                 _FIELD_MODULES | _ZETA_MODULES, id="count-formula-csv"),
     pytest.param(["singular", "--p", "3"], _FIELD_MODULES, id="singular"),
-    pytest.param(["verify", "--primes", "2..5"], _FIELD_MODULES | {"globalzeta"}, id="verify"),
-    pytest.param(["zeta", "--p", "5"], _FIELD_MODULES | {"globalzeta"}, id="zeta"),
+    pytest.param(["verify", "--primes", "2..5"], _FIELD_MODULES | _ZETA_MODULES, id="verify"),
+    pytest.param(["zeta", "--p", "5"], _FIELD_MODULES | _ZETA_MODULES, id="zeta"),
 ])
 def test_each_command_loads_only_its_modules(argv, modules):
     # a cold call compiles and runs every module it imports, so the package

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from charzeta import (CountTotals, FieldError, brute_totals, classify_fiber, count_formula,
                       degenerate_fibers, fiberwise_totals, is_prime, make_field, surface)
-from charzeta import fibercount, localzeta
+from charzeta import fibercount, globalzeta
 from charzeta.fibercount import (_bundle_loci, _conic, _fiber_singular_span, _lift, _line_count,
                                  _locus_factors, _zmul, descent_totals)
 from charzeta.finfield import low_degree_factors, split_roots
-from charzeta.localzeta import local_zeta_closed_form
 from conftest import (_scalar_tables, all_fiber_reports, conic_bundle, conic_count_brute,
                       eval_scalar, fiber_determinant, fiberwise_totals_fq, generated_models,
-                      model_with_points_over_w0, p2_reps, prime_powers_upto)
+                      model_with_points_over_w0, p2_reps, paper_local_zeta,
+                      prime_powers_upto)
 
 
 def test_fiber_form_examples():
@@ -243,7 +243,7 @@ def test_descent_totals_guards():
         with pytest.raises(ValueError):
             descent_totals("L0", 3, n)
     # no field beyond F_{p^2} is built, so p^n past 2^63 is fine
-    closed_form = local_zeta_closed_form("L0", 3, "biprojective")
+    closed_form = paper_local_zeta("L0", 3, "biprojective")
     assert descent_totals("L0", 3, 40).biprojective == closed_form.counts(40)[-1]
 
 
@@ -423,16 +423,17 @@ def test_prime_descent_factors_the_locus_as_low_degree_factors(sid):
 
 
 def test_descent_does_not_use_the_closed_form_characters(monkeypatch, fresh_descent):
-    # the descent is checked against the closed form, so it takes no
-    # Legendre symbol from it
+    # the descent is checked against the global products, so it reads
+    # neither them nor their Euler factors and characters
     cases = [(sid, p, n) for sid in ("L0", "L1", "L2") for p in (3, 5, 7, 31, 999983)
              for n in (1, 2)]
     expected = [count_formula(sid, p, n) for sid, p, n in cases]
 
-    def refuse(a, p):
-        raise AssertionError("the descent called localzeta._legendre")
+    def refuse(*args):
+        raise AssertionError("the descent read a global product")
 
-    monkeypatch.setattr(localzeta, "_legendre", refuse)
+    monkeypatch.setattr(globalzeta, "euler_factor", refuse)
+    monkeypatch.setattr(globalzeta, "global_expression", refuse)
     assert [descent_totals(sid, p, n) for sid, p, n in cases] == expected
 
 

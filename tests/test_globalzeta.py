@@ -4,14 +4,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charzeta import (CHI5, CHI8, dedekind_expand, euler_factor,
-                      global_expression, local_zeta_closed_form,
-                      main_term_expression, verify_global)
+from charzeta import (CHI5, CHI8, LocalZetaFactors, dedekind_expand, euler_factor,
+                      global_expression, main_term_expression, verify_global)
 from charzeta.finfield import is_prime
 from charzeta.globalzeta import SPACES
+from conftest import paper_local_zeta
 
 PRIMES_199 = [p for p in range(2, 200) if is_prime(p)]
 PRIMES_10K = [p for p in range(2, 10**4) if is_prime(p)]
+# the largest primes the table is checked at: past 10^6, the Mersenne prime
+# 2^61 - 1, and the largest prime below 2^63
+BIG_PRIMES = [1000003, 2**61 - 1, 9223372036854775783]
 
 
 def test_characters_tables():
@@ -76,15 +79,27 @@ def test_euler_factor_dedekind_cases():
 
 def test_dirichlet_factor_trivial_at_own_prime():
     e = global_expression("L1", "biprojective")
-    assert euler_factor(e, 5) == local_zeta_closed_form("L1", 5, "biprojective")
+    assert euler_factor(e, 5) == paper_local_zeta("L1", 5, "biprojective")
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
 @pytest.mark.parametrize("space", ["affine", "biprojective", "nonaffine"])
 def test_euler_equals_closed_form_upto_199(sid, space):
+    # the global product against the paper's per-prime table
     expr = global_expression(sid, space)
     for p in PRIMES_199:
-        assert euler_factor(expr, p) == local_zeta_closed_form(sid, p, space), (sid, space, p)
+        assert euler_factor(expr, p) == paper_local_zeta(sid, p, space), (sid, space, p)
+
+
+def test_euler_equals_closed_form_beyond_199():
+    # with the test above, at every prime below 10^4 and at three beyond
+    primes = [p for p in PRIMES_10K if p > 199] + BIG_PRIMES
+    assert all(map(is_prime, BIG_PRIMES))
+    for sid in ("L0", "L1", "L2"):
+        for space in SPACES:
+            expr = global_expression(sid, space)
+            bad = [p for p in primes if euler_factor(expr, p) != paper_local_zeta(sid, p, space)]
+            assert bad == [], (sid, space)
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
@@ -93,7 +108,10 @@ def test_affine_is_quotient_at_every_prime(sid):
         a = euler_factor(global_expression(sid, "affine"), p)
         b = euler_factor(global_expression(sid, "biprojective"), p)
         na = euler_factor(global_expression(sid, "nonaffine"), p)
-        assert a == b.combine(na, sign=-1)
+        quotient = b.as_dict()
+        for u, e in na.factors:
+            quotient[u] = quotient.get(u, 0) - e
+        assert a == LocalZetaFactors.from_dict(p, quotient), (sid, p)
 
 
 def test_dedekind_expand_identity():

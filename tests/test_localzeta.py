@@ -1,4 +1,5 @@
-"""Zeta series from counts, blind factor recovery, and closed forms."""
+"""Zeta series from counts, blind factor recovery, and the paper's local zeta
+functions (the per-prime table in conftest)."""
 
 from fractions import Fraction
 
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charzeta import (LocalZetaFactors, RecoveryError, count_formula,
-                      local_zeta_closed_form, make_field, recover_factors,
-                      zeta_series_from_counts)
+from charzeta import (LocalZetaFactors, RecoveryError, count_formula, make_field,
+                      recover_factors, zeta_series_from_counts)
 from charzeta.varieties import brute_totals
+from conftest import paper_local_zeta
 
 
 def counts_by_formula(sid, p, space, k=14):
@@ -111,13 +112,13 @@ def test_recover_rejects_degenerate_units(p):
 @pytest.mark.parametrize("space", ["biprojective", "nonaffine", "affine"])
 def test_recovery_matches_closed_form(sid, p, space):
     got = recover_factors(counts_by_formula(sid, p, space), p)
-    assert got == local_zeta_closed_form(sid, p, space)
+    assert got == paper_local_zeta(sid, p, space)
 
 
 def test_round_trip_series():
     for sid in ("L0", "L1", "L2"):
         for p in (2, 3, 7):
-            f = local_zeta_closed_form(sid, p, "biprojective")
+            f = paper_local_zeta(sid, p, "biprojective")
             counts = f.counts(14)
             assert zeta_series_from_counts(counts) == f.series(14)
             if p in (2, 3):
@@ -125,14 +126,14 @@ def test_round_trip_series():
 
 
 def test_closed_form_examples():
-    assert local_zeta_closed_form("L0", 7).as_dict() == {49: 1, 7: 7, 1: 1}
-    assert local_zeta_closed_form("L0", 3).as_dict() == {9: 1, 3: 6, -3: 1, 1: 1}
-    assert local_zeta_closed_form("L1", 5).as_dict() == {25: 1, 5: 6, 1: 1}
-    assert local_zeta_closed_form("L2", 3).as_dict() == {9: 1, 3: 3, 1: 1}
-    assert local_zeta_closed_form("L0", 7, "affine").as_dict() == {49: 1, 7: 4, 1: 2}
-    assert local_zeta_closed_form("L0", 3, "nonaffine").as_dict() == {3: 3, 1: -1}
-    assert local_zeta_closed_form("L0", 2, "nonaffine").as_dict() == {2: 3}
-    assert local_zeta_closed_form("L1", 2, "affine").as_dict() == {4: 1, 2: -1, -2: 1, 1: 2}
+    assert paper_local_zeta("L0", 7).as_dict() == {49: 1, 7: 7, 1: 1}
+    assert paper_local_zeta("L0", 3).as_dict() == {9: 1, 3: 6, -3: 1, 1: 1}
+    assert paper_local_zeta("L1", 5).as_dict() == {25: 1, 5: 6, 1: 1}
+    assert paper_local_zeta("L2", 3).as_dict() == {9: 1, 3: 3, 1: 1}
+    assert paper_local_zeta("L0", 7, "affine").as_dict() == {49: 1, 7: 4, 1: 2}
+    assert paper_local_zeta("L0", 3, "nonaffine").as_dict() == {3: 3, 1: -1}
+    assert paper_local_zeta("L0", 2, "nonaffine").as_dict() == {2: 3}
+    assert paper_local_zeta("L1", 2, "affine").as_dict() == {4: 1, 2: -1, -2: 1, 1: 2}
 
 
 def test_weil_integrality():
@@ -152,14 +153,8 @@ def test_factor_validation():
     assert f.factors == ((9, 1), (1, 2))  # zero exponents dropped, sorted
 
 
-def test_combine_quotient():
-    big = local_zeta_closed_form("L2", 7, "biprojective")
-    small = local_zeta_closed_form("L2", 7, "nonaffine")
-    assert big.combine(small, sign=-1) == local_zeta_closed_form("L2", 7, "affine")
-
-
 def test_implied_counts_match_formula():
     for sid in ("L0", "L1", "L2"):
         for p in (2, 3, 5, 7, 11, 13):
-            f = local_zeta_closed_form(sid, p, "biprojective")
+            f = paper_local_zeta(sid, p, "biprojective")
             assert f.counts(8) == counts_by_formula(sid, p, "biprojective", k=8)
