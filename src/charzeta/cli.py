@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import SPACES, SURFACE_IDS
 
@@ -78,9 +79,36 @@ def _flatten(obj, row, prefix=""):
             row[key] = v
 
 
+def _indented(obj, newline: str = "\n") -> str:
+    """What json.dumps writes with an indent of 2 and sorted keys, byte for
+    byte, for a document with str keys; newline starts obj's last line.
+
+    json's C encoder does not indent, and its pure-Python one, which does,
+    takes about twice as long; strings go through json's C escaper, and
+    floats are written as json writes them.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else json.dumps(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_indented(obj[key], inner)}"
+                 for key in sorted(obj)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_indented(item, inner) for item in obj]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return _indented(doc)
     if fmt == "csv":
         import csv  # only --format csv loads it
         records = doc.get("records", [])

@@ -28,7 +28,8 @@ chi_{p^d}(x)^(n/d) and Tr_{F_q/F_2}(x) = (n/d) Tr_{F_{p^d}/F_2}(x).  At
 even n a closed point of degree 2 is two conjugate roots, whose fibers
 the Frobenius swaps, so it counts twice.  No field beyond F_{p^2} is built.
 The descent is cached per SurfaceModel object, registered or not.
-fiberwise_totals returns the three totals as one surfaces.CountTotals.
+fiberwise_totals returns the three totals as one surfaces.CountTotals;
+descent_series returns them for n = 1..k from one read of the descent.
 The singular points lie on the degenerate fibers too (singular_locus).
 
 Closed-form counts are not transcribed here: count_formula evaluates
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from itertools import zip_longest
 
 from . import _record
@@ -138,17 +138,23 @@ def _zmul(a, b):
 def _square_root(d):
     """s with d = lead(d) * s^2, scaled to integer coefficients, or None.
 
-    d is trimmed and integer; s is computed monic in Q[z] first.
+    d is trimmed and integer.  With D = lead(d), the monic s in Q[z] is
+    r / D for the r in Z[z] with r^2 = D * d and lead(r) = D: r is integral
+    by Gauss's lemma, so its coefficients solve by exact division.
     """
     if (len(d) - 1) % 2:
         return None
-    e = (len(d) - 1) // 2
-    t = [Fraction(x, d[-1]) for x in d]
-    s = [Fraction(0)] * e + [Fraction(1)]
-    for j in range(1, e + 1):  # match the z^(2e - j) coefficient of s^2
-        s[e - j] = (t[2 * e - j] - sum(s[e - i] * s[e - j + i] for i in range(1, j))) / 2
-    scale = math.lcm(*(x.denominator for x in s))
-    return [int(x * scale) for x in s] if _zmul(s, s) == t else None
+    e, lead = (len(d) - 1) // 2, d[-1]
+    r = [0] * e + [lead]
+    for j in range(1, e + 1):  # match the z^(2e - j) coefficient of r^2
+        r[e - j], rem = divmod(lead * d[2 * e - j] - sum(r[e - i] * r[e - j + i]
+                                                         for i in range(1, j)), 2 * lead)
+        if rem:
+            return None
+    if _zmul(r, r) != [lead * x for x in d]:
+        return None
+    scale = math.lcm(*(abs(lead) // math.gcd(x, lead) for x in r))  # of the denominators of r/D
+    return [x * scale // lead for x in r]
 
 
 @functools.lru_cache(maxsize=None)
@@ -354,23 +360,43 @@ def descent_totals(model, p: int, n: int) -> CountTotals:
 
 @functools.lru_cache(maxsize=256)
 def _descent_totals(model: SurfaceModel, p: int, n: int) -> CountTotals:
-    if n < 1:
-        raise ValueError(f"extension degree {n} is below 1")
-    if n % 2 == 0 and p * p > MAX_Q:
+    return _descent_range(model, p, n, n)[0]
+
+
+def descent_series(model, p: int, k: int) -> list[CountTotals]:
+    """[descent_totals(model, p, n) for n in 1..k], reading the descent once.
+
+    Raises as descent_totals does at some n in 1..k: ValueError for k < 1,
+    FieldError for k >= 2 and p^2 > 2^63.  Not cached.
+    """
+    return _descent_range(_as_model(model), p, 1, k)
+
+
+def _descent_range(model: SurfaceModel, p: int, first: int, last: int) -> list[CountTotals]:
+    """descent_totals at n = first..last, with its guards, from one read of
+    the descent; a range with last < first = 1 is refused as n = last."""
+    if min(first, last) < 1:
+        raise ValueError(f"extension degree {min(first, last)} is below 1")
+    even = first < last or first % 2 == 0
+    if even and p * p > MAX_Q:
         raise FieldError(f"fiberwise counts at even n need F_{p}^2, beyond 2^63")
     _, _, generic, infinity, fibers = _prime_descent(model, p)
-    q = p**n
-    by_degree = [(1, fibers)] + ([(2, _quadratic_descent(model, p))] if n % 2 == 0 else [])
-    smooth = q - sum(d * len(group) for d, group in by_degree)
-    at_infinity = q * _lift((infinity - 1) // p, p, q, n) + 1  # entirely non-affine
-    biproj = smooth * (q + 1) + at_infinity
-    nonaffine = smooth * _lift(generic, p, q, n) + at_infinity
-    for d, group in by_degree:
-        q0 = p**d
-        for fiber, line in group:
-            biproj += d * (q * _lift((fiber - 1) // q0, q0, q, n // d) + 1)
-            nonaffine += d * _lift(line, q0, q, n // d)
-    return CountTotals(model.id, p, n, biproj, biproj - nonaffine, nonaffine)
+    quadratic = [(2, _quadratic_descent(model, p))] if even else []
+    series = []
+    for n in range(first, last + 1):
+        q = p**n
+        by_degree = [(1, fibers)] + (quadratic if n % 2 == 0 else [])
+        smooth = q - sum(d * len(group) for d, group in by_degree)
+        at_infinity = q * _lift((infinity - 1) // p, p, q, n) + 1  # entirely non-affine
+        biproj = smooth * (q + 1) + at_infinity
+        nonaffine = smooth * _lift(generic, p, q, n) + at_infinity
+        for d, group in by_degree:
+            q0 = p**d
+            for fiber, line in group:
+                biproj += d * (q * _lift((fiber - 1) // q0, q0, q, n // d) + 1)
+                nonaffine += d * _lift(line, q0, q, n // d)
+        series.append(CountTotals(model.id, p, n, biproj, biproj - nonaffine, nonaffine))
+    return series
 
 
 def fiberwise_totals(model, field: Field) -> CountTotals:

@@ -191,9 +191,9 @@ def euler_factor(expr: GlobalZetaExpr, p: int) -> LocalZetaFactors:
 
 
 def counts_for_space(surface_id: str, p: int, space: str, k: int) -> list[int]:
-    """N_1..N_k of one space, all by fiberwise counting (descent_totals)."""
-    from .fibercount import descent_totals  # deferred: `special` needs no field code
-    return [descent_totals(surface_id, p, n).count(space) for n in range(1, k + 1)]
+    """N_1..N_k of one space, all by fiberwise counting (descent_series)."""
+    from .fibercount import descent_series  # deferred: `special` needs no field code
+    return [t.count(space) for t in descent_series(surface_id, p, k)]
 
 
 @_record
@@ -214,28 +214,42 @@ def check_local_zeta(surface_id: str, p: int, space: str) -> LocalZetaCheck:
     factors are recovered blind from them and must equal the Euler factor;
     for other primes they must equal the counts the Euler factor implies.
     """
+    return _check_counts(surface_id, p, space,
+                         counts_for_space(surface_id, p, space, RECOVERY_COUNTS))
+
+
+def _check_counts(surface_id: str, p: int, space: str, counts: list[int]) -> LocalZetaCheck:
     euler = euler_factor(global_expression(surface_id, space), p)
-    mode = "recovered" if p in RECOVERY_PRIMES else "series"
-    counts = counts_for_space(surface_id, p, space, RECOVERY_COUNTS)
-    if mode == "recovered":
-        try:
-            got = recover_factors(counts, p)
-            detail, ok = {"recovered": got.to_json()}, got == euler
-        except RecoveryError as exc:
-            detail, ok = {"recovered": None, "error": str(exc)}, False
-    else:
-        first_bad = next((n for n, (x, y) in enumerate(zip(counts, euler.counts(len(counts))), 1)
-                          if x != y), None)
-        detail, ok = {"first_mismatch_n": first_bad}, first_bad is None
-    return LocalZetaCheck(mode, euler, tuple(counts), detail, ok)
+    if p not in RECOVERY_PRIMES:
+        first_bad = _first_mismatch(counts, euler)
+        return LocalZetaCheck("series", euler, tuple(counts), {"first_mismatch_n": first_bad},
+                              first_bad is None)
+    try:
+        got = recover_factors(counts, p)
+        detail, ok = {"recovered": got.to_json()}, got == euler
+    except RecoveryError as exc:
+        detail, ok = {"recovered": None, "error": str(exc)}, False
+    return LocalZetaCheck("recovered", euler, tuple(counts), detail, ok)
+
+
+def _first_mismatch(counts, euler: LocalZetaFactors) -> int | None:
+    return next((n for n, (x, y) in enumerate(zip(counts, euler.counts(len(counts))), 1)
+                 if x != y), None)
 
 
 def _verify_one_prime(surface_id: str, p: int) -> dict:
-    checks = {space: check_local_zeta(surface_id, p, space) for space in SPACES}
-    # fiberwise counts of every space must agree with those of the Euler factors
-    pairs = [zip(c.counts, c.euler.counts(RECOVERY_COUNTS)) for c in checks.values()]
-    first_bad = next((n for n, row in enumerate(zip(*pairs), 1)
-                      if any(x != y for x, y in row)), None)
+    from .fibercount import descent_series
+    series = descent_series(surface_id, p, RECOVERY_COUNTS)
+    checks = {space: _check_counts(surface_id, p, space, [t.count(space) for t in series])
+              for space in SPACES}
+    # the first n at which the counts of any space differ from those its
+    # Euler factor implies: a series check compared them, and recover_factors
+    # regenerated the counts from its factors, so a recovery that matched
+    # the Euler factor has none
+    mismatches = [c.detail["first_mismatch_n"] if c.mode == "series"
+                  else None if c.passed else _first_mismatch(c.counts, c.euler)
+                  for c in checks.values()]
+    first_bad = min((n for n in mismatches if n is not None), default=None)
     spaces = {}
     for space, c in checks.items():
         spaces[space] = {"euler": c.euler.to_json(), **c.detail, "pass": c.passed}
@@ -250,10 +264,10 @@ def _verify_one_prime(surface_id: str, p: int) -> dict:
 def verify_global(model, primes) -> list[dict]:
     """Check euler_factor(global expression) against computed local zetas.
 
-    Each prime and space goes through check_local_zeta, and the fiberwise
-    counts N_1..N_14 of every space are compared with those the Euler
-    factors imply.  Mismatches become report entries, never exceptions.
-    Reports are ordered by prime.
+    Each prime takes one descent series, and each space is checked on it as
+    check_local_zeta checks it; the fiberwise counts N_1..N_14 of every
+    space are compared with those the Euler factors imply.  Mismatches
+    become report entries, never exceptions.  Reports are ordered by prime.
     """
     surface_id = model if isinstance(model, str) else model.id
     return [_verify_one_prime(surface_id, p) for p in sorted(set(primes))]

@@ -15,7 +15,6 @@ used.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import _record
 
@@ -55,8 +54,12 @@ class LocalZetaFactors:
         return dict(self.factors)
 
     def counts(self, k: int) -> list[int]:
-        """Implied N_1..N_k."""
-        return [sum(e * u**n for u, e in self.factors) for n in range(1, k + 1)]
+        """Implied N_1..N_k, from running powers e * u^n."""
+        terms, out = [e for _, e in self.factors], []
+        for _ in range(k):
+            terms = [t * u for t, (u, _) in zip(terms, self.factors)]
+            out.append(sum(terms))
+        return out
 
     def series(self, k: int) -> list[Fraction]:
         return zeta_series_from_counts(self.counts(k))
@@ -71,6 +74,8 @@ def zeta_series_from_counts(counts) -> list[Fraction]:
 
     Satisfies the Newton-type recurrence k*c_k = sum_{j=1..k} N_j c_{k-j}.
     """
+    from fractions import Fraction  # deferred: only the series builds Fractions
+
     if len(counts) < 1:
         raise ValueError("at least one count is required")
     n = [Fraction(int(x)) for x in counts]
@@ -111,6 +116,7 @@ def recover_factors(counts, p: int) -> LocalZetaFactors:
         raise RecoveryError("unit Vandermonde system is singular")
     for u, (num, den) in zip(us, sol):
         if num % den:
+            from fractions import Fraction
             raise RecoveryError(f"non-integer exponent {Fraction(num, den)} for unit {u}")
     result = LocalZetaFactors.from_dict(p, {u: num // den for u, (num, den) in zip(us, sol)})
     if result.counts(len(counts)) != counts:

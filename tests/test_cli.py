@@ -11,6 +11,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import charzeta
 from charzeta import cli, fibercount, finfield, globalzeta, mahler_measure_mc, varieties
@@ -235,6 +237,11 @@ def test_verify_command(capsys):
 ZETA_STDOUT_SHA256 = [
     pytest.param(("verify", "--surface", "all", "--primes", "2..31"),
                  "0e0028776bf8f8cb4aa8449548d664f14ab6b193e9f82fb6799f4f8bc23c31dc", id="verify"),
+    # the README command, as printed before verify took one descent series
+    # per surface and prime and before the indented emitter
+    pytest.param(("verify", "--surface", "all", "--primes", "2..199"),
+                 "73ad449a75eb0a35db065f981f72ed143646a8e032418d56ba2cd6a7631688d3",
+                 id="verify-199"),
     pytest.param(("zeta", "--surface", "all", "--p", "5", "--space", "affine"),
                  "1e49806b2a5e6d5796161c442db327d18a393c17a5f4b5691cbd8b61c68e9883", id="zeta-5"),
     pytest.param(("zeta", "--surface", "all", "--p", "2"),
@@ -263,6 +270,58 @@ def test_verify_document_lost_only_the_second_transcription(capsys):
                for r in doc["records"] for item in r["spaces"].values())
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == _VERIFY_BEFORE_ONE_TRANSCRIPTION
+
+
+def test_verify_takes_one_series_per_surface_and_prime(capsys, monkeypatch):
+    # each (surface, p) reads the descent once for all three spaces, and each
+    # space's Euler factor implies its counts once; recovery regenerates them
+    # at p = 2 and 3, so the check there needs no second pass
+    calls = {"series": 0, "counts": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fibercount, "descent_series",
+                        counting("series", fibercount.descent_series))
+    monkeypatch.setattr(LocalZetaFactors, "counts", counting("counts", LocalZetaFactors.counts))
+    code, doc = run_json(capsys, "verify", "--surface", "all", "--primes", "2..199")
+    assert code == 0 and len(doc["records"]) == 3 * 46
+    assert calls["series"] == 3 * 46
+    assert calls["counts"] <= 3 * 46 * 3
+
+
+_JSON_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e300, float("nan"),
+                                                       float("inf"), float("-inf")]))
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2**200, 2**200), _JSON_FLOATS,
+                         st.text())
+_JSON_DOCS = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)), max_leaves=20)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_JSON_DOCS)
+@example({"\u00e9\u2603\U0001f600": ["\x00\x1f\x7f\n\"\\", {}, [], [[]], {"": {}}]})
+@example([-0.0, 5e-324, 1e300, float("nan"), float("inf"), -float("inf"), 2**200, -2**200,
+          True, False, None])
+def test_emitter_writes_what_indented_json_writes(doc):
+    assert cli._emit(doc, "json") == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--p", "3", "--n", "2", "--space", "all"],
+    ["zeta", "--p", "2"],
+    ["verify", "--primes", "2..13"],
+    ["singular", "--p", "5", "--n", "2"],
+    ["special"],
+    ["mahler", "--samples", "1000", "--seed", "7"],
+], ids=lambda argv: argv[0])
+def test_each_command_document_is_emitted_as_indented_json(argv):
+    args = build_parser().parse_args(argv)
+    doc, _ = args.func(args)
+    assert cli._emit(doc, "json") == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_special_command(capsys):
@@ -620,7 +679,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = charzeta.cli.main(argv) if argv else 0
 print(json.dumps({{"code": code, "modules": sorted(name for name in sys.modules
                                                  if name.startswith("charzeta.")),
-                  "stdlib": sorted(name for name in ("csv", "dataclasses", "inspect")
+                  "stdlib": sorted(name for name in ("csv", "dataclasses", "decimal",
+                                                     "fractions", "inspect")
                                    if name in sys.modules),
                   "numpy": "numpy" in sys.modules}}))
 """
@@ -651,9 +711,11 @@ def test_each_command_loads_only_its_modules(argv, modules):
     doc = _run_fresh(_LOADED.format(argv=argv))
     assert (doc["code"], doc["modules"]) == (0, sorted(f"charzeta.{name}" for name in modules))
     # nor standard library modules it does not run: the records load no
-    # dataclasses (which brings inspect and ast), and only --format csv
-    # loads csv; numpy loads inspect itself
+    # dataclasses (which brings inspect and ast), only --format csv loads
+    # csv, and only the special values build Fractions at import (fractions
+    # loads decimal); numpy loads inspect itself
     stdlib = set(doc["stdlib"]) - ({"inspect"} if doc["numpy"] else set())
-    assert stdlib == ({"csv"} if "csv" in argv else set())
+    assert stdlib == (({"csv"} if "csv" in argv else set())
+                      | ({"decimal", "fractions"} if "specialvalues" in modules else set()))
     # numpy loads only with the brute-force kernels and the Mahler sampler
     assert doc["numpy"] == ("varieties" in modules or "mahler" in argv)

@@ -1,8 +1,10 @@
 """Fiber forms, fiberwise counting, degenerate fibers, and count formulas."""
 
 import itertools
+import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,8 @@ from charzeta import (CountTotals, FieldError, brute_totals, classify_fiber, cou
                       degenerate_fibers, fiberwise_totals, is_prime, make_field, surface)
 from charzeta import fibercount, globalzeta
 from charzeta.fibercount import (_bundle_loci, _conic, _fiber_singular_span, _lift, _line_count,
-                                 _locus_factors, _zmul, descent_totals)
+                                 _locus_factors, _square_root, _zmul, descent_series,
+                                 descent_totals)
 from charzeta.finfield import low_degree_factors, split_roots
 from conftest import (_scalar_tables, all_fiber_reports, conic_bundle, conic_count_brute,
                       eval_scalar, fiber_determinant, fiberwise_totals_fq, generated_models,
@@ -242,6 +245,8 @@ def test_descent_totals_guards():
     for n in (0, -1):
         with pytest.raises(ValueError):
             descent_totals("L0", 3, n)
+        with pytest.raises(ValueError):
+            descent_series("L0", 3, n)
     # no field beyond F_{p^2} is built, so p^n past 2^63 is fine
     closed_form = paper_local_zeta("L0", 3, "biprojective")
     assert descent_totals("L0", 3, 40).biprojective == closed_form.counts(40)[-1]
@@ -444,7 +449,68 @@ def test_descent_refuses_even_degree_beyond_f_p2(sid):
     p = 2**61 - 1
     with pytest.raises(FieldError):
         descent_totals(sid, p, 2)
+    with pytest.raises(FieldError):
+        descent_series(sid, p, 2)
     assert descent_totals(sid, p, 1) == count_formula(sid, p, 1)
+    assert descent_series(sid, p, 1) == [descent_totals(sid, p, 1)]
+
+
+def _series_cases():
+    primes = [p for p in range(2, 500) if is_prime(p)] + [2**31 - 1]
+    unregistered = generated_models() + [conic_bundle("c=z^3-z-1", _L0_A, _L0_B, [-1, -1, 0, 1])]
+    return ([(surface(sid), p) for sid in ("L0", "L1", "L2") for p in primes]
+            + [(model, p) for model in unregistered for p in primes[:11]])
+
+
+def test_descent_series_equals_descent_totals(fresh_descent):
+    # one read of the descent for n = 1..14, as verify and zeta take it,
+    # against the totals one n at a time; z^3 - z - 1 has roots outside F_{p^2}
+    # at some p, and both refuse it there
+    refused = 0
+    for model, p in _series_cases():
+        try:
+            expected = [descent_totals(model, p, n) for n in range(1, 15)]
+        except ValueError:
+            with pytest.raises(ValueError):
+                descent_series(model, p, 14)
+            refused += 1
+            continue
+        assert descent_series(model, p, 14) == expected, (model.id, p)
+    assert refused > 0
+
+
+def _square_root_by_fractions(d):
+    # the monic square root in Q[z] by Fractions, scaled to integers
+    if (len(d) - 1) % 2:
+        return None
+    e = (len(d) - 1) // 2
+    t = [Fraction(x, d[-1]) for x in d]
+    s = [Fraction(0)] * e + [Fraction(1)]
+    for j in range(1, e + 1):
+        s[e - j] = (t[2 * e - j] - sum(s[e - i] * s[e - j + i] for i in range(1, j))) / 2
+    scale = math.lcm(*(x.denominator for x in s))
+    return [int(x * scale) for x in s] if _zmul(s, s) == t else None
+
+
+@st.composite
+def _square_root_cases(draw):
+    # k * s^2 for integer s, k, sometimes with one coefficient moved off it
+    s = draw(st.lists(st.integers(-9, 9), max_size=4)) + [draw(st.sampled_from([1, -1, 2, -3, 4, 6]))]
+    d = [draw(st.sampled_from([1, -1, 2, -3, 4, 9, -12, 25])) * x for x in _zmul(s, s)]
+    if draw(st.booleans()):
+        d[draw(st.integers(0, len(d) - 1))] += draw(st.sampled_from([1, -1, 2]))
+    while d and d[-1] == 0:
+        d.pop()
+    return d
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.one_of(_square_root_cases(), st.lists(st.integers(-20, 20), min_size=1, max_size=7)
+                 .filter(lambda d: d[-1] != 0)))
+@example([4, 4, 1])  # (2z + 1)^2: s = z + 1/2 scales to 2z + 1
+@example([-3, 0, 2])  # lead 2, not a constant times a square
+def test_square_root_matches_the_rational_recurrence(d):
+    assert _square_root(d) == _square_root_by_fractions(d)
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
