@@ -142,7 +142,7 @@ def cmd_count(args) -> tuple[dict, int]:
     methods = ("brute", "fiberwise", "formula") if args.method == "all" else (args.method,)
     counters = {"fiberwise": fiberwise_totals,
                 "formula": lambda sid, field: count_formula(sid, field.p, field.n)}
-    if "brute" in methods:  # only brute counts load numpy and the kernels
+    if "brute" in methods:  # only brute counts load the independent count
         from .varieties import brute_totals
         counters["brute"] = brute_totals
     records = []
@@ -318,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    numpy is first imported inside the commands that build arrays, and on
-    import OpenBLAS starts a worker thread per core unless
+    numpy is first imported inside mahler, the one command that builds
+    arrays, and on import OpenBLAS starts a worker thread per core unless
     OPENBLAS_NUM_THREADS says otherwise.  charzeta makes no BLAS call, so
     main sets that variable to 1 before it dispatches, unless it is already
     set; importing charzeta as a library leaves the environment alone.

@@ -300,10 +300,19 @@ def _locus_factors(locus, p: int):
 def _residue_counts(model, f, field: Field):
     """(points, points on the line u = 0) of the fiber over the closed point
     f = 0 of the line w = 1, f monic irreducible over F_p, in its residue
-    field F_p[z]/(f) = field: a, b and c are reduced mod f."""
+    field F_p[z]/(f) = field: a, b and c are reduced mod f, for a linear
+    f = z - r by their values at r (Horner's rule)."""
     p = field.p
-    a, b, c = (field.encode(_poly_divmod([x % p for x in model._quad_zw[m]], f, p)[1])
-               for m in ((2, 0, 0), (1, 1, 0), (0, 0, 2)))
+
+    def residue(coeffs):
+        if len(f) == 2:
+            v, r = 0, -f[0] % p
+            for x in reversed(coeffs):
+                v = (v * r + x) % p
+            return v
+        return field.encode(_poly_divmod([x % p for x in coeffs], f, p)[1])
+
+    a, b, c = (residue(model._quad_zw[m]) for m in ((2, 0, 0), (1, 1, 0), (0, 0, 2)))
     form = (a, a, c, b, 0, 0)
     return _conic(field, form)[0], _line_count(field, form)
 

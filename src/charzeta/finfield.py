@@ -8,10 +8,10 @@ digit operations per call, with no exponentiation: multiplication is the
 schoolbook product of the digit vectors reduced by the modulus, inversion
 runs the extended Euclidean algorithm against the modulus, and the
 quadratic character is the Legendre symbol of the norm, a resultant over
-F_p.  Discrete log tables (exp_log_tables) exist for q <= MAX_TABLE_Q =
-2048, which covers every field brute-force enumeration reaches; there a
-product of an array of encodings by one element is a single table gather
-(see varieties._zero_masks).
+F_p.  Discrete log tables (exp_log_tables), Python lists, exist for
+q <= MAX_TABLE_Q = 2048, which covers every field the independent count of
+varieties reaches; it multiplies by adding logs.  No part of this module
+uses numpy.
 
 The extension modulus is the first irreducible monic polynomial in
 ascending order of its coefficient encoding, so field construction is
@@ -387,12 +387,10 @@ class Field:
         raise AssertionError("no generator found")  # unreachable for q > 2
 
     def exp_log_tables(self):
-        """(exp, log) discrete-log tables for q <= MAX_TABLE_Q, built lazily.
+        """(exp, log) discrete-log lists for q <= MAX_TABLE_Q, built lazily.
 
-        exp[k] is the encoding of g^k for a fixed generator g; log inverts
-        exp on nonzero encodings (log[0] is a meaningless sentinel, callers
-        must mask zeros first).  They are the only numpy arrays this module
-        builds, so numpy is imported here and scalar arithmetic never loads it.
+        exp[k] is the encoding of g^k, k < q - 1, for a fixed generator g;
+        log inverts exp on nonzero encodings, and log[0] is None.
         """
         if self._exp is None:
             if self.q > MAX_TABLE_Q:
@@ -402,10 +400,9 @@ class Field:
             exp = [1]
             for _ in range(q - 2):
                 exp.append(self.mul(exp[-1], g))
-            import numpy as np  # deferred: only table users pay its import
-            exp = np.array(exp, dtype=np.int64)
-            log = np.zeros(q, dtype=np.int64)
-            log[exp] = np.arange(q - 1, dtype=np.int64)
+            log = [None] * q
+            for k, e in enumerate(exp):
+                log[e] = k
             self._exp, self._log = exp, log
         return self._exp, self._log
 

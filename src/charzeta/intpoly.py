@@ -2,11 +2,10 @@
 
 A minimal representation used for the surface equations: a polynomial is a
 mapping from exponent tuples (aligned with a fixed variable list) to
-nonzero integer coefficients.  Supports the exact operations the
-package needs: grouping by a subset of variables, and evaluation over the
-integers.
-Finite-field evaluation lives with its callers: surfaces splits a form by
-its (x, y, u)-monomials, and varieties evaluates the pieces over F_q.
+nonzero integer coefficients, with evaluation over the integers.
+Finite-field evaluation lives with its callers, which read the terms: surfaces
+takes the fiber forms' coefficient lists over z, and varieties reads f as a
+quadratic in y whose coefficients are forms in z, each evaluated over F_q.
 """
 
 from __future__ import annotations
@@ -29,20 +28,6 @@ class IntPoly:
     def degree(self, var: str) -> int:
         i = self.vars.index(var)
         return max((e[i] for e in self.terms), default=0)
-
-    def group_by(self, subset) -> dict:
-        """Split into {exponents over `subset`: IntPoly in the other vars}."""
-        subset = tuple(subset)
-        idx = [self.vars.index(v) for v in subset]
-        rest = [i for i in range(len(self.vars)) if i not in idx]
-        rest_vars = tuple(self.vars[i] for i in rest)
-        out = {}
-        for e, c in self.terms.items():
-            key = tuple(e[i] for i in idx)
-            e2 = tuple(e[i] for i in rest)
-            out.setdefault(key, {})
-            out[key][e2] = out[key].get(e2, 0) + c
-        return {k: IntPoly(rest_vars, t) for k, t in out.items()}
 
     def eval_int(self, values: dict) -> int:
         total = 0

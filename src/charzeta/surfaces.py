@@ -44,8 +44,8 @@ def _zw_values(field: Field, coeff_lists, deg: int, z: int, w: int) -> list[int]
     The monomials z^k w^(deg-k) are running products (no w powers when
     w = 1); each form is summed digit by digit and reduced mod p once.
     Scalar field arithmetic, so it works at any q: fiber_form_encs and
-    fibercount.singular_locus use it, and it is the reference for
-    varieties._form_weights, which the brute-force kernel uses instead.
+    fibercount.singular_locus use it.  The independent count of varieties
+    evaluates its forms on its own, by Horner's rule.
     """
     monos = [1]
     for _ in range(deg):
@@ -64,19 +64,6 @@ def _zw_values(field: Field, coeff_lists, deg: int, z: int, w: int) -> list[int]
                 acc = [x + c * y for x, y in zip(acc, dig)]
         out.append(field.encode(acc))
     return out
-
-
-def _split_form(poly: IntPoly):
-    """(monomials in (x, y, u), their coefficient lists over z^k w^(d-k), d)."""
-    groups = sorted(poly.group_by(("x", "y", "u")).items())
-    deg = max((sum(e) for _, g in groups for e in g.terms), default=0)
-    lists = []
-    for _, g in groups:
-        coeffs = [0] * (deg + 1)
-        for (ez, _), c in g.terms.items():
-            coeffs[ez] = c
-        lists.append(tuple(coeffs))
-    return tuple(m for m, _ in groups), tuple(lists), deg
 
 
 class SurfaceModel:
@@ -99,12 +86,9 @@ class SurfaceModel:
         self.f = affine
         self.F = IntPoly(("x", "y", "u", "z", "w"), terms)
         self.deg_zw = d
-        # F split by (x, y, u)-monomials, for the brute-force kernel; the
-        # fiber extractor reads its six coefficient lists over z^k w^(d-k)
-        self._form = _split_form(self.F)
-        monos, lists, _ = self._form
-        split = dict(zip(monos, lists))
-        self._quad_zw = {m: split.get(m, (0,) * (d + 1)) for m in QUAD_MONOMIALS}
+        # the fiber extractor's six coefficient lists over z^k w^(d-k)
+        self._quad_zw = {(a, b, u): tuple(terms.get((a, b, u, k, d - k), 0) for k in range(d + 1))
+                         for a, b, u in QUAD_MONOMIALS}
 
     def fiber_form_encs(self, basepoint, field: Field) -> tuple[int, ...]:
         """Six coefficients (x^2, y^2, u^2, xy, xu, yu) of the fiber at (z : w).

@@ -17,7 +17,6 @@ from charzeta.intpoly import IntPoly
 from charzeta.localzeta import LocalZetaFactors
 from charzeta.specialvalues import _MC_CHUNK, _mc_chunk
 from charzeta.surfaces import CountTotals, SurfaceModel, _as_model
-from charzeta.varieties import _zero_masks
 
 MAX_ALL_REPORTS_Q = 4096
 
@@ -214,15 +213,30 @@ def _p2_rep_arrays(p, n):
     return tuple(np.array(c, dtype=np.int64) for c in zip(*p2_reps(make_field(p, n))))
 
 
+@functools.lru_cache(maxsize=None)
+def _p2_monomial(p, n, exps):
+    """The monomial in (x, y, u) with exponents exps at every point of
+    p2_reps, by the scalar tables."""
+    _, mul, _ = _scalar_tables(p, n)
+    return [_monomial(mul, 1, xyu, exps) for xyu in p2_reps(make_field(p, n))]
+
+
 def biprojective_zero_reps(model, field):
-    """Canonical representatives (x, y, u, z, w) of the zeros of F, from the
-    brute-force kernel over all of P^2 at every base point."""
-    x, y, u = _p2_rep_arrays(field.p, field.n)
+    """Canonical representatives (x, y, u, z, w) of the zeros of F at the
+    points of p2_reps x p1_reps: over each base point F is a form in
+    (x, y, u), summed term by term with the scalar tables at every plane
+    point."""
+    add, mul, _ = _scalar_tables(field.p, field.n)
+    plane = p2_reps(field)
     reps = []
-    for (z, w), mask in _zero_masks(_as_model(model)._form, field, (x, y, u), p1_reps(field)):
-        idx = mask.nonzero()[0]
-        reps.extend((a, b, c, z, w) for a, b, c in
-                    zip(x[idx].tolist(), y[idx].tolist(), u[idx].tolist()))
+    for zw in p1_reps(field):
+        form = {}
+        for e, c in _as_model(model).F.terms.items():
+            form[e[:3]] = add[form.get(e[:3], 0)][_monomial(mul, field.int_(c), zw, e[3:])]
+        values = [0] * len(plane)
+        for e, c in form.items():
+            values = [add[v][mul[c][m]] for v, m in zip(values, _p2_monomial(field.p, field.n, e))]
+        reps += [xyu + zw for xyu, v in zip(plane, values) if v == 0]
     return reps
 
 
@@ -303,17 +317,21 @@ def eval_scalar(poly, field, point):
     """poly at one point (encodings aligned with poly.vars), term by term.
 
     Uses addition and multiplication tables built from Field.add and
-    Field.mul, so it shares no code with the vectorised evaluators.
+    Field.mul, so it shares no code with the counting paths.
     """
     add, mul, _ = _scalar_tables(field.p, field.n)
     acc = 0
     for e, c in poly.terms.items():
-        t = field.int_(c)
-        for v, k in zip(point, e):
-            for _ in range(k):
-                t = mul[t][v]
-        acc = add[acc][t]
+        acc = add[acc][_monomial(mul, field.int_(c), point, e)]
     return acc
+
+
+def _monomial(mul, t, point, exps):
+    """t times the monomial with exponents exps at point, by the table mul."""
+    for v, k in zip(point, exps):
+        for _ in range(k):
+            t = mul[t][v]
+    return t
 
 
 def zero_points_scalar(poly, field, points):

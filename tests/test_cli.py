@@ -62,20 +62,21 @@ def test_count_brute_beyond_old_biprojective_cap(capsys):
 
 
 def test_count_all_spaces_makes_two_brute_passes_per_surface(capsys, monkeypatch):
-    # the chart (x, y, 1) and the line u = 0, each over all of P^1, give the
-    # counts in all three spaces
+    # the chart (x, y, 1), q points x over each base point, and the line
+    # u = 0, one quadratic over each, both over all of P^1, give the counts
+    # in all three spaces
     passes = []
-    zero_masks = varieties._zero_masks
+    solutions = varieties._solutions
 
-    def counted(forms, field, plane, bases):
-        passes.append(len(bases))
-        return zero_masks(forms, field, plane, bases)
+    def counted(F, a, b, c, xs):
+        passes.append(len(xs))
+        return solutions(F, a, b, c, xs)
 
-    monkeypatch.setattr(varieties, "_zero_masks", counted)
+    monkeypatch.setattr(varieties, "_solutions", counted)
     code, doc = run_json(capsys, "count", "--surface", "all", "--space", "all", "--method",
                          "brute", "--p", "5")
     assert code == 0 and len(doc["records"]) == 9
-    assert passes == [6] * 6
+    assert passes == ([5] * 6 + [1] * 6) * 3
 
 
 def test_count_fiberwise_beyond_old_char2_cap(capsys):
@@ -593,13 +594,13 @@ run("zeta", "--p", "3")
 run("special")
 run("count", "--p", "5", "--method", "fiberwise")
 run("count", "--p", "5", "--method", "formula")
+run("count", "--p", "3", "--n", "2", "--method", "brute")
+run("count", "--p", "2", "--n", "3")
 after_commands = "numpy" in sys.modules
 watch.phase = "mahler"
 mahler = [x.hex() for x in charzeta.mahler_measure_mc("1+x+y+z", 300_000, 7)]
-watch.phase = "brute"
-run("count", "--p", "3", "--n", "2", "--method", "brute")
 print(json.dumps({"seen": seen, "codes": codes, "after_commands": after_commands,
-                  "mahler": mahler, "after_brute": "numpy" in sys.modules}))
+                  "mahler": mahler}))
 """
 
 
@@ -637,22 +638,21 @@ def test_closed_stdout_exits_quietly_with_its_own_status():
 def test_numpy_loads_only_where_arrays_are_built():
     doc = _run_fresh(_COLD_START)
     assert set(doc["codes"].values()) == {0}
-    # verify, zeta, special and the fiberwise and formula counts run on
-    # Python integers and floats alone
+    # verify, zeta, special and the counts by every method run on Python
+    # integers and floats alone
     assert not doc["after_commands"]
     # the Mahler Monte Carlo loads numpy on the calling thread before its
     # pool starts, and its value does not depend on who loaded numpy
     assert doc["seen"] == [["mahler", "MainThread"]]
     assert doc["mahler"] == [x.hex() for x in mahler_measure_mc("1+x+y+z", 300_000, 7)]
-    assert doc["after_brute"]
 
 
-# Runs in a fresh interpreter, where the brute count is the first to load numpy.
+# Runs in a fresh interpreter, where mahler is the first to load numpy.
 _BLAS_THREADS = """
 import contextlib, io, json, os, sys
 import charzeta.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = charzeta.cli.main(["count", "--p", "5", "--method", "brute"])
+    code = charzeta.cli.main(["mahler", "--samples", "1000", "--tol", "1"])
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "var": os.environ.get("OPENBLAS_NUM_THREADS"),
                   "tasks": len(os.listdir("/proc/self/task"))}))
@@ -717,5 +717,6 @@ def test_each_command_loads_only_its_modules(argv, modules):
     stdlib = set(doc["stdlib"]) - ({"inspect"} if doc["numpy"] else set())
     assert stdlib == (({"csv"} if "csv" in argv else set())
                       | ({"decimal", "fractions"} if "specialvalues" in modules else set()))
-    # numpy loads only with the brute-force kernels and the Mahler sampler
-    assert doc["numpy"] == ("varieties" in modules or "mahler" in argv)
+    # numpy loads only with the Mahler sampler: no count, brute force
+    # included, loads it
+    assert doc["numpy"] == ("mahler" in argv)

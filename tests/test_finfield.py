@@ -330,6 +330,7 @@ def test_scalar_kernels_match_exponentiation_and_schoolbook(pn, a, b):
 def test_table_cap_covers_brute_force():
     assert MAX_AFFINE_Q <= MAX_TABLE_Q == 2048
     exp, log = Field(2, 11).exp_log_tables()  # q = 2048, at the cap
-    assert len(exp) == 2047 and sorted(exp.tolist()) == list(range(1, 2048))
+    assert len(exp) == 2047 and sorted(exp) == list(range(1, 2048))
+    assert log[0] is None and all(log[e] == k for k, e in enumerate(exp))
     with pytest.raises(FieldError):
         Field(2053).exp_log_tables()  # the first field above the cap

@@ -1,24 +1,25 @@
 """Surface models, brute-force counts, and the singular-locus checker."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import charzeta
 from charzeta import (SURFACE_IDS, BiprojectivePoint, FieldError, brute_totals, count_formula,
                       fiberwise_totals, make_field, singular_locus, surface, varieties)
-from charzeta.intpoly import IntPoly
 from charzeta.surfaces import _as_model, _zw_values
-from charzeta.varieties import (MAX_AFFINE_Q, _affine_plane, _check_packed_headroom,
-                                _check_prime_headroom, _fiber_counts, _form_weights, _line_plane,
-                                _monomial_grids, _zero_masks)
-from conftest import (_p2_rep_arrays, _scalar_tables, biprojective_zero_reps, chart_verdicts,
-                      eval_scalar, expected_singular_points, generated_models,
-                      model_with_points_over_w0, p1_reps, p2_reps, prime_powers_upto, set_one,
-                      singular_points_by_charts, zero_points_scalar)
+from charzeta.varieties import _Y_FORMS, _Logs, _Residues, _solutions
+from conftest import (_scalar_tables, biprojective_zero_reps, chart_verdicts, eval_scalar,
+                      expected_singular_points, generated_models, model_with_points_over_w0,
+                      p1_reps, p2_reps, prime_powers_upto, set_one, singular_points_by_charts,
+                      zero_points_scalar)
 
 
 def test_surface_ids():
@@ -142,13 +143,18 @@ def test_singular_locus_char2_families(sid, n):
     assert singular_locus(sid, field) == expected_singular_points(sid, field)
 
 
-@settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(st.sampled_from(["L0", "L1", "L2", model_with_points_over_w0()]),
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.sampled_from(["L0", "L1", "L2", model_with_points_over_w0(), *generated_models()]),
        st.sampled_from(prime_powers_upto(27)))
 @example(model_with_points_over_w0(), (2, 2))
+@example(generated_models()[0], (3, 3))
+@example(generated_models()[-1], (2, 4))
 def test_brute_kernel_matches_scalar_enumeration(sid, pn):
-    # prime fields, characteristic 2 and odd extension fields up to q = 27;
-    # only the last model has points over (1 : 0) in the chart u = 1
+    # prime fields, characteristic 2 and odd extension fields up to q = 27,
+    # for the three surfaces and the generated conic bundles; only
+    # L0 + xuz^3 has points over (1 : 0) in the chart u = 1.  The
+    # biprojective count is compared with the enumeration directly, not
+    # only as the sum of the other two
     field = make_field(*pn)
     m = _as_model(sid)
     q = field.q
@@ -156,159 +162,160 @@ def test_brute_kernel_matches_scalar_enumeration(sid, pn):
     affine = zero_points_scalar(m.f, field, [(x, y, z) for x in range(q)
                                              for y in range(q) for z in range(q)])
     assert totals.affine == len(affine)
-    reps = [xyu + zw for xyu in p2_reps(field) for zw in p1_reps(field)]
-    biproj = zero_points_scalar(m.F, field, reps)
+    biproj = biprojective_zero_reps(m, field)
     assert totals.biprojective == len(biproj)
-    assert sorted(biprojective_zero_reps(sid, field)) == sorted(biproj)
-    nonaffine = zero_points_scalar(m.F, field, [r for r in reps if r[2] == 0 or r[4] == 0])
-    assert totals.nonaffine == len(nonaffine)
+    assert totals.nonaffine == len([r for r in biproj if r[2] == 0 or r[4] == 0])
 
 
-@settings(derandomize=True, database=None, max_examples=50, deadline=None)
-@given(st.sampled_from(["L0", "L1", "L2"]), st.sampled_from(prime_powers_upto(27)))
-@example("L1", (3, 3))
-@example("L0", (2, 4))
-@example("L2", (5, 2))
-def test_kernel_zero_sets_match_scalar_enumeration(sid, pn):
-    # F over all of P^2 x P^1, as one flat plane
-    field = make_field(*pn)
-    m = surface(sid)
-    plane = _p2_rep_arrays(field.p, field.n)
-    got = [tuple(int(c[i]) for c in plane) + zw
-           for zw, mask in _zero_masks(m._form, field, plane, p1_reps(field))
-           for i in np.flatnonzero(mask)]
-    reps = [xyu + zw for xyu in p2_reps(field) for zw in p1_reps(field)]
-    assert sorted(got) == sorted(zero_points_scalar(m.F, field, reps))
+def _arithmetic(field):
+    return _Residues(field) if field.n == 1 and field.p > 2 else _Logs(field)
 
 
-def test_monomial_grids_match_scalar_products():
-    # residues over F_p, discrete logs with the zero sentinel 2(q - 1) over
-    # F_{p^n}; u is a broadcasting length-1 array, once zero and once not
-    monos = [e for e in np.ndindex(3, 3, 3) if sum(e) <= 2]
-    for p, n in [(5, 1), (3, 2), (2, 3), (7, 2)]:
-        field = make_field(p, n)
-        q = field.q
-        if n > 1:  # the exp table lists the powers of a generator, by Field.mul
-            _, mul, _ = _scalar_tables(p, n)
-            exp = field.exp_log_tables()[0].tolist()
-            assert sorted(exp) == list(range(1, q))
-            assert all(mul[a][exp[1]] == b for a, b in zip(exp, exp[1:]))
-        x, y = np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
-        for u in (0, q - 1):
-            grids = _monomial_grids(field, (x, y, np.array([u])), monos)
-            for mono, g in zip(monos, grids):
-                g = np.broadcast_to(g, x.shape).tolist()
-                if n > 1:
-                    assert all(0 <= v < q - 1 or v == 2 * (q - 1) for v in g)
-                    g = [0 if v == 2 * (q - 1) else exp[v] for v in g]
-                poly = IntPoly(("x", "y", "u"), {mono: 1})
-                want = [eval_scalar(poly, field, (a, b, u)) for a, b in zip(x.tolist(), y.tolist())]
-                assert g == want, (p, n, mono, u)
+def _to_repr(F, e):
+    """The element of encoding e in F's representation: a residue or a log."""
+    return e if isinstance(F, _Residues) else F.log[e]
 
 
-def _weights_match_scalar(field, bases):
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+def test_solutions_match_scalar_enumeration(p, n):
+    # the rule of each branch (a = 0, odd p, p = 2) against the y in F_q
+    # with a y^2 + b y + c = 0, at every (a, b, c), from the scalar tables
+    field = make_field(p, n)
+    F = _arithmetic(field)
+    add, mul, _ = _scalar_tables(p, n)
+    q = field.q
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                want = sum(add[add[mul[a][mul[y][y]]][mul[b][y]]][c] == 0 for y in range(q))
+                r = [_to_repr(F, e) for e in (a, b, c)]
+                assert _solutions(F, r[0], (r[1],), (r[2],), [F.zero]) == want, (a, b, c)
+    # and summed over every x with B and C of degree 1 and 2 in x
+    rng = random.Random(q)
+    for _ in range(30):
+        a, b0, b1, c0, c1, c2 = (rng.choice([0, 1, rng.randrange(q)]) for _ in range(6))
+        want = sum(add[add[mul[a][mul[y][y]]][mul[add[b0][mul[b1][x]]][y]]]
+                   [add[add[c0][mul[c1][x]]][mul[c2][mul[x][x]]]] == 0
+                   for x in range(q) for y in range(q))
+        r = [_to_repr(F, e) for e in (a, b0, b1, c0, c1, c2)]
+        assert _solutions(F, r[0], tuple(r[1:3]), tuple(r[3:]), F.elements) == want
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (2, 4), (3, 3), (7, 2)])
+def test_log_tables_match_scalar_arithmetic(p, n):
+    # exp lists the powers of a generator by Field.mul and log inverts it;
+    # the Zech logs, the trace table and the sums and products on logs
+    # agree with Field.add, Field.mul and Field.trace
+    field = make_field(p, n)
+    q = field.q
+    exp, log = field.exp_log_tables()
+    assert sorted(exp) == list(range(1, q)) and log[0] is None
+    assert all(log[e] == k for k, e in enumerate(exp))
+    F = _Logs(field)
+    g = exp[1] if q > 2 else 1
+    _, mul, _ = _scalar_tables(p, n)
+    assert all(mul[a][g] == b for a, b in zip(exp, exp[1:]))
+    for k, e in enumerate(exp):
+        one_plus = field.add(1, e)
+        assert F.zech[k] == (log[one_plus] if one_plus else None)
+        if p == 2:
+            assert F.trace[k] == field.trace(e)
+    for a in range(q):
+        for b in range(q):
+            assert F.add(log[a], log[b]) == log[field.add(a, b)]
+            assert F.mul(log[a], log[b]) == log[field.mul(a, b)]
+
+
+def _form_values_match_scalar(field, zs):
+    F = _arithmetic(field)
+    exp = field.exp_log_tables()[0] if isinstance(F, _Logs) else None
     for sid in SURFACE_IDS:
-        form = surface(sid)._form
-        _, lists, deg = form
-        want = [_zw_values(field, lists, deg, z, w) for z, w in bases]
-        assert _form_weights(field, form, bases) == want, (sid, field)
+        m = surface(sid)
+        d = m.deg_zw
+        for i, j in _Y_FORMS:
+            coeffs = [m.f.terms.get((i, j, k), 0) for k in range(d + 1)]
+            got = F.values([F.const(c) for c in coeffs], [_to_repr(F, z) for z in zs])
+            if exp is not None:
+                got = [0 if v is None else exp[v] for v in got]
+            assert got == [_zw_values(field, [coeffs], d, z, 1)[0] for z in zs], (sid, field)
 
 
 def test_form_weights_match_scalar_weights():
-    # F of every model: at every base point of each field with
-    # q <= 128, and at the cap-edge fields at (1 : 0) and a seeded sample of
-    # bases (z : 1) that includes z = 0, 1 and q - 1
+    # the weights of the base points (z : 1), the values there of the forms
+    # A, b0, b1, c0, c1 and c2 of every surface by Horner's rule on residues
+    # or logs, against surfaces._zw_values: at every z of each
+    # field with q <= 128, and at the cap-edge fields at a seeded sample of
+    # z that includes 0, 1 and q - 1
     for p, n in prime_powers_upto(128):
-        _weights_match_scalar(make_field(p, n), p1_reps(make_field(p, n)))
+        _form_values_match_scalar(make_field(p, n), range(p**n))
     rng = random.Random(2039)
     for p, n in [(2, 11), (3, 6), (43, 2), (2039, 1)]:
         q = p**n
-        zs = sorted({0, 1, q - 1, *rng.sample(range(q), 61)})
-        _weights_match_scalar(make_field(p, n), [(z, 1) for z in zs] + [(1, 0)])
+        _form_values_match_scalar(make_field(p, n), sorted({0, 1, q - 1, *rng.sample(range(q), 61)}))
 
 
 def test_nonaffine_brute_never_builds_p2(monkeypatch):
-    # near q = 2048 the P^2 arrays would take about 100 MB; the counts in
-    # every space enumerate the chart (x, y, 1) and the line u = 0 instead
-    planes, zero_masks = [], varieties._zero_masks
+    # the counts in every space sum the chart (x, y, 1) over each of the
+    # q + 1 base points, q points x each, and then the line u = 0 over each,
+    # one quadratic each: O(q^2) work over lists of O(q) entries
+    calls, solutions = [], varieties._solutions
 
-    def recorded(form, field, plane, bases):
-        planes.append((field.q, np.broadcast(*plane).size))
-        return zero_masks(form, field, plane, bases)
+    def recorded(F, a, b, c, xs):
+        calls.append(len(xs))
+        return solutions(F, a, b, c, xs)
 
-    monkeypatch.setattr(varieties, "_zero_masks", recorded)
+    monkeypatch.setattr(varieties, "_solutions", recorded)
     totals = brute_totals("L0", make_field(3))
     assert (totals.biprojective, totals.affine, totals.nonaffine) == (25, 17, 8)
     assert brute_totals("L1", make_field(2, 3)) == count_formula("L1", 2, 3)
-    assert planes == [(3, 3 * 3), (3, 3 + 1), (8, 8 * 8), (8, 8 + 1)]
+    assert calls == [3] * 4 + [1] * 4 + [8] * 9 + [1] * 9
 
 
-def test_affine_brute_holds_little_beyond_its_grids():
-    # at q = 509 the count needs three int32 grids of q^2 entries (x^2, y^2,
-    # xy; u^2 is one entry) and the mask, 3.8 MiB; int64 coordinate arrays
-    # of q^2 entries and int64 grid temporaries would take 11.9 MiB
+def test_brute_count_holds_linear_memory():
+    # at q = 509 the count holds lists of O(q) entries, the forms' values at
+    # every base and the values of one chart, about 0.13 MiB; one list of
+    # q^2 entries would take 2 MiB
     field = make_field(509)
     tracemalloc.start()
     try:
-        count = brute_totals("L1", field).affine
+        totals = brute_totals("L1", field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == fiberwise_totals("L1", field).affine
-    assert peak < 11.9 * 2**20 / 2
+    assert totals == fiberwise_totals("L1", field)
+    assert peak < 2**20 / 2
 
 
-def test_prime_accumulation_refuses_int32_overflow():
-    _check_prime_headroom(6, MAX_AFFINE_Q)
-    _check_prime_headroom(2, 32768)            # 2 * 32767^2 < 2^31
-    with pytest.raises(OverflowError):
-        _check_prime_headroom(2, 32769)        # 2 * 32768^2 = 2^31
-    with pytest.raises(OverflowError):
-        _check_prime_headroom(5, 2**31 + 11)
+_PEAK_RSS = """
+import json, resource
+from charzeta import brute_totals, make_field
+field = make_field(2, 11)
+field.exp_log_tables()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+totals = brute_totals("L0", field)
+print(json.dumps([totals.biprojective, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
 
 
-def test_packed_digits_refuse_carries_and_overflow():
-    _check_packed_headroom(7, 3, 2, 4)         # 7 * 2 < 2^4
-    _check_packed_headroom(6, 43, 7, 9)        # 6 * 42 < 2^9, 7 * 9 = 63 bits
-    with pytest.raises(OverflowError):
-        _check_packed_headroom(8, 3, 2, 4)     # 8 * 2 = 2^4 carries into the next digit
-    with pytest.raises(OverflowError):
-        _check_packed_headroom(6, 43, 8, 8)    # 8 * 8 = 64 bits
+def test_brute_count_at_the_cap_adds_little_to_peak_rss():
+    # at q = 2^11 the log, Zech and trace tables take 2048 entries each and
+    # the count adds lists of that length, under 1 MiB; one list of q^2
+    # entries would take 32 MiB.  tracemalloc slows this count 25-fold, so
+    # a fresh interpreter reads its own peak RSS (KiB) instead
+    src = os.path.dirname(os.path.dirname(os.path.abspath(charzeta.__file__)))
+    res = subprocess.run([sys.executable, "-c", _PEAK_RSS], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120, check=True)
+    biprojective, before, after = json.loads(res.stdout)
+    assert biprojective == fiberwise_totals("L0", make_field(2, 11)).biprojective
+    assert after - before < 4 * 1024
 
 
-def test_packed_digits_fit_every_odd_extension_field():
-    # the kernel packs s = bit_length(terms * (p - 1)) bits per digit, with
-    # terms the monomials of F
-    for p, n in prime_powers_upto(MAX_AFFINE_Q):
-        if p > 2 and n > 1:
-            for sid in SURFACE_IDS:
-                terms = len(surface(sid)._form[0])
-                _check_packed_headroom(terms, p, n, (terms * (p - 1)).bit_length())
-    for p, n in [(43, 2), (3, 6)]:  # the widest spacer and the most digits
-        # the non-affine part of brute_totals' passes: the chart over (1 : 0)
-        # and the line u = 0; its affine pass would take minutes at q = 1849
-        field, q = make_field(p, n), p**n
-        bases = [(z, 1) for z in range(q)] + [(1, 0)]
-        for sid in SURFACE_IDS:
-            model = surface(sid)
-            nonaffine = (_fiber_counts(model, field, _affine_plane(q), [(1, 0)])[0]
-                         + sum(_fiber_counts(model, field, _line_plane(q), bases)))
-            assert nonaffine == fiberwise_totals(sid, field).nonaffine
-
-
-def test_strips_of_any_size_give_the_same_zeros(monkeypatch):
-    # one strip per fiber at these q; strips of 7 points end on a short
-    # strip in every fiber, over all of P^2 and in both passes of
-    # brute_totals, over the chart and the line u = 0
-    fields = [make_field(p, n) for p, n in [(7, 1), (2, 3), (3, 2)]]
-
-    def zeros():
-        return [(sorted(biprojective_zero_reps(sid, field)), brute_totals(sid, field))
-                for field in fields for sid in SURFACE_IDS]
-
-    want = zeros()
-    monkeypatch.setattr("charzeta.varieties._BLOCK", 7)
-    assert zeros() == want
+def test_brute_counts_at_the_widest_odd_extension_fields():
+    # the most digits (3^6) and the widest digits (43^2) of an odd extension
+    # field under the cap
+    for sid in SURFACE_IDS:
+        assert brute_totals(sid, make_field(3, 6)) == fiberwise_totals(sid, make_field(3, 6))
+    assert brute_totals("L1", make_field(43, 2)) == fiberwise_totals("L1", make_field(43, 2))
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
