@@ -549,8 +549,7 @@ def count_formula(model, p: int, n: int) -> CountTotals:
     from .globalzeta import euler_factor, global_expression  # deferred: see the module docstring
 
     def count(space):
-        factors = euler_factor(global_expression(surface_id, space), p).factors
-        return sum(e * u**n for u, e in factors)
+        return euler_factor(global_expression(surface_id, space), p).counts(n)[-1]
 
     biproj, nonaffine = count("biprojective"), count("nonaffine")
     return CountTotals(surface_id, p, n, biproj, biproj - nonaffine, nonaffine)

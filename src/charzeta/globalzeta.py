@@ -5,10 +5,11 @@ quadratic Dedekind zeta factors, and Dirichlet L-factors, together with
 per-prime elementary correction factors (1 +- 2^(a-s))^e.  These products
 are the paper's theorem and its only transcription in the package: the
 local zeta function of a surface at p is the Euler factor of its product
-(euler_factor), each Dedekind factor split at p by the Dedekind-Kummer
-law, and the closed-form counts (fibercount.count_formula) are evaluated
-on it.  Comparing the Euler factor with the zeta function rebuilt from
-fiberwise counts verifies the global factorisation prime by prime.
+(euler_factor), taken after each Dedekind factor is rewritten as
+zeta * L(chi_d) (dedekind_expand), and the closed-form counts
+(fibercount.count_formula) are read off it.  Comparing the Euler factor
+with the zeta function rebuilt from fiberwise counts verifies the global
+factorisation prime by prime.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class CharacterDesc:
 CHI8 = CharacterDesc("chi8", 8, (0, 1, 0, -1, 0, -1, 0, 1))
 CHI5 = CharacterDesc("chi5", 5, (0, 1, -1, -1, 1))
 
-QUADRATIC_DISC = {2: 8, 5: 5}
 QUADRATIC_CHAR = {2: CHI8, 5: CHI5}
 
 
@@ -152,17 +152,17 @@ def dedekind_expand(expr: GlobalZetaExpr) -> GlobalZetaExpr:
 def euler_factor(expr: GlobalZetaExpr, p: int) -> LocalZetaFactors:
     """Euler factor of a global expression at p, in T = p^(-s).
 
-    zeta(s-j)^e gives (1 - p^j T)^(-e).  L(chi, s-j)^e gives
-    (1 - chi(p) p^j T)^(-e), trivial when chi(p) = 0.  A Dedekind factor
-    follows the split/inert/ramified law of its field.  Elementary terms
-    apply only at their own prime, on the numerator side.
+    Dedekind factors are first rewritten as zeta * L(chi_d)
+    (dedekind_expand).  zeta(s-j)^e then gives (1 - p^j T)^(-e), and
+    L(chi, s-j)^e gives (1 - chi(p) p^j T)^(-e), trivial when chi(p) = 0.
+    Elementary terms apply only at their own prime, on the numerator side.
     """
     exps: dict[int, int] = {}
 
     def bump(u, e):
         exps[u] = exps.get(u, 0) + e
 
-    for f in expr.factors:
+    for f in dedekind_expand(expr).factors:
         u = p**f.shift
         if f.kind == "riemann":
             bump(u, f.exp)
@@ -170,14 +170,6 @@ def euler_factor(expr: GlobalZetaExpr, p: int) -> LocalZetaFactors:
             v = f.char(p)
             if v:
                 bump(v * u, f.exp)
-        elif f.kind == "dedekind":
-            if QUADRATIC_DISC[f.d] % p == 0:
-                bump(u, f.exp)                      # ramified
-            elif QUADRATIC_CHAR[f.d](p) == 1:
-                bump(u, 2 * f.exp)                  # split
-            else:
-                bump(u, f.exp)                      # inert: 1 - p^{2j} T^2
-                bump(-u, f.exp)
         else:
             raise ValueError(f"unknown factor kind {f.kind!r}")
     for el in expr.elementary:

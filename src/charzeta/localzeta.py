@@ -15,8 +15,12 @@ used.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from . import _record
+
+if TYPE_CHECKING:  # Fraction is imported where a series builds one
+    from fractions import Fraction
 
 # counts recover_factors needs: six solve for the exponents, eight verify them
 RECOVERY_COUNTS = 14

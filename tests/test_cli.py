@@ -712,11 +712,10 @@ def test_each_command_loads_only_its_modules(argv, modules):
     assert (doc["code"], doc["modules"]) == (0, sorted(f"charzeta.{name}" for name in modules))
     # nor standard library modules it does not run: the records load no
     # dataclasses (which brings inspect and ast), only --format csv loads
-    # csv, and only the special values build Fractions at import (fractions
-    # loads decimal); numpy loads inspect itself
+    # csv, and no command loads fractions, nor the decimal it brings (the
+    # Bernoulli table is floats); numpy loads inspect itself
     stdlib = set(doc["stdlib"]) - ({"inspect"} if doc["numpy"] else set())
-    assert stdlib == (({"csv"} if "csv" in argv else set())
-                      | ({"decimal", "fractions"} if "specialvalues" in modules else set()))
+    assert stdlib == ({"csv"} if "csv" in argv else set())
     # numpy loads only with the Mahler sampler: no count, brute force
     # included, loads it
     assert doc["numpy"] == ("mahler" in argv)

@@ -1,8 +1,6 @@
 """Global expressions, Euler factors, Dedekind expansion, verification."""
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from charzeta import (CHI5, CHI8, LocalZetaFactors, dedekind_expand, euler_factor,
                       global_expression, main_term_expression, verify_global)
@@ -123,27 +121,6 @@ def test_dedekind_expand_identity():
     # expansion of a factor-free expression is itself
     e2 = global_expression("L2", "affine")
     assert dedekind_expand(e2) == e2
-
-
-@pytest.mark.parametrize("sid", ["L0", "L1"])
-@pytest.mark.parametrize("space", ["affine", "biprojective"])
-def test_dedekind_expand_preserves_euler_factors(sid, space):
-    expr = global_expression(sid, space)
-    expanded = dedekind_expand(expr)
-    for p in PRIMES_199:
-        assert euler_factor(expr, p) == euler_factor(expanded, p)
-
-
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(st.one_of(st.sampled_from((2, 3, 5)), st.sampled_from(PRIMES_10K)))
-@example(2)
-@example(3)
-@example(5)
-def test_euler_factor_invariant_under_dedekind_expansion(p):
-    exprs = [global_expression(sid, space) for sid in ("L0", "L1", "L2") for space in SPACES]
-    exprs += [main_term_expression(sid) for sid in ("L0", "L1", "L2")]
-    for expr in exprs:
-        assert euler_factor(expr, p) == euler_factor(dedekind_expand(expr), p), (expr, p)
 
 
 def test_main_term_strips_elementary():

@@ -214,6 +214,28 @@ def test_verify_table1_all_cells():
     assert blank[0]["order_expected"] == 0 and "note" in blank[0]
 
 
+# each cell's order, pass and coefficient to the eleven digits the
+# benchmark's record digests hash; the relative bounds above admit a flip
+# of those digits
+TABLE1_PINS = [
+    ("L0", 0, 1, True, "-4.4051587179e-06"),
+    ("L0", 1, -1, True, "9.1809748654e-03"),
+    ("L0", 2, -3, True, "-8.4316394655e-01"),
+    ("L1", 0, 1, True, "4.2289523692e-06"),
+    ("L1", 1, -1, True, "-4.8242670935e-03"),
+    ("L1", 2, -2, True, "-4.1226651132e-01"),
+    ("L2", 0, 1, True, "-7.6121142646e-03"),
+    ("L2", 1, -2, True, "-8.3333333333e-02"),
+    ("L2", 2, 0, True, "-1.3529040421e+00"),
+]
+
+
+def test_verify_table1_pinned_digits():
+    got = [(r["surface"], r["s0"], r["order_got"], r["pass"], f"{r['coeff_got']:.10e}")
+           for r in verify_table1(tol=1e-6)]
+    assert got == TABLE1_PINS
+
+
 def test_mahler_constant_polynomial():
     assert mahler_measure_mc("1", 1000, 3) == (0.0, 0.0)
 
