@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import charzeta
 from charzeta import BiprojectivePoint, classify_fiber, fibercount, is_prime, make_field, surface
 from charzeta.fibercount import _bundle_loci, _line_count, _zmul
 from charzeta.finfield import (FieldError, _fq_divmod, _fq_gcd, _fq_monic, _fq_pow,
@@ -526,3 +531,19 @@ def mahler_chunks_serial(samples, seed):
         total += s
         total_sq += sq
     return _mean_stderr(total, total_sq, samples)
+
+
+def fresh_env(**env):
+    """The environment of a fresh interpreter that imports this charzeta;
+    env entries replace the inherited ones, and None removes one."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(charzeta.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           **env}
+    return {k: v for k, v in env.items() if v is not None}
+
+
+def run_fresh(code, **env):
+    """JSON printed by code in a fresh interpreter (see fresh_env)."""
+    res = subprocess.run([sys.executable, "-c", code], env=fresh_env(**env),
+                         capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(res.stdout)

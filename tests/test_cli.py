@@ -18,7 +18,7 @@ import charzeta
 from charzeta import cli, fibercount, finfield, globalzeta, mahler_measure_mc, varieties
 from charzeta.cli import MAX_MAHLER_SAMPLES, MAX_VERIFY_PRIME, build_parser, main
 from charzeta.localzeta import LocalZetaFactors
-from conftest import expected_singular_points
+from conftest import expected_singular_points, fresh_env, run_fresh
 
 
 def run(capsys, *argv):
@@ -604,28 +604,12 @@ print(json.dumps({"seen": seen, "codes": codes, "after_commands": after_commands
 """
 
 
-def _fresh_env(**env):
-    """The environment of a fresh interpreter that imports this charzeta;
-    env entries replace the inherited ones, and None removes one."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(charzeta.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-           **env}
-    return {k: v for k, v in env.items() if v is not None}
-
-
-def _run_fresh(code, **env):
-    """JSON printed by code in a fresh interpreter (see _fresh_env)."""
-    res = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**env),
-                         capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(res.stdout)
-
-
 def test_closed_stdout_exits_quietly_with_its_own_status():
     # `verify ... | head -c 10`: the output (about 238 kB) outgrows the pipe,
     # so writing it fails once the reader has gone; that used to print a
     # traceback and exit 1, the status of a mathematical mismatch
     with subprocess.Popen([sys.executable, "-m", "charzeta.cli", "verify", "--primes", "2..199"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env()) as proc:
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env()) as proc:
         try:
             assert len(proc.stdout.read(10)) == 10
             proc.stdout.close()
@@ -636,7 +620,7 @@ def test_closed_stdout_exits_quietly_with_its_own_status():
 
 
 def test_numpy_loads_only_where_arrays_are_built():
-    doc = _run_fresh(_COLD_START)
+    doc = run_fresh(_COLD_START)
     assert set(doc["codes"].values()) == {0}
     # verify, zeta, special and the counts by every method run on Python
     # integers and floats alone
@@ -663,9 +647,9 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
 def test_cli_runs_openblas_on_one_thread_unless_told_otherwise():
     # charzeta makes no BLAS call, so the pool OpenBLAS starts with numpy
     # would only idle; a value the user set still wins
-    doc = _run_fresh(_BLAS_THREADS, OPENBLAS_NUM_THREADS=None)
+    doc = run_fresh(_BLAS_THREADS, OPENBLAS_NUM_THREADS=None)
     assert doc == {"code": 0, "numpy": True, "var": "1", "tasks": 1}
-    doc = _run_fresh(_BLAS_THREADS, OPENBLAS_NUM_THREADS="2")
+    doc = run_fresh(_BLAS_THREADS, OPENBLAS_NUM_THREADS="2")
     assert (doc["code"], doc["numpy"], doc["var"]) == (0, True, "2")
 
 
@@ -708,7 +692,7 @@ _ZETA_MODULES = {"globalzeta", "localzeta"}
 def test_each_command_loads_only_its_modules(argv, modules):
     # a cold call compiles and runs every module it imports, so the package
     # and the CLI import each module where it is first used
-    doc = _run_fresh(_LOADED.format(argv=argv))
+    doc = run_fresh(_LOADED.format(argv=argv))
     assert (doc["code"], doc["modules"]) == (0, sorted(f"charzeta.{name}" for name in modules))
     # nor standard library modules it does not run: the records load no
     # dataclasses (which brings inspect and ast), only --format csv loads

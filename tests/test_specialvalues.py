@@ -18,7 +18,7 @@ from charzeta import (CHI5, CHI8, dirichlet_L, hurwitz_zeta_deflated,
 from charzeta import specialvalues
 from charzeta.specialvalues import (_MC_BLOCK, _MC_CHUNK, QUAD_FIELD_DATA, _mc_chunk,
                                     _torus_abs2)
-from conftest import mahler_chunks_serial, mahler_mc_serial
+from conftest import mahler_chunks_serial, mahler_mc_serial, run_fresh
 
 mpmath.mp.dps = 30
 
@@ -236,6 +236,22 @@ def test_verify_table1_pinned_digits():
     assert got == TABLE1_PINS
 
 
+# f"{estimate:.10e}", the precision bench/checks.py hashes, for seeds 0..15
+# at two full chunks and a third of 5 samples, shorter than a block
+MAHLER_PINS = [
+    "4.2833503256e-01", "4.2474442010e-01", "4.2832856265e-01", "4.2610152769e-01",
+    "4.2735775684e-01", "4.2554156474e-01", "4.2551621158e-01", "4.2638693066e-01",
+    "4.2696775019e-01", "4.2765421537e-01", "4.2751685877e-01", "4.2456891919e-01",
+    "4.2683473743e-01", "4.2776642125e-01", "4.2570866314e-01", "4.2499162225e-01",
+]
+
+
+def test_mahler_pinned_digits():
+    samples = 2 * _MC_CHUNK + 5
+    got = [f"{mahler_measure_mc('1+x+y+z', samples, seed)[0]:.10e}" for seed in range(16)]
+    assert got == MAHLER_PINS
+
+
 def test_mahler_constant_polynomial():
     assert mahler_measure_mc("1", 1000, 3) == (0.0, 0.0)
 
@@ -272,21 +288,32 @@ def test_mahler_rejects_bad_input():
 
 
 # _torus_abs2 against the textbook form on the same uniforms: over 600 seeded
-# draws of 1 to 4 * 2^17 samples the worst gaps were 4.2e-16 relative in the
-# mean and 1.8e-15 in the stderr; the unshifted A^2 + D^2 + 2AD cos t
-# reached 2.7e-12 and 3.0e-11
+# draws of 1 to 4 * 2^17 samples the worst gaps were 5.2e-16 relative in the
+# mean and 1.7e-15 in the stderr, on numpy's AVX-512 tangent and on its
+# fallback alike; the unshifted cosine form A^2 + D^2 + 2AD cos t reached
+# 2.7e-12 and 3.0e-11
 MAHLER_REL = 1e-13
 
 
 def torus_abs2(u):
-    out = np.empty(len(u))
-    _torus_abs2(u, out, np.empty((3, len(u))))
-    return out
+    return _torus_abs2(u.copy(), np.empty((3, len(u))))  # the kernel overwrites u
 
 
 def textbook_abs2(u):
     ang = 2.0 * np.pi * u
     return (1.0 + np.cos(ang).sum(axis=1)) ** 2 + np.sin(ang).sum(axis=1) ** 2
+
+
+def abs2_test_rows():
+    """The grid and the random rows on which the tests compare _torus_abs2
+    with the textbook form, and the zero-set rows."""
+    grid = np.array(list(itertools.product(np.arange(40) / 40, repeat=3)))
+    # u = (1/2, t, t + 1/2 mod 1) and its permutations, at which 1 + x + y + z
+    # vanishes up to the rounding of t + 1/2
+    ts = np.concatenate([np.arange(64) / 64, np.random.default_rng(1).random(200)])
+    zero_set = np.array([row for t in ts
+                         for row in set(itertools.permutations((0.5, t, (t + 0.5) % 1)))])
+    return grid, np.random.default_rng(0).random((100_000, 3)), zero_set
 
 
 class FixedUniforms:
@@ -302,23 +329,19 @@ class FixedUniforms:
 
 
 def test_half_angle_abs2_matches_textbook_form():
-    grid = np.array(list(itertools.product(np.arange(40) / 40, repeat=3)))
-    for u in (grid, np.random.default_rng(0).random((100_000, 3))):
-        # |P|^2 <= 16, and the two forms read at most 1.1e-14 apart
+    for u in abs2_test_rows()[:2]:
+        # |P|^2 <= 16, and the two forms read at most 1.3e-14 apart
         assert np.max(np.abs(torus_abs2(u) - textbook_abs2(u))) <= 2e-14
     assert torus_abs2(np.zeros((1, 3)))[0] == 16.0
 
 
 def test_half_angle_abs2_does_not_cancel_on_the_zero_set(monkeypatch):
-    # u = (1/2, t, t + 1/2 mod 1) and its permutations, at which 1 + x + y + z
-    # vanishes up to the rounding of t + 1/2
-    ts = np.concatenate([np.arange(64) / 64, np.random.default_rng(1).random(200)])
-    rows = np.array([row for t in ts for row in set(itertools.permutations((0.5, t, (t + 0.5) % 1)))])
+    rows = abs2_test_rows()[2]
     r2 = torus_abs2(rows)
-    # |P| is of the order of the rounding of t + 1/2 there: this form reads
-    # at most 1.3e-30 and the textbook form 1.8e-30 (0 at 112 of the 1578
-    # rows), where A^2 + D^2 + 2AD cos t reads from -8.9e-16 to 8.9e-16, and
-    # 0 or less at 1002 rows
+    # |P| is of the order of the rounding of t + 1/2 there: the tangent form
+    # reads from 5.6e-37 to 1.8e-30 and the textbook form at most 1.8e-30 (0
+    # at 112 of the 1578 rows), where the unshifted cosine form A^2 + D^2 +
+    # 2AD cos t reads from -8.9e-16 to 8.9e-16, and 0 or less at 1002 rows
     assert (r2 > 0).all() and r2.max() <= 1e-28
     monkeypatch.setattr(np.random, "default_rng", lambda seq: FixedUniforms(rows))
     total, total_sq = _mc_chunk(0, 0, len(rows))
@@ -326,9 +349,58 @@ def test_half_angle_abs2_does_not_cancel_on_the_zero_set(monkeypatch):
     assert total / len(rows) < -30.0  # log |P| of about 1e-15
 
 
-def test_mahler_chunk_allocates_its_samples_and_block_buffers_only():
-    # m doubles for |P|^2 and 96 KB of block buffers (1,123 KB in all); a
-    # second array of m doubles, or blocks twice the size, breaks the bound
+def avx512_dispatch():
+    """The AVX-512 targets of numpy's dispatched loops that this host runs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__
+            if ("AVX512" in f or f == "X86_V4") and umath.__cpu_features__.get(f)]
+
+
+# Runs in a fresh interpreter whose numpy has its AVX-512 loops switched off,
+# so np.tan is the scalar libm one: |P|^2 at the rows saved in {rows!r},
+# into {out!r}, and one estimate.
+_FALLBACK_TAN = """
+import json
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__ as features
+from charzeta.specialvalues import _torus_abs2, mahler_measure_mc
+rows = np.load({rows!r})
+np.save({out!r}, _torus_abs2(rows, np.empty((3, len(rows)))))
+print(json.dumps({{"on": [f for f in {disabled!r} if features[f]],
+                  "mahler": mahler_measure_mc("1+x+y+z", 300_000, 7)}}))
+"""
+
+
+@pytest.mark.skipif(not avx512_dispatch(), reason="numpy dispatches no AVX-512 loop here")
+def test_half_angle_abs2_on_numpy_fallback_tangent(tmp_path):
+    # numpy's AVX-512 tangent and its libm fallback may round differently;
+    # on the fallback the kernel keeps to the textbook form, does not cancel
+    # on the zero set, and keeps the estimate to MAHLER_REL
+    disabled = avx512_dispatch()
+    sets = abs2_test_rows()
+    rows, out = tmp_path / "rows.npy", tmp_path / "abs2.npy"
+    np.save(rows, np.concatenate(sets))
+    doc = run_fresh(_FALLBACK_TAN.format(rows=str(rows), out=str(out), disabled=disabled),
+                    NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    assert doc["on"] == []
+    grid, uniform, zero_set = np.split(np.load(out), np.cumsum([len(u) for u in sets])[:-1])
+    assert np.max(np.abs(grid - textbook_abs2(sets[0]))) <= 2e-14
+    assert np.max(np.abs(uniform - textbook_abs2(sets[1]))) <= 2e-14
+    assert (zero_set > 0).all() and zero_set.max() <= 1e-28
+    assert doc["mahler"] == pytest.approx(mahler_measure_mc("1+x+y+z", 300_000, 7), rel=MAHLER_REL)
+
+
+def test_mahler_chunk_allocates_its_block_buffers_only():
+    # the log and the sums run per block, so a chunk holds only its (rows, 3)
+    # uniforms and its (3, rows) work buffer: 768 KB at 16384 rows (771 KB
+    # measured); an array of m doubles (1 MB), or blocks twice the size,
+    # breaks the bound
     _mc_chunk(3, 0, _MC_CHUNK)
     tracemalloc.start()
     try:
@@ -336,7 +408,7 @@ def test_mahler_chunk_allocates_its_samples_and_block_buffers_only():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * _MC_CHUNK + 128 * 1024
+    assert peak <= 832 * 1024
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
