@@ -25,8 +25,7 @@ _EXPORTS = {
     "varieties": ("brute_totals",),
     "fibercount": ("BiprojectivePoint", "FiberReport", "classify_fiber", "count_formula",
                    "degenerate_fibers", "fiberwise_totals", "singular_locus"),
-    "localzeta": ("LocalZetaFactors", "RecoveryError", "recover_factors",
-                  "zeta_series_from_counts"),
+    "localzeta": ("LocalZetaFactors", "RecoveryError", "recover_factors"),
     "globalzeta": ("CHI5", "CHI8", "CharacterDesc", "ElementaryTerm", "GlobalZetaExpr",
                    "ZetaFactorTerm", "check_local_zeta", "dedekind_expand", "euler_factor",
                    "global_expression", "main_term_expression", "verify_global"),

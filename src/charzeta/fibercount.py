@@ -27,10 +27,13 @@ over F_q follow by Frobenius descent (_lift): for x in F_{p^d}, chi_q(x) =
 chi_{p^d}(x)^(n/d) and Tr_{F_q/F_2}(x) = (n/d) Tr_{F_{p^d}/F_2}(x).  At
 even n a closed point of degree 2 is two conjugate roots, whose fibers
 the Frobenius swaps, so it counts twice.  No field beyond F_{p^2} is built.
-The descent is cached per SurfaceModel object, registered or not.
-fiberwise_totals returns the three totals as one surfaces.CountTotals;
-descent_series returns them for n = 1..k from one read of the descent.
-The singular points lie on the degenerate fibers too (singular_locus).
+descent_series gives the three totals for n = 1..k, one
+surfaces.CountTotals each, from one uncached read of the descent;
+fiberwise_totals is its last term.  The caches kept serve the reads the
+commands repeat: _bundle_loci and _rational_split, as verify reads one
+model's loci at every prime, and _degenerate_fibers, as singular_locus
+reads again the fibers its caller lists.  The singular points lie on the
+degenerate fibers too (singular_locus).
 
 Closed-form counts are not transcribed here: count_formula evaluates
 N_n = sum_u e_u * u^n on the Euler factors at p of the biprojective and
@@ -317,7 +320,6 @@ def _residue_counts(model, f, field: Field):
     return _conic(field, form)[0], _line_count(field, form)
 
 
-@functools.lru_cache(maxsize=256)
 def _prime_descent(model: SurfaceModel, p: int):
     """The F_p-roots of the locus of _bundle_loci that applies mod p, its
     irreducible quadratic factors, the generic u = 0 line count, and the
@@ -336,12 +338,10 @@ def _prime_descent(model: SurfaceModel, p: int):
             tuple(_residue_counts(model, (-z % p, 1), field) for z in roots))
 
 
-@functools.lru_cache(maxsize=256)
-def _quadratic_descent(model: SurfaceModel, p: int):
-    """The fiber counts at the closed points of degree 2 of the locus, each
-    over its residue field F_{p^2}."""
-    return tuple(_residue_counts(model, f, Field(p, 2, modulus=f))
-                 for f in _prime_descent(model, p)[1])
+def _quadratic_fibers(model: SurfaceModel, p: int, quadratics):
+    """The fiber counts at the closed points f = 0 of degree 2 of the locus,
+    f in quadratics, each over its residue field F_{p^2}."""
+    return [_residue_counts(model, f, Field(p, 2, modulus=f)) for f in quadratics]
 
 
 def _lift(count: int, q0: int, q: int, e: int) -> int:
@@ -354,45 +354,25 @@ def _lift(count: int, q0: int, q: int, e: int) -> int:
     return q + 1 if count == q0 + 1 else 1 + (count - 1) ** e
 
 
-def descent_totals(model, p: int, n: int) -> CountTotals:
-    """Fiberwise totals over F_{p^n} from the fibers defined over F_p and F_{p^2}.
-
-    No field beyond F_{p^2} is built, and odd n builds none beyond F_p, so
-    p^n may exceed 2^63.  A closed point of degree 2 counts twice at even n,
-    once for each of its roots.  Raises ValueError for n < 1 or when the
-    degenerate locus has a root outside F_{p^2}, FieldError when p is not
-    prime or n is even and p^2 > 2^63.  A surface id and its model share one
-    cache entry.
-    """
-    return _descent_totals(_as_model(model), p, n)
-
-
-@functools.lru_cache(maxsize=256)
-def _descent_totals(model: SurfaceModel, p: int, n: int) -> CountTotals:
-    return _descent_range(model, p, n, n)[0]
-
-
 def descent_series(model, p: int, k: int) -> list[CountTotals]:
-    """[descent_totals(model, p, n) for n in 1..k], reading the descent once.
+    """Fiberwise totals over F_{p^n} for n = 1..k, from one read of the
+    fibers defined over F_p and F_{p^2}.
 
-    Raises as descent_totals does at some n in 1..k: ValueError for k < 1,
-    FieldError for k >= 2 and p^2 > 2^63.  Not cached.
+    No field beyond F_{p^2} is built, and k = 1 builds none beyond F_p, so
+    p^n may exceed 2^63.  A closed point of degree 2 counts twice at even n,
+    once for each of its roots.  Raises ValueError for k < 1 or when the
+    degenerate locus has a root outside F_{p^2}, FieldError when p is not
+    prime or k >= 2 and p^2 > 2^63.  Not cached.
     """
-    return _descent_range(_as_model(model), p, 1, k)
-
-
-def _descent_range(model: SurfaceModel, p: int, first: int, last: int) -> list[CountTotals]:
-    """descent_totals at n = first..last, with its guards, from one read of
-    the descent; a range with last < first = 1 is refused as n = last."""
-    if min(first, last) < 1:
-        raise ValueError(f"extension degree {min(first, last)} is below 1")
-    even = first < last or first % 2 == 0
-    if even and p * p > MAX_Q:
+    model = _as_model(model)
+    if k < 1:
+        raise ValueError(f"extension degree {k} is below 1")
+    if k >= 2 and p * p > MAX_Q:
         raise FieldError(f"fiberwise counts at even n need F_{p}^2, beyond 2^63")
-    _, _, generic, infinity, fibers = _prime_descent(model, p)
-    quadratic = [(2, _quadratic_descent(model, p))] if even else []
+    _, quadratics, generic, infinity, fibers = _prime_descent(model, p)
+    quadratic = [(2, _quadratic_fibers(model, p, quadratics))] if k >= 2 else []
     series = []
-    for n in range(first, last + 1):
+    for n in range(1, k + 1):
         q = p**n
         by_degree = [(1, fibers)] + (quadratic if n % 2 == 0 else [])
         smooth = q - sum(d * len(group) for d, group in by_degree)
@@ -409,14 +389,15 @@ def _descent_range(model: SurfaceModel, p: int, first: int, last: int) -> list[C
 
 
 def fiberwise_totals(model, field: Field) -> CountTotals:
-    """descent_totals over the field F_{p^n}."""
-    return descent_totals(model, field.p, field.n)
+    """The fiberwise totals over the field F_{p^n}: the last of
+    descent_series(model, p, n), whose guards a field p^n <= 2^63 passes."""
+    return descent_series(model, field.p, field.n)[-1]
 
 
 def degenerate_fibers(model, field: Field) -> list[tuple[int, int]]:
     """Canonical base points of the fibers that are not smooth conics: the
     F_q-roots of the degenerate locus, and (1 : 0) when that fiber is one.
-    Cached like descent_totals, so singular_locus and its caller split the
+    Cached per model and field, so singular_locus and its caller split the
     degree-2 points at even n once."""
     return list(_degenerate_fibers(_as_model(model), field))
 

@@ -197,6 +197,7 @@ class LocalZetaCheck:
     counts: tuple[int, ...]
     detail: dict           # recovered (and error), or first_mismatch_n
     passed: bool
+    first_mismatch_n: int | None  # first n where counts differ from euler's, in either mode
 
 
 def check_local_zeta(surface_id: str, p: int, space: str) -> LocalZetaCheck:
@@ -215,13 +216,16 @@ def _check_counts(surface_id: str, p: int, space: str, counts: list[int]) -> Loc
     if p not in RECOVERY_PRIMES:
         first_bad = _first_mismatch(counts, euler)
         return LocalZetaCheck("series", euler, tuple(counts), {"first_mismatch_n": first_bad},
-                              first_bad is None)
+                              first_bad is None, first_bad)
     try:
         got = recover_factors(counts, p)
         detail, ok = {"recovered": got.to_json()}, got == euler
     except RecoveryError as exc:
         detail, ok = {"recovered": None, "error": str(exc)}, False
-    return LocalZetaCheck("recovered", euler, tuple(counts), detail, ok)
+    # recover_factors regenerated the counts from its factors, so a recovery
+    # that matched the Euler factor has no mismatch
+    return LocalZetaCheck("recovered", euler, tuple(counts), detail, ok,
+                          None if ok else _first_mismatch(counts, euler))
 
 
 def _first_mismatch(counts, euler: LocalZetaFactors) -> int | None:
@@ -234,14 +238,8 @@ def _verify_one_prime(surface_id: str, p: int) -> dict:
     series = descent_series(surface_id, p, RECOVERY_COUNTS)
     checks = {space: _check_counts(surface_id, p, space, [t.count(space) for t in series])
               for space in SPACES}
-    # the first n at which the counts of any space differ from those its
-    # Euler factor implies: a series check compared them, and recover_factors
-    # regenerated the counts from its factors, so a recovery that matched
-    # the Euler factor has none
-    mismatches = [c.detail["first_mismatch_n"] if c.mode == "series"
-                  else None if c.passed else _first_mismatch(c.counts, c.euler)
-                  for c in checks.values()]
-    first_bad = min((n for n in mismatches if n is not None), default=None)
+    first_bad = min((c.first_mismatch_n for c in checks.values()
+                     if c.first_mismatch_n is not None), default=None)
     spaces = {}
     for space, c in checks.items():
         spaces[space] = {"euler": c.euler.to_json(), **c.detail, "pass": c.passed}

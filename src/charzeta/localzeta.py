@@ -15,12 +15,8 @@ used.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from . import _record
-
-if TYPE_CHECKING:  # Fraction is imported where a series builds one
-    from fractions import Fraction
 
 # counts recover_factors needs: six solve for the exponents, eight verify them
 RECOVERY_COUNTS = 14
@@ -65,29 +61,9 @@ class LocalZetaFactors:
             out.append(sum(terms))
         return out
 
-    def series(self, k: int) -> list[Fraction]:
-        return zeta_series_from_counts(self.counts(k))
-
     def to_json(self):
         return {"p": self.p,
                 "factors": [{"unit": u, "exp": e} for u, e in self.factors]}
-
-
-def zeta_series_from_counts(counts) -> list[Fraction]:
-    """Coefficients c_0..c_k of exp(sum N_n T^n / n), exact rationals.
-
-    Satisfies the Newton-type recurrence k*c_k = sum_{j=1..k} N_j c_{k-j}.
-    """
-    from fractions import Fraction  # deferred: only the series builds Fractions
-
-    if len(counts) < 1:
-        raise ValueError("at least one count is required")
-    n = [Fraction(int(x)) for x in counts]
-    c = [Fraction(1)]
-    for k in range(1, len(n) + 1):
-        s = sum(n[j - 1] * c[k - j] for j in range(1, k + 1))
-        c.append(s / k)
-    return c
 
 
 def recover_factors(counts, p: int) -> LocalZetaFactors:

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,6 +99,33 @@ def paper_local_zeta(surface_id, p, space="biprojective"):
     else:
         raise ValueError(f"unknown space {space!r}")
     return LocalZetaFactors.from_dict(p, exps)
+
+
+def zeta_series_from_counts(counts) -> list[Fraction]:
+    """Coefficients c_0..c_k of exp(sum N_n T^n / n), exact rationals.
+
+    Satisfies the Newton-type recurrence k*c_k = sum_{j=1..k} N_j c_{k-j}.
+    """
+    if len(counts) < 1:
+        raise ValueError("at least one count is required")
+    n = [Fraction(int(x)) for x in counts]
+    c = [Fraction(1)]
+    for k in range(1, len(n) + 1):
+        s = sum(n[j - 1] * c[k - j] for j in range(1, k + 1))
+        c.append(s / k)
+    return c
+
+
+def zeta_series(factors: LocalZetaFactors, k: int) -> list[int]:
+    """Coefficients c_0..c_k of prod_u (1 - u*T)^(-e_u), multiplied out: each
+    factor is the binomial series sum_j C(e + j - 1, j) (uT)^j, a polynomial
+    when e < 0; independent of the counts and of their exponential."""
+    series = [1] + [0] * k
+    for u, e in factors.factors:
+        factor = [math.comb(e + j - 1, j) * u**j if e > 0 else math.comb(-e, j) * (-u)**j
+                  for j in range(k + 1)]
+        series = [sum(series[i] * factor[j - i] for i in range(j + 1)) for j in range(k + 1)]
+    return series
 
 
 @pytest.fixture

@@ -10,12 +10,13 @@ import pytest
 
 from charzeta import (brute_totals, count_formula, dirichlet_L, make_field, mahler_measure_mc,
                       recover_factors, riemann_zeta, singular_locus, verify_global,
-                      verify_table1, zeta_series_from_counts)
+                      verify_table1)
 from charzeta.fibercount import _conic, fiberwise_totals
 from charzeta.finfield import is_prime
 from charzeta.globalzeta import CHI5, CHI8, counts_for_space
 from conftest import (all_fiber_reports, conic_count_brute, expected_singular_points,
-                      fiber_determinant, paper_local_zeta, prime_powers_upto)
+                      fiber_determinant, paper_local_zeta, prime_powers_upto,
+                      zeta_series_from_counts)
 
 SURFACES = ("L0", "L1", "L2")
 SPACES = ("biprojective", "affine", "nonaffine")

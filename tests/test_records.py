@@ -24,8 +24,8 @@ RECORDS = [
     (ElementaryTerm, ("p", "sign", "shift", "exp"), (2, 1, 0, 1)),
     (GlobalZetaExpr, ("factors", "elementary"),
      ((ZetaFactorTerm("riemann", 0, 1),), (ElementaryTerm(2, 1, 0, 1),))),
-    (LocalZetaCheck, ("mode", "euler", "counts", "detail", "passed"),
-     ("series", _FACTORS, (31, 931), {"first_mismatch_n": None}, True)),
+    (LocalZetaCheck, ("mode", "euler", "counts", "detail", "passed", "first_mismatch_n"),
+     ("series", _FACTORS, (31, 931), {"first_mismatch_n": None}, True, None)),
     (LocalZetaFactors, ("p", "factors"), (5, ((25, 1), (5, 1), (1, 1)))),
     (QuadraticFieldData, ("d", "discriminant", "class_number", "roots_of_unity",
                           "fundamental_unit", "regulator"), (2, 8, 1, 2, 2.5, 0.75)),
