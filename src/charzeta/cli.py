@@ -7,7 +7,9 @@ codes: 0 all checks pass, 1 mathematical mismatch, 2 usage error,
 141 (128 + SIGPIPE) stdout closed before the output was written.
 Identical invocations produce bit-identical output (MC commands take a
 seed).  count takes one surfaces.CountTotals per method and surface and
-writes a record per space and method from it.  singular lists the points
+writes a record per space and method from it.  zeta and verify report
+globalzeta.check_local_zeta: zeta one space's item with its counts, verify
+every space's with the number of counts checked.  singular lists the points
 of fibercount.singular_locus, whole singular lines up to q = 2^11 only.
 --surface picks the surfaces of count, zeta, verify and singular; special
 (all three surfaces) and mahler (none) do not take it.
@@ -162,7 +164,7 @@ def cmd_count(args) -> tuple[dict, int]:
 
 
 def cmd_zeta(args) -> tuple[dict, int]:
-    """Report globalzeta.check_local_zeta for each surface.
+    """Report globalzeta.check_local_zeta's item for the space, per surface.
 
     Each record gives the Euler factor of the global product at p, the
     counts N_1..N_14 by fiberwise counting and the verdict of comparing
@@ -174,13 +176,13 @@ def cmd_zeta(args) -> tuple[dict, int]:
     if not is_prime(args.p):
         raise UsageError(f"{args.p} is not prime")
     records = []
-    ok = True
     for sid in _surfaces(args.surface):
-        c = check_local_zeta(sid, args.p, args.space)
-        records.append({"surface": sid, "p": args.p, "space": args.space,
-                        "euler": c.euler.to_json(), "counts": list(c.counts), "mode": c.mode,
-                        **c.detail, "match": c.passed})
-        ok &= c.passed
+        check = check_local_zeta(sid, args.p, (args.space,))
+        item = check["spaces"][args.space]
+        records.append({"surface": sid, "p": args.p, "space": args.space, "mode": check["mode"],
+                        **{key: value for key, value in item.items() if key != "pass"},
+                        "match": item["pass"]})
+    ok = all(rec["match"] for rec in records)
     doc = {"schema": SCHEMA, "command": "zeta", "records": records, "ok": ok}
     return doc, 0 if ok else 1
 

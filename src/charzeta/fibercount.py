@@ -1,15 +1,17 @@
 """Point counting through the conic-bundle structure.
 
 The fiber of each surface model over (z : 1) is the plane conic
-a(z)(x^2 + y^2) + b(z)xy + c(z)u^2; the model is checked to have equal x^2
-and y^2 coefficients and no xu or yu terms.  Every fiber is counted by one
-rule (_conic) in every characteristic: from the zeros of the binary part
-on the line u = 0 and, in odd characteristic, the square class of -ac.
-It is a smooth conic with q + 1 points unless z is a root of the
-degenerate locus c(b^2 - 4a^2), or of bc in characteristic 2.  Off those
-roots the line u = 0 of the fiber has a fixed number of points as well,
-because two identities hold for every model, checked when it is first
-used: b^2 - 4a^2 is a constant k times a square, so the line carries
+a(z)(x^2 + y^2) + b(z)xy + c(z)u^2.  a, b and c are read off f's terms
+once per model, which is refused in any other shape (_fiber_forms), and
+every fiber, over a point of P^1(F_q) or in the residue field of a closed
+point, is read from them by one evaluator (_zw_values).  Every fiber is
+counted by one rule (_conic) in every characteristic: from the zeros of
+the binary part on the line u = 0 and, in odd characteristic, the square
+class of -ac.  It is a smooth conic with q + 1 points unless z is a root
+of the degenerate locus c(b^2 - 4a^2), or of bc in characteristic 2.  Off
+those roots the line u = 0 of the fiber has a fixed number of points as
+well, because two identities hold for every model, checked when it is
+first used: b^2 - 4a^2 is a constant k times a square, so the line carries
 1 + chi(k) points in odd characteristic; and a/b = h + h^2 with
 h = 1/(z + 1) over F_2(z), so a/b has absolute trace 0 and the line
 carries 2 points in characteristic 2.
@@ -30,8 +32,9 @@ the Frobenius swaps, so it counts twice.  No field beyond F_{p^2} is built.
 descent_series gives the three totals for n = 1..k, one
 surfaces.CountTotals each, from one uncached read of the descent;
 fiberwise_totals is its last term.  The caches kept serve the reads the
-commands repeat: _bundle_loci and _rational_split, as verify reads one
-model's loci at every prime, and _degenerate_fibers, as singular_locus
+commands repeat: _fiber_forms, read at every fiber; _bundle_loci and
+_rational_split, as verify reads one model's loci at every prime; and
+_degenerate_fibers, which reads only the closed points, as singular_locus
 reads again the fibers its caller lists.  The singular points lie on the
 degenerate fibers too (singular_locus).
 
@@ -52,9 +55,9 @@ from itertools import zip_longest
 
 from . import _record
 from .finfield import (MAX_EXT_DEGREE, MAX_Q, Field, FieldError, _fq_gcd, _fq_monic, _fq_pow,
-                       _poly_divmod, _poly_trim, is_prime, low_degree_factors, make_field,
-                       split_roots, sqrt_mod)
-from .surfaces import CountTotals, SurfaceModel, _as_model, _zw_values
+                       _poly_trim, is_prime, low_degree_factors, make_field, split_roots,
+                       sqrt_mod)
+from .surfaces import CountTotals, SurfaceModel, _as_model
 
 MAX_SINGULAR_LINE_Q = 2048  # singular_locus: a whole singular line lists q + 1 points
 
@@ -85,9 +88,59 @@ def _canonical_base(field: Field, z: int, w: int) -> tuple[int, int]:
     return (1, field.mul(w, field.inv(z)))
 
 
-def _line_count(field: Field, coeffs) -> int:
+@functools.lru_cache(maxsize=None)
+def _fiber_forms(model: SurfaceModel):
+    """(a, b, c) of f = a(z)(x^2 + y^2) + b(z)xy + c(z), each its d + 1
+    integer coefficients, z^0 first, read off f's terms once per model.
+    Raises ValueError for an f of any other shape."""
+    forms = {xy: [0] * (model.deg_zw + 1) for xy in ((2, 0), (0, 2), (1, 1), (0, 0))}
+    for (ex, ey, k), coeff in model.f.terms.items():
+        forms.setdefault((ex, ey), [0] * (model.deg_zw + 1))[k] = coeff
+    if len(forms) > 4 or forms[2, 0] != forms[0, 2]:  # an xu or yu term, or unequal x^2, y^2
+        raise ValueError(f"{model.id}: fiber forms outside the supported shape")
+    return tuple(forms[2, 0]), tuple(forms[1, 1]), tuple(forms[0, 0])
+
+
+def _zw_values(field: Field, forms, z: int, w: int) -> list[int]:
+    """Each binary form sum_k c_k z^k w^(d-k) of forms, integer lists
+    c_0..c_d of one length d + 1, at (z : w).
+
+    Over F_p by Horner's rule, reduced mod p at each step.  Over F_{p^n}
+    the monomials z^k w^(d-k) are running products (no w powers when
+    w = 1), and each form is summed digit by digit and reduced mod p once.
+    Scalar field arithmetic, so it works at any q: every fiber of the
+    descent and of singular_locus is read through it.  The independent
+    count of varieties evaluates its forms on its own.
+    """
+    if field.n == 1:
+        p, out = field.p, []
+        for coeffs in forms:
+            v, wk = 0, 1
+            for c in reversed(coeffs):
+                v, wk = (v * z + c * wk) % p, wk * w % p
+            out.append(v)
+        return out
+    deg, monos = len(forms[0]) - 1, [1]
+    for _ in range(deg):
+        monos.append(field.mul(monos[-1], z))
+    if w != 1:
+        wp = [1]
+        for _ in range(deg):
+            wp.append(field.mul(wp[-1], w))
+        monos = [field.mul(zk, wp[deg - k]) for k, zk in enumerate(monos)]
+    digits = [field.coeffs(m) for m in monos]
+    out = []
+    for coeffs in forms:
+        acc = [0] * field.n
+        for c, dig in zip(coeffs, digits):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, dig)]
+        out.append(field.encode(acc))
+    return out
+
+
+def _line_count(field: Field, a: int, b: int) -> int:
     """Zeros of the fiber form a(x^2 + y^2) + bxy + cu^2 on the line u = 0."""
-    a, _, _, b, _, _ = coeffs
     if a == 0:
         return field.q + 1 if b == 0 else 2
     if field.p != 2:
@@ -99,7 +152,7 @@ def _line_count(field: Field, coeffs) -> int:
     return 2 if field.trace(field.mul(a, field.inv(b))) == 0 else 0
 
 
-def _conic(field: Field, coeffs) -> tuple[int, bool]:
+def _conic(field: Field, a: int, b: int, c: int) -> tuple[int, bool]:
     """(points in P^2(F_q), degenerate) of the fiber form a(x^2 + y^2) + bxy + cu^2.
 
     With L the zeros on u = 0: for c = 0 the conic is the cone over them
@@ -107,10 +160,7 @@ def _conic(field: Field, coeffs) -> tuple[int, bool]:
     binary part is a*l^2 or 0, and a*l^2 + cu^2 is a line pair, split iff
     -ac is a square, or a double line in characteristic 2 or when a = 0.
     """
-    a, a2, c, _, e, f = coeffs
-    if a != a2 or e or f:
-        raise AssertionError("fiber form outside the supported shape")
-    q, line = field.q, _line_count(field, coeffs)
+    q, line = field.q, _line_count(field, a, b)
     if c == 0:
         return q * line + 1, True
     if line in (0, 2):
@@ -120,10 +170,15 @@ def _conic(field: Field, coeffs) -> tuple[int, bool]:
 
 
 def classify_fiber(model, basepoint, field: Field) -> FiberReport:
-    """Exact report for a single fiber."""
-    coeffs = _as_model(model).fiber_form_encs(basepoint, field)
-    return FiberReport(_canonical_base(field, *(int(c) for c in basepoint)),
-                       *_conic(field, coeffs))
+    """Exact report for the fiber over the point basepoint = (z : w) of
+    P^1(F_q).  Raises ValueError for (0 : 0) and for a model whose f is not
+    a(x^2 + y^2) + bxy + c."""
+    model = _as_model(model)
+    z, w = (int(c) for c in basepoint)
+    if z == 0 and w == 0:
+        raise ValueError("(0 : 0) is not a point of the projective line")
+    a, b, c = _zw_values(field, _fiber_forms(model), z, w)
+    return FiberReport(_canonical_base(field, z, w), *_conic(field, a, b, c))
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +226,7 @@ def _bundle_loci(model: SurfaceModel):
     count is the generic one.  Raises ValueError for a model that breaks
     the fiber shape or either identity the generic counts rest on.
     """
-    quad = model._quad_zw
-    a, b, c = quad[(2, 0, 0)], quad[(1, 1, 0)], quad[(0, 0, 2)]
-    if a != quad[(0, 2, 0)] or any(quad[(1, 0, 1)]) or any(quad[(0, 1, 1)]):
-        raise ValueError(f"{model.id}: fiber forms outside the supported shape")
+    a, b, c = _fiber_forms(model)
     d = [x - 4 * y for x, y in zip_longest(_zmul(b, b), _zmul(a, a), fillvalue=0)]
     while d and d[-1] == 0:
         d.pop()
@@ -300,48 +352,24 @@ def _locus_factors(locus, p: int):
     return sorted(roots), sorted(map(list, irreducible))
 
 
-def _residue_counts(model, f, field: Field):
-    """(points, points on the line u = 0) of the fiber over the closed point
-    f = 0 of the line w = 1, f monic irreducible over F_p, in its residue
-    field F_p[z]/(f) = field: a, b and c are reduced mod f, for a linear
-    f = z - r by their values at r (Horner's rule)."""
-    p = field.p
-
-    def residue(coeffs):
-        if len(f) == 2:
-            v, r = 0, -f[0] % p
-            for x in reversed(coeffs):
-                v = (v * r + x) % p
-            return v
-        return field.encode(_poly_divmod([x % p for x in coeffs], f, p)[1])
-
-    a, b, c = (residue(model._quad_zw[m]) for m in ((2, 0, 0), (1, 1, 0), (0, 0, 2)))
-    form = (a, a, c, b, 0, 0)
-    return _conic(field, form)[0], _line_count(field, form)
+def _residue_counts(model: SurfaceModel, field: Field, z: int):
+    """(points, points on the line u = 0) of the fiber over a closed point of
+    the line w = 1, in its residue field: z is the class of z there, a root
+    in F_p or z itself in F_p[z]/(f) for an irreducible quadratic f."""
+    a, b, c = _zw_values(field, _fiber_forms(model), z, 1)
+    return _conic(field, a, b, c)[0], _line_count(field, a, b)
 
 
-def _prime_descent(model: SurfaceModel, p: int):
-    """The F_p-roots of the locus of _bundle_loci that applies mod p, its
-    irreducible quadratic factors, the generic u = 0 line count, and the
-    fiber counts at (1 : 0) and at the roots.  Roots and factors come from
-    _locus_factors, sorted: at odd p those of the locus's quadratic factors
-    over Q by their characters, the rest by Cantor-Zassenhaus.  Raises
-    FieldError, a ValueError, when the locus has a root outside F_{p^2}."""
+def _closed_points(model: SurfaceModel, p: int):
+    """The F_p-roots and the irreducible quadratic factors, sorted, of the
+    locus of _bundle_loci that applies mod p, from _locus_factors: at odd p
+    those of the locus's quadratic factors over Q by their characters, the
+    rest by Cantor-Zassenhaus.  Raises FieldError, a ValueError, when k
+    vanishes mod an odd p or the locus has a root outside F_{p^2}."""
     k, odd_locus, char2_locus = _bundle_loci(model)
     if p != 2 and k % p == 0:
         raise FieldError(f"{model.id}: b^2 - 4a^2 degenerates mod {p}")
-    roots, quadratics = _locus_factors(char2_locus if p == 2 else odd_locus, p)
-    field = make_field(p)
-    generic = 2 if p == 2 else 1 + field.quadratic_character(field.int_(k))
-    return (tuple(roots), tuple(map(tuple, quadratics)), generic,
-            classify_fiber(model, (1, 0), field).count,
-            tuple(_residue_counts(model, (-z % p, 1), field) for z in roots))
-
-
-def _quadratic_fibers(model: SurfaceModel, p: int, quadratics):
-    """The fiber counts at the closed points f = 0 of degree 2 of the locus,
-    f in quadratics, each over its residue field F_{p^2}."""
-    return [_residue_counts(model, f, Field(p, 2, modulus=f)) for f in quadratics]
+    return _locus_factors(char2_locus if p == 2 else odd_locus, p)
 
 
 def _lift(count: int, q0: int, q: int, e: int) -> int:
@@ -369,8 +397,14 @@ def descent_series(model, p: int, k: int) -> list[CountTotals]:
         raise ValueError(f"extension degree {k} is below 1")
     if k >= 2 and p * p > MAX_Q:
         raise FieldError(f"fiberwise counts at even n need F_{p}^2, beyond 2^63")
-    _, quadratics, generic, infinity, fibers = _prime_descent(model, p)
-    quadratic = [(2, _quadratic_fibers(model, p, quadratics))] if k >= 2 else []
+    roots, quadratics = _closed_points(model, p)
+    field = make_field(p)
+    generic = 2 if p == 2 else 1 + field.quadratic_character(field.int_(_bundle_loci(model)[0]))
+    infinity = classify_fiber(model, (1, 0), field).count
+    fibers = [_residue_counts(model, field, z) for z in roots]
+    # a closed point f = 0 of degree 2 in its residue field F_p[z]/(f), where z encodes as p
+    quadratic = ([(2, [_residue_counts(model, Field(p, 2, modulus=f), p) for f in quadratics])]
+                 if k >= 2 else [])
     series = []
     for n in range(1, k + 1):
         q = p**n
@@ -404,9 +438,9 @@ def degenerate_fibers(model, field: Field) -> list[tuple[int, int]]:
 
 @functools.lru_cache(maxsize=256)
 def _degenerate_fibers(model: SurfaceModel, field: Field) -> tuple[tuple[int, int], ...]:
-    roots, quadratics, _, _, _ = _prime_descent(model, field.p)
+    roots, quadratics = _closed_points(model, field.p)
     if field.n % 2 == 0:
-        roots += tuple(z for f in quadratics for z in split_roots(f, field))
+        roots = roots + [z for f in quadratics for z in split_roots(f, field)]
     bases = [_canonical_base(field, z, 1) for z in roots]
     if classify_fiber(model, (1, 0), field).degenerate:
         bases.append((1, 0))
@@ -481,15 +515,14 @@ def singular_locus(model, field: Field) -> set[BiprojectivePoint]:
     q > MAX_SINGULAR_LINE_Q and for a fiber that is the plane.
     """
     model = _as_model(model)
-    d = model.deg_zw
-    abc = [model._quad_zw[m] for m in ((2, 0, 0), (1, 1, 0), (0, 0, 2))]
+    d, abc = model.deg_zw, _fiber_forms(model)
     # F_z and F_w: a, b and c differentiated as binary forms of degree d
     by_z = [[k * x for k, x in enumerate(f)][1:] for f in abc]
     by_w = [[(d - k) * x for k, x in enumerate(f)][:-1] for f in abc]
     points = set()
     for base in degenerate_fibers(model, field):
-        a, _, c, b, _, _ = model.fiber_form_encs(base, field)
-        forms = [(a, b, c)] + [_zw_values(field, lists, d - 1, *base) for lists in (by_z, by_w)]
+        forms = [_zw_values(field, lists, *base) for lists in (abc, by_z, by_w)]
+        a, b, c = forms[0]
         candidates = _fiber_singular_span(field, a, b, c)
         if len(candidates) == 2:
             v0, v1 = candidates

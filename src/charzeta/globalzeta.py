@@ -9,7 +9,9 @@ local zeta function of a surface at p is the Euler factor of its product
 zeta * L(chi_d) (dedekind_expand), and the closed-form counts
 (fibercount.count_formula) are read off it.  Comparing the Euler factor
 with the zeta function rebuilt from fiberwise counts verifies the global
-factorisation prime by prime.
+factorisation prime by prime: check_local_zeta checks every space of one
+surface at one prime on one descent_series read, and the zeta and verify
+commands both report its records.
 """
 
 from __future__ import annotations
@@ -182,82 +184,56 @@ def euler_factor(expr: GlobalZetaExpr, p: int) -> LocalZetaFactors:
 # per-prime verification against computed local zetas
 
 
-def counts_for_space(surface_id: str, p: int, space: str, k: int) -> list[int]:
-    """N_1..N_k of one space, all by fiberwise counting (descent_series)."""
-    from .fibercount import descent_series  # deferred: `special` needs no field code
-    return [t.count(space) for t in descent_series(surface_id, p, k)]
+def check_local_zeta(surface_id: str, p: int, spaces=SPACES) -> dict:
+    """The verify record of one surface at p: each space's Euler factor
+    against the fiberwise counts N_1..N_14 of one descent_series read.
 
-
-@_record
-class LocalZetaCheck:
-    """The outcome of check_local_zeta for one surface, prime and space."""
-
-    mode: str              # recovered (p = 2, 3) or series
-    euler: LocalZetaFactors
-    counts: tuple[int, ...]
-    detail: dict           # recovered (and error), or first_mismatch_n
-    passed: bool
-    first_mismatch_n: int | None  # first n where counts differ from euler's, in either mode
-
-
-def check_local_zeta(surface_id: str, p: int, space: str) -> LocalZetaCheck:
-    """Check the Euler factor at p against the fiberwise counts.
-
-    The counts are N_1..N_14 from counts_for_space.  For p in {2, 3} the
-    factors are recovered blind from them and must equal the Euler factor;
-    for other primes they must equal the counts the Euler factor implies.
+    For p in RECOVERY_PRIMES ("recovered" mode) the factors are recovered
+    blind from the counts and must equal the Euler factor; recovered is
+    None, with the error, where recovery fails.  At every other prime
+    ("series" mode) the counts must equal those the Euler factor implies,
+    up to first_mismatch_n.  Each item of "spaces" holds the Euler factor,
+    the counts and its verdict "pass"; fiberwise_vs_formula gives the least
+    n, over the spaces and in either mode, where counts and Euler factor
+    disagree.  Mismatches become report entries, never exceptions.
     """
-    return _check_counts(surface_id, p, space,
-                         counts_for_space(surface_id, p, space, RECOVERY_COUNTS))
-
-
-def _check_counts(surface_id: str, p: int, space: str, counts: list[int]) -> LocalZetaCheck:
-    euler = euler_factor(global_expression(surface_id, space), p)
-    if p not in RECOVERY_PRIMES:
-        first_bad = _first_mismatch(counts, euler)
-        return LocalZetaCheck("series", euler, tuple(counts), {"first_mismatch_n": first_bad},
-                              first_bad is None, first_bad)
-    try:
-        got = recover_factors(counts, p)
-        detail, ok = {"recovered": got.to_json()}, got == euler
-    except RecoveryError as exc:
-        detail, ok = {"recovered": None, "error": str(exc)}, False
-    # recover_factors regenerated the counts from its factors, so a recovery
-    # that matched the Euler factor has no mismatch
-    return LocalZetaCheck("recovered", euler, tuple(counts), detail, ok,
-                          None if ok else _first_mismatch(counts, euler))
-
-
-def _first_mismatch(counts, euler: LocalZetaFactors) -> int | None:
-    return next((n for n, (x, y) in enumerate(zip(counts, euler.counts(len(counts))), 1)
-                 if x != y), None)
-
-
-def _verify_one_prime(surface_id: str, p: int) -> dict:
-    from .fibercount import descent_series
+    from .fibercount import descent_series  # deferred: `special` needs no field code
     series = descent_series(surface_id, p, RECOVERY_COUNTS)
-    checks = {space: _check_counts(surface_id, p, space, [t.count(space) for t in series])
-              for space in SPACES}
-    first_bad = min((c.first_mismatch_n for c in checks.values()
-                     if c.first_mismatch_n is not None), default=None)
-    spaces = {}
-    for space, c in checks.items():
-        spaces[space] = {"euler": c.euler.to_json(), **c.detail, "pass": c.passed}
-        if c.mode == "series":
-            spaces[space]["checked_n"] = len(c.counts)
-    return {"surface": surface_id, "p": p, "mode": checks[SPACES[0]].mode,
-            "spaces": spaces,
+    mode = "recovered" if p in RECOVERY_PRIMES else "series"
+    items, mismatches = {}, []
+    for space in spaces:
+        euler = euler_factor(global_expression(surface_id, space), p)
+        counts = [t.count(space) for t in series]
+        item = items[space] = {"euler": euler.to_json(), "counts": counts}
+        if mode == "recovered":
+            try:
+                got = recover_factors(counts, p)
+                item["recovered"], item["pass"] = got.to_json(), got == euler
+            except RecoveryError as exc:
+                item["recovered"], item["error"], item["pass"] = None, str(exc), False
+            if item["pass"]:  # recover_factors regenerated the counts from its factors
+                continue
+        first_bad = next((n for n, (x, y) in enumerate(zip(counts, euler.counts(len(counts))), 1)
+                          if x != y), None)
+        if mode == "series":
+            item["first_mismatch_n"], item["pass"] = first_bad, first_bad is None
+        if first_bad is not None:
+            mismatches.append(first_bad)
+    first_bad = min(mismatches, default=None)
+    return {"surface": surface_id, "p": p, "mode": mode, "spaces": items,
             "fiberwise_vs_formula": {"pass": first_bad is None, "first_mismatch_n": first_bad},
-            "pass": first_bad is None and all(c.passed for c in checks.values())}
+            "pass": all(item["pass"] for item in items.values())}
 
 
 def verify_global(model, primes) -> list[dict]:
-    """Check euler_factor(global expression) against computed local zetas.
-
-    Each prime takes one descent series, and each space is checked on it as
-    check_local_zeta checks it; the fiberwise counts N_1..N_14 of every
-    space are compared with those the Euler factors imply.  Mismatches
-    become report entries, never exceptions.  Reports are ordered by prime.
-    """
+    """check_local_zeta's records in every space at each prime, ordered by
+    prime; each series-mode item gives how many counts it checked in place
+    of the counts themselves."""
     surface_id = model if isinstance(model, str) else model.id
-    return [_verify_one_prime(surface_id, p) for p in sorted(set(primes))]
+    records = [check_local_zeta(surface_id, p) for p in sorted(set(primes))]
+    for record in records:
+        for item in record["spaces"].values():
+            checked = len(item.pop("counts"))
+            if record["mode"] == "series":
+                item["checked_n"] = checked
+    return records

@@ -5,18 +5,17 @@ bihomogeneous F(x, y, u, z, w) in P^2 x P^1 has bidegree (2, d), d the
 z-degree of f, which forces F: the monomial x^a y^b z^c of f becomes
 x^a y^b u^(2-a-b) z^c w^(d-c), so F(x, y, 1, z, 1) = f by construction.
 The registry holds the paper's three surfaces; every counting path also
-takes a SurfaceModel built from any such f.  CountTotals is the one count
-record: brute force, the fiberwise descent and the closed formula each
-return a surface's counts in all three spaces in one.
+takes a SurfaceModel built from any such f, and reads what it needs off
+f's terms: fibercount the fiber forms a(z), b(z) and c(z) of the conic
+bundle, varieties the forms in z of f as a quadratic in y.  CountTotals is
+the one count record: brute force, the fiberwise descent and the closed
+formula each return a surface's counts in all three spaces in one.
 """
 
 from __future__ import annotations
 
 from . import SPACES, SURFACE_IDS, _record
-from .finfield import Field
 from .intpoly import IntPoly
-
-QUAD_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
 @_record
@@ -38,36 +37,8 @@ class CountTotals:
         return getattr(self, space)
 
 
-def _zw_values(field: Field, coeff_lists, deg: int, z: int, w: int) -> list[int]:
-    """Each binary form sum_k c_k z^k w^(deg-k) of coeff_lists at (z : w).
-
-    The monomials z^k w^(deg-k) are running products (no w powers when
-    w = 1); each form is summed digit by digit and reduced mod p once.
-    Scalar field arithmetic, so it works at any q: fiber_form_encs and
-    fibercount.singular_locus use it.  The independent count of varieties
-    evaluates its forms on its own, by Horner's rule.
-    """
-    monos = [1]
-    for _ in range(deg):
-        monos.append(field.mul(monos[-1], z))
-    if w != 1:
-        wp = [1]
-        for _ in range(deg):
-            wp.append(field.mul(wp[-1], w))
-        monos = [field.mul(zk, wp[deg - k]) for k, zk in enumerate(monos)]
-    digits = [field.coeffs(m) for m in monos]
-    out = []
-    for coeffs in coeff_lists:
-        acc = [0] * field.n
-        for c, dig in zip(coeffs, digits):
-            if c:
-                acc = [x + c * y for x, y in zip(acc, dig)]
-        out.append(field.encode(acc))
-    return out
-
-
 class SurfaceModel:
-    """One surface: affine polynomial f, bihomogeneous model F, fiber extractor.
+    """One surface: affine polynomial f and bihomogeneous model F.
 
     Raises ValueError when f's variables are not (x, y, z) or f has degree
     above 2 in (x, y).
@@ -86,20 +57,6 @@ class SurfaceModel:
         self.f = affine
         self.F = IntPoly(("x", "y", "u", "z", "w"), terms)
         self.deg_zw = d
-        # the fiber extractor's six coefficient lists over z^k w^(d-k)
-        self._quad_zw = {(a, b, u): tuple(terms.get((a, b, u, k, d - k), 0) for k in range(d + 1))
-                         for a, b, u in QUAD_MONOMIALS}
-
-    def fiber_form_encs(self, basepoint, field: Field) -> tuple[int, ...]:
-        """Six coefficients (x^2, y^2, u^2, xy, xu, yu) of the fiber at (z : w).
-
-        Each coefficient is an integer combination of the monomials
-        z^k w^(d-k), summed digit by digit and reduced mod p once.
-        """
-        z, w = (int(c) for c in basepoint)
-        if z == 0 and w == 0:
-            raise ValueError("(0 : 0) is not a point of the projective line")
-        return tuple(_zw_values(field, self._quad_zw.values(), self.deg_zw, z, w))
 
     def __repr__(self):
         return f"SurfaceModel({self.id})"

@@ -16,7 +16,7 @@ import pytest
 
 import charzeta
 from charzeta import BiprojectivePoint, classify_fiber, fibercount, is_prime, make_field, surface
-from charzeta.fibercount import _bundle_loci, _line_count, _zmul
+from charzeta.fibercount import _bundle_loci, _fiber_forms, _line_count, _zmul, _zw_values
 from charzeta.finfield import (FieldError, _fq_divmod, _fq_gcd, _fq_monic, _fq_pow,
                                _poly_sub_x, _poly_trim, _prime_factors, split_roots)
 from charzeta.intpoly import IntPoly
@@ -194,7 +194,7 @@ def fiberwise_totals_fq(model, field):
     """
     model = _as_model(model)
     k, odd_locus, char2_locus = _bundle_loci(model)
-    a = model._quad_zw[(2, 0, 0)]
+    a = _fiber_forms(model)[0]
     q = field.q
     if field.p == 2:
         roots, line = field_roots(_zmul(a, char2_locus), field), 2
@@ -207,7 +207,7 @@ def fiberwise_totals_fq(model, field):
     for z in roots:
         rep = classify_fiber(model, (z, 1), field)
         biproj += rep.count
-        nonaffine += _line_count(field, model.fiber_form_encs((z, 1), field))
+        nonaffine += _line_count(field, *fiber_form(model, (z, 1), field)[:2])
         if rep.degenerate:
             reports.append(rep)
     rep = classify_fiber(model, (1, 0), field)  # entirely non-affine
@@ -218,6 +218,19 @@ def fiberwise_totals_fq(model, field):
     reports.sort(key=lambda r: r.base)
     totals = CountTotals(model.id, field.p, field.n, biproj, biproj - nonaffine, nonaffine)
     return totals, reports
+
+
+def fiber_form(model, base, field):
+    """(a, b, c) of the fiber a(x^2 + y^2) + bxy + cu^2 over base = (z : w),
+    as the descent reads it."""
+    model = _as_model(model)
+    return tuple(_zw_values(field, _fiber_forms(model), *base))
+
+
+def ternary(a, b, c):
+    """The fiber form a(x^2 + y^2) + bxy + cu^2 as the coefficients of x^2,
+    y^2, u^2, xy, xu and yu that conic_count_brute takes."""
+    return (a, a, c, b, 0, 0)
 
 
 def all_fiber_reports(surface_id, field):
@@ -305,10 +318,9 @@ def conic_count_brute(field, coeff_encs):
     return int(np.count_nonzero(v == 0))
 
 
-def fiber_determinant(field, form):
+def fiber_determinant(field, a, b, c):
     """Up to a unit, the determinant of the fiber form a(x^2 + y^2) + bxy + cu^2:
     c(b^2 - 4a^2), or bc in characteristic 2.  Zero iff the conic is degenerate."""
-    a, _, c, b, _, _ = form
     if field.p == 2:
         return field.mul(b, c)
     return field.mul(c, field.sub(field.mul(b, b), field.mul(field.int_(4), field.mul(a, a))))

@@ -11,9 +11,9 @@ import pytest
 from charzeta import (brute_totals, count_formula, dirichlet_L, make_field, mahler_measure_mc,
                       recover_factors, riemann_zeta, singular_locus, verify_global,
                       verify_table1)
-from charzeta.fibercount import _conic, fiberwise_totals
+from charzeta.fibercount import _conic, descent_series, fiberwise_totals
 from charzeta.finfield import is_prime
-from charzeta.globalzeta import CHI5, CHI8, counts_for_space
+from charzeta.globalzeta import CHI5, CHI8
 from conftest import (all_fiber_reports, conic_count_brute, expected_singular_points,
                       fiber_determinant, paper_local_zeta, prime_powers_upto,
                       zeta_series_from_counts)
@@ -65,7 +65,7 @@ def test_criterion_03_blind_recovery_p2_p3():
     for sid in SURFACES:
         for p in (2, 3):
             for space in SPACES:
-                counts = counts_for_space(sid, p, space, 14)
+                counts = [t.count(space) for t in descent_series(sid, p, 14)]
                 got = recover_factors(counts, p)
                 want = paper_local_zeta(sid, p, space)
                 ok &= got == want
@@ -165,7 +165,6 @@ def test_criterion_10_property_suites():
         rng = random.Random(1000 + field.q)
         for _ in range(200):
             a, b, c = (rng.randrange(field.q) for _ in range(3))
-            coeffs = (a, a, c, b, 0, 0)
-            ok &= _conic(field, coeffs) == (conic_count_brute(field, coeffs),
-                                            fiber_determinant(field, coeffs) == 0)
+            ok &= _conic(field, a, b, c) == (conic_count_brute(field, (a, a, c, b, 0, 0)),
+                                             fiber_determinant(field, a, b, c) == 0)
     report("10 property suites (integrality, fiber sums, space additivity, conics)", ok)

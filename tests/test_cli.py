@@ -164,6 +164,22 @@ COUNT_STDOUT_SHA256 = [
     pytest.param(("count", "--surface", "L0", "--space", "all", "--method", "all",
                   "--p", "7", "--format", "text"),
                  "b1b12f0516b74bcb666172f2292cf495d2f8f83e3a7b715c43dfafe5e682f37c", id="text"),
+    # the descent alone, where its fibers are read in the residue fields F_{p^2}
+    pytest.param(("count", "--surface", "all", "--space", "all", "--method", "fiberwise",
+                  "--p", "2", "--n", "11"),
+                 "c97f59c0838ded30ac10afa3b7e448cc67c1e157530f8e09285c5090cc73ce7f", id="fiberwise-2^11"),
+    pytest.param(("count", "--surface", "all", "--space", "all", "--method", "fiberwise",
+                  "--p", "3", "--n", "12"),
+                 "26efb5a5be553afd677ac6cb80f487aed6205584054df7208f5bb61e46bc1c95", id="fiberwise-3^12"),
+    pytest.param(("count", "--surface", "all", "--space", "all", "--method", "fiberwise",
+                  "--p", "7", "--n", "7"),
+                 "08eb14a4a7d0a510d349e0425a4638292f94092868714d71a4e1b0ef315a6e8f", id="fiberwise-7^7"),
+    pytest.param(("count", "--surface", "all", "--space", "all", "--method", "fiberwise",
+                  "--p", "101", "--n", "3"),
+                 "eac8e73f39bb06eee410d563d5147cce8a9cd75d9f1e57a17ef7f00b5cf2663f", id="fiberwise-101^3"),
+    pytest.param(("count", "--surface", "all", "--space", "all", "--method", "fiberwise",
+                  "--p", "3037000493", "--n", "2"),
+                 "a8575d9fb04d2ae5c07cc1ffc4c5510a0cd10b2d42477f8158ae50834ec2992d", id="fiberwise-3037000493^2"),
 ]
 
 
@@ -214,7 +230,7 @@ def test_zeta_counts_do_not_come_from_the_closed_form(capsys, monkeypatch, p, sp
 
     monkeypatch.setattr(globalzeta, "euler_factor", wrong)
     for sid in ("L0", "L1", "L2"):
-        assert not globalzeta.check_local_zeta(sid, int(p), space).passed
+        assert not globalzeta.check_local_zeta(sid, int(p), (space,))["pass"]
     code, doc = run_json(capsys, "zeta", "--surface", "all", "--p", p, "--space", space)
     assert code == 1 and not doc["ok"]
     assert [rec["match"] for rec in doc["records"]] == [False] * 3
@@ -247,6 +263,18 @@ ZETA_STDOUT_SHA256 = [
                  "1e49806b2a5e6d5796161c442db327d18a393c17a5f4b5691cbd8b61c68e9883", id="zeta-5"),
     pytest.param(("zeta", "--surface", "all", "--p", "2"),
                  "525ea5cfcdc1f4a621b2d299dd2a51d31a95f20ef150d7cfa44afb5ee593afa1", id="zeta-2"),
+    pytest.param(("zeta", "--surface", "all", "--p", "3", "--space", "affine"),
+                 "3873a6520868b6b5c20d30c87919521b71124f636e0cc866d8922b0a5fd4efaa", id="zeta-3-affine"),
+    pytest.param(("zeta", "--surface", "all", "--p", "3", "--space", "biprojective"),
+                 "6b9c4af161ab5454cd2081c89e3cbf1bac97065997898672cd5979f9c2aaf1cd", id="zeta-3-biprojective"),
+    pytest.param(("zeta", "--surface", "all", "--p", "3", "--space", "nonaffine"),
+                 "66bacfd676960450e8a448565a7e08f31e2c87160ce3103d43bb475138d5664f", id="zeta-3-nonaffine"),
+    pytest.param(("zeta", "--surface", "all", "--p", "7", "--space", "affine"),
+                 "b04f42fd7cf0c951bc6ef1be7de09b5e681a11e3876b455091cd659e367bf854", id="zeta-7-affine"),
+    pytest.param(("zeta", "--surface", "all", "--p", "7", "--space", "biprojective"),
+                 "851c9a3acf60cf522258c0145c36a0502d5e03c2a025907197d70f609b882a01", id="zeta-7-biprojective"),
+    pytest.param(("zeta", "--surface", "all", "--p", "7", "--space", "nonaffine"),
+                 "934c40bf673ccdd4c0ebea47d30cc337c740c790f8877171f64f081452019b08", id="zeta-7-nonaffine"),
 ]
 
 
@@ -346,6 +374,9 @@ _SINGULAR_SHA256 = {
     (5, 3): "7329f004b02f55be12c180b60dc5ae36ce861fa8496559043b0c24647d27b3a9",
     (127, 1): "db039a0454c22df70becfbbba75f4dc92f96d04c1b7df48539c2f2b5b18538e4",
     (2, 7): "2ab81645fc98bf921bd63a817bde8e39bd3dec5b7320a0a0c78cd2202815aced",
+    # degree-2 closed points split over F_q at odd p
+    (3, 4): "1742c7bf2b0f1ffb81acd273b4712786e521fe4bbce56ec73b5d453571732c65",
+    (13, 2): "51782d683d255e414e99b04ed927abc79e213e4ed8e9eb3d495f9293f9eeb729",
 }
 
 
@@ -354,6 +385,30 @@ def test_singular_stdout_is_pinned(capsys):
         code, out = run(capsys, "singular", "--surface", "all", "--p", str(p), "--n", str(n))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (p, n)
+
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def test_reference_invocations_pass_the_bench_check(capsys, monkeypatch):
+    # every invocation whose records bench/reference.json holds, in process,
+    # must pass the benchmark's own output check; of the mahler seeds only 7
+    # runs, as the others take the same path with 10^7 samples each
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import checks
+    import workloads
+    with open(os.path.join(BENCH_DIR, "reference.json")) as fh:
+        reference = json.load(fh)["records"]
+    invocations = [inv for inv in workloads.reference_invocations()
+                   if inv.argv[0] != "mahler" or inv.argv[-1] == "7"]
+    assert len(invocations) == 63
+    failures = {}
+    for inv in invocations:
+        code, out = run(capsys, *inv.argv)
+        reason = checks.check_output(code, out.encode(), inv.expect, reference)
+        if reason is not None:
+            failures[" ".join(inv.argv)] = reason
+    assert failures == {}
 
 
 def test_singular_splits_the_degenerate_locus_once(capsys, monkeypatch):

@@ -10,27 +10,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charzeta import (CountTotals, FieldError, brute_totals, classify_fiber, count_formula,
-                      degenerate_fibers, fiberwise_totals, is_prime, make_field, surface)
+from charzeta import (CountTotals, FieldError, SurfaceModel, brute_totals, classify_fiber,
+                      count_formula, degenerate_fibers, fiberwise_totals, is_prime, make_field,
+                      singular_locus, surface)
 from charzeta import fibercount, globalzeta
 from charzeta.fibercount import (_bundle_loci, _conic, _fiber_singular_span, _lift, _line_count,
                                  _locus_factors, _square_root, _zmul, descent_series)
-from charzeta.finfield import low_degree_factors, split_roots
+from charzeta.finfield import Field, low_degree_factors, split_roots
+from charzeta.intpoly import IntPoly
 from conftest import (_scalar_tables, all_fiber_reports, conic_bundle, conic_count_brute,
-                      eval_scalar, fiber_determinant, fiberwise_totals_fq, generated_models,
-                      model_with_points_over_w0, p2_reps, paper_local_zeta,
-                      prime_powers_upto)
+                      eval_scalar, fiber_determinant, fiber_form, fiberwise_totals_fq,
+                      generated_models, model_with_points_over_w0, p2_reps, paper_local_zeta,
+                      prime_powers_upto, ternary)
 
 
 def test_fiber_form_examples():
-    f7, fiber_form = make_field(7), surface("L0").fiber_form_encs
+    f7, l0 = make_field(7), surface("L0")
     # fiber at (1:0) is u^2 = 0
-    assert fiber_form((1, 0), f7) == (0, 0, 1, 0, 0, 0)
+    assert fiber_form(l0, (1, 0), f7) == (0, 0, 1)
     # fiber at (0:1) is -xy = 0
-    assert fiber_form((0, 1), f7) == (0, 0, 0, 6, 0, 0)
+    assert fiber_form(l0, (0, 1), f7) == (0, 6, 0)
     # fiber at (1:1) over F_5 equals (x - y)^2 - u^2 = ((x-y)-u)((x-y)+u)
     f5 = make_field(5)
-    assert fiber_form((1, 1), f5) == (1, 1, 4, 3, 0, 0)
+    assert fiber_form(l0, (1, 1), f5) == (1, 3, 4)
 
 
 def test_fiber_form_reproduces_surface_polynomial():
@@ -40,11 +42,10 @@ def test_fiber_form_reproduces_surface_polynomial():
             m = surface(sid)
             for z in list(range(min(field.q, 6))) + [1]:
                 w = 1 if z != 1 else 0
-                a, b, c, d, e, f = m.fiber_form_encs((z, w), field)
+                coeffs = ternary(*fiber_form(m, (z, w), field))
                 for x, y, u in [(1, 2 % field.q, 1), (0, 1, 1), (1, 1, 0), (2 % field.q, 3 % field.q, 1)]:
                     form_val = 0
-                    for coef, mono in zip((a, b, c, d, e, f),
-                                          ((x, x), (y, y), (u, u), (x, y), (x, u), (y, u))):
+                    for coef, mono in zip(coeffs, ((x, x), (y, y), (u, u), (x, y), (x, u), (y, u))):
                         form_val = field.add(form_val, field.mul(coef, field.mul(*mono)))
                     direct = eval_scalar(m.F, field, (x, y, u, z, w))
                     assert form_val == direct
@@ -98,7 +99,7 @@ def test_smooth_fibers_contribute_q_plus_one():
             for r in reports:
                 if not r.degenerate:
                     assert r.count == field.q + 1
-                    assert fiber_determinant(field, surface(sid).fiber_form_encs(r.base, field))
+                    assert fiber_determinant(field, *fiber_form(sid, r.base, field))
 
 
 def test_fiber_sum_equals_total():
@@ -116,7 +117,7 @@ def test_char2_fiber_counts_against_dumb_enumeration():
         for n in (1, 2, 3):
             field = make_field(2, n)
             for z, w in [(t, 1) for t in range(field.q)] + [(1, 0)]:
-                coeffs = surface(sid).fiber_form_encs((z, w), field)
+                coeffs = ternary(*fiber_form(sid, (z, w), field))
                 dumb = 0
                 for (x, y, u) in p2_reps(field):
                     v = 0
@@ -140,10 +141,10 @@ def test_char2_fiber_counts_property(sid, pn, data):
     base = data.draw(st.one_of(
         st.sampled_from(degenerate_fibers(sid, field)),
         st.integers(0, field.q - 1).map(lambda z: (z, 1))))
-    coeffs = surface(sid).fiber_form_encs(base, field)
+    form = fiber_form(sid, base, field)
     report = classify_fiber(sid, base, field)
-    assert report.count == conic_count_brute(field, coeffs)
-    assert report.degenerate == (fiber_determinant(field, coeffs) == 0)
+    assert report.count == conic_count_brute(field, ternary(*form))
+    assert report.degenerate == (fiber_determinant(field, *form) == 0)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -157,16 +158,26 @@ def test_conic_rule_vs_enumeration(p, n):
         rng = random.Random(field.q)
         forms = [tuple(rng.randrange(field.q) for _ in range(3)) for _ in range(200)]
     for a, b, c in forms:
-        form = (a, a, c, b, 0, 0)
-        assert _conic(field, form) == (conic_count_brute(field, form),
-                                       fiber_determinant(field, form) == 0), form
+        assert _conic(field, a, b, c) == (conic_count_brute(field, ternary(a, b, c)),
+                                          fiber_determinant(field, a, b, c) == 0), (a, b, c)
 
 
-def test_conic_rule_refuses_other_shapes():
-    with pytest.raises(AssertionError):
-        _conic(make_field(3), (1, 2, 1, 0, 0, 0))
-    with pytest.raises(AssertionError):
-        _conic(make_field(2), (1, 1, 1, 0, 1, 0))
+@pytest.mark.parametrize("model", [
+    model_with_points_over_w0(),
+    # L0 with 2x^2 z in place of x^2 z: the x^2 and y^2 coefficients differ
+    SurfaceModel("L0+x^2z", IntPoly(surface("L0").f.vars,
+                                    {**surface("L0").f.terms, (2, 0, 1): 2})),
+], ids=["xu-term", "unequal-squares"])
+def test_fiber_readers_refuse_other_shapes(model):
+    # the shape is checked once per model, so every reader of its fibers
+    # raises the ValueError that the CLI maps to exit code 2
+    field = make_field(5)
+    readers = [lambda: classify_fiber(model, (1, 1), field), lambda: descent_series(model, 5, 1),
+               lambda: degenerate_fibers(model, field), lambda: singular_locus(model, field)]
+    for read in readers:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{model.id}: fiber forms outside the supported shape")):
+            read()
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
@@ -295,10 +306,10 @@ def test_lift_matches_counts_over_extensions(p):
     for e in (1, 2, 3):
         field = make_field(p, e)
         for a, b, c in itertools.product(range(p), repeat=3):
-            form = (a, a, c, b, 0, 0)
-            assert _lift(_line_count(prime, form), p, field.q, e) == _line_count(field, form)
-            points = (_conic(prime, form)[0] - 1) // p
-            assert field.q * _lift(points, p, field.q, e) + 1 == _conic(field, form)[0], (form, e)
+            assert _lift(_line_count(prime, a, b), p, field.q, e) == _line_count(field, a, b)
+            points = (_conic(prime, a, b, c)[0] - 1) // p
+            assert field.q * _lift(points, p, field.q, e) + 1 == _conic(field, a, b, c)[0], (
+                (a, b, c), e)
 
 
 # L0's a = z, b = -(z^2 + 1) and c = z^3 - 2z; a and b meet both identities
@@ -387,20 +398,23 @@ def test_closed_points_classified_in_their_residue_fields(sid):
     model, quadratic_points = surface(sid), 0
     _, odd_locus, char2_locus = _bundle_loci(model)
     for p in (p for p in range(2, 200) if is_prime(p)):
-        roots, quadratics, _, _, fibers = fibercount._prime_descent(model, p)
+        roots, quadratics = fibercount._closed_points(model, p)
         expected_roots, expected_quadratics = low_degree_factors(
             char2_locus if p == 2 else odd_locus, p)
-        assert list(roots) == expected_roots
-        assert sorted(map(list, quadratics)) == sorted(expected_quadratics)
+        assert roots == expected_roots
+        assert quadratics == sorted(expected_quadratics)
+        # the class of z in F_p[z]/(f) encodes as p
         for field, points, counts in [
-                (make_field(p), [[z] for z in roots], fibers),
+                (make_field(p), [[z] for z in roots],
+                 [fibercount._residue_counts(model, make_field(p), z) for z in roots]),
                 (make_field(p, 2), [split_roots(f, make_field(p, 2)) for f in quadratics],
-                 fibercount._quadratic_fibers(model, p, quadratics))]:
+                 [fibercount._residue_counts(model, Field(p, 2, modulus=f), p)
+                  for f in quadratics])]:
             for zs, (count, line) in zip(points, counts, strict=True):
                 for z in zs:
-                    form = model.fiber_form_encs((z, 1), field)
+                    a, b, _ = fiber_form(model, (z, 1), field)
                     assert classify_fiber(model, (z, 1), field).count == count, (p, z)
-                    assert _line_count(field, form) == line, (p, z)
+                    assert _line_count(field, a, b) == line, (p, z)
         quadratic_points += len(quadratics)
     assert quadratic_points > 0 or sid == "L2"
 
@@ -412,11 +426,10 @@ def test_prime_descent_factors_the_locus_as_low_degree_factors(sid):
     model = surface(sid)
     _, odd_locus, char2_locus = _bundle_loci(model)
     for p in [p for p in range(2, 2000) if is_prime(p)] + _BIG_PRIMES:
-        roots, quadratics, _, _, _ = fibercount._prime_descent(model, p)
+        roots, quadratics = fibercount._closed_points(model, p)
         expected_roots, expected_quadratics = low_degree_factors(
             char2_locus if p == 2 else odd_locus, p)
-        assert (list(roots), list(map(list, quadratics))) == (expected_roots,
-                                                              sorted(expected_quadratics)), p
+        assert (roots, quadratics) == (expected_roots, sorted(expected_quadratics)), p
 
 
 def test_descent_does_not_use_the_closed_form_characters(monkeypatch, fresh_descent):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import charzeta
 from charzeta import (SURFACE_IDS, BiprojectivePoint, FieldError, brute_totals, count_formula,
                       fiberwise_totals, make_field, singular_locus, surface, varieties)
-from charzeta.surfaces import _as_model, _zw_values
+from charzeta.fibercount import _zw_values
+from charzeta.surfaces import _as_model
 from charzeta.varieties import _Y_FORMS, _Logs, _Residues, _solutions
 from conftest import (_scalar_tables, biprojective_zero_reps, chart_verdicts, eval_scalar,
                       expected_singular_points, generated_models, model_with_points_over_w0,
@@ -237,13 +238,13 @@ def _form_values_match_scalar(field, zs):
             got = F.values([F.const(c) for c in coeffs], [_to_repr(F, z) for z in zs])
             if exp is not None:
                 got = [0 if v is None else exp[v] for v in got]
-            assert got == [_zw_values(field, [coeffs], d, z, 1)[0] for z in zs], (sid, field)
+            assert got == [_zw_values(field, [coeffs], z, 1)[0] for z in zs], (sid, field)
 
 
 def test_form_weights_match_scalar_weights():
     # the weights of the base points (z : 1), the values there of the forms
     # A, b0, b1, c0, c1 and c2 of every surface by Horner's rule on residues
-    # or logs, against surfaces._zw_values: at every z of each
+    # or logs, against fibercount._zw_values: at every z of each
     # field with q <= 128, and at the cap-edge fields at a seeded sample of
     # z that includes 0, 1 and q - 1
     for p, n in prime_powers_upto(128):
