@@ -1,15 +1,14 @@
 """Surface models built from their affine equations, and count totals.
 
-A model is given by f(x, y, z) of degree at most 2 in (x, y).  Its
-bihomogeneous F(x, y, u, z, w) in P^2 x P^1 has bidegree (2, d), d the
-z-degree of f, which forces F: the monomial x^a y^b z^c of f becomes
-x^a y^b u^(2-a-b) z^c w^(d-c), so F(x, y, 1, z, 1) = f by construction.
-The registry holds the paper's three surfaces; every counting path also
-takes a SurfaceModel built from any such f, and reads what it needs off
-f's terms: fibercount the fiber forms a(z), b(z) and c(z) of the conic
-bundle, varieties the forms in z of f as a quadratic in y.  CountTotals is
-the one count record: brute force, the fiberwise descent and the closed
-formula each return a surface's counts in all three spaces in one.
+A model is given by f(x, y, z) of degree at most 2 in (x, y), and the
+surface it counts is V(F) in P^2 x P^1, F the bihomogenisation of f of
+bidegree (2, d), d the z-degree of f.  The registry holds the paper's
+three surfaces; every counting path also takes a SurfaceModel built from
+any such f, and reads what it needs off f's terms: fibercount the fiber
+forms a(z), b(z) and c(z) of the conic bundle, varieties the forms in z
+of f as a quadratic in y.  CountTotals is the one count record: brute
+force, the fiberwise descent and the closed formula each return a
+surface's counts in all three spaces in one.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ class CountTotals:
 
 
 class SurfaceModel:
-    """One surface: affine polynomial f and bihomogeneous model F.
+    """One surface: its affine polynomial f and deg_zw, f's degree in z.
 
     Raises ValueError when f's variables are not (x, y, z) or f has degree
     above 2 in (x, y).
@@ -47,19 +46,11 @@ class SurfaceModel:
     def __init__(self, surface_id: str, affine: IntPoly):
         if affine.vars != ("x", "y", "z"):
             raise ValueError(f"{surface_id}: variables {affine.vars} are not (x, y, z)")
-        d = affine.degree("z")
-        terms = {}
-        for (a, b, c), coeff in affine.terms.items():
-            if a + b > 2:
-                raise ValueError(f"{surface_id}: f has degree above 2 in (x, y)")
-            terms[a, b, 2 - a - b, c, d - c] = coeff
+        if any(a + b > 2 for a, b, _ in affine.terms):
+            raise ValueError(f"{surface_id}: f has degree above 2 in (x, y)")
         self.id = surface_id
         self.f = affine
-        self.F = IntPoly(("x", "y", "u", "z", "w"), terms)
-        self.deg_zw = d
-
-    def __repr__(self):
-        return f"SurfaceModel({self.id})"
+        self.deg_zw = affine.degree("z")
 
 
 def _build_models():

@@ -274,10 +274,11 @@ def biprojective_zero_reps(model, field):
     point."""
     add, mul, _ = _scalar_tables(field.p, field.n)
     plane = p2_reps(field)
+    F = bihomogeneous(model)
     reps = []
     for zw in p1_reps(field):
         form = {}
-        for e, c in _as_model(model).F.terms.items():
+        for e, c in F.terms.items():
             form[e[:3]] = add[form.get(e[:3], 0)][_monomial(mul, field.int_(c), zw, e[3:])]
         values = [0] * len(plane)
         for e, c in form.items():
@@ -384,6 +385,26 @@ def zero_points_scalar(poly, field, points):
     return [tuple(pt) for pt in points if eval_scalar(poly, field, pt) == 0]
 
 
+def bihomogeneous(model):
+    """F(x, y, u, z, w) of bidegree (2, d), d the z-degree of f: the monomial
+    x^a y^b z^c of f becomes x^a y^b u^(2-a-b) z^c w^(d-c), so
+    F(x, y, 1, z, 1) = f by construction."""
+    m = _as_model(model)
+    d = m.deg_zw
+    return IntPoly(("x", "y", "u", "z", "w"),
+                   {(a, b, 2 - a - b, c, d - c): coeff for (a, b, c), coeff in m.f.terms.items()})
+
+
+def eval_int(poly, values):
+    """poly at one integer point, values a dict by variable name."""
+    total = 0
+    for e, c in poly.terms.items():
+        for v, k in zip(poly.vars, e):
+            c *= values[v] ** k
+        total += c
+    return total
+
+
 def partial(poly, var):
     """The partial derivative of an IntPoly in var."""
     i = poly.vars.index(var)
@@ -411,7 +432,7 @@ _CHART_POS = {"x": 0, "y": 1, "u": 2, "z": 3, "w": 4}
 
 @functools.lru_cache(maxsize=None)
 def _chart(model, pv, bv):
-    g = set_one(set_one(_as_model(model).F, pv), bv)
+    g = set_one(set_one(bihomogeneous(model), pv), bv)
     return g.vars, tuple(partial(g, v) for v in g.vars)
 
 

@@ -1,8 +1,10 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import contextlib
+import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import signal
@@ -190,6 +192,61 @@ def test_count_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout SHA-256 of the commands whose csv rows flatten nested records:
+# dicts into dotted columns, lists into JSON cells
+CSV_STDOUT_SHA256 = [
+    pytest.param(("verify", "--surface", "all", "--primes", "2..13", "--format", "csv"),
+                 "c5ee9301cfc7e4b7651cd2bec8a870807d67497db4839656fd2cada77c09db26", id="verify"),
+    pytest.param(("zeta", "--surface", "all", "--p", "3", "--format", "csv"),
+                 "ae6a4153d11c9a39af18eb4c1f4cb42c61e765cf129dda9721984fa55a71b48a", id="zeta-3"),
+    pytest.param(("zeta", "--surface", "all", "--p", "5", "--format", "csv"),
+                 "9a2ced1432e7045675376f2f71457dcd9ad3dee13beb32a3f7879f202a6c07cb", id="zeta-5"),
+    pytest.param(("singular", "--surface", "all", "--p", "3", "--n", "2", "--format", "csv"),
+                 "48ef7ba9f27a70820f81dcef1f2ac41c5cecf75e20c9eb383952bf5c7486bfc5", id="singular-3^2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CSV_STDOUT_SHA256)
+def test_csv_stdout_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def csv_and_json_records(capsys, *argv):
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    _, doc = run_json(capsys, *argv)
+    assert len(rows) == len(doc["records"])
+    return zip(rows, doc["records"])
+
+
+def test_csv_flattens_nested_records(capsys):
+    # a nested dict's leaves are dotted columns, None an empty cell, and a
+    # list one cell of JSON
+    for row, rec in csv_and_json_records(capsys, "verify", "--surface", "L0", "--primes", "2..5"):
+        check = rec["fiberwise_vs_formula"]
+        assert row["fiberwise_vs_formula.pass"] == str(check["pass"])
+        assert row["fiberwise_vs_formula.first_mismatch_n"] == ""
+        for space, item in rec["spaces"].items():
+            assert row[f"spaces.{space}.pass"] == str(item["pass"])
+            assert json.loads(row[f"spaces.{space}.euler.factors"]) == item["euler"]["factors"]
+            if rec["mode"] == "recovered":
+                assert json.loads(row[f"spaces.{space}.recovered.factors"]) == \
+                    item["recovered"]["factors"]
+            else:
+                assert row[f"spaces.{space}.checked_n"] == str(item["checked_n"]) == "14"
+    for row, rec in csv_and_json_records(capsys, "zeta", "--surface", "all", "--p", "3"):
+        assert json.loads(row["euler.factors"]) == rec["euler"]["factors"]
+        assert json.loads(row["counts"]) == rec["counts"]
+    for row, rec in csv_and_json_records(capsys, "singular", "--surface", "all", "--p", "3",
+                                         "--n", "2"):
+        assert json.loads(row["points"]) == rec["points"]
+        assert json.loads(row["field.modulus"]) == rec["field"]["modulus"] == [1, 0, 1]
+        assert row["count"] == str(rec["count"])
+
+
 @pytest.mark.parametrize("argv", [["special", "--surface", "L0"],
                                   ["mahler", "--surface", "L2", "--samples", "10"]])
 def test_special_and_mahler_refuse_surface(capsys, argv):
@@ -234,6 +291,34 @@ def test_zeta_counts_do_not_come_from_the_closed_form(capsys, monkeypatch, p, sp
     code, doc = run_json(capsys, "zeta", "--surface", "all", "--p", p, "--space", space)
     assert code == 1 and not doc["ok"]
     assert [rec["match"] for rec in doc["records"]] == [False] * 3
+
+
+def test_failed_recovery_is_reported_not_raised(capsys, monkeypatch):
+    # N_1 one too high in the affine and biprojective counts at p = 3 fits no
+    # local zeta function: the RecoveryError becomes those spaces' error, and
+    # the non-affine counts, their difference, still pass
+    descent_series = fibercount.descent_series
+
+    def bumped(model, p, k):
+        series = descent_series(model, p, k)
+        if p == 3:
+            t = series[0]
+            series[0] = charzeta.CountTotals(t.surface, t.p, t.n, t.biprojective + 1,
+                                             t.affine + 1, t.nonaffine)
+        return series
+
+    monkeypatch.setattr(fibercount, "descent_series", bumped)
+    record = globalzeta.check_local_zeta("L0", 3)
+    for space in ("affine", "biprojective"):
+        item = record["spaces"][space]
+        assert item["recovered"] is None and item["pass"] is False
+        assert item["error"] == "non-integer exponent 11521/11520 for unit 9"
+    assert record["spaces"]["nonaffine"]["pass"] is True
+    assert record["fiberwise_vs_formula"] == {"pass": False, "first_mismatch_n": 1}
+    assert record["pass"] is False
+    code, doc = run_json(capsys, "zeta", "--surface", "L0", "--p", "3")
+    assert code == 1 and not doc["ok"]
+    assert doc["records"][0]["recovered"] is None and doc["records"][0]["match"] is False
 
 
 def test_zeta_l2_p3(capsys):
@@ -409,6 +494,18 @@ def test_reference_invocations_pass_the_bench_check(capsys, monkeypatch):
         if reason is not None:
             failures[" ".join(inv.argv)] = reason
     assert failures == {}
+
+
+def test_bench_tracer_runs_a_command(tmp_path):
+    # bench/tracer.py imports every charzeta module it times and wraps the
+    # IntPoly class, so a module or name it looks up must not leave src/
+    out = tmp_path / "trace.json"
+    res = subprocess.run([sys.executable, os.path.join(BENCH_DIR, "tracer.py"), str(out),
+                          "singular", "--surface", "L0", "--p", "3"],
+                         env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    stats = json.loads(out.read_text())["stats"]
+    assert "fibercount.singular_locus" in stats
 
 
 def test_singular_splits_the_degenerate_locus_once(capsys, monkeypatch):

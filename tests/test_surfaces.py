@@ -6,6 +6,7 @@ import pytest
 
 from charzeta.intpoly import IntPoly
 from charzeta.surfaces import SurfaceModel, surface
+from conftest import eval_int
 
 # Each surface's link in Schubert normal form b(alpha, beta) (Riley,
 # "Parabolic representations of knot groups, I", 1972): 5^2_1 = b(8, 3),
@@ -63,12 +64,12 @@ def test_surface_is_the_trace_image_of_the_link_group(sid, p):
     # trace triple of such a pair
     f = surface(sid).f
     triples = trace_triples(*LINKS[sid], p)
-    on_f = {t for t in triples if f.eval_int(dict(zip("xyz", t))) % p == 0}
+    on_f = {t for t in triples if eval_int(f, dict(zip("xyz", t))) % p == 0}
     reducible = {t for t in triples if _markov(*t, 4) % p == 0}
     extra = {t for t in triples if _markov(*t, 3) % p == 0}
     assert triples == on_f | reducible | (extra if sid == "L2" else set())
     points = {t for t in itertools.product(range(p), repeat=3)
-              if f.eval_int(dict(zip("xyz", t))) % p == 0}
+              if eval_int(f, dict(zip("xyz", t))) % p == 0}
     assert points <= triples
     if sid == "L2":
         assert len(extra - on_f) == {3: 0, 5: 32}[p]
@@ -80,3 +81,27 @@ def test_model_refuses_f_outside_the_conic_bundle_shape():
         SurfaceModel("x^2y", IntPoly(f.vars, {**f.terms, (2, 1, 0): 1}))
     with pytest.raises(ValueError, match=r"are not \(x, y, z\)"):
         SurfaceModel("xzy", IntPoly(("x", "z", "y"), f.terms))
+
+
+@pytest.mark.parametrize("term, message", [
+    # L0 + 5/z: the fiber forms read the z^-1 coefficient into the z^3 slot
+    # through index -1, and the brute-force count ignored it (85 points
+    # against 99 over F_7)
+    ({(0, 0, -1): 5}, r"exponents \(0, 0, -1\) are not 3 nonnegative integers"),
+    ({(1, 1): 1}, r"exponents \(1, 1\) are not 3 nonnegative integers"),
+    ({(1, 1, 0, 0): 1}, r"exponents \(1, 1, 0, 0\) are not 3 nonnegative integers"),
+    ({(0, 0, 1.5): 1}, "exponent 1.5 is not an integer"),
+    ({(0, 0, 2.0): 1}, "exponent 2.0 is not an integer"),
+    # 0.5 used to be stored as a zero term, int() running after the nonzero test
+    ({(0, 0, 0): 0.5}, "coefficient 0.5 is not an integer"),
+    ({(0, 0, 0): "1"}, "coefficient '1' is not an integer"),
+], ids=["negative", "short", "long", "fractional", "float", "half", "str"])
+def test_intpoly_refuses_malformed_terms(term, message):
+    f = surface("L0").f
+    with pytest.raises(ValueError, match=message):
+        IntPoly(f.vars, {**f.terms, **term})
+
+
+def test_intpoly_keeps_nonzero_terms_only():
+    f = surface("L0").f
+    assert IntPoly(f.vars, {**f.terms, (0, 0, 0): 0}).terms == f.terms

@@ -17,10 +17,10 @@ from charzeta import (SURFACE_IDS, BiprojectivePoint, FieldError, brute_totals, 
 from charzeta.fibercount import _zw_values
 from charzeta.surfaces import _as_model
 from charzeta.varieties import _Y_FORMS, _Logs, _Residues, _solutions
-from conftest import (_scalar_tables, biprojective_zero_reps, chart_verdicts, eval_scalar,
-                      expected_singular_points, generated_models, model_with_points_over_w0,
-                      p1_reps, p2_reps, prime_powers_upto, set_one, singular_points_by_charts,
-                      zero_points_scalar)
+from conftest import (_scalar_tables, bihomogeneous, biprojective_zero_reps, chart_verdicts,
+                      eval_int, eval_scalar, expected_singular_points, generated_models,
+                      model_with_points_over_w0, p1_reps, p2_reps, prime_powers_upto, set_one,
+                      singular_points_by_charts, zero_points_scalar)
 
 
 def test_surface_ids():
@@ -42,22 +42,26 @@ def test_affine_polynomials_transcribed():
 
 
 def test_dehomogenisation_identity():
-    # F(x, y, 1, z, 1) = f(x, y, z) exactly: F is built from f so that it holds
+    # F(x, y, 1, z, 1) = f(x, y, z) exactly: the tests' F is built from f so
+    # that it holds
     for sid in ("L0", "L1", "L2"):
         m = surface(sid)
-        assert set_one(set_one(m.F, "u"), "w") == m.f
+        f = set_one(set_one(bihomogeneous(m), "u"), "w")
+        assert (f.vars, f.terms) == (m.f.vars, m.f.terms)
 
 
 def test_bidegrees():
-    assert surface("L0").deg_zw == 3
-    assert surface("L1").deg_zw == 4
-    assert surface("L2").deg_zw == 3
+    # every term of the tests' F has degree 2 in (x, y, u) and deg_zw in (z, w)
+    for sid, d in (("L0", 3), ("L1", 4), ("L2", 3)):
+        assert surface(sid).deg_zw == d
+        assert {(sum(e[:3]), sum(e[3:])) for e in bihomogeneous(sid).terms} == {(2, d)}
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (7, 1)])
 def test_bihomogeneity_random_scalars(sid, p, n):
     m = surface(sid)
+    F = bihomogeneous(m)
     field = make_field(p, n)
     rng = random.Random(500 + p + n)
     d = m.deg_zw
@@ -68,9 +72,9 @@ def test_bihomogeneity_random_scalars(sid, p, n):
         scaled = {"x": field.mul(lam, pt["x"]), "y": field.mul(lam, pt["y"]),
                   "u": field.mul(lam, pt["u"]), "z": field.mul(mu, pt["z"]),
                   "w": field.mul(mu, pt["w"])}
-        lhs = eval_scalar(m.F, field, [scaled[v] for v in m.F.vars])
+        lhs = eval_scalar(F, field, [scaled[v] for v in F.vars])
         factor = field.mul(field.pow_(lam, 2), field.pow_(mu, d))
-        rhs = field.mul(factor, eval_scalar(m.F, field, [pt[v] for v in m.F.vars]))
+        rhs = field.mul(factor, eval_scalar(F, field, [pt[v] for v in F.vars]))
         assert lhs == rhs
 
 
@@ -84,7 +88,7 @@ def test_affine_f1_f2_solutions_over_f2():
     # the two affine points of the quartic over F_2
     f = surface("L1").f
     sols = [(x, y, z) for x in range(2) for y in range(2) for z in range(2)
-            if f.eval_int({"x": x, "y": y, "z": z}) % 2 == 0]
+            if eval_int(f, {"x": x, "y": y, "z": z}) % 2 == 0]
     assert sols == [(0, 1, 1), (1, 0, 1)]
 
 
@@ -351,7 +355,7 @@ def test_singular_points_lie_on_surface():
     field = make_field(5)
     m = surface("L1")
     for pt in singular_locus(m, field):
-        assert eval_scalar(m.F, field, pt.xyu + pt.zw) == 0
+        assert eval_scalar(bihomogeneous(m), field, pt.xyu + pt.zw) == 0
 
 
 def test_smooth_point_is_not_singular():
