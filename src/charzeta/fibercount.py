@@ -5,7 +5,7 @@ a(z)(x^2 + y^2) + b(z)xy + c(z)u^2.  a, b and c are read off f's terms
 once per model, which is refused in any other shape (_fiber_forms), and
 every fiber, over a point of P^1(F_q) or in the residue field of a closed
 point, is read from them by one evaluator (_zw_values).  Every fiber is
-counted by one rule (_conic) in every characteristic: from the zeros of
+counted by one rule (_fiber_class) in every characteristic: from the zeros of
 the binary part on the line u = 0 and, in odd characteristic, the square
 class of -ac.  It is a smooth conic with q + 1 points unless z is a root
 of the degenerate locus c(b^2 - 4a^2), or of bc in characteristic 2.  Off
@@ -24,19 +24,25 @@ roots from one square root mod p; Cantor-Zassenhaus (low_degree_factors)
 factors only what is left of degree >= 3, and every factor at p = 2.  The
 closed points have degree d <= 2 (checked: a model with a factor of
 higher degree mod p is refused), and each fiber is classified once, in
-the residue field F_p[z]/(f) = F_{p^d} of its closed point f; its counts
-over F_q follow by Frobenius descent (_lift): for x in F_{p^d}, chi_q(x) =
-chi_{p^d}(x)^(n/d) and Tr_{F_q/F_2}(x) = (n/d) Tr_{F_{p^d}/F_2}(x).  At
-even n a closed point of degree 2 is two conjugate roots, whose fibers
-the Frobenius swaps, so it counts twice.  No field beyond F_{p^2} is built.
-descent_series gives the three totals for n = 1..k, one
-surfaces.CountTotals each, from one uncached read of the descent;
-fiberwise_totals is its last term.  The caches kept serve the reads the
-commands repeat: _fiber_forms, read at every fiber; _bundle_loci and
-_rational_split, as verify reads one model's loci at every prime; and
-_degenerate_fibers, which reads only the closed points, as singular_locus
-reads again the fibers its caller lists.  The singular points lie on the
-degenerate fibers too (singular_locus).
+the residue field F_p[z]/(f) = F_{p^d} of its closed point f, by its
+class (_fiber_class): q0*m + 1 points, q0 = p^d, and L on the line
+u = 0, each of m and L being 0, 1, 2 or q0 + 1, the whole line.  Over F_q
+the class lifts by Frobenius descent: for x in F_{p^d}, chi_q(x) =
+chi_{p^d}(x)^(n/d) and Tr_{F_q/F_2}(x) = (n/d) Tr_{F_{p^d}/F_2}(x), so one
+or two points stay, a conjugate pair becomes 1 + (-1)^(n/d) points and the
+whole line q + 1.  At even n a closed point of degree 2 is two conjugate
+roots, whose fibers the Frobenius swaps, so it counts twice.  The classes
+are tallied once per degree (_lift_sum), which makes each total a
+quadratic in q whose coefficients depend on n mod 4 alone, so each n costs
+a few integer operations.  No field beyond F_{p^2} is built, and F_{p^2}
+multiplies and takes norms in closed form (finfield).  descent_series
+gives the three totals for n = 1..k, one surfaces.CountTotals each, from
+one uncached read of the descent; fiberwise_totals is its last term.
+The caches kept serve the reads the commands repeat: _fiber_forms, read
+at every fiber; _bundle_loci and _rational_split, as verify reads one
+model's loci at every prime; and _degenerate_fibers, which reads only the
+closed points, as singular_locus reads again the fibers its caller lists.
+The singular points lie on the degenerate fibers too (singular_locus).
 
 Closed-form counts are not transcribed here: count_formula evaluates
 N_n = sum_u e_u * u^n on the Euler factors at p of the biprojective and
@@ -105,7 +111,7 @@ def _zw_values(field: Field, forms, z: int, w: int) -> list[int]:
     """Each binary form sum_k c_k z^k w^(d-k) of forms, integer lists
     c_0..c_d of one length d + 1, at (z : w).
 
-    Over F_p by Horner's rule, reduced mod p at each step.  Over F_{p^n}
+    Over F_p by Horner's rule in integers, reduced mod p once.  Over F_{p^n}
     the monomials z^k w^(d-k) are running products (no w powers when
     w = 1), and each form is summed digit by digit and reduced mod p once.
     Scalar field arithmetic, so it works at any q: every fiber of the
@@ -117,8 +123,8 @@ def _zw_values(field: Field, forms, z: int, w: int) -> list[int]:
         for coeffs in forms:
             v, wk = 0, 1
             for c in reversed(coeffs):
-                v, wk = (v * z + c * wk) % p, wk * w % p
-            out.append(v)
+                v, wk = v * z + c * wk, wk * w
+            out.append(v % p)
         return out
     deg, monos = len(forms[0]) - 1, [1]
     for _ in range(deg):
@@ -152,21 +158,29 @@ def _line_count(field: Field, a: int, b: int) -> int:
     return 2 if field.trace(field.mul(a, field.inv(b))) == 0 else 0
 
 
-def _conic(field: Field, a: int, b: int, c: int) -> tuple[int, bool]:
-    """(points in P^2(F_q), degenerate) of the fiber form a(x^2 + y^2) + bxy + cu^2.
+def _fiber_class(field: Field, a: int, b: int, c: int) -> tuple[int, int]:
+    """(m, L) for the fiber form a(x^2 + y^2) + bxy + cu^2: it has q*m + 1
+    points in P^2(F_q), and L on the line u = 0 (_line_count).
 
-    With L the zeros on u = 0: for c = 0 the conic is the cone over them
-    from (0 : 0 : 1); for c != 0 and L in {0, 2} it is smooth; otherwise the
+    For c = 0 the conic is the cone over the L points from (0 : 0 : 1), so
+    m = L; for c != 0 and L in {0, 2} it is smooth, m = 1; otherwise the
     binary part is a*l^2 or 0, and a*l^2 + cu^2 is a line pair, split iff
-    -ac is a square, or a double line in characteristic 2 or when a = 0.
+    -ac is a square, or a double line in characteristic 2 or when a = 0,
+    m = 1 + chi(-ac).  So m and L are each 0, 1, 2 or q + 1.
     """
-    q, line = field.q, _line_count(field, a, b)
+    line = _line_count(field, a, b)
     if c == 0:
-        return q * line + 1, True
-    if line in (0, 2):
-        return q + 1, False
-    chi = 0 if field.p == 2 else field.quadratic_character(field.neg(field.mul(a, c)))
-    return q + 1 + q * chi, True
+        return line, line
+    if line in (0, 2) or field.p == 2:
+        return 1, line
+    return 1 + field.quadratic_character(field.neg(field.mul(a, c))), line
+
+
+def _conic(field: Field, a: int, b: int, c: int) -> tuple[int, bool]:
+    """(points in P^2(F_q), degenerate) of the fiber form
+    a(x^2 + y^2) + bxy + cu^2: degenerate unless it is smooth (_fiber_class)."""
+    m, line = _fiber_class(field, a, b, c)
+    return field.q * m + 1, c == 0 or line not in (0, 2)
 
 
 def classify_fiber(model, basepoint, field: Field) -> FiberReport:
@@ -352,14 +366,6 @@ def _locus_factors(locus, p: int):
     return sorted(roots), sorted(map(list, irreducible))
 
 
-def _residue_counts(model: SurfaceModel, field: Field, z: int):
-    """(points, points on the line u = 0) of the fiber over a closed point of
-    the line w = 1, in its residue field: z is the class of z there, a root
-    in F_p or z itself in F_p[z]/(f) for an irreducible quadratic f."""
-    a, b, c = _zw_values(field, _fiber_forms(model), z, 1)
-    return _conic(field, a, b, c)[0], _line_count(field, a, b)
-
-
 def _closed_points(model: SurfaceModel, p: int):
     """The F_p-roots and the irreducible quadratic factors, sorted, of the
     locus of _bundle_loci that applies mod p, from _locus_factors: at odd p
@@ -372,14 +378,15 @@ def _closed_points(model: SurfaceModel, p: int):
     return _locus_factors(char2_locus if p == 2 else odd_locus, p)
 
 
-def _lift(count: int, q0: int, q: int, e: int) -> int:
-    """Points over F_q, q = q0^e, of a set with `count` points over F_{q0}.
+def _lift_sum(counts, q0: int) -> tuple[int, int, int]:
+    """(alpha, beta, gamma) with alpha + beta*(-1)^e + gamma*q the sum over
+    F_q, q = q0^e, of the counts L or m of fibers over F_{q0} (_fiber_class).
 
-    The set is a line u = 0, or the lines through the vertex of a fiber
-    with q0 * count + 1 points: one or two points, a conjugate pair
-    (count 0, split iff e is even), or the whole line (count q0 + 1).
+    A count of 1 or 2 stays, a conjugate pair, count 0, becomes 1 + (-1)^e,
+    and the whole line, count q0 + 1, becomes q + 1.
     """
-    return q + 1 if count == q0 + 1 else 1 + (count - 1) ** e
+    pairs, whole = counts.count(0), counts.count(q0 + 1)
+    return sum(counts) + pairs - whole * q0, pairs, whole
 
 
 def descent_series(model, p: int, k: int) -> list[CountTotals]:
@@ -398,26 +405,40 @@ def descent_series(model, p: int, k: int) -> list[CountTotals]:
     if k >= 2 and p * p > MAX_Q:
         raise FieldError(f"fiberwise counts at even n need F_{p}^2, beyond 2^63")
     roots, quadratics = _closed_points(model, p)
-    field = make_field(p)
+    field, forms = make_field(p), _fiber_forms(model)
     generic = 2 if p == 2 else 1 + field.quadratic_character(field.int_(_bundle_loci(model)[0]))
-    infinity = classify_fiber(model, (1, 0), field).count
-    fibers = [_residue_counts(model, field, z) for z in roots]
-    # a closed point f = 0 of degree 2 in its residue field F_p[z]/(f), where z encodes as p
-    quadratic = ([(2, [_residue_counts(model, Field(p, 2, modulus=f), p) for f in quadratics])]
-                 if k >= 2 else [])
-    series = []
+    infinity = _fiber_class(field, *_zw_values(field, forms, 1, 0))[0]
+    # each closed point's fiber in its residue field: F_p at a root z, and
+    # F_p[z]/(f) for an irreducible quadratic f, where the class of z encodes as p
+    groups = [(1, [_fiber_class(field, *_zw_values(field, forms, z, 1)) for z in roots])]
+    if k >= 2:
+        residues = [Field(p, 2, modulus=f) for f in quadratics]
+        groups.append((2, [_fiber_class(r, *_zw_values(r, forms, p, 1)) for r in residues]))
+    tallies = [(d, len(group), _lift_sum([m for m, _ in group], p**d),
+                _lift_sum([line for _, line in group], p**d)) for d, group in groups]
+    (ia, ib, ig), (ga, gb, _) = _lift_sum([infinity], p), _lift_sum([generic], p)  # L: 0 or 2
+    # Over F_q, q = p^n, the q + 1 fibers have q*m + 1 points each, a smooth
+    # one m = 1, so biprojective = (q + 1) + q * sum_x m_x over P^1(F_q); and
+    # non-affine = q*m_inf + 1 at infinity plus sum_x L_x over A^1(F_q), a
+    # smooth fiber with the generic L.  Lifted, m and L are a + b*s + g*q
+    # with s = (-1)^(n/d) (_lift_sum), so both totals are quadratics in q
+    # whose coefficients depend on n mod 4 alone.
+    by_class = []
+    for r in range(4):  # n = r mod 4
+        s = -1 if r % 2 else 1
+        line_gen, m_inf = ga + gb * s, ia + ib * s
+        m0, m1, l0, l1 = m_inf, 1 + ig, 1, m_inf + line_gen
+        for d, size, (ma, mb, mg), (la, lb, lg) in tallies:
+            if r % d == 0:  # d * size fibers fewer are smooth
+                s_d = -1 if r // d % 2 else 1
+                m0, m1 = m0 + d * (ma - size + mb * s_d), m1 + d * mg
+                l0, l1 = l0 + d * (la + lb * s_d - size * line_gen), l1 + d * lg
+        by_class.append((1 + m0, m1, l0, l1))
+    series, q = [], 1
     for n in range(1, k + 1):
-        q = p**n
-        by_degree = [(1, fibers)] + (quadratic if n % 2 == 0 else [])
-        smooth = q - sum(d * len(group) for d, group in by_degree)
-        at_infinity = q * _lift((infinity - 1) // p, p, q, n) + 1  # entirely non-affine
-        biproj = smooth * (q + 1) + at_infinity
-        nonaffine = smooth * _lift(generic, p, q, n) + at_infinity
-        for d, group in by_degree:
-            q0 = p**d
-            for fiber, line in group:
-                biproj += d * (q * _lift((fiber - 1) // q0, q0, q, n // d) + 1)
-                nonaffine += d * _lift(line, q0, q, n // d)
+        q *= p
+        b1, b2, l0, l1 = by_class[n % 4]
+        biproj, nonaffine = 1 + q * (b1 + b2 * q), l0 + q * (l1 + ig * q)
         series.append(CountTotals(model.id, p, n, biproj, biproj - nonaffine, nonaffine))
     return series
 

@@ -8,10 +8,13 @@ digit operations per call, with no exponentiation: multiplication is the
 schoolbook product of the digit vectors reduced by the modulus, inversion
 runs the extended Euclidean algorithm against the modulus, and the
 quadratic character is the Legendre symbol of the norm, a resultant over
-F_p.  Discrete log tables (exp_log_tables), Python lists, exist for
-q <= MAX_TABLE_Q = 2048, which covers every field the independent count of
-varieties reaches; it multiplies by adding logs.  No part of this module
-uses numpy.
+F_p.  At n = 2, the residue field of each closed point of degree 2 that
+the descent of fibercount reads, product and norm are closed forms in the
+two digits: for the modulus z^2 + sz + t a product reduces by
+z^2 = -sz - t, and N(x + yz) = x^2 - sxy + ty^2.  Discrete log tables
+(exp_log_tables), Python lists, exist for q <= MAX_TABLE_Q = 2048, which
+covers every field the independent count of varieties reaches; it
+multiplies by adding logs.  No part of this module uses numpy.
 
 The extension modulus is the first irreducible monic polynomial in
 ascending order of its coefficient encoding, so field construction is
@@ -151,6 +154,28 @@ def _poly_sub_x(a, p):
     return _poly_trim(out)
 
 
+def _resultant(f, g, p):
+    """Res(f, g) over F_p, f monic and g the digits of an element.
+
+    Euclid over F_p: Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r)
+    Res(g, r) with r = f mod g, down to Res(f, c) = c^(deg f).
+    """
+    f, g = list(f), _poly_trim(list(g))
+    if not g:
+        return 0
+    res = 1
+    while len(g) > 1:
+        r = _poly_divmod(f, g, p)[1]
+        if not r:
+            return 0
+        df, dg = len(f) - 1, len(g) - 1
+        if df & dg & 1:
+            res = -res
+        res = res * pow(g[-1], df - len(r) + 1, p) % p
+        f, g = g, r
+    return res * pow(g[0], len(f) - 1, p) % p
+
+
 def _is_irreducible(mod, p):
     """Whether a monic polynomial of degree n >= 2 over F_p is irreducible.
 
@@ -264,19 +289,17 @@ class Field:
         return k % self.p
 
     def add(self, a: int, b: int) -> int:
-        return self._digitwise(a, b, 1)
+        return (a + b) % self.p if self.n == 1 else self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
-        return self._digitwise(a, b, -1)
+        return (a - b) % self.p if self.n == 1 else self._digitwise(a, b, -1)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
 
     def _digitwise(self, a: int, b: int, sign: int) -> int:
-        """a + sign * b, digit by digit mod p (XOR in characteristic 2)."""
+        """a + sign * b at n >= 2, digit by digit mod p (XOR in characteristic 2)."""
         p = self.p
-        if self.n == 1:
-            return (a + sign * b) % p
         if p == 2:
             return a ^ b
         out, pk = 0, 1
@@ -288,10 +311,16 @@ class Field:
         return out
 
     def mul(self, a: int, b: int) -> int:
-        """Schoolbook product of the digit vectors, reduced by the modulus."""
+        """Schoolbook product of the digit vectors, reduced by the modulus;
+        at n = 2, (a0 + a1 z)(b0 + b1 z) with z^2 = -sz - t for the modulus
+        z^2 + sz + t."""
+        p = self.p
         if self.n == 1:
-            return a * b % self.p
-        return self.encode(_poly_mul_mod(self.coeffs(a), self.coeffs(b), self.modulus, self.p))
+            return a * b % p
+        if self.n == 2:
+            (a1, a0), (b1, b0), (t, s, _) = divmod(a, p), divmod(b, p), self.modulus
+            return (a0 * b0 - t * a1 * b1) % p + (a0 * b1 + a1 * b0 - s * a1 * b1) % p * p
+        return self.encode(_poly_mul_mod(self.coeffs(a), self.coeffs(b), self.modulus, p))
 
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
@@ -333,28 +362,15 @@ class Field:
         return self.encode([c * x for x in s1])
 
     def norm(self, a: int) -> int:
-        """N(a) = a^((q-1)/(p-1)) in F_p, as the resultant Res(modulus, a).
-
-        Euclid over F_p: Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r)
-        Res(g, r) with r = f mod g, down to Res(f, c) = c^(deg f).
-        """
+        """N(a) = a^((q-1)/(p-1)) in F_p, the resultant Res(modulus, a)
+        (_resultant); at n = 2, N(x + yz) = x^2 - sxy + ty^2."""
         p = self.p
         if self.n == 1:
             return a
-        f, g = list(self.modulus), _poly_trim(self.coeffs(a))
-        if not g:
-            return 0
-        res = 1
-        while len(g) > 1:
-            r = _poly_divmod(f, g, p)[1]
-            if not r:
-                return 0
-            df, dg = len(f) - 1, len(g) - 1
-            if df & dg & 1:
-                res = -res
-            res = res * pow(g[-1], df - len(r) + 1, p) % p
-            f, g = g, r
-        return res * pow(g[0], len(f) - 1, p) % p
+        if self.n == 2:
+            (y, x), (t, s, _) = divmod(a, p), self.modulus
+            return (x * x - s * x * y + t * y * y) % p
+        return _resultant(self.modulus, self.coeffs(a), p)
 
     def quadratic_character(self, a: int) -> int:
         """0 for a = 0, +1 for nonzero squares, -1 otherwise (odd char only).

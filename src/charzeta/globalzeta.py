@@ -16,6 +16,8 @@ commands both report its records.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from . import SPACES, _record
 from .localzeta import RECOVERY_COUNTS, LocalZetaFactors, RecoveryError, recover_factors
 
@@ -151,32 +153,37 @@ def dedekind_expand(expr: GlobalZetaExpr) -> GlobalZetaExpr:
     return GlobalZetaExpr(tuple(out), expr.elementary)
 
 
+# the Dedekind expansion of each transcribed product, by identity: the
+# products live as long as the module, so no other object takes their ids
+_EXPANDED = {id(expr): dedekind_expand(expr).factors
+             for table in (_AFFINE_EXPR, _BIPROJECTIVE_EXPR, _NONAFFINE_EXPR)
+             for expr in table.values()}
+
+
 def euler_factor(expr: GlobalZetaExpr, p: int) -> LocalZetaFactors:
     """Euler factor of a global expression at p, in T = p^(-s).
 
     Dedekind factors are first rewritten as zeta * L(chi_d)
-    (dedekind_expand).  zeta(s-j)^e then gives (1 - p^j T)^(-e), and
-    L(chi, s-j)^e gives (1 - chi(p) p^j T)^(-e), trivial when chi(p) = 0.
-    Elementary terms apply only at their own prime, on the numerator side.
+    (dedekind_expand, taken once per process for the transcribed products).
+    zeta(s-j)^e then gives (1 - p^j T)^(-e), and L(chi, s-j)^e gives
+    (1 - chi(p) p^j T)^(-e), trivial when chi(p) = 0.  Elementary terms
+    apply only at their own prime, on the numerator side.
     """
     exps: dict[int, int] = {}
-
-    def bump(u, e):
-        exps[u] = exps.get(u, 0) + e
-
-    for f in dedekind_expand(expr).factors:
-        u = p**f.shift
+    for f in _EXPANDED.get(id(expr)) or dedekind_expand(expr).factors:
         if f.kind == "riemann":
-            bump(u, f.exp)
+            v = 1
         elif f.kind == "dirichlet":
             v = f.char(p)
-            if v:
-                bump(v * u, f.exp)
         else:
             raise ValueError(f"unknown factor kind {f.kind!r}")
+        if v:
+            u = v * p**f.shift
+            exps[u] = exps.get(u, 0) + f.exp
     for el in expr.elementary:
         if el.p == p:
-            bump(el.sign * p**el.shift, -el.exp)
+            u = el.sign * p**el.shift
+            exps[u] = exps.get(u, 0) - el.exp
     return LocalZetaFactors.from_dict(p, exps)
 
 
@@ -203,7 +210,7 @@ def check_local_zeta(surface_id: str, p: int, spaces=SPACES) -> dict:
     items, mismatches = {}, []
     for space in spaces:
         euler = euler_factor(global_expression(surface_id, space), p)
-        counts = [t.count(space) for t in series]
+        counts = list(map(attrgetter(space), series))  # space is checked by global_expression
         item = items[space] = {"euler": euler.to_json(), "counts": counts}
         if mode == "recovered":
             try:
@@ -213,8 +220,9 @@ def check_local_zeta(surface_id: str, p: int, spaces=SPACES) -> dict:
                 item["recovered"], item["error"], item["pass"] = None, str(exc), False
             if item["pass"]:  # recover_factors regenerated the counts from its factors
                 continue
-        first_bad = next((n for n, (x, y) in enumerate(zip(counts, euler.counts(len(counts))), 1)
-                          if x != y), None)
+        implied = euler.counts(len(counts))
+        first_bad = None if implied == counts else next(
+            n for n, (x, y) in enumerate(zip(counts, implied), 1) if x != y)
         if mode == "series":
             item["first_mismatch_n"], item["pass"] = first_bad, first_bad is None
         if first_bad is not None:

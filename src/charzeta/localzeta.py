@@ -40,25 +40,36 @@ class LocalZetaFactors:
 
     @classmethod
     def from_dict(cls, p: int, exponents: dict[int, int]) -> "LocalZetaFactors":
-        order = _units(p)
-        items = []
-        for u, e in exponents.items():
-            if e == 0:
-                continue
-            if u not in order:
-                raise ValueError(f"unit {u} outside {{+-p^j : j <= 2}} for p = {p}")
-            items.append((int(u), int(e)))
-        return cls(p, tuple(sorted(items, key=lambda item: order.index(item[0]))))
+        order = dict.fromkeys(_units(p))
+        factors = tuple([(u, int(exponents[u])) for u in order if exponents.get(u)])
+        if len(factors) < len(exponents):
+            outside = [u for u, e in exponents.items() if e and u not in order]
+            if outside:
+                raise ValueError(f"unit {outside[0]} outside {{+-p^j : j <= 2}} for p = {p}")
+        return cls(p, factors)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
 
     def counts(self, k: int) -> list[int]:
-        """Implied N_1..N_k, from running powers e * u^n."""
-        terms, out = [e for _, e in self.factors], []
-        for _ in range(k):
-            terms = [t * u for t, (u, _) in zip(terms, self.factors)]
-            out.append(sum(terms))
+        """Implied N_1..N_k, N_n = sum_u e_u * u^n.
+
+        The units are taken per distinct |u| = m: with E+ and E- the
+        exponents of m and -m, they add (E+ + (-1)^n E-) * m^n to N_n, so
+        the six units of _units take two running powers, of p^2 and p, and
+        +-1 add constants.  Units outside _units are summed the same way,
+        and a unit listed twice counts with both exponents.
+        """
+        split = {}
+        for u, e in self.factors:
+            split.setdefault(abs(u), [0, 0])[u < 0] += e
+        plus, minus = split.pop(1, (0, 0))  # the units +-1 need no powers
+        out = ([plus - minus, plus + minus] * k)[:k]
+        for m, (plus, minus) in split.items():
+            power, by_parity = 1, (plus - minus, plus + minus)  # at odd n, at even n
+            for i in range(k):
+                power *= m
+                out[i] += by_parity[i & 1] * power
         return out
 
     def to_json(self):

@@ -14,8 +14,9 @@ from charzeta import (CountTotals, FieldError, SurfaceModel, brute_totals, class
                       count_formula, degenerate_fibers, fiberwise_totals, is_prime, make_field,
                       singular_locus, surface)
 from charzeta import fibercount, globalzeta
-from charzeta.fibercount import (_bundle_loci, _conic, _fiber_singular_span, _lift, _line_count,
-                                 _locus_factors, _square_root, _zmul, descent_series)
+from charzeta.fibercount import (_bundle_loci, _conic, _fiber_class, _fiber_forms,
+                                 _fiber_singular_span, _lift_sum, _line_count, _locus_factors,
+                                 _square_root, _zmul, _zw_values, descent_series)
 from charzeta.finfield import Field, low_degree_factors, split_roots
 from charzeta.intpoly import IntPoly
 from conftest import (_scalar_tables, all_fiber_reports, bihomogeneous, conic_bundle,
@@ -300,17 +301,27 @@ def test_fiberwise_equals_formula_beyond_old_caps():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_lift_matches_counts_over_extensions(p):
-    # the forms a(x^2 + y^2) + bxy + cu^2 over F_p, counted over F_p and
-    # lifted, against the same forms counted over F_{p^e}
+def test_lift_sum_matches_counts_over_extensions(p):
+    # the forms a(x^2 + y^2) + bxy + cu^2 over F_p, classified there and
+    # tallied by _lift_sum, against the same forms counted over F_{p^e}, one
+    # by one and summed over all of them, as the descent sums a degree
     prime = make_field(p)
+    forms = list(itertools.product(range(p), repeat=3))
+    classes = [_fiber_class(prime, a, b, c) for a, b, c in forms]
     for e in (1, 2, 3):
         field = make_field(p, e)
-        for a, b, c in itertools.product(range(p), repeat=3):
-            assert _lift(_line_count(prime, a, b), p, field.q, e) == _line_count(field, a, b)
-            points = (_conic(prime, a, b, c)[0] - 1) // p
-            assert field.q * _lift(points, p, field.q, e) + 1 == _conic(field, a, b, c)[0], (
-                (a, b, c), e)
+
+        def lifted(counts):
+            alpha, beta, gamma = _lift_sum(counts, p)
+            return alpha + beta * (-1) ** e + gamma * field.q
+
+        for (a, b, c), (m, line) in zip(forms, classes):
+            assert field.q * lifted([m]) + 1 == _conic(field, a, b, c)[0], ((a, b, c), e)
+            assert lifted([line]) == _line_count(field, a, b), ((a, b, c), e)
+        assert lifted([m for m, _ in classes]) == sum(
+            (_conic(field, *form)[0] - 1) // field.q for form in forms), e
+        assert lifted([line for _, line in classes]) == sum(
+            _line_count(field, a, b) for a, b, _ in forms), e
 
 
 # L0's a = z, b = -(z^2 + 1) and c = z^3 - 2z; a and b meet both identities
@@ -392,6 +403,13 @@ def test_split_locus_matches_low_degree_factors(case):
     assert _locus_factors(g, p) == (roots, sorted(quadratics))
 
 
+def residue_counts(model, field, z):
+    """(points, points on u = 0) of the fiber over a closed point in its residue
+    field, where z is the class of z: a root in F_p, or p in F_p[z]/(f)."""
+    m, line = _fiber_class(field, *_zw_values(field, _fiber_forms(model), z, 1))
+    return field.q * m + 1, line
+
+
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
 def test_closed_points_classified_in_their_residue_fields(sid):
     # the counts of a closed point, taken once in F_p[z]/(f), equal those of
@@ -407,10 +425,9 @@ def test_closed_points_classified_in_their_residue_fields(sid):
         # the class of z in F_p[z]/(f) encodes as p
         for field, points, counts in [
                 (make_field(p), [[z] for z in roots],
-                 [fibercount._residue_counts(model, make_field(p), z) for z in roots]),
+                 [residue_counts(model, make_field(p), z) for z in roots]),
                 (make_field(p, 2), [split_roots(f, make_field(p, 2)) for f in quadratics],
-                 [fibercount._residue_counts(model, Field(p, 2, modulus=f), p)
-                  for f in quadratics])]:
+                 [residue_counts(model, Field(p, 2, modulus=f), p) for f in quadratics])]:
             for zs, (count, line) in zip(points, counts, strict=True):
                 for z in zs:
                     a, b, _ = fiber_form(model, (z, 1), field)

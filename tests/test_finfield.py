@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from charzeta import FieldError, is_prime, make_field
 from charzeta.fibercount import _conic
-from charzeta.finfield import (MAX_Q, MAX_TABLE_Q, Field, _is_irreducible, first_irreducible,
-                               low_degree_factors, split_roots, sqrt_mod)
+from charzeta.finfield import (MAX_Q, MAX_TABLE_Q, Field, _is_irreducible, _poly_mul_mod,
+                               _resultant, first_irreducible, low_degree_factors, split_roots,
+                               sqrt_mod)
 from charzeta.varieties import MAX_AFFINE_Q
 from conftest import (_is_irreducible_rabin, conic_count_brute, fiber_determinant, field_roots,
                       first_irreducible_rabin, schoolbook_mul)
@@ -325,6 +326,49 @@ def test_scalar_kernels_match_exponentiation_and_schoolbook(pn, a, b):
     if p != 2:
         euler = field.pow_(a, (q - 1) // 2)  # Euler's criterion
         assert field.quadratic_character(a) == {0: 0, 1: 1, field.neg(1): -1}[euler]
+
+
+def _schoolbook_pow(field, a, e):
+    result = 1
+    while e:
+        if e & 1:
+            result = schoolbook_mul(field, result, a)
+        a, e = schoolbook_mul(field, a, a), e >> 1
+    return result
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 11, 13, 101, 65521, _P63)), st.booleans(),
+       st.integers(0, MAX_Q), st.integers(0, MAX_Q), st.integers(0, MAX_Q), st.integers(0, MAX_Q))
+@example(2, False, 1, 1, 3, 2)  # z^2 + z + 1, the one irreducible quadratic over F_2
+@example(_P63, True, 0, 0, _P63**2 - 1, _P63 * 17 + 5)
+def test_quadratic_closed_forms_match_the_generic_path(p, first, t, s, a, b):
+    # F_{p^2} for first_irreducible(p, 2) or a random monic z^2 + sz + t: the
+    # modulus check against Rabin's test, the closed-form product and norm
+    # against the schoolbook product and the resultant that serve n >= 3,
+    # and the character and the Euclidean inverse against Euler's criterion
+    # and conj(x + yz) / N(x + yz) = (x - sy - yz) / (x^2 - sxy + ty^2)
+    modulus = first_irreducible(p, 2) if first else (t % p, s % p, 1)
+    if not _is_irreducible_rabin(list(modulus), p):
+        assert not _is_irreducible(list(modulus), p)
+        with pytest.raises(FieldError):
+            Field(p, 2, modulus=modulus)
+        return
+    assert _is_irreducible(list(modulus), p)
+    field = Field(p, 2, modulus=modulus)
+    q, (t, s, _) = field.q, modulus
+    a, b = a % q, b % q
+    assert field.mul(a, b) == field.encode(_poly_mul_mod(field.coeffs(a), field.coeffs(b),
+                                                         modulus, p))
+    assert field.mul(a, b) == schoolbook_mul(field, a, b)
+    assert field.norm(a) == _resultant(modulus, field.coeffs(a), p)
+    if a:
+        (y, x), norm_inv = divmod(a, p), pow(field.norm(a), -1, p)
+        assert field.inv(a) == field.encode([(x - s * y) * norm_inv, -y * norm_inv])
+        assert schoolbook_mul(field, a, field.inv(a)) == 1
+    if p != 2:
+        euler = _schoolbook_pow(field, a, (q - 1) // 2)
+        assert field.quadratic_character(a) == {0: 0, 1: 1, p - 1: -1}[euler]
 
 
 def test_table_cap_covers_brute_force():

@@ -145,11 +145,36 @@ def test_weil_integrality():
                     assert isinstance(c, Fraction) and c.denominator == 1
 
 
+@st.composite
+def _factor_tuples(draw):
+    """(p, factors) with units among +-p^j and anywhere else, 0, repeated
+    units and both signs of one |u| included, exponents of either sign."""
+    p = draw(st.sampled_from((2, 3, 5, 101, 999983)))
+    unit = st.one_of(st.sampled_from((p * p, -p * p, p, -p, 1, -1, 0)), st.integers(-10**9, 10**9))
+    return p, tuple(draw(st.lists(st.tuples(unit, st.integers(-20, 20)), max_size=8)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_factor_tuples(), st.integers(0, 40))
+@example((3, ((9, 1), (-9, 2), (3, -1), (-3, 4), (1, 5), (-1, -6))), 40)
+@example((3, ((7, 2), (-7, 1), (7, -3), (0, 4), (2, 1))), 14)  # outside +-3^j
+def test_counts_equal_the_naive_sum(factors, k):
+    # factors built with the record constructor, not from_dict
+    p, factors = factors
+    assert LocalZetaFactors(p, factors).counts(k) == [sum(e * u**n for u, e in factors)
+                                                      for n in range(1, k + 1)]
+
+
 def test_factor_validation():
     with pytest.raises(ValueError):
         LocalZetaFactors.from_dict(3, {5: 1})  # 5 is not +-3^j
+    with pytest.raises(ValueError, match="unit 5 "):
+        LocalZetaFactors.from_dict(3, {9: 1, 5: 1, -1: 2})
     f = LocalZetaFactors.from_dict(3, {9: 1, 3: 0, 1: 2})
     assert f.factors == ((9, 1), (1, 2))  # zero exponents dropped, sorted
+    # a zero exponent is dropped before its unit is checked; listed units sort
+    assert LocalZetaFactors.from_dict(3, {-1: 4, 5: 0, -9: 1, 3: 2}).factors == (
+        (-9, 1), (3, 2), (-1, 4))
 
 
 def test_implied_counts_match_formula():
