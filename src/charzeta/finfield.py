@@ -11,10 +11,10 @@ quadratic character is the Legendre symbol of the norm, a resultant over
 F_p.  At n = 2, the residue field of each closed point of degree 2 that
 the descent of fibercount reads, product and norm are closed forms in the
 two digits: for the modulus z^2 + sz + t a product reduces by
-z^2 = -sz - t, and N(x + yz) = x^2 - sxy + ty^2.  Discrete log tables
-(exp_log_tables), Python lists, exist for q <= MAX_TABLE_Q = 2048, which
-covers every field the independent count of varieties reaches; it
-multiplies by adding logs.  No part of this module uses numpy.
+z^2 = -sz - t, and N(x + yz) = x^2 - sxy + ty^2.  A Field is an immutable
+value of p, n, q and the modulus; the discrete-log tables that the
+independent count multiplies by are built in varieties.  No part of this
+module uses numpy.
 
 The extension modulus is the first irreducible monic polynomial in
 ascending order of its coefficient encoding, so field construction is
@@ -30,7 +30,6 @@ from itertools import zip_longest
 
 MAX_Q = 1 << 63
 MAX_EXT_DEGREE = MAX_Q.bit_length() - 1  # q = p^n <= 2^63 and p >= 2
-MAX_TABLE_Q = 2048
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -91,20 +90,6 @@ def sqrt_mod(a: int, p: int) -> int:
         z, e = t * t % p, i
         x, b = x * t % p, b * z % p
     return x
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +186,14 @@ def first_irreducible(p: int, n: int) -> tuple[int, ...]:
     """First irreducible monic degree-n polynomial over F_p.
 
     Candidates x^n + c are ordered by the base-p encoding of the lower
-    coefficient vector c, so the choice is deterministic.
+    coefficient vector c, so the choice is deterministic.  The first p of
+    them are the binomials x^n + c, and none is irreducible unless every
+    prime factor of n divides p - 1, that is n | (p - 1)^n as n < 2^n, and
+    p = 1 mod 4 when 4 | n (Lidl-Niederreiter, Finite Fields, Thm 3.75):
+    otherwise the scan starts past them.
     """
-    for enc in range(p**n):
+    binomials = pow(p - 1, n, n) == 0 and (n % 4 or p % 4 == 1)
+    for enc in range(0 if binomials else p, p**n):
         coeffs = []
         e = enc
         for _ in range(n):
@@ -221,16 +211,20 @@ def first_irreducible(p: int, n: int) -> tuple[int, ...]:
 class Field:
     """Descriptor of the finite field F_q with q = p^n (see module docstring).
 
-    Instances are immutable after construction apart from the lazily built
-    lookup tables, which are write-once and not guarded for use by threads.
+    Instances are immutable after construction.
     """
 
     def __init__(self, p: int, n: int = 1, modulus=None):
         """modulus, for n >= 2 only, is a monic irreducible polynomial of
         degree n over F_p (coefficients in [0, p), low first); it defaults
-        to first_irreducible(p, n)."""
-        if not is_prime(p):
-            raise FieldError(f"{p} is not prime")
+        to first_irreducible(p, n).  Above F_p, p is proved prime once, by
+        the cached make_field(p): the descent builds a residue field for
+        each closed point of degree 2 at every prime."""
+        if n == 1 or p > MAX_Q:
+            if not is_prime(p):
+                raise FieldError(f"{p} is not prime")
+        else:
+            make_field(p)
         if not 1 <= n <= MAX_EXT_DEGREE:
             raise FieldError(f"extension degree {n} outside 1..{MAX_EXT_DEGREE}")
         q = p**n
@@ -248,8 +242,6 @@ class Field:
         self.n = n
         self.q = q
         self.modulus = modulus
-        self._exp = None
-        self._log = None
 
     # -- identity ------------------------------------------------------
 
@@ -391,36 +383,6 @@ class Field:
             cur = self.pow_(cur, self.p)
             total = self.add(total, cur)
         return total
-
-    # -- discrete log / lookup tables ----------------------------------
-
-    def _find_generator(self) -> int:
-        factors = _prime_factors(self.q - 1)
-        checks = [(self.q - 1) // ell for ell in factors]
-        for g in range(2, self.q):
-            if all(self.pow_(g, e) != 1 for e in checks):
-                return g
-        raise AssertionError("no generator found")  # unreachable for q > 2
-
-    def exp_log_tables(self):
-        """(exp, log) discrete-log lists for q <= MAX_TABLE_Q, built lazily.
-
-        exp[k] is the encoding of g^k, k < q - 1, for a fixed generator g;
-        log inverts exp on nonzero encodings, and log[0] is None.
-        """
-        if self._exp is None:
-            if self.q > MAX_TABLE_Q:
-                raise FieldError(f"field of size {self.q} exceeds the table limit {MAX_TABLE_Q}")
-            q = self.q
-            g = self._find_generator() if q > 2 else 1  # F_2: trivial unit group
-            exp = [1]
-            for _ in range(q - 2):
-                exp.append(self.mul(exp[-1], g))
-            log = [None] * q
-            for k, e in enumerate(exp):
-                log[e] = k
-            self._exp, self._log = exp, log
-        return self._exp, self._log
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,8 +16,9 @@ reads the fibration's degenerate loci, the descent or the closed forms
 of fibercount, so this count is the ground truth they are checked against.
 
 Over F_p, p odd, the arithmetic is on residues, with chi from a table of
-squares.  Over F_{p^n} and F_2 it is on discrete logs (Field.exp_log_tables),
-with None for 0: a product adds logs, a sum goes through the Zech log Z(k),
+squares.  Over F_{p^n} and F_2 it is on discrete logs, with None for 0,
+from tables that _Logs builds for the one count that reads them (a Field
+holds none): a product adds logs, a sum goes through the Zech log Z(k),
 g^Z(k) = 1 + g^k, chi is the parity of the log and the trace at p = 2 is
 read from a table indexed by log.  x runs through F_q in log order, so the
 values of a polynomial at every x cost one table lookup per term and point.
@@ -26,7 +27,7 @@ Python integers only: no command but mahler loads numpy.
 
 from __future__ import annotations
 
-from .finfield import Field, FieldError
+from .finfield import Field, FieldError, is_prime
 from .surfaces import CountTotals, _as_model
 
 MAX_AFFINE_Q = 2048  # brute_totals
@@ -69,11 +70,28 @@ class _Residues:
 
 
 class _Logs:
-    """F_q on discrete logs: k in [0, q - 1) stands for g^k, None for 0."""
+    """F_q on discrete logs: k in [0, q - 1) stands for g^k, None for 0.
+
+    g is the least encoding g >= 2 with g^((q-1)/l) != 1 for each prime
+    l | q - 1, a generator (1 at q = 2, whose unit group is trivial); exp[k]
+    encodes g^k and log inverts it, with log[0] None.  The tables are built
+    for each count, their only reader, and not cached: only count --surface
+    all builds one field's tables again, once per surface.
+    """
 
     def __init__(self, field: Field):
-        self.p, self.q, self.m = field.p, field.q, field.q - 1
-        exp, self.log = field.exp_log_tables()
+        q = self.q = field.q
+        self.p, self.m = field.p, q - 1
+        g = 1
+        if q > 2:
+            checks = [(q - 1) // ell for ell in range(2, q) if (q - 1) % ell == 0 and is_prime(ell)]
+            g = next(g for g in range(2, q) if all(field.pow_(g, e) != 1 for e in checks))
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(field.mul(exp[-1], g))
+        self.log = [None] * q
+        for k, e in enumerate(exp):
+            self.log[e] = k
         self.zero = None
         self.elements = [None, *range(self.m)]
         self.zech = [self.log[field.add(1, e)] for e in exp]

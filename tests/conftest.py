@@ -18,7 +18,7 @@ import charzeta
 from charzeta import BiprojectivePoint, classify_fiber, fibercount, is_prime, make_field, surface
 from charzeta.fibercount import _bundle_loci, _fiber_forms, _line_count, _zmul, _zw_values
 from charzeta.finfield import (FieldError, _fq_divmod, _fq_gcd, _fq_monic, _fq_pow,
-                               _poly_sub_x, _poly_trim, _prime_factors, split_roots)
+                               _poly_sub_x, _poly_trim, split_roots)
 from charzeta.intpoly import IntPoly
 from charzeta.localzeta import LocalZetaFactors
 from charzeta.specialvalues import _MC_CHUNK, _mc_chunk
@@ -530,7 +530,7 @@ def _is_irreducible_rabin(mod, p):
     gcd(x^(p^(n/l)) - x, f) = 1 for every prime l | n, and f | x^(p^n) - x."""
     n = len(mod) - 1
     prime = make_field(p)
-    for ell in _prime_factors(n):
+    for ell in (d for d in range(2, n + 1) if n % d == 0 and is_prime(d)):
         diff = _poly_sub_x(_fq_pow([0, 1], p ** (n // ell), mod, prime), p)
         if len(_fq_gcd(list(mod), diff, prime)) != 1:
             return False

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -513,6 +514,26 @@ def test_bench_tracer_runs_a_command(tmp_path):
     assert "fibercount.singular_locus" in stats
 
 
+def test_traffic_check_reports_every_module():
+    # tools/traffic.py runs the command traced and lists, per module, the
+    # lines it did not run: singular never loads the independent count
+    tool = os.path.join(os.path.dirname(BENCH_DIR), "tools", "traffic.py")
+    res = subprocess.run([sys.executable, tool, "singular --surface L0 --p 3"],
+                         env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    first, *lines = res.stdout.splitlines()
+    assert first == "exit 0: singular --surface L0 --p 3"
+    unrun = {}
+    for line in lines:
+        name, missing, total = re.match(r"src/charzeta/(\w+\.py): (\d+) of (\d+) lines not run",
+                                        line).groups()
+        unrun[name] = (int(missing), int(total))
+    package = os.path.dirname(os.path.abspath(charzeta.__file__))
+    assert set(unrun) == {name for name in os.listdir(package) if name.endswith(".py")}
+    assert unrun["varieties.py"][0] == unrun["varieties.py"][1]
+    assert 0 < unrun["fibercount.py"][0] < unrun["fibercount.py"][1]
+
+
 def test_singular_splits_the_degenerate_locus_once(capsys, monkeypatch):
     # the record's degenerate_fibers and singular_locus share one split of
     # each closed point of degree 2 of the degenerate locus mod 3 (L2 has none)
@@ -663,6 +684,15 @@ def test_zeta_rejects_primes_without_f_p2(capsys):
 def test_count_rejects_fields_beyond_2_63(capsys, n):
     # p >= 2 bounds n by 63, checked before p^n is formed
     assert_usage_error(capsys, "count", "--p", "2", "--n", n, "--method", "formula")
+
+
+def test_count_finds_a_cubic_modulus_past_the_binomials(capsys):
+    # 999983 = 2 mod 3, so no x^3 + c is irreducible; the modulus search
+    # used to test all p of them first, for over 100 s
+    with time_limit(10):
+        code, doc = run_json(capsys, "count", "--method", "formula", "--p", "999983", "--n", "3")
+    assert code == 0 and doc["ok"]
+    assert doc["field"]["modulus"] == [4, 1, 0, 1]
 
 
 @pytest.mark.parametrize("spec", ["200..100", "24..28", "0..1"])

@@ -1,5 +1,6 @@
 """Field arithmetic, quadratic characters, conic point counts, and polynomial roots."""
 
+import functools
 import itertools
 import random
 
@@ -7,12 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charzeta import FieldError, is_prime, make_field
-from charzeta.fibercount import _conic
-from charzeta.finfield import (MAX_Q, MAX_TABLE_Q, Field, _is_irreducible, _poly_mul_mod,
+from charzeta import FieldError, finfield, is_prime, make_field, surface
+from charzeta.fibercount import _closed_points, _conic
+from charzeta.finfield import (MAX_Q, Field, _is_irreducible, _poly_mul_mod,
                                _resultant, first_irreducible, low_degree_factors, split_roots,
                                sqrt_mod)
-from charzeta.varieties import MAX_AFFINE_Q
 from conftest import (_is_irreducible_rabin, conic_count_brute, fiber_determinant, field_roots,
                       first_irreducible_rabin, schoolbook_mul)
 
@@ -52,8 +52,10 @@ def test_field_rejects_bad_moduli(p, n, modulus):
 
 
 def test_make_field_rejects_nonprime():
-    with pytest.raises(FieldError):
-        make_field(4, 1)
+    # above F_p the primality of p comes from make_field(p), with the same error
+    for p, n in [(4, 1), (9, 2), (1, 2), (15, 4)]:
+        with pytest.raises(FieldError, match=f"^{p} is not prime$"):
+            make_field(p, n)
 
 
 def test_make_field_rejects_bad_degree():
@@ -102,12 +104,47 @@ def test_quadratic_irreducibility_matches_rabin():
 
 
 def test_first_irreducible_matches_rabin():
-    # every field with p <= 13 and p^n <= 10^6 gets the modulus Rabin's test picks
-    for p in (2, 3, 5, 7, 11, 13):
-        n = 2
-        while p**n <= 10**6:
-            assert first_irreducible(p, n) == first_irreducible_rabin(p, n), (p, n)
-            n += 1
+    # every field with p <= 13 and p^n <= 10^6 gets the modulus Rabin's test
+    # picks, and so do larger fields where no binomial x^n + c is
+    # irreducible, so the scan starts past them: 3 or 5 does not divide
+    # p - 1, or 4 | n and p = 3 mod 4
+    small = [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(2, 20) if p**n <= 10**6]
+    for p, n in small + [(101, 3), (1013, 3), (103, 4), (1019, 4), (17, 5), (43, 5)]:
+        assert first_irreducible(p, n) == first_irreducible_rabin(p, n), (p, n)
+
+
+def test_first_irreducible_starts_past_binomials_that_cannot_be_irreducible(monkeypatch):
+    # the first candidate tested is x^n + x, encoding p, when a prime factor
+    # of n does not divide p - 1 or 4 | n and p = 3 mod 4, and x^n otherwise
+    tested = []
+    is_irreducible = finfield._is_irreducible
+    monkeypatch.setattr(finfield, "_is_irreducible",
+                        lambda mod, p: tested.append(mod) or is_irreducible(mod, p))
+    for p, n, skip in [(101, 3, True), (103, 4, True), (17, 5, True), (2, 6, True),
+                       (7, 3, False), (13, 4, False), (11, 5, False), (5, 2, False)]:
+        tested.clear()
+        first_irreducible(p, n)
+        assert tested[0] == [0, int(skip)] + [0] * (n - 2) + [1], (p, n)
+
+
+def test_residue_fields_prove_p_prime_once(monkeypatch):
+    # the descent builds F_p[z]/(f) for each closed point of degree 2 (L1
+    # has two at p = 103); with make_field's cache empty, F_p proves p prime
+    # once for both of them
+    quadratics = _closed_points(surface("L1"), 103)[1]
+    assert len(quadratics) == 2
+    calls = []
+
+    def counting_is_prime(m):
+        calls.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(finfield, "is_prime", counting_is_prime)
+    monkeypatch.setattr(finfield, "make_field",
+                        functools.lru_cache(maxsize=None)(finfield.make_field.__wrapped__))
+    residues = [Field(103, 2, modulus=f) for f in quadratics]
+    assert calls == [103]
+    assert [r.modulus for r in residues] == [tuple(f) for f in quadratics]
 
 
 def test_inverse_in_f5():
@@ -369,12 +406,3 @@ def test_quadratic_closed_forms_match_the_generic_path(p, first, t, s, a, b):
     if p != 2:
         euler = _schoolbook_pow(field, a, (q - 1) // 2)
         assert field.quadratic_character(a) == {0: 0, 1: 1, p - 1: -1}[euler]
-
-
-def test_table_cap_covers_brute_force():
-    assert MAX_AFFINE_Q <= MAX_TABLE_Q == 2048
-    exp, log = Field(2, 11).exp_log_tables()  # q = 2048, at the cap
-    assert len(exp) == 2047 and sorted(exp) == list(range(1, 2048))
-    assert log[0] is None and all(log[e] == k for k, e in enumerate(exp))
-    with pytest.raises(FieldError):
-        Field(2053).exp_log_tables()  # the first field above the cap

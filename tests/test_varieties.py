@@ -16,7 +16,7 @@ from charzeta import (SURFACE_IDS, BiprojectivePoint, FieldError, brute_totals, 
                       fiberwise_totals, make_field, singular_locus, surface, varieties)
 from charzeta.fibercount import _zw_values
 from charzeta.surfaces import _as_model
-from charzeta.varieties import _Y_FORMS, _Logs, _Residues, _solutions
+from charzeta.varieties import _Y_FORMS, MAX_AFFINE_Q, _Logs, _Residues, _solutions
 from conftest import (_scalar_tables, bihomogeneous, biprojective_zero_reps, chart_verdicts,
                       eval_int, eval_scalar, expected_singular_points, generated_models,
                       model_with_points_over_w0, p1_reps, p2_reps, prime_powers_upto, set_one,
@@ -208,15 +208,16 @@ def test_solutions_match_scalar_enumeration(p, n):
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (2, 4), (3, 3), (7, 2)])
 def test_log_tables_match_scalar_arithmetic(p, n):
-    # exp lists the powers of a generator by Field.mul and log inverts it;
-    # the Zech logs, the trace table and the sums and products on logs
-    # agree with Field.add, Field.mul and Field.trace
+    # _Logs's log maps the nonzero encodings one to one onto [0, q - 1), and
+    # its inverse exp lists the powers of a generator by Field.mul; the Zech
+    # logs, the trace table and the sums and products on logs agree with
+    # Field.add, Field.mul and Field.trace
     field = make_field(p, n)
     q = field.q
-    exp, log = field.exp_log_tables()
-    assert sorted(exp) == list(range(1, q)) and log[0] is None
-    assert all(log[e] == k for k, e in enumerate(exp))
     F = _Logs(field)
+    log = F.log
+    assert log[0] is None and sorted(log[1:]) == list(range(q - 1))
+    exp = _exp_table(F)
     g = exp[1] if q > 2 else 1
     _, mul, _ = _scalar_tables(p, n)
     assert all(mul[a][g] == b for a, b in zip(exp, exp[1:]))
@@ -231,9 +232,14 @@ def test_log_tables_match_scalar_arithmetic(p, n):
             assert F.mul(log[a], log[b]) == log[field.mul(a, b)]
 
 
+def _exp_table(F):
+    """exp[k], the encoding of g^k, from the inverse of _Logs's log table."""
+    return sorted(range(1, F.q), key=F.log.__getitem__)
+
+
 def _form_values_match_scalar(field, zs):
     F = _arithmetic(field)
-    exp = field.exp_log_tables()[0] if isinstance(F, _Logs) else None
+    exp = _exp_table(F) if isinstance(F, _Logs) else None
     for sid in SURFACE_IDS:
         m = surface(sid)
         d = m.deg_zw
@@ -295,7 +301,6 @@ _PEAK_RSS = """
 import json, resource
 from charzeta import brute_totals, make_field
 field = make_field(2, 11)
-field.exp_log_tables()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 totals = brute_totals("L0", field)
 print(json.dumps([totals.biprojective, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
@@ -303,10 +308,11 @@ print(json.dumps([totals.biprojective, before, resource.getrusage(resource.RUSAG
 
 
 def test_brute_count_at_the_cap_adds_little_to_peak_rss():
-    # at q = 2^11 the log, Zech and trace tables take 2048 entries each and
-    # the count adds lists of that length, under 1 MiB; one list of q^2
-    # entries would take 32 MiB.  tracemalloc slows this count 25-fold, so
-    # a fresh interpreter reads its own peak RSS (KiB) instead
+    # at q = 2^11 the count builds the exp, log, Zech and trace tables, of
+    # 2048 entries each, and adds lists of that length, under 1 MiB with the
+    # tables; one list of q^2 entries would take 32 MiB.  tracemalloc slows
+    # this count 25-fold, so a fresh interpreter reads its own peak RSS
+    # (KiB) instead
     src = os.path.dirname(os.path.dirname(os.path.abspath(charzeta.__file__)))
     res = subprocess.run([sys.executable, "-c", _PEAK_RSS], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=120, check=True)
@@ -321,6 +327,31 @@ def test_brute_counts_at_the_widest_odd_extension_fields():
     for sid in SURFACE_IDS:
         assert brute_totals(sid, make_field(3, 6)) == fiberwise_totals(sid, make_field(3, 6))
     assert brute_totals("L1", make_field(43, 2)) == fiberwise_totals("L1", make_field(43, 2))
+
+
+def test_log_tables_cover_the_brute_force_cap():
+    # the one cap, MAX_AFFINE_Q: _Logs at q = 2^11 holds complete tables,
+    # and brute_totals refuses the first field above it
+    assert MAX_AFFINE_Q == 2048
+    F = _Logs(make_field(2, 11))
+    assert F.log[0] is None and sorted(F.log[1:]) == list(range(2047))
+    assert len(F.zech) == len(F.trace) == 2047
+    with pytest.raises(FieldError):
+        brute_totals("L0", make_field(2053))
+
+
+def test_counts_leave_the_field_unchanged():
+    # a Field holds p, n, q and the modulus and nothing more: a brute count,
+    # a singular locus and a descent over it add or change no attribute
+    for p, n in [(2, 3), (3, 2), (7, 1)]:
+        field = make_field(p, n)
+        before = dict(vars(field))
+        assert set(before) == {"p", "n", "q", "modulus"}
+        for sid in SURFACE_IDS:
+            brute_totals(sid, field)
+            singular_locus(sid, field)
+            fiberwise_totals(sid, field)
+        assert vars(field) == before, (p, n)
 
 
 @pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
