@@ -4,10 +4,11 @@ The fiber of each surface model over (z : 1) is the plane conic
 a(z)(x^2 + y^2) + b(z)xy + c(z)u^2.  a, b and c are read off f's terms
 once per model, which is refused in any other shape (_fiber_forms), and
 every fiber, over a point of P^1(F_q) or in the residue field of a closed
-point, is read from them by one evaluator (_zw_values).  Every fiber is
-counted by one rule (_fiber_class) in every characteristic: from the zeros of
-the binary part on the line u = 0 and, in odd characteristic, the square
-class of -ac.  It is a smooth conic with q + 1 points unless z is a root
+point, is read from them by one evaluator (_zw_values), Horner's rule
+through the field's arithmetic, which leaves the digit encoding of F_q
+to finfield.  Every fiber is counted by one rule (_fiber_class) in every
+characteristic: from the zeros of the binary part on the line u = 0 and,
+in odd characteristic, the square class of -ac.  It is a smooth conic with q + 1 points unless z is a root
 of the degenerate locus c(b^2 - 4a^2), or of bc in characteristic 2.  Off
 those roots the line u = 0 of the fiber has a fixed number of points as
 well, because two identities hold for every model, checked when it is
@@ -109,39 +110,27 @@ def _fiber_forms(model: SurfaceModel):
 
 def _zw_values(field: Field, forms, z: int, w: int) -> list[int]:
     """Each binary form sum_k c_k z^k w^(d-k) of forms, integer lists
-    c_0..c_d of one length d + 1, at (z : w).
+    c_0..c_d of one length d + 1, at (z : w), by homogeneous Horner's rule.
 
-    Over F_p by Horner's rule in integers, reduced mod p once.  Over F_{p^n}
-    the monomials z^k w^(d-k) are running products (no w powers when
-    w = 1), and each form is summed digit by digit and reduced mod p once.
-    Scalar field arithmetic, so it works at any q: every fiber of the
+    Over F_p in integers, reduced mod p once; over F_{p^n} through the
+    Field's scalar arithmetic.  So it works at any q: every fiber of the
     descent and of singular_locus is read through it.  The independent
     count of varieties evaluates its forms on its own.
     """
+    out = []
     if field.n == 1:
-        p, out = field.p, []
         for coeffs in forms:
             v, wk = 0, 1
             for c in reversed(coeffs):
                 v, wk = v * z + c * wk, wk * w
-            out.append(v % p)
+            out.append(v % field.p)
         return out
-    deg, monos = len(forms[0]) - 1, [1]
-    for _ in range(deg):
-        monos.append(field.mul(monos[-1], z))
-    if w != 1:
-        wp = [1]
-        for _ in range(deg):
-            wp.append(field.mul(wp[-1], w))
-        monos = [field.mul(zk, wp[deg - k]) for k, zk in enumerate(monos)]
-    digits = [field.coeffs(m) for m in monos]
-    out = []
+    mul, add = field.mul, field.add
     for coeffs in forms:
-        acc = [0] * field.n
-        for c, dig in zip(coeffs, digits):
-            if c:
-                acc = [x + c * y for x, y in zip(acc, dig)]
-        out.append(field.encode(acc))
+        v, wk = 0, 1
+        for c in reversed(coeffs):
+            v, wk = add(mul(v, z), mul(field.int_(c), wk)), mul(wk, w)
+        out.append(v)
     return out
 
 

@@ -3,18 +3,20 @@
 Elements of F_q, q = p^n, are encoded as integers in [0, q): the element
 a0 + a1*x + ... + a_{n-1}*x^{n-1} (coefficients in [0, p)) has encoding
 a0 + a1*p + ... + a_{n-1}*p^(n-1).  For n = 1 the encoding is the least
-residue.  Scalar arithmetic works for any supported q and costs O(n^2)
-digit operations per call, with no exponentiation: multiplication is the
-schoolbook product of the digit vectors reduced by the modulus, inversion
-runs the extended Euclidean algorithm against the modulus, and the
-quadratic character is the Legendre symbol of the norm, a resultant over
-F_p.  At n = 2, the residue field of each closed point of degree 2 that
-the descent of fibercount reads, product and norm are closed forms in the
-two digits: for the modulus z^2 + sz + t a product reduces by
-z^2 = -sz - t, and N(x + yz) = x^2 - sxy + ty^2.  A Field is an immutable
-value of p, n, q and the modulus; the discrete-log tables that the
-independent count multiplies by are built in varieties.  No part of this
-module uses numpy.
+residue.  Only this module reads the digits; other modules go through
+Field's methods.  Scalar arithmetic works for any supported q:
+multiplication is the schoolbook product of the digit vectors reduced by
+the modulus, O(n^2) digit operations; inversion runs the extended
+Euclidean algorithm against the modulus, dividing by _fq_divmod over F_p,
+the one polynomial division; and the quadratic character is the Legendre
+symbol of the norm, the product of the Frobenius conjugates
+a, a^p, ..., a^(p^(n-1)) whose sum is the trace.  At n = 2, the residue
+field of each closed point of degree 2 that the descent of fibercount
+reads, product and norm are closed forms in the two digits: for the
+modulus z^2 + sz + t a product reduces by z^2 = -sz - t, and
+N(x + yz) = x^2 - sxy + ty^2.  A Field is an immutable value of p, n, q
+and the modulus; the discrete-log tables that the independent count
+multiplies by are built in varieties.  No part of this module uses numpy.
 
 The extension modulus is the first irreducible monic polynomial in
 ascending order of its coefficient encoding, so field construction is
@@ -117,48 +119,11 @@ def _poly_mul_mod(a, b, mod, p):
     return _poly_trim([x % p for x in out[:dm]])
 
 
-def _poly_divmod(a, b, p):
-    """Quotient and remainder of a by a trimmed nonzero b over F_p."""
-    rem = list(a)
-    db = len(b) - 1
-    lead_inv = pow(b[-1], -1, p)
-    quot = [0] * max(len(rem) - db, 0)
-    for t in range(len(rem) - 1, db - 1, -1):
-        c = rem[t] * lead_inv % p
-        if c:
-            quot[t - db] = c
-            for j in range(db):
-                rem[t - db + j] -= c * b[j]
-    return quot, _poly_trim([x % p for x in rem[:db]])
-
-
 def _poly_sub_x(a, p):
     """a(x) - x as a trimmed coefficient list."""
     out = list(a) + [0] * max(0, 2 - len(a))
     out[1] = (out[1] - 1) % p
     return _poly_trim(out)
-
-
-def _resultant(f, g, p):
-    """Res(f, g) over F_p, f monic and g the digits of an element.
-
-    Euclid over F_p: Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r)
-    Res(g, r) with r = f mod g, down to Res(f, c) = c^(deg f).
-    """
-    f, g = list(f), _poly_trim(list(g))
-    if not g:
-        return 0
-    res = 1
-    while len(g) > 1:
-        r = _poly_divmod(f, g, p)[1]
-        if not r:
-            return 0
-        df, dg = len(f) - 1, len(g) - 1
-        if df & dg & 1:
-            res = -res
-        res = res * pow(g[-1], df - len(r) + 1, p) % p
-        f, g = g, r
-    return res * pow(g[0], len(f) - 1, p) % p
 
 
 def _is_irreducible(mod, p):
@@ -339,10 +304,11 @@ class Field:
         p = self.p
         if self.n == 1:
             return pow(a, -1, p)
+        prime = make_field(p)
         r0, r1 = list(self.modulus), _poly_trim(self.coeffs(a))
         s0, s1 = [], [1]
         while len(r1) > 1:
-            quot, rem = _poly_divmod(r0, r1, p)
+            quot, rem = _fq_divmod(r0, r1, prime)
             s2 = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
             for i, qi in enumerate(quot):
                 if qi:
@@ -354,15 +320,15 @@ class Field:
         return self.encode([c * x for x in s1])
 
     def norm(self, a: int) -> int:
-        """N(a) = a^((q-1)/(p-1)) in F_p, the resultant Res(modulus, a)
-        (_resultant); at n = 2, N(x + yz) = x^2 - sxy + ty^2."""
+        """N(a) = a^((q-1)/(p-1)) in F_p, the product of the conjugates
+        a * a^p * ... * a^(p^(n-1)); at n = 2, N(x + yz) = x^2 - sxy + ty^2."""
         p = self.p
         if self.n == 1:
             return a
         if self.n == 2:
             (y, x), (t, s, _) = divmod(a, p), self.modulus
             return (x * x - s * x * y + t * y * y) % p
-        return _resultant(self.modulus, self.coeffs(a), p)
+        return functools.reduce(self.mul, self._conjugates(a))
 
     def quadratic_character(self, a: int) -> int:
         """0 for a = 0, +1 for nonzero squares, -1 otherwise (odd char only).
@@ -378,11 +344,14 @@ class Field:
 
     def trace(self, a: int) -> int:
         """Absolute trace a + a^p + ... + a^(p^(n-1)), an element of F_p."""
-        total = cur = a
+        return functools.reduce(self.add, self._conjugates(a))
+
+    def _conjugates(self, a: int):
+        """The Frobenius conjugates a, a^p, ..., a^(p^(n-1)) of a."""
+        yield a
         for _ in range(self.n - 1):
-            cur = self.pow_(cur, self.p)
-            total = self.add(total, cur)
-        return total
+            a = self.pow_(a, self.p)
+            yield a
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,18 +364,16 @@ def make_field(p: int, n: int = 1) -> Field:
 # roots of integer polynomials in F_q (coefficient lists of encodings)
 #
 # These helpers work through Field methods, except that over F_p products
-# and division go to the integer-only helpers above.
+# go to the integer-only _poly_mul_mod above.
 
 
 def _fq_divmod(a, m, field: Field):
-    """Quotient and remainder of a by the monic polynomial m."""
-    if field.n == 1:
-        return _poly_divmod(a, m, field.p)
+    """Quotient and remainder of a by the trimmed nonzero polynomial m."""
     rem = list(a)
-    dm = len(m) - 1
+    dm, lead_inv = len(m) - 1, field.inv(m[-1])
     quot = [0] * max(len(rem) - dm, 0)
     for t in range(len(rem) - 1, dm - 1, -1):
-        c = rem[t]
+        c = field.mul(rem[t], lead_inv)
         if c:
             quot[t - dm] = c
             for j in range(dm):
@@ -512,5 +479,5 @@ def low_degree_factors(coeffs, p: int):
         rest = _fq_divmod(rest, common, prime)[0]
     if len(rest) > 1:
         raise FieldError(f"the polynomial has roots outside F_{p}^2")
-    linear = _fq_gcd(h, _poly_sub_x(_poly_divmod(frob, h, p)[1], p), prime)
+    linear = _fq_gcd(h, _poly_sub_x(_fq_divmod(frob, h, prime)[1], p), prime)
     return split_roots(linear, prime), _factors(_fq_divmod(h, linear, prime)[0], prime, 2)

@@ -21,8 +21,8 @@ from charzeta.finfield import Field, low_degree_factors, split_roots
 from charzeta.intpoly import IntPoly
 from conftest import (_scalar_tables, all_fiber_reports, bihomogeneous, conic_bundle,
                       conic_count_brute, eval_scalar, fiber_determinant, fiber_form,
-                      fiberwise_totals_fq, generated_models, model_with_points_over_w0, p2_reps,
-                      paper_local_zeta, prime_powers_upto, ternary)
+                      fiberwise_totals_fq, generated_models, model_with_points_over_w0, p1_reps,
+                      p2_reps, paper_local_zeta, prime_powers_upto, schoolbook_mul, ternary)
 
 
 def test_fiber_form_examples():
@@ -51,6 +51,42 @@ def test_fiber_form_reproduces_surface_polynomial():
                         form_val = field.add(form_val, field.mul(coef, field.mul(*mono)))
                     direct = eval_scalar(F, field, (x, y, u, z, w))
                     assert form_val == direct
+
+
+def _forms_by_powers(field, forms, z, w):
+    """Each form sum_k c_k z^k w^(d-k) with the monomials by pow_ and the
+    products by schoolbook_mul, summed by Field.add."""
+    out = []
+    for coeffs in forms:
+        d, total = len(coeffs) - 1, 0
+        for k, c in enumerate(coeffs):
+            mono = schoolbook_mul(field, field.pow_(z, k), field.pow_(w, d - k))
+            total = field.add(total, schoolbook_mul(field, field.int_(c), mono))
+        out.append(total)
+    return out
+
+
+def test_zw_values_match_powers_at_any_base():
+    # _zw_values at (z : w) with w other than 1 too, as singular_locus reads
+    # the bases (1 : t): at every point of P^1(F_q) for q in {4, 9, 27, 49},
+    # in both charts (z : 1) and (1 : t), and at seeded pairs at 2^11, at
+    # 3^6 and in the residue field F_103[z]/(z^2 + z - 1) of L1's quadratic
+    # closed point
+    rng = random.Random(35)
+    cases = []
+    for p, n in [(2, 2), (3, 2), (3, 3), (7, 2)]:
+        field = make_field(p, n)
+        cases.append((field, p1_reps(field) + [(1, t) for t in range(field.q)] + [(0, 1)]))
+    for field in (make_field(2, 11), make_field(3, 6), Field(103, 2, modulus=(102, 1, 1))):
+        q = field.q
+        pairs = [(rng.randrange(q), rng.randrange(1, q)) for _ in range(40)]
+        cases.append((field, pairs + [(1, 0), (0, 1), (q - 1, q - 1)]))
+    for sid in ("L0", "L1", "L2"):
+        forms = _fiber_forms(surface(sid))
+        for field, bases in cases:
+            for z, w in bases:
+                assert _zw_values(field, forms, z, w) == _forms_by_powers(field, forms, z, w), \
+                    (sid, field, z, w)
 
 
 def test_count_fiberwise_examples():

@@ -1,7 +1,9 @@
 """Field arithmetic, quadratic characters, conic point counts, and polynomial roots."""
 
+import ast
 import functools
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -10,9 +12,8 @@ from hypothesis import strategies as st
 
 from charzeta import FieldError, finfield, is_prime, make_field, surface
 from charzeta.fibercount import _closed_points, _conic
-from charzeta.finfield import (MAX_Q, Field, _is_irreducible, _poly_mul_mod,
-                               _resultant, first_irreducible, low_degree_factors, split_roots,
-                               sqrt_mod)
+from charzeta.finfield import (MAX_Q, Field, _fq_divmod, _is_irreducible, _poly_mul_mod,
+                               first_irreducible, low_degree_factors, split_roots, sqrt_mod)
 from conftest import (_is_irreducible_rabin, conic_count_brute, fiber_determinant, field_roots,
                       first_irreducible_rabin, schoolbook_mul)
 
@@ -381,10 +382,11 @@ def _schoolbook_pow(field, a, e):
 @example(_P63, True, 0, 0, _P63**2 - 1, _P63 * 17 + 5)
 def test_quadratic_closed_forms_match_the_generic_path(p, first, t, s, a, b):
     # F_{p^2} for first_irreducible(p, 2) or a random monic z^2 + sz + t: the
-    # modulus check against Rabin's test, the closed-form product and norm
-    # against the schoolbook product and the resultant that serve n >= 3,
-    # and the character and the Euclidean inverse against Euler's criterion
-    # and conj(x + yz) / N(x + yz) = (x - sy - yz) / (x^2 - sxy + ty^2)
+    # modulus check against Rabin's test, the closed-form product against
+    # the schoolbook product that serves n >= 3, the closed-form norm
+    # against N(a) = a^((p^2-1)/(p-1)) = a^(p+1), and the character and the
+    # Euclidean inverse against Euler's criterion and
+    # conj(x + yz) / N(x + yz) = (x - sy - yz) / (x^2 - sxy + ty^2)
     modulus = first_irreducible(p, 2) if first else (t % p, s % p, 1)
     if not _is_irreducible_rabin(list(modulus), p):
         assert not _is_irreducible(list(modulus), p)
@@ -398,7 +400,7 @@ def test_quadratic_closed_forms_match_the_generic_path(p, first, t, s, a, b):
     assert field.mul(a, b) == field.encode(_poly_mul_mod(field.coeffs(a), field.coeffs(b),
                                                          modulus, p))
     assert field.mul(a, b) == schoolbook_mul(field, a, b)
-    assert field.norm(a) == _resultant(modulus, field.coeffs(a), p)
+    assert field.norm(a) == field.pow_(a, p + 1)
     if a:
         (y, x), norm_inv = divmod(a, p), pow(field.norm(a), -1, p)
         assert field.inv(a) == field.encode([(x - s * y) * norm_inv, -y * norm_inv])
@@ -406,3 +408,47 @@ def test_quadratic_closed_forms_match_the_generic_path(p, first, t, s, a, b):
     if p != 2:
         euler = _schoolbook_pow(field, a, (q - 1) // 2)
         assert field.quadratic_character(a) == {0: 0, 1: 1, p - 1: -1}[euler]
+
+
+_DIVISION_FIELDS = ((2, 1), (3, 1), (101, 1), (65521, 1), (2, 5), (3, 3), (101, 2))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.sampled_from(_DIVISION_FIELDS), st.lists(st.integers(0, MAX_Q), max_size=9),
+       st.lists(st.integers(0, MAX_Q), max_size=4), st.integers(0, MAX_Q))
+@example((3, 3), [5], [1, 2, 7], 0)  # deg a < deg b
+@example((101, 1), [], [3], 98)  # a = 0, a constant divisor
+def test_division_by_a_non_monic_polynomial(pn, a, b, lead):
+    # _fq_divmod(a, b) against products by schoolbook_mul: a trimmed
+    # quotient and a trimmed remainder shorter than b with
+    # quot * b + rem = a, for a divisor whose leading coefficient is not 1
+    # (F_2 has no other)
+    field = make_field(*pn)
+    q = field.q
+    a = [x % q for x in a]
+    while a and a[-1] == 0:
+        a.pop()
+    b = [x % q for x in b] + [lead % (q - 2) + 2 if q > 2 else 1]
+    quot, rem = _fq_divmod(a, b, field)
+    assert (quot == [] or quot[-1] != 0) and (rem == [] or rem[-1] != 0)
+    assert len(rem) < len(b)
+    total = rem + [0] * (len(quot) + len(b))
+    for i, qi in enumerate(quot):
+        for j, bj in enumerate(b):
+            total[i + j] = field.add(total[i + j], schoolbook_mul(field, qi, bj))
+    assert total[:len(a)] == a and not any(total[len(a):])
+
+
+def test_only_finfield_reads_the_digit_encoding():
+    # a field element's base-p digits are finfield's decision: no other
+    # module of the package calls coeffs, encode or _digitwise
+    package = pathlib.Path(finfield.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "finfield.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("coeffs", "encode", "_digitwise")):
+                calls.append(f"{path.name}:{node.lineno} {node.func.attr}")
+    assert calls == []
