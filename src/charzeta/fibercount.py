@@ -230,9 +230,7 @@ def _bundle_loci(model: SurfaceModel):
     the fiber shape or either identity the generic counts rest on.
     """
     a, b, c = _fiber_forms(model)
-    d = [x - 4 * y for x, y in zip_longest(_zmul(b, b), _zmul(a, a), fillvalue=0)]
-    while d and d[-1] == 0:
-        d.pop()
+    d = _poly_trim([x - 4 * y for x, y in zip_longest(_zmul(b, b), _zmul(a, a), fillvalue=0)])
     root = _square_root(d)
     if root is None:
         raise ValueError(f"{model.id}: b^2 - 4a^2 is not a constant times a square")
@@ -411,23 +409,19 @@ def descent_series(model, p: int, k: int) -> list[CountTotals]:
     # non-affine = q*m_inf + 1 at infinity plus sum_x L_x over A^1(F_q), a
     # smooth fiber with the generic L.  Lifted, m and L are a + b*s + g*q
     # with s = (-1)^(n/d) (_lift_sum), so both totals are quadratics in q
-    # whose coefficients depend on n mod 4 alone.
-    by_class = []
-    for r in range(4):  # n = r mod 4
-        s = -1 if r % 2 else 1
-        line_gen, m_inf = ga + gb * s, ia + ib * s
-        m0, m1, l0, l1 = m_inf, 1 + ig, 1, m_inf + line_gen
-        for d, size, (ma, mb, mg), (la, lb, lg) in tallies:
-            if r % d == 0:  # d * size fibers fewer are smooth
-                s_d = -1 if r // d % 2 else 1
-                m0, m1 = m0 + d * (ma - size + mb * s_d), m1 + d * mg
-                l0, l1 = l0 + d * (la + lb * s_d - size * line_gen), l1 + d * lg
-        by_class.append((1 + m0, m1, l0, l1))
+    # whose coefficients each n sums from the tallies of the d dividing n.
     series, q = [], 1
     for n in range(1, k + 1):
         q *= p
-        b1, b2, l0, l1 = by_class[n % 4]
-        biproj, nonaffine = 1 + q * (b1 + b2 * q), l0 + q * (l1 + ig * q)
+        s = -1 if n % 2 else 1
+        line_gen, m_inf = ga + gb * s, ia + ib * s
+        m0, m1, l0, l1 = m_inf, 1 + ig, 1, m_inf + line_gen
+        for d, size, (ma, mb, mg), (la, lb, lg) in tallies:
+            if n % d == 0:  # d * size fibers fewer are smooth
+                s_d = -1 if n // d % 2 else 1
+                m0, m1 = m0 + d * (ma - size + mb * s_d), m1 + d * mg
+                l0, l1 = l0 + d * (la + lb * s_d - size * line_gen), l1 + d * lg
+        biproj, nonaffine = 1 + q * (1 + m0 + m1 * q), l0 + q * (l1 + ig * q)
         series.append(CountTotals(model.id, p, n, biproj, biproj - nonaffine, nonaffine))
     return series
 

@@ -3,20 +3,21 @@
 Elements of F_q, q = p^n, are encoded as integers in [0, q): the element
 a0 + a1*x + ... + a_{n-1}*x^{n-1} (coefficients in [0, p)) has encoding
 a0 + a1*p + ... + a_{n-1}*p^(n-1).  For n = 1 the encoding is the least
-residue.  Only this module reads the digits; other modules go through
-Field's methods.  Scalar arithmetic works for any supported q:
-multiplication is the schoolbook product of the digit vectors reduced by
-the modulus, O(n^2) digit operations; inversion runs the extended
-Euclidean algorithm against the modulus, dividing by _fq_divmod over F_p,
-the one polynomial division; and the quadratic character is the Legendre
-symbol of the norm, the product of the Frobenius conjugates
-a, a^p, ..., a^(p^(n-1)) whose sum is the trace.  At n = 2, the residue
-field of each closed point of degree 2 that the descent of fibercount
-reads, product and norm are closed forms in the two digits: for the
-modulus z^2 + sz + t a product reduces by z^2 = -sz - t, and
-N(x + yz) = x^2 - sxy + ty^2.  A Field is an immutable value of p, n, q
-and the modulus; the discrete-log tables that the independent count
-multiplies by are built in varieties.  No part of this module uses numpy.
+residue.  Only this module reads the digits, and _digits alone decodes
+them; other modules go through Field's methods.  Each arithmetic job has
+one routine, for any supported q: the product of F_p polynomials
+_poly_mul_mod, which multiplies digit vectors and reduces by the modulus,
+O(n^2) digit operations; the square-and-multiply _power; the polynomial
+division _fq_divmod, which with _poly_mul_mod runs the extended Euclidean
+algorithm that inverts; and the quadratic character, Euler's criterion on
+the norm, the product of the Frobenius conjugates a, a^p, ..., a^(p^(n-1))
+whose sum is the trace.  At n = 2, the residue field of each closed point
+of degree 2 that the descent of fibercount reads, product and norm are
+closed forms in the two digits: for the modulus z^2 + sz + t a product
+reduces by z^2 = -sz - t, and N(x + yz) = x^2 - sxy + ty^2.  A Field is an
+immutable value of p, n, q and the modulus; the discrete-log tables that
+the independent count multiplies by are built in varieties.  No part of
+this module uses numpy.
 
 The extension modulus is the first irreducible monic polynomial in
 ascending order of its coefficient encoding, so field construction is
@@ -81,7 +82,7 @@ def sqrt_mod(a: int, p: int) -> int:
     while m % 2 == 0:
         m, e = m // 2, e + 1
     c = 2
-    while pow(c, (p - 1) // 2, p) != p - 1:
+    while make_field(p).quadratic_character(c) != -1:
         c += 1
     z, x, b = pow(c, m, p), pow(a, (m + 1) // 2, p), pow(a, m, p)
     while b != 1:
@@ -92,6 +93,26 @@ def sqrt_mod(a: int, p: int) -> int:
         z, e = t * t % p, i
         x, b = x * t % p, b * z % p
     return x
+
+
+def _power(a, e: int, mul, one):
+    """a^e, e >= 0, by square-and-multiply under the product mul with identity one."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+def _digits(e: int, p: int, n: int) -> list[int]:
+    """The n lowest base-p digits of e, low first: the coefficients of an encoding."""
+    out = []
+    for _ in range(n):
+        out.append(e % p)
+        e //= p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +156,10 @@ def _is_irreducible(mod, p):
     x^(p^i) mod f come by successive p-th powers, and the test stops at the
     first common factor, which random polynomials tend to have at small i.
     """
+    prime = make_field(p)
     if len(mod) == 3:
         t, s, _ = mod
-        return (t, s) == (1, 1) if p == 2 else pow(s * s - 4 * t, (p - 1) // 2, p) == p - 1
-    prime = make_field(p)
+        return (t, s) == (1, 1) if p == 2 else prime.quadratic_character((s * s - 4 * t) % p) < 0
     g = [0, 1]
     for _ in range((len(mod) - 1) // 2):
         g = _fq_pow(g, p, mod, prime)
@@ -159,12 +180,7 @@ def first_irreducible(p: int, n: int) -> tuple[int, ...]:
     """
     binomials = pow(p - 1, n, n) == 0 and (n % 4 or p % 4 == 1)
     for enc in range(0 if binomials else p, p**n):
-        coeffs = []
-        e = enc
-        for _ in range(n):
-            coeffs.append(e % p)
-            e //= p
-        mod = coeffs + [1]
+        mod = _digits(enc, p, n) + [1]
         if _is_irreducible(mod, p):
             return tuple(mod)
     raise FieldError(f"no irreducible polynomial of degree {n} over F_{p}")  # unreachable
@@ -227,11 +243,7 @@ class Field:
     # -- encoding helpers ----------------------------------------------
 
     def coeffs(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.n):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        return _digits(a, self.p, self.n)
 
     def encode(self, coeffs) -> int:
         e = 0
@@ -282,22 +294,13 @@ class Field:
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e
-        if self.n == 1:
-            return pow(a, e, self.p)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return pow(a, e, self.p) if self.n == 1 else _power(a, e, self.mul, 1)
 
     def inv(self, a: int) -> int:
         """Inverse by the extended Euclidean algorithm against the modulus.
 
         The Bezout cofactor s of s*a + t*modulus = c, a nonzero constant,
-        gives a^-1 = s/c; each step is a polynomial division over F_p.
+        gives a^-1 = s/c; each step is one division and one product over F_p.
         """
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
@@ -309,13 +312,10 @@ class Field:
         s0, s1 = [], [1]
         while len(r1) > 1:
             quot, rem = _fq_divmod(r0, r1, prime)
-            s2 = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(quot):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        s2[i + j] -= qi * sj
+            # deg(quot * s1) = n - deg r1 < n, so the modulus reduces nothing
+            prod = _poly_mul_mod(quot, s1, self.modulus, p)
             r0, r1 = r1, rem
-            s0, s1 = s1, _poly_trim([x % p for x in s2])
+            s0, s1 = s1, _poly_trim([(x - y) % p for x, y in zip_longest(s0, prod, fillvalue=0)])
         c = pow(r1[0], -1, p)
         return self.encode([c * x for x in s1])
 
@@ -373,7 +373,7 @@ def _fq_divmod(a, m, field: Field):
     dm, lead_inv = len(m) - 1, field.inv(m[-1])
     quot = [0] * max(len(rem) - dm, 0)
     for t in range(len(rem) - 1, dm - 1, -1):
-        c = field.mul(rem[t], lead_inv)
+        c = rem[t] if lead_inv == 1 else field.mul(rem[t], lead_inv)
         if c:
             quot[t - dm] = c
             for j in range(dm):
@@ -399,13 +399,7 @@ def _fq_mul_mod(a, b, m, field: Field):
 
 def _fq_pow(a, e: int, m, field: Field):
     """a^e mod the monic polynomial m."""
-    result = [1]
-    while e:
-        if e & 1:
-            result = _fq_mul_mod(result, a, m, field)
-        a = _fq_mul_mod(a, a, m, field)
-        e >>= 1
-    return result
+    return _power(a, e, functools.partial(_fq_mul_mod, m=m, field=field), [1])
 
 
 def _fq_gcd(a, b, field: Field):

@@ -740,6 +740,48 @@ def test_special_rejects_bad_tolerance(capsys, command, tol):
     assert_usage_error(capsys, command, "--tol", tol)
 
 
+# Flag values for the CLI fuzz: valid, boundary and junk.  None leaves the
+# flag out, so its default applies; --primes and --samples are always
+# given, as their defaults (2..199, 10^6 samples) would be the costliest
+# runs.  Valid runs stay cheap: q <= 13^2, verify up to 13, 1000 samples.
+_FUZZ_P = (None, "0", "1", "4", "-3", "2", "3", "13", str(2**63 + 29), "x", "3.5")
+_FUZZ_N = (None, "-1", "0", "1", "2", "64")
+_FUZZ_SURFACE = (None, "L0", "L2", "all", "L9")
+_FUZZ_SPACE = (None, "affine", "biprojective", "nonaffine", "all", "x")
+_FUZZ_TOL = (None, "nan", "0", "inf", "1e-6", "-1", "x")
+_FUZZ_FLAGS = {
+    "count": {"--surface": _FUZZ_SURFACE, "--p": _FUZZ_P, "--n": _FUZZ_N, "--space": _FUZZ_SPACE,
+              "--method": (None, "brute", "fiberwise", "formula", "all", "x")},
+    "zeta": {"--surface": _FUZZ_SURFACE, "--p": _FUZZ_P, "--space": _FUZZ_SPACE},
+    "verify": {"--surface": _FUZZ_SURFACE,
+               "--primes": ("2..13", "7..5", "..", "3..", "1000000..1000003", "13", "x")},
+    "special": {"--tol": _FUZZ_TOL},
+    "singular": {"--surface": _FUZZ_SURFACE, "--p": _FUZZ_P, "--n": _FUZZ_N},
+    "mahler": {"--poly": (None, "1+x+y+z", "1", "x"),
+               "--samples": ("0", "1", "1000", str(10**8 + 1), "x"),
+               "--seed": (None, "0", "42", "-1", "x"), "--tol": _FUZZ_TOL},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_FLAGS))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_0_1_or_2(command, data):
+    # every command, in process, on any mix of these values: a result
+    # (0 or 1) or a usage error (2) with nothing on stdout, within the limit
+    argv = [command]
+    formats = (None, "json", "csv", "text", "xml")
+    for flag, values in {**_FUZZ_FLAGS[command], "--format": formats}.items():
+        value = data.draw(st.sampled_from(values), label=flag)
+        if value is not None:
+            argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), time_limit(10):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert code != 2 or out.getvalue() == "", argv
+
+
 @pytest.mark.parametrize("p", ["2", "3", "13", "1009"])
 def test_zeta_and_verify_give_one_verdict(capsys, p):
     _, verify = run_json(capsys, "verify", "--surface", "all", "--primes", p)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from charzeta import FieldError, finfield, is_prime, make_field, surface
 from charzeta.fibercount import _closed_points, _conic
-from charzeta.finfield import (MAX_Q, Field, _fq_divmod, _is_irreducible, _poly_mul_mod,
-                               first_irreducible, low_degree_factors, split_roots, sqrt_mod)
+from charzeta.finfield import (MAX_Q, Field, _fq_divmod, _fq_pow, _is_irreducible,
+                               _poly_mul_mod, first_irreducible, low_degree_factors, split_roots,
+                               sqrt_mod)
 from conftest import (_is_irreducible_rabin, conic_count_brute, fiber_determinant, field_roots,
                       first_irreducible_rabin, schoolbook_mul)
 
@@ -408,6 +409,50 @@ def test_quadratic_closed_forms_match_the_generic_path(p, first, t, s, a, b):
     if p != 2:
         euler = _schoolbook_pow(field, a, (q - 1) // 2)
         assert field.quadratic_character(a) == {0: 0, 1: 1, p - 1: -1}[euler]
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (_P63, 1), (2, 2), (101, 2), (2, 10), (3, 5),
+                                 (65521, 3)])
+def test_pow_at_exponent_zero_and_below(p, n):
+    # e = 0 gives 1, also at a = 0, and e < 0 powers the inverse: checked
+    # by the schoolbook oracle, which shares no square-and-multiply with pow_
+    field = make_field(p, n)
+    rng = random.Random(f"{p}:{n}")
+    assert field.pow_(0, 0) == 1
+    for a in [1, field.q - 1] + [rng.randrange(1, field.q) for _ in range(5)]:
+        assert field.pow_(a, 0) == 1
+        inv = field.inv(a)
+        assert schoolbook_mul(field, a, inv) == 1
+        for e in (1, 2, 7, field.q - 2):
+            assert field.pow_(a, -e) == _schoolbook_pow(field, inv, e)
+    with pytest.raises(ZeroDivisionError):
+        field.pow_(0, -1)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (101, 1), (3, 3), (101, 2)])
+def test_polynomial_power_at_exponent_zero_is_one(p, n):
+    field = make_field(p, n)
+    for a in ([], [0, 1], [field.q - 1, 2, 1]):
+        assert _fq_pow(a, 0, [1, 1, 0, 1], field) == [1]
+
+
+_WIDEST_FIELDS = ((2, 63, None), (3, 39, None), (103, 2, (102, 1, 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(_WIDEST_FIELDS), st.integers(0, MAX_Q))
+@example((103, 2, (102, 1, 1)), 103)  # z in F_103[z]/(z^2 + z - 1)
+@example((103, 2, (102, 1, 1)), 103 * 102 + 1)
+@example((2, 63, None), 2**63 - 1)  # every digit 1
+@example((3, 39, None), 3**39 - 1)  # every digit 2
+def test_inverse_over_the_widest_fields(spec, a):
+    # the Euclidean inverse against schoolbook_mul where the cofactor
+    # products come nearest the modulus degree: n = 63 and 39 at q near
+    # 2^63, and a residue field F_p[z]/(f) with f other than first_irreducible
+    p, n, modulus = spec
+    field = make_field(p, n) if modulus is None else Field(p, n, modulus=modulus)
+    a = a % field.q or 1
+    assert schoolbook_mul(field, a, field.inv(a)) == 1
 
 
 _DIVISION_FIELDS = ((2, 1), (3, 1), (101, 1), (65521, 1), (2, 5), (3, 3), (101, 2))
