@@ -3,21 +3,22 @@
 Elements of F_q, q = p^n, are encoded as integers in [0, q): the element
 a0 + a1*x + ... + a_{n-1}*x^{n-1} (coefficients in [0, p)) has encoding
 a0 + a1*p + ... + a_{n-1}*p^(n-1).  For n = 1 the encoding is the least
-residue.  Only this module reads the digits, and _digits alone decodes
-them; other modules go through Field's methods.  Each arithmetic job has
-one routine, for any supported q: the product of F_p polynomials
-_poly_mul_mod, which multiplies digit vectors and reduces by the modulus,
-O(n^2) digit operations; the square-and-multiply _power; the polynomial
-division _fq_divmod, which with _poly_mul_mod runs the extended Euclidean
-algorithm that inverts; and the quadratic character, Euler's criterion on
-the norm, the product of the Frobenius conjugates a, a^p, ..., a^(p^(n-1))
-whose sum is the trace.  At n = 2, the residue field of each closed point
-of degree 2 that the descent of fibercount reads, product and norm are
+residue.  Only this module reads the digits; other modules go through
+Field's methods.  _digits is the one full base-p decoder; the closed
+forms at n = 2 and the digitwise add and sub split digits inline.  The
+product of F_p polynomials is _poly_mul_mod, which multiplies digit
+vectors and reduces by the modulus, O(n^2) digit operations; powers run
+the one square-and-multiply _power; the one polynomial division
+_fq_divmod with _poly_mul_mod runs the extended Euclidean algorithm that
+inverts; and the quadratic character is Euler's criterion on the norm,
+the product of the Frobenius conjugates a, a^p, ..., a^(p^(n-1)) whose
+sum is the trace.  At n = 2, the residue field of each closed point of
+degree 2 that the descent of fibercount reads, product and norm are
 closed forms in the two digits: for the modulus z^2 + sz + t a product
-reduces by z^2 = -sz - t, and N(x + yz) = x^2 - sxy + ty^2.  A Field is an
-immutable value of p, n, q and the modulus; the discrete-log tables that
-the independent count multiplies by are built in varieties.  No part of
-this module uses numpy.
+reduces by z^2 = -sz - t, and N(x + yz) = x^2 - sxy + ty^2.  A Field is
+an immutable value of p, n, q and the modulus; the discrete-log tables
+that the independent count multiplies by are built in varieties.  No
+part of this module uses numpy.
 
 The extension modulus is the first irreducible monic polynomial in
 ascending order of its coefficient encoding, so field construction is
@@ -101,8 +102,9 @@ def _power(a, e: int, mul, one):
     while e:
         if e & 1:
             result = mul(result, a)
-        a = mul(a, a)
         e >>= 1
+        if e:  # no square after the top bit
+            a = mul(a, a)
     return result
 
 
@@ -373,7 +375,7 @@ def _fq_divmod(a, m, field: Field):
     dm, lead_inv = len(m) - 1, field.inv(m[-1])
     quot = [0] * max(len(rem) - dm, 0)
     for t in range(len(rem) - 1, dm - 1, -1):
-        c = rem[t] if lead_inv == 1 else field.mul(rem[t], lead_inv)
+        c = field.mul(rem[t], lead_inv)
         if c:
             quot[t - dm] = c
             for j in range(dm):

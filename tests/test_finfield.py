@@ -436,6 +436,20 @@ def test_polynomial_power_at_exponent_zero_is_one(p, n):
         assert _fq_pow(a, 0, [1, 1, 0, 1], field) == [1]
 
 
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 8, 255, 256, 2**40 + 3])
+def test_power_makes_no_unread_product(e):
+    # one square per bit below the top bit and one product per set bit:
+    # nothing squares a after the top bit, where no later step reads it
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return x * y % 1009
+
+    assert finfield._power(5, e, mul, 1) == pow(5, e, 1009)
+    assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")
+
+
 _WIDEST_FIELDS = ((2, 63, None), (3, 39, None), (103, 2, (102, 1, 1)))
 
 
