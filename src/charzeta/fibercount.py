@@ -410,13 +410,17 @@ def descent_series(model, p: int, k: int) -> list[CountTotals]:
     # smooth fiber with the generic L.  Lifted, m and L are a + b*s + g*q
     # with s = (-1)^(n/d) (_lift_sum), so both totals are quadratics in q
     # whose coefficients each n sums from the tallies of the d dividing n.
+    # d = 1 divides every n, with s_d = s, so its tally starts each sum.
+    (_, size1, (ma1, mb1, mg1), (la1, lb1, lg1)), *quadratic = tallies
+    m1_start = 1 + ig + mg1
     series, q = [], 1
     for n in range(1, k + 1):
         q *= p
         s = -1 if n % 2 else 1
         line_gen, m_inf = ga + gb * s, ia + ib * s
-        m0, m1, l0, l1 = m_inf, 1 + ig, 1, m_inf + line_gen
-        for d, size, (ma, mb, mg), (la, lb, lg) in tallies:
+        m0, m1 = m_inf + ma1 - size1 + mb1 * s, m1_start
+        l0, l1 = 1 + la1 + lb1 * s - size1 * line_gen, m_inf + line_gen + lg1
+        for d, size, (ma, mb, mg), (la, lb, lg) in quadratic:
             if n % d == 0:  # d * size fibers fewer are smooth
                 s_d = -1 if n // d % 2 else 1
                 m0, m1 = m0 + d * (ma - size + mb * s_d), m1 + d * mg

@@ -15,13 +15,12 @@ on it when A = 0; the biprojective count is the sum of the two.  No step
 reads the fibration's degenerate loci, the descent or the closed forms
 of fibercount, so this count is the ground truth they are checked against.
 
-Over F_p, p odd, the arithmetic is on residues, with chi from a table of
-squares.  Over F_{p^n} and F_2 it is on discrete logs, with None for 0,
-from tables that _Logs builds for the one count that reads them (a Field
-holds none): a product adds logs, a sum goes through the Zech log Z(k),
-g^Z(k) = 1 + g^k, chi is the parity of the log and the trace at p = 2 is
-read from a table indexed by log.  x runs through F_q in log order, so the
-values of a polynomial at every x cost one table lookup per term and point.
+The arithmetic is on discrete logs at every q, with None for 0, from
+tables that _Logs builds for the one count that reads them (a Field holds
+none): a product adds logs, a sum goes through the Zech log Z(k),
+g^Z(k) = 1 + g^k, and chi at odd p and the trace at p = 2 are read from a
+table indexed by log.  x runs through F_q in log order, so the values of a
+polynomial at every x cost one table lookup per term and point.
 Python integers only: no command but mahler loads numpy.
 """
 
@@ -36,47 +35,16 @@ MAX_AFFINE_Q = 2048  # brute_totals
 _Y_FORMS = ((0, 2), (0, 1), (1, 1), (0, 0), (1, 0), (2, 0))
 
 
-class _Residues:
-    """F_p, p odd, on residues in [0, p)."""
-
-    def __init__(self, field: Field):
-        p = self.p = self.q = field.p
-        self.zero = 0
-        self.elements = range(p)
-        self.chi = [-1] * p
-        for x in range(p):
-            self.chi[x * x % p] = 1
-        self.chi[0] = 0
-
-    def const(self, c: int) -> int:
-        return c % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def values(self, coeffs, xs) -> list[int]:
-        """sum_i coeffs[i] x^i at each x of xs, by Horner's rule."""
-        p = self.p
-        out = [coeffs[-1]] * len(xs)
-        for c in reversed(coeffs[:-1]):
-            out = [(v * x + c) % p for v, x in zip(out, xs)]
-        return out
-
-    def chi_sum(self, vals) -> int:
-        return sum(map(self.chi.__getitem__, vals))
-
-
 class _Logs:
     """F_q on discrete logs: k in [0, q - 1) stands for g^k, None for 0.
 
     g is the least encoding g >= 2 with g^((q-1)/l) != 1 for each prime
     l | q - 1, a generator (1 at q = 2, whose unit group is trivial); exp[k]
-    encodes g^k and log inverts it, with log[0] None.  The tables are built
-    for each count, their only reader, and not cached: only count --surface
-    all builds one field's tables again, once per surface.
+    encodes g^k and log inverts it, with log[0] None.  zech[k] is the log of
+    1 + g^k; at odd p chi maps a log, or None, to its quadratic character,
+    and at p = 2 trace[k] is Tr(g^k).  The tables are built for each count,
+    their only reader, and not cached: only count --surface all builds one
+    field's tables again, once per surface.
     """
 
     def __init__(self, field: Field):
@@ -98,6 +66,8 @@ class _Logs:
         if self.p == 2:  # Tr is F_2-linear: the parity of the basis traces an encoding selects
             mask = sum(field.trace(1 << i) << i for i in range(field.n))
             self.trace = [(e & mask).bit_count() & 1 for e in exp]
+        else:  # chi(g^k) = (-1)^k, with chi(0) = 0
+            self.chi = {None: 0, **{k: (-1) ** k for k in range(self.m)}}
 
     def const(self, c: int):
         return self.log[c % self.p]
@@ -117,21 +87,16 @@ class _Logs:
         m, zech = self.m, self.zech
         out = [coeffs[-1]] * len(xs)
         for c in reversed(coeffs[:-1]):
-            step = []
-            for v, x in zip(out, xs):
-                v = None if v is None or x is None else (v + x) % m
-                if c is not None:
-                    if v is None:
-                        v = c
-                    else:
-                        s = zech[c - v]
-                        v = None if s is None else (v + s) % m
-                step.append(v)
-            out = step
+            if c is None:
+                out = [None if v is None or x is None else (v + x) % m for v, x in zip(out, xs)]
+            else:
+                out = [c if v is None or x is None
+                       else None if (s := zech[c - (t := (v + x) % m)]) is None else (t + s) % m
+                       for v, x in zip(out, xs)]
         return out
 
     def chi_sum(self, vals) -> int:
-        return sum(-1 if v & 1 else 1 for v in vals if v is not None)
+        return sum(map(self.chi.__getitem__, vals))
 
 
 def _discriminant(F, a, b, c) -> list:
@@ -170,7 +135,7 @@ def brute_totals(model, field: Field) -> CountTotals:
     model = _as_model(model)
     if field.q > MAX_AFFINE_Q:
         raise FieldError(f"brute force limited to q <= {MAX_AFFINE_Q}")
-    F = _Residues(field) if field.n == 1 and field.p > 2 else _Logs(field)
+    F = _Logs(field)
     forms = [[F.const(model.f.terms.get((i, j, k), 0)) for k in range(model.deg_zw + 1)]
              for i, j in _Y_FORMS]
     bases = list(zip(*(F.values(form, F.elements) for form in forms)))  # at each (z : 1)

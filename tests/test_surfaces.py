@@ -1,6 +1,7 @@
 """The surface models: built from f alone, and checked against the link groups."""
 
 import itertools
+import math
 
 import pytest
 
@@ -73,6 +74,103 @@ def test_surface_is_the_trace_image_of_the_link_group(sid, p):
     assert points <= triples
     if sid == "L2":
         assert len(extra - on_f) == {3: 0, 5: 32}[p]
+
+
+# Polynomials over Z as dicts from exponent triples to nonzero
+# coefficients: Laurent polynomials in t over Z[x, y] keyed (x, y, t), and
+# polynomials in (x, y, z) keyed as IntPoly's terms.
+def _plus(*terms):
+    """The sum of c * poly over the (c, poly) pairs."""
+    total = {}
+    for c, poly in terms:
+        for e, v in poly.items():
+            total[e] = total.get(e, 0) + c * v
+    return {e: v for e, v in total.items() if v}
+
+
+def _times(a, b):
+    return _plus(*((u, {tuple(i + j for i, j in zip(e, f)): v for f, v in b.items()})
+                   for e, u in a.items()))
+
+
+def _matmul(m, n):
+    return [[_plus((1, _times(m[i][0], n[0][j])), (1, _times(m[i][1], n[1][j]))) for j in range(2)]
+            for i in range(2)]
+
+
+def _adjugate(m):
+    """The inverse of a 2 x 2 matrix of determinant 1."""
+    (a, b), (c, d) = m
+    return [[d, _plus((-1, b))], [_plus((-1, c)), a]]
+
+
+def _shift_t(poly, k):
+    """poly times t^k."""
+    return {(i, j, d + k): c for (i, j, d), c in poly.items()}
+
+
+def _over_t2_minus_1(poly):
+    """poly / (t^2 - 1) by long division from the top t-degree: exact over
+    Z[x, y], as the divisor is monic; AssertionError when it leaves a rest."""
+    low = min(d for _, _, d in poly)
+    rest, quotient = dict(poly), {}
+    while rest:
+        i, j, d = max(rest, key=lambda e: e[2])
+        assert d >= low + 2, "t^2 - 1 leaves a rest"
+        c = rest[i, j, d]
+        quotient[i, j, d - 2] = c
+        rest = _plus((1, rest), (-c, {(i, j, d): 1, (i, j, d - 2): -1}))
+    return quotient
+
+
+def _in_z(poly):
+    """A Laurent polynomial fixed by t -> 1/t, written in z = t + 1/t: take
+    off c * (t + 1/t)^d for its top term c * t^d until nothing is left."""
+    rest, out = dict(poly), {}
+    while rest:
+        i, j, d = max(rest, key=lambda e: e[2])
+        assert d >= 0, "not fixed by t -> 1/t"
+        c = out[i, j, d] = rest[i, j, d]
+        rest = _plus((1, rest), (-c, {(i, j, d - 2 * r): math.comb(d, r) for r in range(d + 1)}))
+    return out
+
+
+@pytest.mark.parametrize("sid", ["L0", "L1", "L2"])
+def test_surface_is_derived_from_its_link_over_z(sid):
+    # Riley's normal form over Z: A = [[x, 1], [-1, 0]] and
+    # B = [[0, -t], [1/t, y]] have determinant 1, tr A = x, tr B = y and
+    # tr AB = t + 1/t = z.  It covers the pairs with A != +-I and B in
+    # general position; the identities below are between polynomials, so
+    # that dense set of pairs is enough.  With W = [[w1, w2], [w3, w4]] the
+    # Schubert word, AW = WA exactly when w2 + w3 = 0 and
+    # w4 - w1 + x w2 = 0.  Each has a factor that holds on the reducible
+    # pairs (t^2 - 1, and tx - y, where tr[A, B] = 2) times one quotient,
+    # which is f written in z -- times x^2 + y^2 + z^2 - xyz - 3 for L2, the
+    # second component that the trace-image test meets off f at p = 5.  The
+    # quotient is fixed up to a unit +-t^k of Z[x, y, t, 1/t]: centring its
+    # t-degrees fixes k, and the sign is +1 for L0 and L1 and -1 for L2
+    one = {(0, 0, 0): 1}
+    identity = [[one, {}], [{}, one]]
+    matrices = {("a", 1): [[{(1, 0, 0): 1}, one], [{(0, 0, 0): -1}, {}]],
+                ("b", 1): [[{}, {(0, 0, 1): -1}], [{(0, 0, -1): 1}, {(0, 1, 0): 1}]]}
+    for letter in "ab":
+        matrices[letter, -1] = _adjugate(matrices[letter, 1])
+        assert _matmul(matrices[letter, 1], matrices[letter, -1]) == identity
+    w = identity
+    for letter in schubert_word(*LINKS[sid]):
+        w = _matmul(w, matrices[letter])
+    (w1, w2), (w3, w4) = w
+    quotient = _over_t2_minus_1(_plus((1, w2), (1, w3)))
+    second = _plus((1, w4), (-1, w1), (1, _times({(1, 0, 0): 1}, w2)))
+    reducible = _times({(1, 0, 1): 1, (0, 1, 0): -1}, quotient)  # (tx - y) * quotient
+    shifts = {d - e for (*_, d) in second for (*_, e) in reducible}
+    assert any(_shift_t(reducible, k) == second for k in shifts)
+    low, high = min(d for *_, d in quotient), max(d for *_, d in quotient)
+    assert (low + high) % 2 == 0
+    want = surface(sid).f.terms
+    if sid == "L2":  # times -(x^2 + y^2 + z^2 - xyz - 3)
+        want = _times(want, {(2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 2): -1, (1, 1, 1): 1, (0, 0, 0): 3})
+    assert _in_z(_shift_t(quotient, -(low + high) // 2)) == want
 
 
 def test_model_refuses_f_outside_the_conic_bundle_shape():

@@ -16,7 +16,7 @@ from charzeta import (SURFACE_IDS, BiprojectivePoint, FieldError, brute_totals, 
                       fiberwise_totals, make_field, singular_locus, surface, varieties)
 from charzeta.fibercount import _zw_values
 from charzeta.surfaces import _as_model
-from charzeta.varieties import _Y_FORMS, MAX_AFFINE_Q, _Logs, _Residues, _solutions
+from charzeta.varieties import _Y_FORMS, MAX_AFFINE_Q, _Logs, _solutions
 from conftest import (_scalar_tables, bihomogeneous, biprojective_zero_reps, chart_verdicts,
                       eval_int, eval_scalar, expected_singular_points, generated_models,
                       model_with_points_over_w0, p1_reps, p2_reps, prime_powers_upto, set_one,
@@ -172,28 +172,19 @@ def test_brute_kernel_matches_scalar_enumeration(sid, pn):
     assert totals.nonaffine == len([r for r in biproj if r[2] == 0 or r[4] == 0])
 
 
-def _arithmetic(field):
-    return _Residues(field) if field.n == 1 and field.p > 2 else _Logs(field)
-
-
-def _to_repr(F, e):
-    """The element of encoding e in F's representation: a residue or a log."""
-    return e if isinstance(F, _Residues) else F.log[e]
-
-
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
 def test_solutions_match_scalar_enumeration(p, n):
     # the rule of each branch (a = 0, odd p, p = 2) against the y in F_q
     # with a y^2 + b y + c = 0, at every (a, b, c), from the scalar tables
     field = make_field(p, n)
-    F = _arithmetic(field)
+    F = _Logs(field)
     add, mul, _ = _scalar_tables(p, n)
     q = field.q
     for a in range(q):
         for b in range(q):
             for c in range(q):
                 want = sum(add[add[mul[a][mul[y][y]]][mul[b][y]]][c] == 0 for y in range(q))
-                r = [_to_repr(F, e) for e in (a, b, c)]
+                r = [F.log[e] for e in (a, b, c)]
                 assert _solutions(F, r[0], (r[1],), (r[2],), [F.zero]) == want, (a, b, c)
     # and summed over every x with B and C of degree 1 and 2 in x
     rng = random.Random(q)
@@ -202,16 +193,18 @@ def test_solutions_match_scalar_enumeration(p, n):
         want = sum(add[add[mul[a][mul[y][y]]][mul[add[b0][mul[b1][x]]][y]]]
                    [add[add[c0][mul[c1][x]]][mul[c2][mul[x][x]]]] == 0
                    for x in range(q) for y in range(q))
-        r = [_to_repr(F, e) for e in (a, b0, b1, c0, c1, c2)]
+        r = [F.log[e] for e in (a, b0, b1, c0, c1, c2)]
         assert _solutions(F, r[0], tuple(r[1:3]), tuple(r[3:]), F.elements) == want
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (2, 4), (3, 3), (7, 2)])
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (7, 1), (101, 1),
+                                 (2, 3), (3, 2), (2, 4), (3, 3), (7, 2)])
 def test_log_tables_match_scalar_arithmetic(p, n):
     # _Logs's log maps the nonzero encodings one to one onto [0, q - 1), and
     # its inverse exp lists the powers of a generator by Field.mul; the Zech
-    # logs, the trace table and the sums and products on logs agree with
-    # Field.add, Field.mul and Field.trace
+    # logs, the trace table (p = 2), the chi table (odd p) and the sums and
+    # products on logs agree with Field.add, Field.mul, Field.trace and
+    # Field.quadratic_character
     field = make_field(p, n)
     q = field.q
     F = _Logs(field)
@@ -226,6 +219,10 @@ def test_log_tables_match_scalar_arithmetic(p, n):
         assert F.zech[k] == (log[one_plus] if one_plus else None)
         if p == 2:
             assert F.trace[k] == field.trace(e)
+        else:
+            assert F.chi[k] == field.quadratic_character(e)
+    if p > 2:
+        assert F.chi[None] == field.quadratic_character(0) == 0
     for a in range(q):
         for b in range(q):
             assert F.add(log[a], log[b]) == log[field.add(a, b)]
@@ -238,25 +235,24 @@ def _exp_table(F):
 
 
 def _form_values_match_scalar(field, zs):
-    F = _arithmetic(field)
-    exp = _exp_table(F) if isinstance(F, _Logs) else None
+    F = _Logs(field)
+    exp = _exp_table(F)
     for sid in SURFACE_IDS:
         m = surface(sid)
         d = m.deg_zw
         for i, j in _Y_FORMS:
             coeffs = [m.f.terms.get((i, j, k), 0) for k in range(d + 1)]
-            got = F.values([F.const(c) for c in coeffs], [_to_repr(F, z) for z in zs])
-            if exp is not None:
-                got = [0 if v is None else exp[v] for v in got]
+            got = F.values([F.const(c) for c in coeffs], [F.log[z] for z in zs])
+            got = [0 if v is None else exp[v] for v in got]
             assert got == [_zw_values(field, [coeffs], z, 1)[0] for z in zs], (sid, field)
 
 
 def test_form_weights_match_scalar_weights():
     # the weights of the base points (z : 1), the values there of the forms
-    # A, b0, b1, c0, c1 and c2 of every surface by Horner's rule on residues
-    # or logs, against fibercount._zw_values: at every z of each
-    # field with q <= 128, and at the cap-edge fields at a seeded sample of
-    # z that includes 0, 1 and q - 1
+    # A, b0, b1, c0, c1 and c2 of every surface by Horner's rule on logs,
+    # against fibercount._zw_values: at every z of each field with
+    # q <= 128, and at the cap-edge fields at a seeded sample of z that
+    # includes 0, 1 and q - 1
     for p, n in prime_powers_upto(128):
         _form_values_match_scalar(make_field(p, n), range(p**n))
     rng = random.Random(2039)
