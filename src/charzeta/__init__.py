@@ -27,7 +27,7 @@ _EXPORTS = {
                    "degenerate_fibers", "fiberwise_totals", "singular_locus"),
     "localzeta": ("LocalZetaFactors", "RecoveryError", "recover_factors"),
     "globalzeta": ("CHI5", "CHI8", "CharacterDesc", "ElementaryTerm", "GlobalZetaExpr",
-                   "ZetaFactorTerm", "check_local_zeta", "dedekind_expand", "euler_factor",
+                   "ZetaFactorTerm", "check_local_zeta", "euler_factor",
                    "global_expression", "main_term_expression", "verify_global"),
     "specialvalues": ("LaurentLeading", "QuadraticFieldData", "dirichlet_L",
                       "hurwitz_zeta_deflated", "laurent_leading", "mahler_measure_mc",

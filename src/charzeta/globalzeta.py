@@ -1,12 +1,12 @@
 """Global zeta products, their Euler factors, and per-prime verification.
 
-A global expression is a product of shifted Riemann zeta factors,
-quadratic Dedekind zeta factors, and Dirichlet L-factors, together with
-per-prime elementary correction factors (1 +- 2^(a-s))^e.  These products
-are the paper's theorem and its only transcription in the package: the
-local zeta function of a surface at p is the Euler factor of its product
-(euler_factor), taken after each Dedekind factor is rewritten as
-zeta * L(chi_d) (dedekind_expand), and the closed-form counts
+A global expression is a product of shifted Riemann zeta factors and
+Dirichlet L-factors, together with per-prime elementary correction
+factors (1 +- 2^(a-s))^e.  Where the paper writes the Dedekind zeta
+function of Q(sqrt 2) or Q(sqrt 5), the product holds zeta * L(chi_d).
+These products are the paper's theorem and its only transcription in the
+package: the local zeta function of a surface at p is the Euler factor
+of its product (euler_factor), and the closed-form counts
 (fibercount.count_formula) are read off it.  Comparing the Euler factor
 with the zeta function rebuilt from fiberwise counts verifies the global
 factorisation prime by prime: check_local_zeta checks every space of one
@@ -40,17 +40,14 @@ class CharacterDesc:
 CHI8 = CharacterDesc("chi8", 8, (0, 1, 0, -1, 0, -1, 0, 1))
 CHI5 = CharacterDesc("chi5", 5, (0, 1, -1, -1, 1))
 
-QUADRATIC_CHAR = {2: CHI8, 5: CHI5}
-
 
 @_record
 class ZetaFactorTerm:
-    """One factor zeta(s-shift)^exp, zeta_K(s-shift)^exp or L(chi, s-shift)^exp."""
+    """One factor zeta(s-shift)^exp or L(chi, s-shift)^exp."""
 
-    kind: str                      # riemann | dedekind | dirichlet
+    kind: str                      # riemann | dirichlet
     shift: int
     exp: int
-    d: int | None = None           # dedekind: the squarefree d of Q(sqrt d)
     char: CharacterDesc | None = None
 
 
@@ -74,22 +71,21 @@ def _riemann(shift, exp):
     return ZetaFactorTerm("riemann", shift, exp)
 
 
-def _dedekind(d, shift, exp):
-    return ZetaFactorTerm("dedekind", shift, exp, d=d)
-
-
 def _dirichlet(char, shift, exp):
     return ZetaFactorTerm("dirichlet", shift, exp, char=char)
 
 
 _AFFINE_EXPR = {
-    # zeta_{Q(sqrt2)}(s-1) zeta(s)^2 zeta(s-1)^2 zeta(s-2) (1-2^{1-s})^3 (1-2^{-s})
+    # zeta_{Q(sqrt2)}(s-1) zeta(s)^2 zeta(s-1)^2 zeta(s-2) (1-2^{1-s})^3 (1-2^{-s}),
+    # with zeta_{Q(sqrt2)} = zeta L(chi8)
     "L0": GlobalZetaExpr(
-        (_dedekind(2, 1, 1), _riemann(0, 2), _riemann(1, 2), _riemann(2, 1)),
+        (_riemann(1, 1), _dirichlet(CHI8, 1, 1), _riemann(0, 2), _riemann(1, 2),
+         _riemann(2, 1)),
         (ElementaryTerm(2, 1, 1, 3), ElementaryTerm(2, 1, 0, 1))),
-    # zeta_{Q(sqrt5)}(s-1)^2 zeta(s)^3 zeta(s-2) (1-2^{1-s})^3 (1+2^{1-s}) (1-2^{-s})
+    # zeta_{Q(sqrt5)}(s-1)^2 zeta(s)^3 zeta(s-2) (1-2^{1-s})^3 (1+2^{1-s}) (1-2^{-s}),
+    # with zeta_{Q(sqrt5)} = zeta L(chi5)
     "L1": GlobalZetaExpr(
-        (_dedekind(5, 1, 2), _riemann(0, 3), _riemann(2, 1)),
+        (_riemann(1, 2), _dirichlet(CHI5, 1, 2), _riemann(0, 3), _riemann(2, 1)),
         (ElementaryTerm(2, 1, 1, 3), ElementaryTerm(2, -1, 1, 1), ElementaryTerm(2, 1, 0, 1))),
     # zeta(s)^2 zeta(s-2) (1-2^{-s})
     "L2": GlobalZetaExpr(
@@ -136,41 +132,20 @@ def global_expression(model, space: str = "affine") -> GlobalZetaExpr:
 
 
 def main_term_expression(model) -> GlobalZetaExpr:
-    """The Dedekind-product part of the affine expression (elementary stripped)."""
+    """The affine product without its elementary terms."""
     expr = global_expression(model, "affine")
     return GlobalZetaExpr(expr.factors, ())
-
-
-def dedekind_expand(expr: GlobalZetaExpr) -> GlobalZetaExpr:
-    """Rewrite each zeta_{Q(sqrt d)}(s-j)^e as zeta(s-j)^e * L(chi_d, s-j)^e."""
-    out = []
-    for f in expr.factors:
-        if f.kind == "dedekind":
-            out.append(_riemann(f.shift, f.exp))
-            out.append(_dirichlet(QUADRATIC_CHAR[f.d], f.shift, f.exp))
-        else:
-            out.append(f)
-    return GlobalZetaExpr(tuple(out), expr.elementary)
-
-
-# the Dedekind expansion of each transcribed product, by identity: the
-# products live as long as the module, so no other object takes their ids
-_EXPANDED = {id(expr): dedekind_expand(expr).factors
-             for table in (_AFFINE_EXPR, _BIPROJECTIVE_EXPR, _NONAFFINE_EXPR)
-             for expr in table.values()}
 
 
 def euler_factor(expr: GlobalZetaExpr, p: int) -> LocalZetaFactors:
     """Euler factor of a global expression at p, in T = p^(-s).
 
-    Dedekind factors are first rewritten as zeta * L(chi_d)
-    (dedekind_expand, taken once per process for the transcribed products).
-    zeta(s-j)^e then gives (1 - p^j T)^(-e), and L(chi, s-j)^e gives
+    zeta(s-j)^e gives (1 - p^j T)^(-e), and L(chi, s-j)^e gives
     (1 - chi(p) p^j T)^(-e), trivial when chi(p) = 0.  Elementary terms
     apply only at their own prime, on the numerator side.
     """
     exps: dict[int, int] = {}
-    for f in _EXPANDED.get(id(expr)) or dedekind_expand(expr).factors:
+    for f in expr.factors:
         if f.kind == "riemann":
             v = 1
         elif f.kind == "dirichlet":

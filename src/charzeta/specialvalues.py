@@ -196,7 +196,7 @@ def _factor_leading(kind: str, char, arg: float):
 
 
 def laurent_leading(main_term: GlobalZetaExpr, s0: float) -> LaurentLeading:
-    """Order and leading coefficient of a Dedekind-product expression at s0.
+    """Order and leading coefficient of a main-term expression at s0.
 
     The expression must carry no elementary factors (they are stripped
     from main terms); every factor argument s0 - shift must land in
@@ -205,11 +205,9 @@ def laurent_leading(main_term: GlobalZetaExpr, s0: float) -> LaurentLeading:
     """
     if main_term.elementary:
         raise ValueError("main term still carries elementary factors; strip them first")
-    from .globalzeta import dedekind_expand
-    expr = dedekind_expand(main_term)
     total_order = 0
     coeff = 1.0
-    for f in expr.factors:
+    for f in main_term.factors:
         arg = s0 - f.shift
         if not -2.0 - 1e-9 <= arg <= 2.0 + 1e-9:
             raise ValueError(f"factor argument {arg} outside the supported range [-2, 2]")

@@ -60,7 +60,6 @@ class _Logs:
         self.log = [None] * q
         for k, e in enumerate(exp):
             self.log[e] = k
-        self.zero = None
         self.elements = [None, *range(self.m)]
         self.zech = [self.log[field.add(1, e)] for e in exp]
         if self.p == 2:  # Tr is F_2-linear: the parity of the basis traces an encoding selects
@@ -113,8 +112,8 @@ def _discriminant(F, a, b, c) -> list:
 def _solutions(F, a, b, c, xs) -> int:
     """The number of (x, y), x in xs, with a y^2 + B(x) y + C(x) = 0, where B
     and C are the polynomials in x with coefficients b and c (low first)."""
-    if a == F.zero:  # degree <= 1 in y
-        return sum(1 if bx != F.zero else F.q if cx == F.zero else 0
+    if a is None:  # degree <= 1 in y
+        return sum(1 if bx is not None else F.q if cx is None else 0
                    for bx, cx in zip(F.values(b, xs), F.values(c, xs)))
     if F.p > 2:
         return len(xs) + F.chi_sum(F.values(_discriminant(F, a, b, c), xs))
@@ -142,7 +141,7 @@ def brute_totals(model, field: Field) -> CountTotals:
     bases.append(tuple(form[-1] for form in forms))                      # at (1 : 0)
     charts = [_solutions(F, A, (b0, b1), (c0, c1, c2), F.elements)
               for A, b0, b1, c0, c1, c2 in bases]
-    lines = sum(_solutions(F, A, (b1,), (c2,), [F.zero]) + (A == F.zero)
+    lines = sum(_solutions(F, A, (b1,), (c2,), [None]) + (A is None)
                 for A, _, b1, _, _, c2 in bases)
     affine, nonaffine = sum(charts[:-1]), charts[-1] + lines
     return CountTotals(model.id, field.p, field.n, affine + nonaffine, affine, nonaffine)

@@ -1,11 +1,12 @@
-"""Global expressions, Euler factors, Dedekind expansion, verification."""
+"""Global expressions, Euler factors, verification."""
 
 import pytest
 
-from charzeta import (CHI5, CHI8, LocalZetaFactors, dedekind_expand, euler_factor,
-                      global_expression, main_term_expression, verify_global)
+from charzeta import (CHI5, CHI8, CountTotals, ElementaryTerm, GlobalZetaExpr,
+                      LocalZetaFactors, ZetaFactorTerm, euler_factor, fibercount,
+                      global_expression, laurent_leading, main_term_expression, verify_global)
 from charzeta.finfield import is_prime
-from charzeta.globalzeta import SPACES
+from charzeta.globalzeta import SPACES, check_local_zeta
 from conftest import paper_local_zeta
 
 PRIMES_199 = [p for p in range(2, 200) if is_prime(p)]
@@ -112,15 +113,23 @@ def test_affine_is_quotient_at_every_prime(sid):
         assert a == LocalZetaFactors.from_dict(p, quotient), (sid, p)
 
 
-def test_dedekind_expand_identity():
-    e = global_expression("L0", "affine")
-    x = dedekind_expand(e)
-    assert all(f.kind != "dedekind" for f in x.factors)
-    labels = [(f.kind, f.shift, f.exp) for f in x.factors]
-    assert ("dirichlet", 1, 1) in labels and ("riemann", 1, 1) in labels
-    # expansion of a factor-free expression is itself
-    e2 = global_expression("L2", "affine")
-    assert dedekind_expand(e2) == e2
+def test_elementary_term_alone_is_a_numerator_factor():
+    # in every transcribed product each elementary unit is also a zeta or L
+    # unit; alone, (1 - 2^{-s}) (1 + 2^{1-s})^2 is the numerator
+    # (1 - T)(1 + 2T)^2 at p = 2 and trivial at every other prime
+    expr = GlobalZetaExpr((), (ElementaryTerm(2, 1, 0, 1), ElementaryTerm(2, -1, 1, 2)))
+    assert euler_factor(expr, 2).as_dict() == {1: -1, -2: -2}
+    assert euler_factor(expr, 3).as_dict() == {}
+
+
+def test_unknown_factor_kind_is_refused():
+    # a kind no reader takes (the paper's zeta_K is written as zeta * L(chi_d))
+    # is refused, never read as some other factor
+    expr = GlobalZetaExpr((ZetaFactorTerm("dedekind", 1, 1),), ())
+    with pytest.raises(ValueError, match="factor kind"):
+        euler_factor(expr, 7)
+    with pytest.raises(ValueError, match="factor kind"):
+        laurent_leading(expr, 1)
 
 
 def test_main_term_strips_elementary():
@@ -138,6 +147,26 @@ def test_verify_global_small_primes():
             assert r["pass"], r
             assert r["mode"] == ("recovered" if r["p"] in (2, 3) else "series")
             assert set(r["spaces"]) == {"affine", "biprojective", "nonaffine"}
+
+
+def test_series_mismatch_is_located(monkeypatch):
+    # N_2 of the affine counts one too high at a series-mode prime: that
+    # space fails at n = 2, the others pass, and the record names n = 2
+    descent_series = fibercount.descent_series
+
+    def bumped(model, p, k):
+        series = descent_series(model, p, k)
+        t = series[1]
+        series[1] = CountTotals(t.surface, t.p, t.n, t.biprojective, t.affine + 1, t.nonaffine)
+        return series
+
+    monkeypatch.setattr(fibercount, "descent_series", bumped)
+    record = check_local_zeta("L1", 5)
+    assert record["mode"] == "series"
+    assert [record["spaces"][space]["first_mismatch_n"] for space in SPACES] == [2, None, None]
+    assert [record["spaces"][space]["pass"] for space in SPACES] == [False, True, True]
+    assert record["fiberwise_vs_formula"] == {"pass": False, "first_mismatch_n": 2}
+    assert record["pass"] is False
 
 
 def test_verify_global_reports_modes_distinctly():

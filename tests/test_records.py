@@ -17,7 +17,7 @@ RECORDS = [
     (CountTotals, ("surface", "p", "n", "biprojective", "affine", "nonaffine"),
      ("L0", 5, 1, 36, 25, 11)),
     (CharacterDesc, ("label", "modulus", "values"), ("chi5", 5, (0, 1, -1, -1, 1))),
-    (ZetaFactorTerm, ("kind", "shift", "exp", "d", "char"), ("dirichlet", 1, -1, 5, CHI5)),
+    (ZetaFactorTerm, ("kind", "shift", "exp", "char"), ("dirichlet", 1, -1, CHI5)),
     (ElementaryTerm, ("p", "sign", "shift", "exp"), (2, 1, 0, 1)),
     (GlobalZetaExpr, ("factors", "elementary"),
      ((ZetaFactorTerm("riemann", 0, 1),), (ElementaryTerm(2, 1, 0, 1),))),
@@ -88,14 +88,15 @@ def test_record_repr_lists_its_fields(cls, names, values):
 
 def test_record_defaults_and_keywords():
     term = ZetaFactorTerm("riemann", 0, 1)
-    assert term.d is None and term.char is None
-    assert term == ZetaFactorTerm(kind="riemann", shift=0, exp=1, d=None, char=None)
-    assert ZetaFactorTerm("dedekind", -1, 1, d=5) == ZetaFactorTerm("dedekind", -1, 1, 5, None)
+    assert term.char is None
+    assert term == ZetaFactorTerm(kind="riemann", shift=0, exp=1, char=None)
+    chi5_term = ZetaFactorTerm("dirichlet", -1, 1, char=CHI5)
+    assert chi5_term == ZetaFactorTerm("dirichlet", -1, 1, CHI5)
     assert ZetaFactorTerm(exp=1, shift=0, kind="riemann") == term
     with pytest.raises(TypeError):
         ZetaFactorTerm("riemann", 0)
     with pytest.raises(TypeError):
-        ZetaFactorTerm("riemann", shift=0, d=5)
+        ZetaFactorTerm("riemann", shift=0, char=CHI5)
     assert repr(ElementaryTerm(2, 1, 0, 1)) == "ElementaryTerm(p=2, sign=1, shift=0, exp=1)"
     assert ElementaryTerm(2, 1, 0, 1) != (2, 1, 0, 1)
 
