@@ -23,8 +23,8 @@ _EXPORTS = {
     "finfield": ("Field", "FieldError", "is_prime", "make_field"),
     "surfaces": ("CountTotals", "SurfaceModel", "surface"),
     "varieties": ("brute_totals",),
-    "fibercount": ("BiprojectivePoint", "FiberReport", "classify_fiber", "count_formula",
-                   "degenerate_fibers", "fiberwise_totals", "singular_locus"),
+    "fibercount": ("BiprojectivePoint", "count_formula", "degenerate_fibers", "fiberwise_totals",
+                   "singular_locus"),
     "localzeta": ("LocalZetaFactors", "RecoveryError", "recover_factors"),
     "globalzeta": ("CHI5", "CHI8", "CharacterDesc", "ElementaryTerm", "GlobalZetaExpr",
                    "ZetaFactorTerm", "check_local_zeta", "euler_factor",

@@ -8,14 +8,15 @@ point, is read from them by one evaluator (_zw_values), Horner's rule
 through the field's arithmetic, which leaves the digit encoding of F_q
 to finfield.  Every fiber is counted by one rule (_fiber_class) in every
 characteristic: from the zeros of the binary part on the line u = 0 and,
-in odd characteristic, the square class of -ac.  It is a smooth conic with q + 1 points unless z is a root
-of the degenerate locus c(b^2 - 4a^2), or of bc in characteristic 2.  Off
-those roots the line u = 0 of the fiber has a fixed number of points as
-well, because two identities hold for every model, checked when it is
-first used: b^2 - 4a^2 is a constant k times a square, so the line carries
-1 + chi(k) points in odd characteristic; and a/b = h + h^2 with
-h = 1/(z + 1) over F_2(z), so a/b has absolute trace 0 and the line
-carries 2 points in characteristic 2.
+in odd characteristic, the square class of -ac.  It is a smooth conic
+with q + 1 points unless z is a root of the degenerate locus
+c(b^2 - 4a^2), or of bc in characteristic 2.  Off those roots the line
+u = 0 of the fiber has a fixed number of points as well, because two
+identities hold for every model, checked when it is first used:
+b^2 - 4a^2 is a constant k times a square, so the line carries 1 + chi(k)
+points in odd characteristic; and a/b = h + h^2 with h = 1/(z + 1) over
+F_2(z), so a/b has absolute trace 0 and the line carries 2 points in
+characteristic 2.
 
 The totals over P^1(F_q), q = p^n, therefore need only the fibers over
 (1 : 0) and over the closed points of the locus.  Its rational roots and
@@ -36,14 +37,19 @@ roots, whose fibers the Frobenius swaps, so it counts twice.  The classes
 are tallied once per degree (_lift_sum), which makes each total a
 quadratic in q whose coefficients depend on n mod 4 alone, so each n costs
 a few integer operations.  No field beyond F_{p^2} is built, and F_{p^2}
-multiplies and takes norms in closed form (finfield).  descent_series
-gives the three totals for n = 1..k, one surfaces.CountTotals each, from
-one uncached read of the descent; fiberwise_totals is its last term.
-The caches kept serve the reads the commands repeat: _fiber_forms, read
-at every fiber; _bundle_loci and _rational_split, as verify reads one
-model's loci at every prime; and _degenerate_fibers, which reads only the
-closed points, as singular_locus reads again the fibers its caller lists.
-The singular points lie on the degenerate fibers too (singular_locus).
+multiplies and takes norms in closed form (finfield).  One uncached read
+at p (_descent), the only reader of the closed points, gives a Descent:
+the points, and the class of each fiber over them and over (1 : 0), the
+degree-2 classes only when asked.  descent_series gives the three totals
+for n = 1..k, one surfaces.CountTotals each, from one Descent;
+fiberwise_totals is its last term.  degenerate_fibers reads one without
+the degree-2 classes: every root of the locus in F_q, and (1 : 0) unless
+its class is a smooth conic's.  The caches kept serve the reads the
+commands repeat: _fiber_forms, read at every fiber; _bundle_loci and
+_rational_split, as verify reads one model's loci at every prime; and
+_degenerate_fibers, as singular_locus reads again the fibers its caller
+lists.  The singular points lie on the degenerate fibers too
+(singular_locus).
 
 Closed-form counts are not transcribed here: count_formula evaluates
 N_n = sum_u e_u * u^n on the Euler factors at p of the biprojective and
@@ -70,10 +76,17 @@ MAX_SINGULAR_LINE_Q = 2048  # singular_locus: a whole singular line lists q + 1 
 
 
 @_record
-class FiberReport:
-    base: tuple[int, int]      # canonical (z : w), encodings
-    count: int
-    degenerate: bool
+class Descent:
+    """One read of a model's fibers at p (_descent): the closed points of
+    degree <= 2 of its degenerate locus and the class (m, L) (_fiber_class)
+    of each fiber over them, in its residue field, and over (1 : 0)."""
+
+    roots: tuple[int, ...]                          # F_p-roots of the locus, sorted
+    quadratics: tuple[tuple[int, ...], ...]         # its irreducible monic quadratics, sorted
+    root_classes: tuple[tuple[int, int], ...]       # in F_p, one per root
+    quadratic_classes: tuple[tuple[int, int], ...]  # in F_p[z]/(f), or () unless asked
+    infinity: tuple[int, int]                       # the fiber over (1 : 0), in F_p
+    generic: int                                    # L of every fiber off the locus
 
 
 @_record
@@ -85,14 +98,6 @@ class BiprojectivePoint:
 
     def to_json(self):
         return [list(self.xyu), list(self.zw)]
-
-
-def _canonical_base(field: Field, z: int, w: int) -> tuple[int, int]:
-    if z == 0:
-        return (0, 1)
-    if w == 0:
-        return (1, 0)
-    return (1, field.mul(w, field.inv(z)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,25 +168,6 @@ def _fiber_class(field: Field, a: int, b: int, c: int) -> tuple[int, int]:
     if line in (0, 2) or field.p == 2:
         return 1, line
     return 1 + field.quadratic_character(field.neg(field.mul(a, c))), line
-
-
-def _conic(field: Field, a: int, b: int, c: int) -> tuple[int, bool]:
-    """(points in P^2(F_q), degenerate) of the fiber form
-    a(x^2 + y^2) + bxy + cu^2: degenerate unless it is smooth (_fiber_class)."""
-    m, line = _fiber_class(field, a, b, c)
-    return field.q * m + 1, c == 0 or line not in (0, 2)
-
-
-def classify_fiber(model, basepoint, field: Field) -> FiberReport:
-    """Exact report for the fiber over the point basepoint = (z : w) of
-    P^1(F_q).  Raises ValueError for (0 : 0) and for a model whose f is not
-    a(x^2 + y^2) + bxy + c."""
-    model = _as_model(model)
-    z, w = (int(c) for c in basepoint)
-    if z == 0 and w == 0:
-        raise ValueError("(0 : 0) is not a point of the projective line")
-    a, b, c = _zw_values(field, _fiber_forms(model), z, w)
-    return FiberReport(_canonical_base(field, z, w), *_conic(field, a, b, c))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +351,23 @@ def _closed_points(model: SurfaceModel, p: int):
     return _locus_factors(char2_locus if p == 2 else odd_locus, p)
 
 
+def _descent(model: SurfaceModel, p: int, quadratic: bool) -> Descent:
+    """The Descent of model at p, from one read of its closed points
+    (_closed_points): each fiber over them is classified in its residue
+    field, F_p at a root z and F_p[z]/(f) for an irreducible quadratic f,
+    where the class of z encodes as p; the latter only when quadratic is
+    true, so that no field beyond F_p is built otherwise.  Raises where
+    _closed_points does."""
+    roots, quadratics = _closed_points(model, p)
+    field, forms = make_field(p), _fiber_forms(model)
+    generic = 2 if p == 2 else 1 + field.quadratic_character(field.int_(_bundle_loci(model)[0]))
+    residues = [Field(p, 2, modulus=f) for f in quadratics] if quadratic else []
+    return Descent(tuple(roots), tuple(map(tuple, quadratics)),
+                   tuple(_fiber_class(field, *_zw_values(field, forms, z, 1)) for z in roots),
+                   tuple(_fiber_class(r, *_zw_values(r, forms, p, 1)) for r in residues),
+                   _fiber_class(field, *_zw_values(field, forms, 1, 0)), generic)
+
+
 def _lift_sum(counts, q0: int) -> tuple[int, int, int]:
     """(alpha, beta, gamma) with alpha + beta*(-1)^e + gamma*q the sum over
     F_q, q = q0^e, of the counts L or m of fibers over F_{q0} (_fiber_class).
@@ -377,8 +380,8 @@ def _lift_sum(counts, q0: int) -> tuple[int, int, int]:
 
 
 def descent_series(model, p: int, k: int) -> list[CountTotals]:
-    """Fiberwise totals over F_{p^n} for n = 1..k, from one read of the
-    fibers defined over F_p and F_{p^2}.
+    """Fiberwise totals over F_{p^n} for n = 1..k, by arithmetic on one
+    Descent, whose fibers are defined over F_p and F_{p^2}.
 
     No field beyond F_{p^2} is built, and k = 1 builds none beyond F_p, so
     p^n may exceed 2^63.  A closed point of degree 2 counts twice at even n,
@@ -391,36 +394,25 @@ def descent_series(model, p: int, k: int) -> list[CountTotals]:
         raise ValueError(f"extension degree {k} is below 1")
     if k >= 2 and p * p > MAX_Q:
         raise FieldError(f"fiberwise counts at even n need F_{p}^2, beyond 2^63")
-    roots, quadratics = _closed_points(model, p)
-    field, forms = make_field(p), _fiber_forms(model)
-    generic = 2 if p == 2 else 1 + field.quadratic_character(field.int_(_bundle_loci(model)[0]))
-    infinity = _fiber_class(field, *_zw_values(field, forms, 1, 0))[0]
-    # each closed point's fiber in its residue field: F_p at a root z, and
-    # F_p[z]/(f) for an irreducible quadratic f, where the class of z encodes as p
-    groups = [(1, [_fiber_class(field, *_zw_values(field, forms, z, 1)) for z in roots])]
-    if k >= 2:
-        residues = [Field(p, 2, modulus=f) for f in quadratics]
-        groups.append((2, [_fiber_class(r, *_zw_values(r, forms, p, 1)) for r in residues]))
+    descent = _descent(model, p, k >= 2)
+    groups = ((1, descent.root_classes), (2, descent.quadratic_classes))
     tallies = [(d, len(group), _lift_sum([m for m, _ in group], p**d),
                 _lift_sum([line for _, line in group], p**d)) for d, group in groups]
-    (ia, ib, ig), (ga, gb, _) = _lift_sum([infinity], p), _lift_sum([generic], p)  # L: 0 or 2
+    ia, ib, ig = _lift_sum([descent.infinity[0]], p)
+    ga, gb, _ = _lift_sum([descent.generic], p)  # L: 0 or 2
     # Over F_q, q = p^n, the q + 1 fibers have q*m + 1 points each, a smooth
     # one m = 1, so biprojective = (q + 1) + q * sum_x m_x over P^1(F_q); and
     # non-affine = q*m_inf + 1 at infinity plus sum_x L_x over A^1(F_q), a
     # smooth fiber with the generic L.  Lifted, m and L are a + b*s + g*q
     # with s = (-1)^(n/d) (_lift_sum), so both totals are quadratics in q
     # whose coefficients each n sums from the tallies of the d dividing n.
-    # d = 1 divides every n, with s_d = s, so its tally starts each sum.
-    (_, size1, (ma1, mb1, mg1), (la1, lb1, lg1)), *quadratic = tallies
-    m1_start = 1 + ig + mg1
     series, q = [], 1
     for n in range(1, k + 1):
         q *= p
         s = -1 if n % 2 else 1
         line_gen, m_inf = ga + gb * s, ia + ib * s
-        m0, m1 = m_inf + ma1 - size1 + mb1 * s, m1_start
-        l0, l1 = 1 + la1 + lb1 * s - size1 * line_gen, m_inf + line_gen + lg1
-        for d, size, (ma, mb, mg), (la, lb, lg) in quadratic:
+        m0, m1, l0, l1 = m_inf, 1 + ig, 1, m_inf + line_gen
+        for d, size, (ma, mb, mg), (la, lb, lg) in tallies:
             if n % d == 0:  # d * size fibers fewer are smooth
                 s_d = -1 if n // d % 2 else 1
                 m0, m1 = m0 + d * (ma - size + mb * s_d), m1 + d * mg
@@ -446,11 +438,13 @@ def degenerate_fibers(model, field: Field) -> list[tuple[int, int]]:
 
 @functools.lru_cache(maxsize=256)
 def _degenerate_fibers(model: SurfaceModel, field: Field) -> tuple[tuple[int, int], ...]:
-    roots, quadratics = _closed_points(model, field.p)
+    descent = _descent(model, field.p, False)
+    roots = list(descent.roots)
     if field.n % 2 == 0:
-        roots = roots + [z for f in quadratics for z in split_roots(f, field)]
-    bases = [_canonical_base(field, z, 1) for z in roots]
-    if classify_fiber(model, (1, 0), field).degenerate:
+        roots += [z for f in descent.quadratics for z in split_roots(f, field)]
+    bases = [(1, field.inv(z)) if z else (0, 1) for z in roots]  # (z : 1), canonical
+    m, line = descent.infinity
+    if not (m == 1 and line in (0, 2)):  # not a smooth conic (_fiber_class)
         bases.append((1, 0))
     return tuple(sorted(bases))
 

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import charzeta
-from charzeta import BiprojectivePoint, classify_fiber, fibercount, is_prime, make_field, surface
-from charzeta.fibercount import _bundle_loci, _fiber_forms, _line_count, _zmul, _zw_values
+from charzeta import BiprojectivePoint, fibercount, is_prime, make_field, surface
+from charzeta.fibercount import (_bundle_loci, _fiber_class, _fiber_forms, _line_count, _zmul,
+                                 _zw_values)
 from charzeta.finfield import (FieldError, _fq_divmod, _fq_gcd, _fq_monic, _fq_pow,
                                _poly_sub_x, _poly_trim, split_roots)
 from charzeta.intpoly import IntPoly
@@ -186,7 +187,8 @@ def field_roots(coeffs, field):
 
 
 def fiberwise_totals_fq(model, field):
-    """Oracle for the descent: (CountTotals, degenerate reports) from F_q.
+    """Oracle for the descent: (CountTotals, [(base, points)] of the
+    degenerate fibers, canonical bases sorted) from F_q.
 
     Finds the F_q-roots of a*c*(b^2 - 4a^2) (a*b*c in characteristic 2)
     and classifies every fiber over them, and over (1 : 0), in F_q itself.
@@ -205,17 +207,18 @@ def fiberwise_totals_fq(model, field):
     biproj, nonaffine = generic * (q + 1), generic * line
     reports = []
     for z in roots:
-        rep = classify_fiber(model, (z, 1), field)
-        biproj += rep.count
-        nonaffine += _line_count(field, *fiber_form(model, (z, 1), field)[:2])
-        if rep.degenerate:
-            reports.append(rep)
-    rep = classify_fiber(model, (1, 0), field)  # entirely non-affine
-    biproj += rep.count
-    nonaffine += rep.count
-    if rep.degenerate:
-        reports.append(rep)
-    reports.sort(key=lambda r: r.base)
+        form = fiber_form(model, (z, 1), field)
+        count, degenerate = fiber_conic(field, *form)
+        biproj += count
+        nonaffine += _line_count(field, *form[:2])
+        if degenerate:
+            reports.append((canonical_coords(field, (z, 1)), count))
+    count, degenerate = fiber_conic(field, *fiber_form(model, (1, 0), field))
+    biproj += count  # entirely non-affine
+    nonaffine += count
+    if degenerate:
+        reports.append(((1, 0), count))
+    reports.sort()
     totals = CountTotals(model.id, field.p, field.n, biproj, biproj - nonaffine, nonaffine)
     return totals, reports
 
@@ -233,11 +236,20 @@ def ternary(a, b, c):
     return (a, a, c, b, 0, 0)
 
 
+def fiber_conic(field, a, b, c):
+    """(points in P^2(F_q), degenerate) of the fiber form a(x^2 + y^2) + bxy + cu^2,
+    from the descent's class (m, L) (_fiber_class): q*m + 1 points, and
+    degenerate unless m = 1 and L is 0 or 2, a smooth conic's class."""
+    m, line = _fiber_class(field, a, b, c)
+    return field.q * m + 1, not (m == 1 and line in (0, 2))
+
+
 def all_fiber_reports(surface_id, field):
-    """Reports of every fiber over P^1(F_q), q <= MAX_ALL_REPORTS_Q, by base."""
+    """(base, points, degenerate) of the fiber over each base of p1_reps,
+    q <= MAX_ALL_REPORTS_Q, by fiber_conic."""
     assert field.q <= MAX_ALL_REPORTS_Q, "per-fiber reports limited to q <= 4096"
-    reports = [classify_fiber(surface_id, base, field) for base in p1_reps(field)]
-    return sorted(reports, key=lambda r: r.base)
+    return [(base, *fiber_conic(field, *fiber_form(surface_id, base, field)))
+            for base in p1_reps(field)]
 
 
 def p2_reps(field):
@@ -287,15 +299,18 @@ def biprojective_zero_reps(model, field):
     return reps
 
 
-def canonical_point(field, xyu, zw):
-    """The BiprojectivePoint of (x : y : u) x (z : w), each factor scaled so
-    that its leftmost nonzero coordinate is 1."""
-    if not any(xyu) or not any(zw):
+def canonical_coords(field, coords):
+    """Projective coordinates scaled so that the leftmost nonzero one is 1."""
+    if not any(coords):
         raise ValueError("projective coordinates cannot be all zero")
-    s = field.inv(next(c for c in xyu if c))
-    t = field.inv(next(c for c in zw if c))
-    return BiprojectivePoint(tuple(field.mul(s, c) for c in xyu),
-                             tuple(field.mul(t, c) for c in zw))
+    s = field.inv(next(c for c in coords if c))
+    return tuple(field.mul(s, c) for c in coords)
+
+
+def canonical_point(field, xyu, zw):
+    """The BiprojectivePoint of (x : y : u) x (z : w), each factor
+    canonical (canonical_coords)."""
+    return BiprojectivePoint(canonical_coords(field, xyu), canonical_coords(field, zw))
 
 
 @functools.lru_cache(maxsize=None)

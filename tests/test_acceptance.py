@@ -11,11 +11,11 @@ import pytest
 from charzeta import (brute_totals, count_formula, dirichlet_L, make_field, mahler_measure_mc,
                       recover_factors, riemann_zeta, singular_locus, verify_global,
                       verify_table1)
-from charzeta.fibercount import _conic, descent_series, fiberwise_totals
+from charzeta.fibercount import descent_series, fiberwise_totals
 from charzeta.finfield import is_prime
 from charzeta.globalzeta import CHI5, CHI8
 from conftest import (all_fiber_reports, conic_count_brute, expected_singular_points,
-                      fiber_determinant, paper_local_zeta, prime_powers_upto,
+                      fiber_conic, fiber_determinant, paper_local_zeta, prime_powers_upto,
                       zeta_series_from_counts)
 
 SURFACES = ("L0", "L1", "L2")
@@ -153,7 +153,7 @@ def test_criterion_10_property_suites():
         for p, n in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (7, 1)]:
             field = make_field(p, n)
             total = fiberwise_totals(sid, field).biprojective
-            ok &= sum(r.count for r in all_fiber_reports(sid, field)) == total
+            ok &= sum(count for _, count, _ in all_fiber_reports(sid, field)) == total
     # affine + nonaffine = biprojective
     for sid in SURFACES:
         for p, n in prime_powers_upto(32):
@@ -165,6 +165,6 @@ def test_criterion_10_property_suites():
         rng = random.Random(1000 + field.q)
         for _ in range(200):
             a, b, c = (rng.randrange(field.q) for _ in range(3))
-            ok &= _conic(field, a, b, c) == (conic_count_brute(field, (a, a, c, b, 0, 0)),
-                                             fiber_determinant(field, a, b, c) == 0)
+            ok &= fiber_conic(field, a, b, c) == (conic_count_brute(field, (a, a, c, b, 0, 0)),
+                                                  fiber_determinant(field, a, b, c) == 0)
     report("10 property suites (integrality, fiber sums, space additivity, conics)", ok)

@@ -10,19 +10,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charzeta import (CountTotals, FieldError, SurfaceModel, brute_totals, classify_fiber,
-                      count_formula, degenerate_fibers, fiberwise_totals, is_prime, make_field,
-                      singular_locus, surface)
+from charzeta import (CountTotals, FieldError, SurfaceModel, brute_totals, count_formula,
+                      degenerate_fibers, fiberwise_totals, is_prime, make_field, singular_locus,
+                      surface)
 from charzeta import fibercount, globalzeta
-from charzeta.fibercount import (_bundle_loci, _conic, _fiber_class, _fiber_forms,
-                                 _fiber_singular_span, _lift_sum, _line_count, _locus_factors,
+from charzeta.fibercount import (_bundle_loci, _fiber_class, _fiber_forms, _fiber_singular_span,
+                                 _lift_sum, _line_count, _locus_factors, _rational_split,
                                  _square_root, _zmul, _zw_values, descent_series)
 from charzeta.finfield import Field, low_degree_factors, split_roots
 from charzeta.intpoly import IntPoly
-from conftest import (_scalar_tables, all_fiber_reports, bihomogeneous, conic_bundle,
-                      conic_count_brute, eval_scalar, fiber_determinant, fiber_form,
-                      fiberwise_totals_fq, generated_models, model_with_points_over_w0, p1_reps,
-                      p2_reps, paper_local_zeta, prime_powers_upto, schoolbook_mul, ternary)
+from conftest import (_scalar_tables, all_fiber_reports, bihomogeneous, canonical_coords,
+                      conic_bundle, conic_count_brute, eval_scalar, fiber_conic,
+                      fiber_determinant, fiber_form, fiberwise_totals_fq, generated_models,
+                      model_with_points_over_w0, p1_reps, p2_reps, paper_local_zeta,
+                      prime_powers_upto, schoolbook_mul, ternary)
 
 
 def test_fiber_form_examples():
@@ -134,10 +135,10 @@ def test_smooth_fibers_contribute_q_plus_one():
             field = make_field(p, n)
             reports = all_fiber_reports(sid, field)
             assert len(reports) == field.q + 1
-            for r in reports:
-                if not r.degenerate:
-                    assert r.count == field.q + 1
-                    assert fiber_determinant(field, *fiber_form(sid, r.base, field))
+            for base, count, degenerate in reports:
+                if not degenerate:
+                    assert count == field.q + 1
+                    assert fiber_determinant(field, *fiber_form(sid, base, field))
 
 
 def test_fiber_sum_equals_total():
@@ -145,7 +146,7 @@ def test_fiber_sum_equals_total():
         for p, n in [(2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (11, 1)]:
             field = make_field(p, n)
             total = fiberwise_totals(sid, field).biprojective
-            assert sum(r.count for r in all_fiber_reports(sid, field)) == total
+            assert sum(count for _, count, _ in all_fiber_reports(sid, field)) == total
 
 
 def test_char2_fiber_counts_against_dumb_enumeration():
@@ -163,7 +164,7 @@ def test_char2_fiber_counts_against_dumb_enumeration():
                                                        (x, y), (x, u), (y, u))):
                         v = field.add(v, field.mul(coef, field.mul(m1, m2)))
                     dumb += v == 0
-                assert classify_fiber(sid, (z, w), field).count == dumb
+                assert fiber_conic(field, *fiber_form(sid, (z, w), field))[0] == dumb
 
 
 _PROPERTY_FIELDS = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 7) if p**n <= 64]
@@ -180,9 +181,8 @@ def test_char2_fiber_counts_property(sid, pn, data):
         st.sampled_from(degenerate_fibers(sid, field)),
         st.integers(0, field.q - 1).map(lambda z: (z, 1))))
     form = fiber_form(sid, base, field)
-    report = classify_fiber(sid, base, field)
-    assert report.count == conic_count_brute(field, ternary(*form))
-    assert report.degenerate == (fiber_determinant(field, *form) == 0)
+    assert fiber_conic(field, *form) == (conic_count_brute(field, ternary(*form)),
+                                         fiber_determinant(field, *form) == 0)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -196,8 +196,8 @@ def test_conic_rule_vs_enumeration(p, n):
         rng = random.Random(field.q)
         forms = [tuple(rng.randrange(field.q) for _ in range(3)) for _ in range(200)]
     for a, b, c in forms:
-        assert _conic(field, a, b, c) == (conic_count_brute(field, ternary(a, b, c)),
-                                          fiber_determinant(field, a, b, c) == 0), (a, b, c)
+        assert fiber_conic(field, a, b, c) == (conic_count_brute(field, ternary(a, b, c)),
+                                               fiber_determinant(field, a, b, c) == 0), (a, b, c)
 
 
 @pytest.mark.parametrize("model", [
@@ -210,8 +210,8 @@ def test_fiber_readers_refuse_other_shapes(model):
     # the shape is checked once per model, so every reader of its fibers
     # raises the ValueError that the CLI maps to exit code 2
     field = make_field(5)
-    readers = [lambda: classify_fiber(model, (1, 1), field), lambda: descent_series(model, 5, 1),
-               lambda: degenerate_fibers(model, field), lambda: singular_locus(model, field)]
+    readers = [lambda: descent_series(model, 5, 1), lambda: degenerate_fibers(model, field),
+               lambda: singular_locus(model, field)]
     for read in readers:
         with pytest.raises(ValueError, match=re.escape(
                 f"{model.id}: fiber forms outside the supported shape")):
@@ -250,11 +250,28 @@ def test_scalar_classifier_agrees_with_scan():
         for p, n in [(3, 2), (5, 1), (2, 2), (7, 1)]:
             field = make_field(p, n)
             degenerate = set(degenerate_fibers(sid, field))
-            for z in range(field.q):
-                rep = classify_fiber(sid, (z, 1), field)
-                assert rep.degenerate == (rep.base in degenerate)
-            rep = classify_fiber(sid, (1, 0), field)
-            assert rep.degenerate == ((1, 0) in degenerate)
+            for base in p1_reps(field):
+                assert fiber_conic(field, *fiber_form(sid, base, field))[1] == (
+                    canonical_coords(field, base) in degenerate), base
+
+
+def _determinant_zeros(model, field):
+    """The canonical bases of P^1(F_q) over which the fiber's determinant vanishes."""
+    return sorted(canonical_coords(field, base) for base in p1_reps(field)
+                  if fiber_determinant(field, *fiber_form(model, base, field)) == 0)
+
+
+def test_degenerate_fibers_are_where_the_determinant_vanishes():
+    # every base of P^1(F_q) whose fiber's determinant vanishes, and no
+    # other, for the three surfaces and the generated models; none is refused
+    fields = [make_field(p, n) for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                            (11, 1), (13, 1), (2, 4), (5, 2), (3, 3), (7, 2)]]
+    models = [surface(sid) for sid in ("L0", "L1", "L2")] + generated_models()
+    assert len(models) * len(fields) == 546
+    for model in models:
+        for field in fields:
+            assert degenerate_fibers(model, field) == _determinant_zeros(model, field), \
+                (model.id, field.q)
 
 
 def test_count_formula_examples():
@@ -321,8 +338,9 @@ def test_descent_equals_fq_oracle(sid):
         field = make_field(p, n)
         totals, reports = fiberwise_totals_fq(sid, field)
         assert fiberwise_totals(sid, field) == totals, (p, n)
-        assert degenerate_fibers(sid, field) == [r.base for r in reports], (p, n)
-        assert [classify_fiber(sid, b, field) for b in degenerate_fibers(sid, field)] == reports
+        # the descent's bases, with the points over each counted in F_q
+        assert [(base, fiber_conic(field, *fiber_form(sid, base, field))[0])
+                for base in degenerate_fibers(sid, field)] == reports, (p, n)
 
 
 def test_fiberwise_equals_formula_beyond_old_caps():
@@ -352,10 +370,10 @@ def test_lift_sum_matches_counts_over_extensions(p):
             return alpha + beta * (-1) ** e + gamma * field.q
 
         for (a, b, c), (m, line) in zip(forms, classes):
-            assert field.q * lifted([m]) + 1 == _conic(field, a, b, c)[0], ((a, b, c), e)
+            assert field.q * lifted([m]) + 1 == fiber_conic(field, a, b, c)[0], ((a, b, c), e)
             assert lifted([line]) == _line_count(field, a, b), ((a, b, c), e)
         assert lifted([m for m, _ in classes]) == sum(
-            (_conic(field, *form)[0] - 1) // field.q for form in forms), e
+            (fiber_conic(field, *form)[0] - 1) // field.q for form in forms), e
         assert lifted([line for _, line in classes]) == sum(
             _line_count(field, a, b) for a, b, _ in forms), e
 
@@ -385,6 +403,36 @@ def test_descent_runs_on_unregistered_models():
             totals = fiberwise_totals(model, field)
             assert totals.surface == model.id
             assert brute_totals(model, field) == totals
+
+
+# models beyond generated_models(), each with a fiber class those lack: b^2 - 4a^2
+# is k times a square with k = -12 or -64, so a smooth fiber's line u = 0 carries
+# 1 + chi(k) = 0 points at some p, and the fiber over (1 : 0) is smooth or has
+# m = 0; or a, b and c share a factor, z - 2, z^2 + 1 or 2z + 1, so a whole plane
+# lies over a rational point, over a closed point of degree 2, or over (1 : 0) at
+# p = 2.  b is even in the first two, so every fiber in characteristic 2 is a
+# double line: the descent refuses p = 2 there, as it refuses the p dividing k.
+_BEYOND = [
+    (conic_bundle("k=-12", [2, 0, 2], [2, 0, 2], [-3, 0, 1]), (2, 3)),
+    (conic_bundle("k=-64", [2, 0, 2], [4, 0, -4], [1, 1, 1]), (2,)),
+    (conic_bundle("plane over z=2", *(_zmul([-2, 1], f) for f in (_L0_A, _L0_B, [-3, 0, 1]))), ()),
+    (conic_bundle("plane over z^2+1", *(_zmul([1, 0, 1], f) for f in (_L0_A, _L0_B, [-3, 1]))), ()),
+    (conic_bundle("plane over (1:0) at 2", *(_zmul([1, 2], f) for f in (_L0_A, _L0_B, _L0_C))), ()),
+]
+
+
+@pytest.mark.parametrize("model, refused", _BEYOND, ids=[model.id for model, _ in _BEYOND])
+def test_descent_beyond_the_generated_models(model, refused):
+    # against brute force, and the determinant at every base, at each q <= 27
+    for p, n in prime_powers_upto(27):
+        field = make_field(p, n)
+        if p in refused:
+            for read in (fiberwise_totals, degenerate_fibers):
+                with pytest.raises(FieldError, match=f"mod {p}$"):
+                    read(model, field)
+            continue
+        assert fiberwise_totals(model, field) == brute_totals(model, field), (p, n)
+        assert degenerate_fibers(model, field) == _determinant_zeros(model, field), (p, n)
 
 
 @pytest.mark.parametrize("model, reason", [
@@ -466,8 +514,8 @@ def test_closed_points_classified_in_their_residue_fields(sid):
                  [residue_counts(model, Field(p, 2, modulus=f), p) for f in quadratics])]:
             for zs, (count, line) in zip(points, counts, strict=True):
                 for z in zs:
-                    a, b, _ = fiber_form(model, (z, 1), field)
-                    assert classify_fiber(model, (z, 1), field).count == count, (p, z)
+                    a, b, c = fiber_form(model, (z, 1), field)
+                    assert fiber_conic(field, a, b, c)[0] == count, (p, z)
                     assert _line_count(field, a, b) == line, (p, z)
         quadratic_points += len(quadratics)
     assert quadratic_points > 0 or sid == "L2"
@@ -534,6 +582,38 @@ def test_descent_series_equals_paper_table():
     assert 0 < refused < 11
 
 
+@st.composite
+def _rational_split_cases(draw):
+    # c times distinct factors v*z - u and az^2 + sz + t, primitive, the
+    # quadratics irreducible over Q, each to the power 1 or 2
+    roots = draw(st.sets(st.tuples(st.integers(-4, 4), st.integers(1, 3))
+                         .filter(lambda r: math.gcd(*r) == 1), max_size=3))
+    quadratics = draw(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3))
+                              .filter(lambda f: math.gcd(*f) == 1 and not _is_square(
+                                  f[1] ** 2 - 4 * f[0] * f[2])), max_size=2))
+    c = draw(st.sampled_from([1, -1, 2, -3, 6]))
+    f = [c]
+    for factor in [[-u, v] for u, v in roots] + [list(q) for q in quadratics]:
+        for _ in range(draw(st.integers(1, 2))):
+            f = _zmul(f, factor)
+    return f, roots, quadratics, c
+
+
+def _is_square(m):
+    return m >= 0 and math.isqrt(m) ** 2 == m
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_rational_split_cases())
+def test_rational_split_finds_every_factor(case):
+    # what the split peels off over Q: every rational root and quadratic
+    # factor, once each, and the constant c left
+    f, roots, quadratics, c = case
+    got_roots, got_quadratics, rest = _rational_split(tuple(f))
+    assert sorted(got_roots) == sorted(roots) and sorted(got_quadratics) == sorted(quadratics)
+    assert rest == (c,)
+
+
 def _square_root_by_fractions(d):
     # the monic square root in Q[z] by Fractions, scaled to integers
     if (len(d) - 1) % 2:
@@ -551,7 +631,8 @@ def _square_root_by_fractions(d):
 def _square_root_cases(draw):
     # k * s^2 for integer s, k, sometimes with one coefficient moved off it
     s = draw(st.lists(st.integers(-9, 9), max_size=4)) + [draw(st.sampled_from([1, -1, 2, -3, 4, 6]))]
-    d = [draw(st.sampled_from([1, -1, 2, -3, 4, 9, -12, 25])) * x for x in _zmul(s, s)]
+    k = draw(st.sampled_from([1, -1, 2, -3, 4, 9, -12, 25]))
+    d = [k * x for x in _zmul(s, s)]
     if draw(st.booleans()):
         d[draw(st.integers(0, len(d) - 1))] += draw(st.sampled_from([1, -1, 2]))
     while d and d[-1] == 0:

@@ -11,12 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charzeta import FieldError, finfield, is_prime, make_field, surface
-from charzeta.fibercount import _closed_points, _conic
+from charzeta.fibercount import _closed_points
 from charzeta.finfield import (MAX_Q, Field, _fq_divmod, _fq_pow, _is_irreducible,
                                _poly_mul_mod, first_irreducible, low_degree_factors, split_roots,
                                sqrt_mod)
-from conftest import (_is_irreducible_rabin, conic_count_brute, fiber_determinant, field_roots,
-                      first_irreducible_rabin, schoolbook_mul)
+from conftest import (_is_irreducible_rabin, conic_count_brute, fiber_conic, fiber_determinant,
+                      field_roots, first_irreducible_rabin, schoolbook_mul)
 
 
 def test_make_field_prime():
@@ -201,7 +201,7 @@ def test_quadratic_character_char2_raises():
     with pytest.raises(FieldError):
         make_field(2).quadratic_character(1)
     # the fiber rule asks for no character in characteristic 2: (x + y + u)^2
-    assert _conic(make_field(2, 2), 1, 0, 1) == (5, True)
+    assert fiber_conic(make_field(2, 2), 1, 0, 1) == (5, True)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (13, 1)])
@@ -237,20 +237,20 @@ def test_sqrt_mod_of_every_square():
 
 def test_classify_conic_examples():
     f3 = make_field(3)
-    assert _conic(f3, 0, 1, 0) == (7, True)     # xy, split line pair
-    assert _conic(f3, 1, 0, 0) == (1, True)     # x^2 + y^2, conjugate pair
-    assert _conic(f3, 1, 2, 2) == (7, True)     # (x + y)^2 - u^2, split
-    assert _conic(f3, 1, 2, 1) == (1, True)     # (x + y)^2 + u^2, conjugate
+    assert fiber_conic(f3, 0, 1, 0) == (7, True)     # xy, split line pair
+    assert fiber_conic(f3, 1, 0, 0) == (1, True)     # x^2 + y^2, conjugate pair
+    assert fiber_conic(f3, 1, 2, 2) == (7, True)     # (x + y)^2 - u^2, split
+    assert fiber_conic(f3, 1, 2, 1) == (1, True)     # (x + y)^2 + u^2, conjugate
     smooth = (1, 0, 2)                                     # x^2 + y^2 - u^2
-    assert _conic(f3, *smooth) == (4, False)
+    assert fiber_conic(f3, *smooth) == (4, False)
     assert fiber_determinant(f3, *smooth) != 0
 
 
 def test_classify_conic_rank_extremes():
     f5 = make_field(5)
-    assert _conic(f5, 0, 0, 0) == (31, True)    # the zero form: all of P^2
-    assert _conic(f5, 0, 0, 1) == (6, True)     # u^2, double line
-    assert _conic(f5, 1, 2, 0) == (6, True)     # (x + y)^2, double line
+    assert fiber_conic(f5, 0, 0, 0) == (31, True)    # the zero form: all of P^2
+    assert fiber_conic(f5, 0, 0, 1) == (6, True)     # u^2, double line
+    assert fiber_conic(f5, 1, 2, 0) == (6, True)     # (x + y)^2, double line
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1)])
@@ -263,7 +263,7 @@ def test_classify_conic_vs_enumeration(p, n):
     kinds = {(q + 1, False), (1, True), (q + 1, True), (2 * q + 1, True), (q * q + q + 1, True)}
     for a, b, c in itertools.product(range(q), repeat=3):
         form = (a, a, c, b, 0, 0)
-        count, degenerate = _conic(field, a, b, c)
+        count, degenerate = fiber_conic(field, a, b, c)
         assert (count, degenerate) in kinds, form
         assert count == conic_count_brute(field, form), form
 

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from charzeta.fibercount import BiprojectivePoint, FiberReport
+from charzeta.fibercount import BiprojectivePoint, Descent
 from charzeta.globalzeta import CHI5, CharacterDesc, ElementaryTerm, GlobalZetaExpr, ZetaFactorTerm
 from charzeta.localzeta import LocalZetaFactors
 from charzeta.specialvalues import LaurentLeading, QuadraticFieldData
@@ -13,7 +13,9 @@ from charzeta.surfaces import CountTotals
 
 # (class, field names in order, one value per field)
 RECORDS = [
-    (FiberReport, ("base", "count", "degenerate"), ((1, 3), 7, False)),
+    # L0 at p = 3 (fibercount._descent)
+    (Descent, ("roots", "quadratics", "root_classes", "quadratic_classes", "infinity", "generic"),
+     ((0, 1, 2), ((1, 0, 1),), ((2, 2), (2, 1), (2, 1)), ((2, 2),), (1, 4), 2)),
     (CountTotals, ("surface", "p", "n", "biprojective", "affine", "nonaffine"),
      ("L0", 5, 1, 36, 25, 11)),
     (CharacterDesc, ("label", "modulus", "values"), ("chi5", 5, (0, 1, -1, -1, 1))),

@@ -9,12 +9,14 @@ The module path is relative to the repository root; the positional
 arguments are the pytest selection, relative to it too (default
 tests/test_globalzeta.py tests/test_specialvalues.py).  Each mutant
 changes one node of the module's syntax tree: an integer literal k becomes
-k + 1, or a comparison operator becomes its negation (< and >=, <= and >,
-== and !=, is and is not, in and not in).  The mutated module is written
-with ast.unparse into a copy of src/ and tests/ under a temporary
-directory, never into the repository, and the selection runs there as
-`python3 -m pytest -x -q -p no:cacheprovider`, for at most TIMEOUT_S
-seconds.  The unmutated module, written the same way, must pass first.
+k + 1; a comparison operator becomes its negation (< and >=, <= and >,
+== and !=, is and is not, in and not in); a binary + becomes - and a
+binary - becomes + (augmented assignments are left alone); or a unary -
+becomes +.  The mutated module is written with ast.unparse into a copy of
+src/ and tests/ under a temporary directory, never into the repository,
+and the selection runs there as `python3 -m pytest -x -q -p
+no:cacheprovider`, for at most TIMEOUT_S seconds.  The unmutated module,
+written the same way, must pass first.
 
 It prints one line per mutant: its line and column, the mutation and
 whether the selection killed it (failed), let it survive (passed) or timed
@@ -40,7 +42,8 @@ _NEGATED = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.LtE: ast.Gt, ast.Gt: ast.LtE,
             ast.In: ast.NotIn, ast.NotIn: ast.In}
 _SYMBOL = {ast.Lt: "<", ast.GtE: ">=", ast.LtE: "<=", ast.Gt: ">", ast.Eq: "==",
            ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not", ast.In: "in",
-           ast.NotIn: "not in"}
+           ast.NotIn: "not in", ast.Add: "+", ast.Sub: "-"}
+_SIGN = {ast.Add: ast.Sub, ast.Sub: ast.Add}
 
 
 def mutants(tree: ast.Module):
@@ -59,6 +62,15 @@ def mutants(tree: ast.Module):
                 yield ((node.lineno, node.col_offset), what,
                        lambda n=node, i=i, f=flipped: n.ops.__setitem__(i, f()),
                        lambda n=node, i=i, op=op: n.ops.__setitem__(i, op))
+        elif isinstance(node, ast.BinOp) and type(node.op) in _SIGN:
+            op, flipped = node.op, _SIGN[type(node.op)]
+            yield ((node.lineno, node.col_offset), f"{_SYMBOL[type(op)]} -> {_SYMBOL[flipped]}",
+                   lambda n=node, f=flipped: setattr(n, "op", f()),
+                   lambda n=node, op=op: setattr(n, "op", op))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            yield ((node.lineno, node.col_offset), "unary - -> +",
+                   lambda n=node: setattr(n, "op", ast.UAdd()),
+                   lambda n=node, op=node.op: setattr(n, "op", op))
 
 
 def run_selection(copy: str, selection: list[str]) -> str:
