@@ -177,7 +177,7 @@ def cmd_zeta(args) -> tuple[dict, int]:
         raise UsageError(f"{args.p} is not prime")
     records = []
     for sid in _surfaces(args.surface):
-        check = check_local_zeta(sid, args.p, (args.space,))
+        check = check_local_zeta(sid, args.p)
         item = check["spaces"][args.space]
         records.append({"surface": sid, "p": args.p, "space": args.space, "mode": check["mode"],
                         **{key: value for key, value in item.items() if key != "pass"},

@@ -22,8 +22,9 @@ The totals over P^1(F_q), q = p^n, therefore need only the fibers over
 (1 : 0) and over the closed points of the locus.  Its rational roots and
 its quadratic factors are split off once over Q.  At odd p a quadratic
 factor splits by the quadratic character of its discriminant, with its
-roots from one square root mod p; Cantor-Zassenhaus (low_degree_factors)
-factors only what is left of degree >= 3, and every factor at p = 2.  The
+roots from one square root mod p, and at p = 2 by its values on F_2;
+Cantor-Zassenhaus (low_degree_factors) factors only what is left of
+degree >= 3, which the three surfaces' loci never leave.  The
 closed points have degree d <= 2 (checked: a model with a factor of
 higher degree mod p is refused), and each fiber is classified once, in
 the residue field F_p[z]/(f) = F_{p^d} of its closed point f, by its
@@ -297,13 +298,18 @@ def _rational_split(locus: tuple[int, ...]):
 
 
 def _split_quadratic(f, p: int):
-    """low_degree_factors(f, p) for a primitive quadratic (t, s, a) and an odd p.
+    """low_degree_factors(f, p) for a primitive quadratic (t, s, a).
 
-    Mod p it is linear when p | a, has the double root -s/(2a) when p | the
+    At p = 2 the roots are the z in F_2 where f vanishes, and f is the
+    irreducible z^2 + z + 1 when a is odd and there is none.  At odd p it
+    is linear when p | a, has the double root -s/(2a) when p | the
     discriminant, and otherwise splits iff the discriminant is a square,
     with roots (-s +- r)/(2a) from one square root r; else it is irreducible.
     """
     t, s, a = (c % p for c in f)
+    if p == 2:  # z^2 = z on F_2
+        roots = [z for z in (0, 1) if (t + (s + a) * z) % 2 == 0]
+        return roots, [[1, 1, 1]] if a and not roots else []
     if a == 0:  # s != 0 or t != 0, as f is primitive
         return ([-t * pow(s, -1, p) % p] if s else []), []
     disc, half = (s * s - 4 * a * t) % p, pow(2 * a, -1, p)
@@ -320,15 +326,14 @@ def _locus_factors(locus, p: int):
     """low_degree_factors(locus, p), sorted, from _rational_split.
 
     The F_p-roots are u/v mod p for the rational roots with p not dividing
-    v, together with those of the other factors.  At odd p the quadratic
-    factors split by the quadratic character of their discriminants
-    (_split_quadratic); at p = 2 they, and at every p the rest, go through
-    low_degree_factors, except a rest that is a constant not divisible by p.
+    v, together with those of the other factors.  The quadratic factors
+    split at every p by _split_quadratic; only the rest goes through
+    low_degree_factors, and not when it is a constant not divisible by p.
     Factors that meet mod p give each root and quadratic once.  Raises
     FieldError where low_degree_factors(locus, p) does.
     """
     rational, quadratics, rest = _rational_split(tuple(locus))
-    factored = [(low_degree_factors if p == 2 else _split_quadratic)(f, p) for f in quadratics]
+    factored = [_split_quadratic(f, p) for f in quadratics]
     if len(rest) != 1 or rest[0] % p == 0:
         factored.append(low_degree_factors(rest, p))
     roots = {u * pow(v, -1, p) % p for u, v in rational if v % p}
@@ -341,9 +346,9 @@ def _locus_factors(locus, p: int):
 
 def _closed_points(model: SurfaceModel, p: int):
     """The F_p-roots and the irreducible quadratic factors, sorted, of the
-    locus of _bundle_loci that applies mod p, from _locus_factors: at odd p
-    those of the locus's quadratic factors over Q by their characters, the
-    rest by Cantor-Zassenhaus.  Raises FieldError, a ValueError, when k
+    locus of _bundle_loci that applies mod p, from _locus_factors: those of
+    the locus's quadratic factors over Q directly, the rest by
+    Cantor-Zassenhaus.  Raises FieldError, a ValueError, when k
     vanishes mod an odd p or the locus has a root outside F_{p^2}."""
     k, odd_locus, char2_locus = _bundle_loci(model)
     if p != 2 and k % p == 0:

@@ -5,8 +5,10 @@ Dirichlet L-factors, together with per-prime elementary correction
 factors (1 +- 2^(a-s))^e.  Where the paper writes the Dedekind zeta
 function of Q(sqrt 2) or Q(sqrt 5), the product holds zeta * L(chi_d).
 These products are the paper's theorem and its only transcription in the
-package: the local zeta function of a surface at p is the Euler factor
-of its product (euler_factor), and the closed-form counts
+package.  The affine and non-affine products are written down; the points
+of P^2 x P^1 are the disjoint union of theirs, so the biprojective product
+is the product of the two.  The local zeta function of a surface at p is
+the Euler factor of its product (euler_factor), and the closed-form counts
 (fibercount.count_formula) are read off it.  Comparing the Euler factor
 with the zeta function rebuilt from fiberwise counts verifies the global
 factorisation prime by prime: check_local_zeta checks every space of one
@@ -93,20 +95,6 @@ _AFFINE_EXPR = {
         (ElementaryTerm(2, 1, 0, 1),)),
 }
 
-_BIPROJECTIVE_EXPR = {
-    # zeta(s-2) zeta(s-1)^6 zeta(s) L(chi8, s-1) (1-2^{1-s})^3
-    "L0": GlobalZetaExpr(
-        (_riemann(2, 1), _riemann(1, 6), _riemann(0, 1), _dirichlet(CHI8, 1, 1)),
-        (ElementaryTerm(2, 1, 1, 3),)),
-    # zeta(s-2) zeta(s-1)^6 zeta(s) L(chi5, s-1)^2 (1-2^{1-s})^3 (1+2^{1-s})
-    "L1": GlobalZetaExpr(
-        (_riemann(2, 1), _riemann(1, 6), _riemann(0, 1), _dirichlet(CHI5, 1, 2)),
-        (ElementaryTerm(2, 1, 1, 3), ElementaryTerm(2, -1, 1, 1))),
-    # zeta(s-2) zeta(s-1)^3 zeta(s)
-    "L2": GlobalZetaExpr(
-        (_riemann(2, 1), _riemann(1, 3), _riemann(0, 1)), ()),
-}
-
 _NONAFFINE_EXPR = {
     # zeta(s-1)^3 zeta(s)^{-1} (1-2^{-s})^{-1}
     "L0": GlobalZetaExpr(
@@ -120,15 +108,23 @@ _NONAFFINE_EXPR = {
 
 
 def global_expression(model, space: str = "affine") -> GlobalZetaExpr:
-    """The transcribed global zeta product for a surface and space."""
+    """The global zeta product for a surface and space.
+
+    The affine and non-affine products are transcribed; the P^2 x P^1
+    points are the disjoint union of the two, so the biprojective product
+    is theirs, with the factors and the elementary terms of each listed in
+    turn.
+    """
     surface_id = model if isinstance(model, str) else model.id
-    table = {"affine": _AFFINE_EXPR, "biprojective": _BIPROJECTIVE_EXPR,
-             "nonaffine": _NONAFFINE_EXPR}.get(space)
-    if table is None:
+    if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
-    if surface_id not in table:
+    if surface_id not in _AFFINE_EXPR:
         raise ValueError(f"unknown surface id {surface_id!r}")
-    return table[surface_id]
+    affine, nonaffine = _AFFINE_EXPR[surface_id], _NONAFFINE_EXPR[surface_id]
+    if space == "biprojective":
+        return GlobalZetaExpr(affine.factors + nonaffine.factors,
+                              affine.elementary + nonaffine.elementary)
+    return affine if space == "affine" else nonaffine
 
 
 def main_term_expression(model) -> GlobalZetaExpr:
@@ -166,43 +162,40 @@ def euler_factor(expr: GlobalZetaExpr, p: int) -> LocalZetaFactors:
 # per-prime verification against computed local zetas
 
 
-def check_local_zeta(surface_id: str, p: int, spaces=SPACES) -> dict:
+def check_local_zeta(surface_id: str, p: int) -> dict:
     """The verify record of one surface at p: each space's Euler factor
     against the fiberwise counts N_1..N_14 of one descent_series read.
 
-    For p in RECOVERY_PRIMES ("recovered" mode) the factors are recovered
-    blind from the counts and must equal the Euler factor; recovered is
-    None, with the error, where recovery fails.  At every other prime
-    ("series" mode) the counts must equal those the Euler factor implies,
-    up to first_mismatch_n.  Each item of "spaces" holds the Euler factor,
-    the counts and its verdict "pass"; fiberwise_vs_formula gives the least
-    n, over the spaces and in either mode, where counts and Euler factor
-    disagree.  Mismatches become report entries, never exceptions.
+    In every space the counts are compared with those the Euler factor
+    implies, and fiberwise_vs_formula gives the least n, over the spaces,
+    where they differ.  Each item of "spaces" holds the Euler factor, the
+    counts and its verdict "pass".  For p in RECOVERY_PRIMES ("recovered"
+    mode) the verdict is that the factors recovered blind from the counts
+    equal the Euler factor; recovered is None, with the error, where
+    recovery fails.  At every other prime ("series" mode) it is that the
+    counts agree, up to first_mismatch_n.  Mismatches become report
+    entries, never exceptions.
     """
     from .fibercount import descent_series  # deferred: `special` needs no field code
     series = descent_series(surface_id, p, RECOVERY_COUNTS)
     mode = "recovered" if p in RECOVERY_PRIMES else "series"
     items, mismatches = {}, []
-    for space in spaces:
+    for space in SPACES:
         euler = euler_factor(global_expression(surface_id, space), p)
-        counts = list(map(attrgetter(space), series))  # space is checked by global_expression
+        counts = list(map(attrgetter(space), series))
+        implied = euler.counts(len(counts))
+        first_bad = next((n for n, (x, y) in enumerate(zip(counts, implied), 1) if x != y), None)
         item = items[space] = {"euler": euler.to_json(), "counts": counts}
-        if mode == "recovered":
+        if mode == "series":
+            item["first_mismatch_n"], item["pass"] = first_bad, first_bad is None
+        else:
             try:
                 got = recover_factors(counts, p)
                 item["recovered"], item["pass"] = got.to_json(), got == euler
             except RecoveryError as exc:
                 item["recovered"], item["error"], item["pass"] = None, str(exc), False
-            if item["pass"]:  # recover_factors regenerated the counts from its factors
-                continue
-        implied = euler.counts(len(counts))
-        first_bad = None if implied == counts else next(
-            n for n, (x, y) in enumerate(zip(counts, implied), 1) if x != y)
-        if mode == "series":
-            item["first_mismatch_n"], item["pass"] = first_bad, first_bad is None
-        if first_bad is not None:
-            mismatches.append(first_bad)
-    first_bad = min(mismatches, default=None)
+        mismatches.append(first_bad)
+    first_bad = min(filter(None, mismatches), default=None)
     return {"surface": surface_id, "p": p, "mode": mode, "spaces": items,
             "fiberwise_vs_formula": {"pass": first_bad is None, "first_mismatch_n": first_bad},
             "pass": all(item["pass"] for item in items.values())}

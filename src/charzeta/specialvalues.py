@@ -32,7 +32,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from . import SURFACE_IDS, _record
+from . import _record
 
 if TYPE_CHECKING:  # globalzeta is imported where it is used, so `mahler` skips it
     from .globalzeta import CharacterDesc, GlobalZetaExpr
@@ -223,30 +223,20 @@ def laurent_leading(main_term: GlobalZetaExpr, s0: float) -> LaurentLeading:
 # the special-value table
 
 
-_TABLE_ORDERS = {
-    ("L0", 0): 1, ("L0", 1): -1, ("L0", 2): -3,
-    ("L1", 0): 1, ("L1", 1): -1, ("L1", 2): -2,
-    ("L2", 0): 1, ("L2", 1): -2, ("L2", 2): 0,
-}
-
-
-def _table_coefficient(surface_id: str, s0: int) -> float:
-    z3 = riemann_zeta(3.0)
-    pi = math.pi
-    r2 = regulator(2)
-    r5 = regulator(5)
-    table = {
-        ("L0", 0): -z3 / (2**10 * 3**3 * pi**2),
-        ("L0", 1): r2 / (2**5 * 3),
-        ("L0", 2): -math.sqrt(2.0) * pi**4 * r2 / (2**4 * 3**2),
-        ("L1", 0): z3 / (2**7 * 3**2 * 5**2 * pi**2),
-        ("L1", 1): -r5**2 / (2**4 * 3),
-        ("L1", 2): -pi**6 * r5**2 / (2**2 * 3**3 * 5),
-        ("L2", 0): -z3 / (2**4 * pi**2),
-        ("L2", 1): -1.0 / (2**2 * 3),
-        ("L2", 2): -pi**4 / (2**3 * 3**2),
+def _table1() -> dict:
+    """(order, leading coefficient) of each (surface, s0) cell of Table 1."""
+    z3, pi, r2, r5 = riemann_zeta(3.0), math.pi, regulator(2), regulator(5)
+    return {
+        ("L0", 0): (1, -z3 / (2**10 * 3**3 * pi**2)),
+        ("L0", 1): (-1, r2 / (2**5 * 3)),
+        ("L0", 2): (-3, -math.sqrt(2.0) * pi**4 * r2 / (2**4 * 3**2)),
+        ("L1", 0): (1, z3 / (2**7 * 3**2 * 5**2 * pi**2)),
+        ("L1", 1): (-1, -r5**2 / (2**4 * 3)),
+        ("L1", 2): (-2, -pi**6 * r5**2 / (2**2 * 3**3 * 5)),
+        ("L2", 0): (1, -z3 / (2**4 * pi**2)),
+        ("L2", 1): (-2, -1.0 / (2**2 * 3)),
+        ("L2", 2): (0, -pi**4 / (2**3 * 3**2)),
     }
-    return table[(surface_id, s0)]
 
 
 def verify_table1(tol: float = 1e-6) -> list[dict]:
@@ -258,21 +248,17 @@ def verify_table1(tol: float = 1e-6) -> list[dict]:
     """
     from .globalzeta import main_term_expression
     out = []
-    for surface_id in SURFACE_IDS:
-        expr = main_term_expression(surface_id)
-        for s0 in (0, 1, 2):
-            got = laurent_leading(expr, s0)
-            want_order = _TABLE_ORDERS[(surface_id, s0)]
-            want_coeff = _table_coefficient(surface_id, s0)
-            rel = abs(got.coefficient - want_coeff) / abs(want_coeff)
-            entry = {"surface": surface_id, "s0": s0,
-                     "order_expected": want_order, "order_got": got.order,
-                     "coeff_expected": want_coeff, "coeff_got": got.coefficient,
-                     "rel_err": rel,
-                     "pass": bool(got.order == want_order and rel <= tol)}
-            if (surface_id, s0) == ("L2", 2):
-                entry["note"] = "treated as a regular value (order 0)"
-            out.append(entry)
+    for (surface_id, s0), (want_order, want_coeff) in _table1().items():
+        got = laurent_leading(main_term_expression(surface_id), s0)
+        rel = abs(got.coefficient - want_coeff) / abs(want_coeff)
+        entry = {"surface": surface_id, "s0": s0,
+                 "order_expected": want_order, "order_got": got.order,
+                 "coeff_expected": want_coeff, "coeff_got": got.coefficient,
+                 "rel_err": rel,
+                 "pass": bool(got.order == want_order and rel <= tol)}
+        if (surface_id, s0) == ("L2", 2):
+            entry["note"] = "treated as a regular value (order 0)"
+        out.append(entry)
     return out
 
 

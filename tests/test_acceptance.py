@@ -154,11 +154,13 @@ def test_criterion_10_property_suites():
             field = make_field(p, n)
             total = fiberwise_totals(sid, field).biprojective
             ok &= sum(count for _, count, _ in all_fiber_reports(sid, field)) == total
-    # affine + nonaffine = biprojective
+    # affine + nonaffine = biprojective, each term by another method, since
+    # each method sums one of the three from the other two
     for sid in SURFACES:
         for p, n in prime_powers_upto(32):
-            totals = brute_totals(sid, make_field(p, n))
-            ok &= totals.affine + totals.nonaffine == totals.biprojective
+            field = make_field(p, n)
+            ok &= (brute_totals(sid, field).affine + fiberwise_totals(sid, field).nonaffine
+                   == count_formula(sid, p, n).biprojective)
     # the fiber rule against P^2 enumeration, 200 random fiber-shaped forms per field
     for p, n in [(2, 2), (3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]:
         field = make_field(p, n)

@@ -288,7 +288,7 @@ def test_zeta_counts_do_not_come_from_the_closed_form(capsys, monkeypatch, p, sp
 
     monkeypatch.setattr(globalzeta, "euler_factor", wrong)
     for sid in ("L0", "L1", "L2"):
-        assert not globalzeta.check_local_zeta(sid, int(p), (space,))["pass"]
+        assert not globalzeta.check_local_zeta(sid, int(p))["spaces"][space]["pass"]
     code, doc = run_json(capsys, "zeta", "--surface", "all", "--p", p, "--space", space)
     assert code == 1 and not doc["ok"]
     assert [rec["match"] for rec in doc["records"]] == [False] * 3
@@ -394,8 +394,8 @@ def test_verify_document_lost_only_the_second_transcription(capsys):
 
 def test_verify_takes_one_series_per_surface_and_prime(capsys, monkeypatch):
     # each (surface, p) reads the descent once for all three spaces, and each
-    # space's Euler factor implies its counts once; recovery regenerates them
-    # at p = 2 and 3, so the check there needs no second pass
+    # space's Euler factor implies its counts once; at p = 2 and 3 recovery
+    # also regenerates the counts once from the factors it recovers
     calls = {"series": 0, "counts": 0}
 
     def counting(key, fn):
@@ -410,7 +410,7 @@ def test_verify_takes_one_series_per_surface_and_prime(capsys, monkeypatch):
     code, doc = run_json(capsys, "verify", "--surface", "all", "--primes", "2..199")
     assert code == 0 and len(doc["records"]) == 3 * 46
     assert calls["series"] == 3 * 46
-    assert calls["counts"] <= 3 * 46 * 3
+    assert calls["counts"] == 3 * 46 * 3 + 3 * 2 * 3
 
 
 _JSON_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e300, float("nan"),
@@ -552,6 +552,26 @@ def test_singular_splits_the_degenerate_locus_once(capsys, monkeypatch):
         code, doc = run_json(capsys, "singular", "--surface", sid, "--p", "3", "--n", "4")
         assert code == 0 and doc["records"][0]["degenerate_fibers"]
         assert [f for f in splits if f in want] == want, sid
+
+
+def test_verify_never_runs_cantor_zassenhaus(capsys, monkeypatch):
+    # every quadratic factor over Q of the three surfaces' loci splits
+    # directly, at p = 2 too, and what is left of each locus is a unit, so
+    # no descent of verify's calls low_degree_factors
+    calls = []
+    low_degree_factors = fibercount.low_degree_factors
+
+    def counting_low_degree_factors(f, p):
+        calls.append((tuple(f), p))
+        return low_degree_factors(f, p)
+
+    monkeypatch.setattr(fibercount, "low_degree_factors", counting_low_degree_factors)
+    code, doc = run_json(capsys, "verify", "--surface", "all", "--primes", "2..199")
+    assert code == 0 and len(doc["records"]) == 3 * 46
+    assert calls == []
+    # z^3 - 2 is irreducible over Q, so it is a rest and reaches it
+    assert fibercount._locus_factors([-2, 0, 0, 1], 2) == ([0], [])
+    assert calls == [((-2, 0, 0, 1), 2)]
 
 
 def test_singular_beyond_the_old_cap(capsys):

@@ -476,6 +476,11 @@ def _split_cases(draw):
 @example((7, _zmul([-3, 1], [-2, 0, 1])))
 @example((5, [1, 1, 5]))  # p | a: the one root 4
 @example((5, [-1, -1, 1]))  # p | disc = 5: the double root 3
+# at p = 2: the irreducible z^2 + z + 1, met by two factors over Q
+@example((2, _zmul([-1, -1, 1], [1, 1, 3])))
+@example((2, _zmul([1, 0, 1], [-2, 0, 1])))  # the double roots 1 and 0
+@example((2, [1, 1, 2]))  # 2 | a: the one root 1
+@example((2, [1, 0, 2]))  # 2 | a and s: a unit, with neither root nor factor
 def test_split_locus_matches_low_degree_factors(case):
     p, g = case
     try:

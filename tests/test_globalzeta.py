@@ -42,16 +42,43 @@ def test_characters_match_legendre():
     assert CHI5(2) == -1  # Kronecker value: 2 is inert in Q(sqrt 5)
 
 
+def _summed(terms, key):
+    """The exponents of terms summed per key, without the keys they cancel at."""
+    total = {}
+    for term in terms:
+        total[key(term)] = total.get(key(term), 0) + term.exp
+    return {k: e for k, e in total.items() if e}
+
+
+# the paper's biprojective products, as (kind, shift) and elementary
+# (sign, shift) exponents:
+BIPROJECTIVE_TOTALS = {
+    # zeta(s-2) zeta(s-1)^6 zeta(s) L(chi8, s-1) (1-2^{1-s})^3
+    "L0": ({("riemann", 2): 1, ("riemann", 1): 6, ("riemann", 0): 1, ("dirichlet", 1): 1},
+           {(1, 1): 3}),
+    # zeta(s-2) zeta(s-1)^6 zeta(s) L(chi5, s-1)^2 (1-2^{1-s})^3 (1+2^{1-s})
+    "L1": ({("riemann", 2): 1, ("riemann", 1): 6, ("riemann", 0): 1, ("dirichlet", 1): 2},
+           {(1, 1): 3, (-1, 1): 1}),
+    # zeta(s-2) zeta(s-1)^3 zeta(s)
+    "L2": ({("riemann", 2): 1, ("riemann", 1): 3, ("riemann", 0): 1}, {}),
+}
+
+
 def test_expression_transcriptions():
     e = global_expression("L2", "affine")
     kinds = sorted((f.kind, f.shift, f.exp) for f in e.factors)
     assert kinds == [("riemann", 0, 2), ("riemann", 2, 1)]
     assert [(el.p, el.sign, el.shift, el.exp) for el in e.elementary] == [(2, 1, 0, 1)]
 
-    e = global_expression("L0", "biprojective")
-    assert sorted((f.kind, f.shift, f.exp) for f in e.factors) == [
-        ("dirichlet", 1, 1), ("riemann", 0, 1), ("riemann", 1, 6), ("riemann", 2, 1)]
-    assert [(el.sign, el.shift, el.exp) for el in e.elementary] == [(1, 1, 3)]
+    # the biprojective product lists the affine factors, then the non-affine
+    # ones, and sums to the paper's product; the (1 - 2^{-s})^{+-1} pair cancels
+    for sid, (factors, elementary) in BIPROJECTIVE_TOTALS.items():
+        e, a, na = (global_expression(sid, space) for space in ("biprojective", "affine",
+                                                                "nonaffine"))
+        assert (e.factors, e.elementary) == (a.factors + na.factors,
+                                             a.elementary + na.elementary), sid
+        assert _summed(e.factors, lambda f: (f.kind, f.shift)) == factors, sid
+        assert _summed(e.elementary, lambda el: (el.sign, el.shift)) == elementary, sid
 
     e = global_expression("L1", "nonaffine")
     assert sorted((f.kind, f.shift, f.exp) for f in e.factors) == [

@@ -104,16 +104,6 @@ def test_nonaffine_brute_examples():
     assert brute_totals("L1", make_field(3)).nonaffine == 10
 
 
-@pytest.mark.parametrize("sid", ["L0", "L1", "L2",
-                                 pytest.param(model_with_points_over_w0(), id="xuz3")])
-def test_affine_plus_nonaffine_equals_biprojective(sid):
-    # brute_totals sums its biprojective count from the other two, so this
-    # guards the record rather than the kernel
-    for p, n in prime_powers_upto(16):
-        totals = brute_totals(sid, make_field(p, n))
-        assert totals.affine + totals.nonaffine == totals.biprojective, (sid, p, n)
-
-
 def test_brute_size_guards():
     # counts stop at MAX_AFFINE_Q in every space
     with pytest.raises(FieldError):
